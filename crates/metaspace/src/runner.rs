@@ -35,7 +35,7 @@ use shuffle::tasks::Exchange;
 use shuffle::SortConfig;
 use simkernel::{SimDuration, SimTime};
 
-use telemetry::UsageStats;
+use telemetry::{FaultLedger, UsageStats};
 
 use crate::jobs::JobSpec;
 use crate::pipeline::{self, Stage, StageEdge, StageKind, Workload};
@@ -294,6 +294,11 @@ pub struct ChaosReport {
     /// excluded). Equal digests mean the runs produced identical
     /// outputs, however many re-executions it took.
     pub science_digest: u64,
+    /// Injected faults, retries and waste over the whole run.
+    pub faults: FaultLedger,
+    /// High-water mark of concurrent same-generation monitor LISTs
+    /// ([`CloudEnv::monitor_list_overlap`]); never above 1.
+    pub monitor_list_overlap: u32,
 }
 
 /// [`run_plan_stages`] plus master-kill chaos injection:
@@ -614,6 +619,8 @@ fn run_functions_plan(
         recovery: env.recovery_stats().clone(),
         events_routed: env.events_routed() - event_base,
         science_digest: science_digest(env.world()),
+        faults: env.world().fault_ledger().clone(),
+        monitor_list_overlap: env.monitor_list_overlap(),
     };
     Ok((report, trace.then(|| trace_output(env.world())), chaos))
 }

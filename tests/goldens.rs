@@ -4,6 +4,9 @@
 //! `repro` binary prints for one table or figure at seed 42. The
 //! simulation is deterministic, so a golden only moves when behaviour
 //! does: an unexplained diff is a regression, not noise.
+//! `control_paths.txt` pins the fault-handling paths the same way: the
+//! exact end state of small runs that retry, speculate, replace VMs
+//! and recover from a master kill.
 //!
 //! After an *intentional* behaviour change, refresh the snapshots and
 //! review the diff like any other code change:
@@ -17,12 +20,21 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use serverful_repro::bench::render::{
     render_fig5, render_fig6, render_table1, render_table2, render_table3, render_table4,
 };
-use serverful_repro::cloudsim::CloudConfig;
-use serverful_repro::metaspace::{jobs, run_annotation_traced, Architecture, TraceOutput};
+use serverful_repro::cloudsim::{CloudConfig, FaultConfig};
+use serverful_repro::metaspace::{
+    self, jobs, plan::PlanKind, run_annotation_traced, Architecture, DeploymentPlan,
+    FunctionsPlan, TraceOutput,
+};
+use serverful_repro::serverful::executor::MapOptions;
+use serverful_repro::serverful::{
+    Backend, CloudEnv, ExecMode, ExecutionMode, ExecutorConfig, FunctionExecutor, Payload,
+    RecoveryMode, ScriptTask,
+};
 
 /// The one seed all goldens are pinned to.
 const GOLDEN_SEED: u64 = 42;
@@ -134,6 +146,176 @@ fn trace_same_seed_is_byte_identical() {
 fn golden_trace_brain_summary() {
     let trace = traced("Brain", Architecture::Serverless, GOLDEN_SEED);
     check_golden("trace_brain_summary", &trace.summary);
+}
+
+// --- golden control paths ------------------------------------------------
+
+/// FNV-1a over a byte stream.
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// How a single-executor control path ended: final virtual time, the
+/// routed-event clock, the exact billed total, the fault and recovery
+/// ledgers, the monitor's LIST high-water mark and a digest of results.
+fn env_line(name: &str, env: &CloudEnv, results: &[Payload]) -> String {
+    format!(
+        "{name}: t={}us events={} billed={:#018x} lists={} results={:#018x}\n  \
+         faults={:?}\n  recovery={:?}\n",
+        env.now().as_micros(),
+        env.events_routed(),
+        env.world().ledger().total().to_bits(),
+        env.monitor_list_overlap(),
+        fnv(results.iter().flat_map(Payload::encode)),
+        env.world().fault_ledger(),
+        env.recovery_stats(),
+    )
+}
+
+/// A map of `n` tasks computing `secs` each and returning `i * i`.
+fn square_map(env: &mut CloudEnv, exec: &mut FunctionExecutor, n: u64, secs: f64) -> Vec<Payload> {
+    let factory: serverful_repro::serverful::job::TaskFactory = Arc::new(move |input: &Payload| {
+        let i = input.as_u64().expect("u64 input");
+        ScriptTask::new()
+            .compute(secs)
+            .finish_value(Payload::U64(i * i))
+            .boxed()
+    });
+    let job = exec.map_with(
+        env,
+        factory,
+        (0..n).map(Payload::U64).collect(),
+        MapOptions::named("control-path"),
+    );
+    exec.get_result(env, job).expect("control-path map")
+}
+
+/// FaaS under the chaos profile of `tests/chaos.rs`: task retries after
+/// crashes and invoke errors, storage retries after 5xx and SlowDown.
+fn faas_retry_path() -> String {
+    let cloud = CloudConfig {
+        faults: FaultConfig {
+            sandbox_invoke_error_prob: 0.02,
+            sandbox_crash_prob: 0.05,
+            vm_boot_failure_prob: 0.02,
+            storage_error_prob: 0.07,
+            storage_slowdown_prob: 0.03,
+            ..FaultConfig::disabled()
+        },
+        ..CloudConfig::default()
+    };
+    let mut env = CloudEnv::new(cloud, 5);
+    let mut cfg = ExecutorConfig::default();
+    cfg.retry.max_attempts = 6;
+    let mut exec = FunctionExecutor::new(&mut env, Backend::faas(), cfg);
+    // Tasks long enough for mid-run sandbox crashes to land.
+    let results = square_map(&mut env, &mut exec, 32, 12.0);
+    env_line("faas-retries", &env, &results)
+}
+
+/// FaaS straggler speculation: a timeout tight enough that slow cold
+/// starts are abandoned and re-dispatched, plus sandbox crashes.
+fn faas_straggler_path() -> String {
+    let cloud = CloudConfig {
+        faults: FaultConfig {
+            sandbox_crash_prob: 0.10,
+            sandbox_crash_after: (0.5, 30.0),
+            ..FaultConfig::disabled()
+        },
+        ..CloudConfig::default()
+    };
+    let mut env = CloudEnv::new(cloud, 23);
+    let mut cfg = ExecutorConfig::default();
+    cfg.retry.straggler_timeout_secs = Some(4.0);
+    let mut exec = FunctionExecutor::new(&mut env, Backend::faas(), cfg);
+    let results = square_map(&mut env, &mut exec, 16, 2.0);
+    env_line("faas-stragglers", &env, &results)
+}
+
+/// A three-worker VM fleet taking boot failures and mid-job worker loss.
+fn vm_fleet_path() -> String {
+    let cloud = CloudConfig {
+        faults: FaultConfig {
+            vm_boot_failure_prob: 0.25,
+            vm_loss_prob: 0.6,
+            vm_loss_after: (5.0, 40.0),
+            storage_error_prob: 0.05,
+            ..FaultConfig::disabled()
+        },
+        ..CloudConfig::default()
+    };
+    let mut env = CloudEnv::new(cloud, 1);
+    let mut cfg = ExecutorConfig::default();
+    cfg.standalone.exec_mode = ExecMode::Fleet {
+        instance_type: "c5.large".into(),
+        count: 3,
+    };
+    cfg.standalone.reuse_instances = false;
+    let mut exec = FunctionExecutor::new(&mut env, Backend::vm(), cfg);
+    let results = square_map(&mut env, &mut exec, 18, 6.0);
+    exec.shutdown(&mut env);
+    env_line("vm-fleet-losses", &env, &results)
+}
+
+/// The smoke-scaled Brain hybrid on a four-VM fleet, its master killed
+/// at a fixed routed-event index of the measured window.
+fn brain_kill_path(recovery: RecoveryMode) -> String {
+    const KILL_AT: u64 = 300;
+    let spec = jobs::brain();
+    let stages = metaspace::pipeline::scaled_stages(&spec, 0.02);
+    let base = DeploymentPlan::hybrid(&stages);
+    let PlanKind::Functions(f) = &base.kind else {
+        unreachable!("hybrid is a functions plan")
+    };
+    let plan = DeploymentPlan::functions(
+        format!("hybrid-{}", recovery.name()),
+        FunctionsPlan {
+            execution: ExecutionMode::Barrier,
+            recovery,
+            vm_count: 4,
+            ..f.clone()
+        },
+    );
+    let (report, chaos) = metaspace::run_plan_stages_chaos(
+        spec.name,
+        &stages,
+        &plan,
+        GOLDEN_SEED,
+        CloudConfig::default(),
+        &[KILL_AT],
+    )
+    .expect("a recoverable master kill");
+    format!(
+        "brain-kill@{KILL_AT}-{}: wall={:#018x} events={} billed={:#018x} lists={} \
+         science={:#018x}\n  faults={:?}\n  recovery={:?}\n",
+        recovery.name(),
+        report.wall_secs.to_bits(),
+        chaos.events_routed,
+        report.cost_usd.to_bits(),
+        chaos.monitor_list_overlap,
+        chaos.science_digest,
+        chaos.faults,
+        chaos.recovery,
+    )
+}
+
+/// Pins the numbers of the fault-handling control paths — retries,
+/// straggler speculation, VM replacement, master recovery — that the
+/// table goldens (faults off) never exercise and the chaos and recovery
+/// suites only compare against their own repeat.
+#[test]
+fn golden_control_paths() {
+    let text = [
+        faas_retry_path(),
+        faas_straggler_path(),
+        vm_fleet_path(),
+        brain_kill_path(RecoveryMode::Decentralized),
+        brain_kill_path(RecoveryMode::Checkpointed),
+    ]
+    .concat();
+    check_golden("control_paths", &text);
 }
 
 /// The paper-scale acceptance check: the seeded Xenograft trace replays
