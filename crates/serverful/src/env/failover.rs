@@ -129,22 +129,12 @@ impl CloudEnv {
                 );
             }
             RecoveryMode::Checkpointed => {
+                // The replacement master provisions through the normal
+                // slot budget; once its SSH setup completes,
+                // `on_pool_vm_ready` fetches the checkpoint.
                 self.recovery_stats.masters_replaced += 1;
                 self.pools[pool].recovering = true;
                 self.pools[pool].recovery_episode += 1;
-                let episode = self.pools[pool].recovery_episode;
-                // The replacement master provisions through the normal
-                // slot budget below; once its SSH setup completes,
-                // `on_pool_vm_ready` opens this gate and the future
-                // queues the checkpoint fetch.
-                let gate = self.kernel.gate();
-                self.pools[pool].readopt_gate = Some(gate.clone());
-                let cmds = Rc::clone(&self.env_cmds);
-                self.kernel.spawn(async move {
-                    gate.wait().await;
-                    cmds.borrow_mut()
-                        .push_back(EnvCmd::Readopt { pool, episode });
-                });
                 self.world
                     .tracer_mut()
                     .instant(now, "master-lost", "recovery", "recovery");
@@ -162,36 +152,30 @@ impl CloudEnv {
         }
     }
 
-    /// Starts the periodic checkpoint loop as a kernel future. The loop
-    /// snapshots once immediately — a replay baseline exists as soon as
-    /// the job does, even for jobs shorter than the interval — then
-    /// queues an [`EnvCmd::Checkpoint`] every interval until its
-    /// liveness flag is cleared by `pool_job_finished`.
-    pub(super) fn start_checkpoint_loop(&mut self, pool: usize) {
-        if self.pools[pool]
-            .ckpt_active
-            .as_ref()
-            .is_some_and(|f| f.get())
-        {
-            return; // a loop from the previous job (reuse) is still live
-        }
-        let flag = Rc::new(Cell::new(true));
-        self.pools[pool].ckpt_active = Some(Rc::clone(&flag));
+    /// Snapshots a job that just started on the pool — a replay baseline
+    /// exists as soon as the job does, even for jobs shorter than the
+    /// interval — and arms its checkpoint cadence.
+    pub(super) fn start_checkpoints(&mut self, pool: usize, job: usize) {
+        self.write_checkpoint(pool);
+        self.arm_checkpoint(pool, job);
+    }
+
+    fn arm_checkpoint(&mut self, pool: usize, job: usize) {
         let interval = SimDuration::from_secs_f64(
             self.pools[pool].cfg.checkpoint_interval_secs.max(0.05),
         );
-        let exec = self.kernel.clone();
-        let cmds = Rc::clone(&self.env_cmds);
-        self.kernel.spawn(async move {
-            cmds.borrow_mut().push_back(EnvCmd::Checkpoint { pool });
-            loop {
-                exec.sleep(interval).await;
-                if !flag.get() {
-                    break;
-                }
-                cmds.borrow_mut().push_back(EnvCmd::Checkpoint { pool });
-            }
-        });
+        self.set_timer(interval, Route::Checkpoint { pool, job });
+    }
+
+    /// A checkpoint tick of `job` fired: snapshot and re-arm, so ticks
+    /// land at job start + k·interval for as long as the job owns the
+    /// pool; a tick of a job that no longer does ends the cadence.
+    pub(super) fn on_checkpoint_tick(&mut self, pool: usize, job: usize) {
+        if self.pools[pool].active != Some(job) {
+            return;
+        }
+        self.write_checkpoint(pool);
+        self.arm_checkpoint(pool, job);
     }
 
     /// Snapshots the master's orchestration state to object storage.
@@ -260,27 +244,26 @@ impl CloudEnv {
     }
 
     /// The replacement master finished SSH setup: fetch the checkpoint
-    /// so the replay can re-adopt workers and re-dispatch work.
-    pub(super) fn begin_readopt(&mut self, pool: usize, episode: u64) {
-        if self.pools[pool].recovery_episode != episode || !self.pools[pool].recovering {
-            return; // a newer master loss superseded this recovery
-        }
+    /// so the replay can re-adopt workers and re-dispatch work. The
+    /// fetch is stamped with the recovery episode, so a master lost
+    /// again before it lands leaves the reply to the next replacement.
+    pub(super) fn begin_readopt(&mut self, pool: usize) {
         let active = self.pools[pool].active;
         let finished = active.is_some_and(|j| self.jobs[j].is_finished());
         let Some(job) = active.filter(|_| !finished) else {
             // Nothing to recover: the pool simply has a fresh master.
             self.pools[pool].recovering = false;
-            self.pools[pool].readopt_gate = None;
             return;
         };
         let Some(master) = self.pools[pool].master_pv() else {
             return;
         };
         if master.phase != VmPhase::Ready || !self.world.host_alive(master.host) {
-            return; // replacement died too; the next one re-opens the gate
+            return; // replacement died too; the next one fetches instead
         }
         let host = master.host;
         let bucket = self.jobs[job].bucket.clone();
+        let episode = self.pools[pool].recovery_episode;
         self.issue_storage(
             StorageSpec::Get {
                 host,
@@ -313,7 +296,6 @@ impl CloudEnv {
             _ => None,
         };
         self.pools[pool].recovering = false;
-        self.pools[pool].readopt_gate = None;
         if let Some(s) = &snapshot {
             self.pools[pool].ckpt_seq = self.pools[pool].ckpt_seq.max(s.seq);
         }

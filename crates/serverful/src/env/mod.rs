@@ -28,7 +28,7 @@
 //!    the client; all instances are automatically stopped afterwards
 //!    (unless instance reuse is enabled).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
@@ -476,10 +476,6 @@ impl CloudEnv {
             let cmd = self.env_cmds.borrow_mut().pop_front();
             match cmd {
                 None => break,
-                Some(EnvCmd::Checkpoint { pool }) => self.write_checkpoint(pool),
-                Some(EnvCmd::Readopt { pool, episode }) => {
-                    self.begin_readopt(pool, episode)
-                }
                 Some(EnvCmd::MonitorTick {
                     job,
                     generation,

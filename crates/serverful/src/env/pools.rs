@@ -72,12 +72,6 @@ pub(crate) struct StandalonePool {
     /// Monotonic checkpoint sequence number (survives master swaps via
     /// the snapshot itself).
     pub(super) ckpt_seq: u64,
-    /// Liveness flag of the current checkpoint sleep loop; cleared when
-    /// the pool's job finishes so the loop exits on its next fire.
-    pub(super) ckpt_active: Option<Rc<Cell<bool>>>,
-    /// Gate the pending re-adoption future waits on; opened when the
-    /// replacement master finishes SSH setup.
-    pub(super) readopt_gate: Option<simkernel::aio::Gate>,
 }
 
 impl StandalonePool {
@@ -137,8 +131,6 @@ impl CloudEnv {
             recovering: false,
             recovery_episode: 0,
             ckpt_seq: 0,
-            ckpt_active: None,
-            readopt_gate: None,
         });
         idx
     }
@@ -388,13 +380,6 @@ impl CloudEnv {
             let kv = self.world.kv_create(vm);
             self.pools[pool].kv = Some(kv);
         }
-        // A replacement master finishing SSH setup lets the pending
-        // re-adoption proceed (Checkpointed mode).
-        if is_master_vm && self.pools[pool].recovering {
-            if let Some(gate) = self.pools[pool].readopt_gate.clone() {
-                gate.open();
-            }
-        }
         self.pool_try_start(pool);
         // A replacement worker joining mid-job starts its processes
         // immediately (the initial cohort is started by on_push_done).
@@ -405,6 +390,11 @@ impl CloudEnv {
                     self.worker_pop(pool, i, proc);
                 }
             }
+        }
+        // A replacement master finishing SSH setup fetches the
+        // checkpoint it replays (Checkpointed mode).
+        if is_master_vm && self.pools[pool].recovering {
+            self.begin_readopt(pool);
         }
     }
 
@@ -590,7 +580,7 @@ impl CloudEnv {
                 self.dc_start_job(pool, job);
                 return;
             }
-            RecoveryMode::Checkpointed => self.start_checkpoint_loop(pool),
+            RecoveryMode::Checkpointed => self.start_checkpoints(pool, job),
             RecoveryMode::Protected => {}
         }
         let kv = self.pools[pool].kv.expect("pool started without KV");
@@ -752,14 +742,10 @@ impl CloudEnv {
     // ------------------------------------------------------------------
 
     pub(super) fn pool_job_finished(&mut self, pool: usize, _job: usize) {
+        // Clearing `active` also ends the job's checkpoint cadence.
         self.pools[pool].active = None;
         self.pools[pool].recovering = false;
-        self.pools[pool].readopt_gate = None;
         self.pools[pool].dc_ready.clear();
-        if let Some(flag) = self.pools[pool].ckpt_active.take() {
-            // The checkpoint sleep loop exits on its next fire.
-            flag.set(false);
-        }
         // "Once all logical functions have been completed, all resources
         // are automatically stopped" — unless reuse is configured and
         // more work may come.

@@ -46,7 +46,9 @@ pub(super) enum Route {
     /// window: a job starting (or another window opening) invalidates
     /// earlier timers.
     PoolIdle { pool: usize, epoch: u64 },
-    /// Periodic master-state snapshot PUT ([`RecoveryMode::Checkpointed`]).
+    /// Periodic master-state snapshot ([`RecoveryMode::Checkpointed`]):
+    /// the cadence timer of `job` on `pool`, and the snapshot PUT it
+    /// issues.
     Checkpoint { pool: usize, job: usize },
     /// The replacement master's checkpoint GET during re-adoption.
     /// `episode` versions the recovery so a twice-replaced master drops
@@ -67,10 +69,6 @@ pub(super) enum Route {
 /// environment owns the world handle, so every side effect funnels
 /// through one of these.
 pub(super) enum EnvCmd {
-    /// Periodic master-state snapshot (checkpoint sleep loop).
-    Checkpoint { pool: usize },
-    /// Fetch the checkpoint for a replacement master (re-adoption gate).
-    Readopt { pool: usize, episode: u64 },
     /// A completion-monitor tick elapsed: run the LIST cycle.
     MonitorTick {
         job: usize,
@@ -233,6 +231,7 @@ impl CloudEnv {
             }
             Route::PoolVm { pool, slot, epoch } => self.on_pool_vm_ready(pool, slot, epoch),
             Route::PoolIdle { pool, epoch } => self.on_pool_idle(pool, epoch),
+            Route::Checkpoint { pool, job } => self.on_checkpoint_tick(pool, job),
             Route::MasterNotify { job } => {
                 // The notifying master must still be alive when the SSH
                 // message lands; a freshly-dead master notifies no one.
