@@ -310,9 +310,9 @@ impl CloudEnv {
         if self.pools[pool].active != Some(job) || self.jobs[job].is_finished() {
             return;
         }
-        // The monitor moves to the new master and restarts as a fresh
-        // loop future; the generation bump cancels the old one, so the
-        // LIST cycle never forks.
+        // The monitor moves to the new master and restarts under a new
+        // generation; the old one's tick or LIST is dropped when it
+        // lands, so the LIST cycle never forks.
         self.jobs[job].monitor_host = self.pools[pool].master_host();
         if self.jobs[job].monitor_started {
             self.start_monitor(job);

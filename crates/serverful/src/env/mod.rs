@@ -28,15 +28,12 @@
 //!    the client; all instances are automatically stopped afterwards
 //!    (unless instance reuse is enabled).
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 
 use cloudsim::{
     CloudConfig, FaultKind, HostId, KvId, Notify, ObjectBody, OpId, OpOutcome, SandboxId,
     Tenancy, VmId, World,
 };
-use simkernel::aio::{race, AsyncExecutor, CancelToken, Either, Gate};
 use simkernel::{SimDuration, SimTime};
 use telemetry::trace::SpanId;
 use telemetry::{FleetTag, StageSpan, Timeline};
@@ -93,12 +90,6 @@ pub struct CloudEnv {
     /// Span subsequently submitted jobs parent under (a pipeline's stage
     /// span, for example).
     job_parent: SpanId,
-    /// Async kernel driving the control-loop futures (completion
-    /// monitors, retry backoffs, straggler sweeps, checkpoint sleep
-    /// loops, re-adoption gates) in lockstep with world time.
-    kernel: AsyncExecutor,
-    /// Commands those futures queue for the environment to execute.
-    env_cmds: Rc<RefCell<VecDeque<EnvCmd>>>,
     /// Live completion-monitor handles, one per monitored job.
     monitors: HashMap<usize, MonitorHandle>,
     /// Task retries waiting out their backoff: `(job, task) -> attempt`.
@@ -157,8 +148,6 @@ impl CloudEnv {
             scheduler_fleet,
             active_jobs: 0,
             job_parent: SpanId::NONE,
-            kernel: AsyncExecutor::new(),
-            env_cmds: Rc::new(RefCell::new(VecDeque::new())),
             monitors: HashMap::new(),
             pending_task_retries: HashMap::new(),
             max_list_overlap: 0,
@@ -413,7 +402,6 @@ impl CloudEnv {
                 }
                 self.dispatch(t, n);
                 self.events_routed += 1;
-                self.drive_kernel();
                 self.fire_armed_kills();
                 EnvEvent::Progress
             }
@@ -450,52 +438,10 @@ impl CloudEnv {
 
     /// High-water mark of concurrent monitor LISTs belonging to a single
     /// live monitor generation, across every job so far. The monitor
-    /// invariant — a monitor future killed and replayed by checkpoint
-    /// recovery never forks the LIST cycle — says this never exceeds 1.
+    /// invariant — a monitor killed and replayed by checkpoint recovery
+    /// never forks the LIST cycle — says this never exceeds 1.
     pub fn monitor_list_overlap(&self) -> u32 {
         self.max_list_overlap
-    }
-
-    /// Advances the kernel to world time, runs any woken futures, and
-    /// executes the commands they queued. Called once per routed event;
-    /// this is where kernel *timers* (checkpoint sleeps) fire — gate
-    /// wakeups are additionally pumped inside [`Route::Wake`] dispatch
-    /// so timer-driven loops act at their exact pre-port position.
-    fn drive_kernel(&mut self) {
-        self.kernel.advance_to(self.world.now());
-        self.kernel.run_ready();
-        self.drain_cmds();
-        // Futures woken by a drained command (a reply gate opening) park
-        // themselves on their next await; no world side effects remain.
-        self.kernel.run_ready();
-    }
-
-    /// Executes every command the kernel futures queued so far.
-    fn drain_cmds(&mut self) {
-        loop {
-            let cmd = self.env_cmds.borrow_mut().pop_front();
-            match cmd {
-                None => break,
-                Some(EnvCmd::MonitorTick {
-                    job,
-                    generation,
-                    reply,
-                }) => self.on_monitor_tick(job, generation, reply),
-                Some(EnvCmd::StragglerSweep { job, reply }) => {
-                    self.on_straggler_sweep(job, reply)
-                }
-                Some(EnvCmd::RetryTask { job, task, attempt }) => {
-                    self.on_retry_task(job, task, attempt)
-                }
-                Some(EnvCmd::RetryStorage {
-                    spec,
-                    attempts,
-                    inner,
-                    pending_slot,
-                    task_attempt,
-                }) => self.on_retry_storage(spec, attempts, *inner, pending_slot, task_attempt),
-            }
-        }
     }
 
     /// The finished job's results (or error), if it has finished.
@@ -625,23 +571,15 @@ impl CloudEnv {
         span
     }
 
+    /// Arms a world timer that routes to `route` after `delay`. Timers
+    /// are never cancelled: a stale one still fires (and counts on the
+    /// event clock), and its handler drops it on the staleness key the
+    /// route carries.
     fn set_timer(&mut self, delay: SimDuration, route: Route) {
         let tag = self.next_timer;
         self.next_timer += 1;
         self.timer_routes.insert(tag, route);
         self.world.timer(delay, tag);
-    }
-
-    /// Arms a world-clock timer that opens a fresh kernel gate when it
-    /// fires ([`Route::Wake`]) — the bridge between the control-loop
-    /// futures and the world's deterministic event order. World timers
-    /// are never cancelled: a stale fire opens an orphaned gate and is
-    /// still counted by the event clock, exactly like the pre-port
-    /// stale poll timers.
-    fn wake_timer(&mut self, delay: SimDuration) -> Gate {
-        let gate = self.kernel.gate();
-        self.set_timer(delay, Route::Wake { gate: gate.clone() });
-        gate
     }
 
     fn job_activity(&mut self, delta: i64) {

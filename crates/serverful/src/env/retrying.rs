@@ -1,6 +1,6 @@
 //! Failure handling and re-arming: storage op retries with
-//! exponential backoff and task attempt retries, both re-armed through
-//! one-shot kernel futures.
+//! exponential backoff and task attempt retries, both re-armed as
+//! world timers ([`Route::RetryStorage`], [`Route::RetryTask`]).
 
 use super::*;
 
@@ -23,6 +23,26 @@ impl StorageSpec {
             | StorageSpec::Delete { host, .. } => *host,
         }
     }
+}
+
+/// A faulted storage request waiting out its backoff
+/// ([`Route::RetryStorage`]).
+#[derive(Debug, Clone)]
+pub(super) struct StorageRetry {
+    pub(super) spec: StorageSpec,
+    /// Attempts made so far (the faulted one included).
+    pub(super) attempts: u32,
+    /// Where the re-issued op's completion goes.
+    pub(super) route: Route,
+    /// `(faulted op, its slot)` in the task action's pending map, if
+    /// any. The faulted op stays in the map as a placeholder while the
+    /// backoff runs — so a sibling op of a multi-op action cannot drain
+    /// the map and assemble a result with a hole — and is swapped for
+    /// the re-issued op at fire time.
+    pub(super) pending_slot: Option<(OpId, usize)>,
+    /// Task attempt the op belonged to; a mismatch at fire time means
+    /// the whole attempt was torn down meanwhile.
+    pub(super) task_attempt: u32,
 }
 
 /// Why a task attempt ended prematurely (selects the retry counter).
@@ -162,21 +182,17 @@ impl CloudEnv {
         };
         let backoff = policy
             .jittered_backoff_secs(attempts.min(policy.max_attempts.max(1)), op.index());
-        // One-shot backoff future: the world timer below fires at the
-        // same queue position the old retry timer did; the future just
-        // carries the request across the wait.
-        let gate = self.wake_timer(SimDuration::from_secs_f64(backoff));
-        let cmds = Rc::clone(&self.env_cmds);
-        self.kernel.spawn(async move {
-            gate.wait().await;
-            cmds.borrow_mut().push_back(EnvCmd::RetryStorage {
-                spec,
-                attempts,
-                inner: Box::new(route),
-                pending_slot,
-                task_attempt,
-            });
-        });
+        let retry = StorageRetry {
+            spec,
+            attempts,
+            route,
+            pending_slot,
+            task_attempt,
+        };
+        self.set_timer(
+            SimDuration::from_secs_f64(backoff),
+            Route::RetryStorage(Box::new(retry)),
+        );
     }
 
     /// A task attempt failed (sandbox death, exhausted storage budget, or
@@ -217,16 +233,14 @@ impl CloudEnv {
             ((job as u64) << 32) | task as u64,
         );
         self.pending_task_retries.insert((job, task), attempts);
-        let gate = self.wake_timer(SimDuration::from_secs_f64(backoff));
-        let cmds = Rc::clone(&self.env_cmds);
-        self.kernel.spawn(async move {
-            gate.wait().await;
-            cmds.borrow_mut().push_back(EnvCmd::RetryTask {
+        self.set_timer(
+            SimDuration::from_secs_f64(backoff),
+            Route::RetryTask {
                 job,
                 task,
                 attempt: attempts,
-            });
-        });
+            },
+        );
     }
 
     /// Drops every trace of a task's current attempt: pending op routes,
@@ -295,14 +309,14 @@ impl CloudEnv {
 
     /// Backoff elapsed: re-issue a faulted storage request, unless the
     /// attempt it belonged to was torn down meanwhile.
-    pub(super) fn on_retry_storage(
-        &mut self,
-        spec: StorageSpec,
-        attempts: u32,
-        inner: Route,
-        pending_slot: Option<(OpId, usize)>,
-        task_attempt: u32,
-    ) {
+    pub(super) fn on_retry_storage(&mut self, retry: StorageRetry) {
+        let StorageRetry {
+            spec,
+            attempts,
+            route: inner,
+            pending_slot,
+            task_attempt,
+        } = retry;
         let Some(job) = Self::route_job(&inner) else {
             unreachable!("storage retry routed to {inner:?}")
         };

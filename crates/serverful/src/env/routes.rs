@@ -1,7 +1,9 @@
 //! Event routing: the [`Route`] tag carried by every simulator
-//! notification, the [`EnvCmd`] queue kernel futures use to call back
-//! into the environment, and the dispatchers that fan completed ops,
-//! KV failures, and timers out to the focused modules.
+//! notification, and the dispatchers that fan completed ops, KV
+//! failures and timers out to the focused modules. Every timed control
+//! loop — monitor ticks, straggler sweeps, retry backoffs, checkpoint
+//! cadence — is a world timer whose route carries the staleness key its
+//! handler checks, so the world's event queue is the only clock.
 
 use super::*;
 
@@ -14,18 +16,24 @@ pub(super) enum Route {
     InputPut { job: usize, task: usize },
     /// Client-side function/deps serialisation before dispatch.
     JobSetup { job: usize },
-    /// A world-clock timer armed on behalf of a kernel future
-    /// ([`CloudEnv::wake_timer`]): firing opens the gate and pumps the
-    /// kernel so the awaiting loop runs *inside* this dispatch, exactly
-    /// where the old hand-rolled timer handler ran.
-    Wake { gate: Gate },
-    /// Monitor LIST. `generation` versions the monitor loop so a LIST
-    /// issued before a checkpoint replay restarted the cycle is told
-    /// apart from the replacement's.
+    /// A completion-monitor tick: issue the next LIST. Only
+    /// `start_monitor` and a LIST reply of the same `generation` arm
+    /// one, so at most one tick or LIST per generation is ever pending.
+    MonitorTick { job: usize, generation: u64 },
+    /// Monitor LIST. `generation` versions the monitor so a LIST issued
+    /// before a checkpoint replay restarted the cycle is told apart from
+    /// the replacement's.
     List { job: usize, generation: u64 },
     /// Monitor result GET (same `generation` discipline as
     /// [`Route::List`]).
     Collect { job: usize, task: usize, generation: u64 },
+    /// A straggler-speculation sweep, riding the monitor `generation`
+    /// it was started with.
+    StragglerSweep { job: usize, generation: u64 },
+    /// A task retry's backoff elapsed; a newer `attempt` supersedes it.
+    RetryTask { job: usize, task: usize, attempt: u32 },
+    /// A storage retry's backoff elapsed: re-issue the faulted request.
+    RetryStorage(Box<StorageRetry>),
     /// A pool VM came up / finished SSH setup. `epoch` versions the
     /// slot so timers of a replaced VM are dropped.
     PoolVm { pool: usize, slot: PoolSlot, epoch: u64 },
@@ -62,38 +70,6 @@ pub(super) enum Route {
     /// Worker PUT of a per-task completion counter (decentralized
     /// continuation passing).
     DcCounter { pool: usize, job: usize, task: usize },
-}
-
-/// An action queued by a kernel future for the environment to execute.
-/// The futures own control flow (when to tick, when to give up); the
-/// environment owns the world handle, so every side effect funnels
-/// through one of these.
-pub(super) enum EnvCmd {
-    /// A completion-monitor tick elapsed: run the LIST cycle.
-    MonitorTick {
-        job: usize,
-        generation: u64,
-        reply: ReplySlot<TickVerdict>,
-    },
-    /// A straggler-speculation tick elapsed: sweep for late attempts.
-    StragglerSweep { job: usize, reply: ReplySlot<TickVerdict> },
-    /// A task retry backoff elapsed: re-dispatch the attempt.
-    RetryTask { job: usize, task: usize, attempt: u32 },
-    /// A storage retry backoff elapsed: re-issue the faulted request.
-    RetryStorage {
-        spec: StorageSpec,
-        attempts: u32,
-        inner: Box<Route>,
-        /// `(faulted op, its slot)` in the task action's pending map,
-        /// if any. The faulted op stays in the map as a placeholder
-        /// while the backoff runs — so a sibling op of a multi-op
-        /// action cannot drain the map and assemble a result with a
-        /// hole — and is swapped for the re-issued op at fire time.
-        pending_slot: Option<(OpId, usize)>,
-        /// Task attempt the op belonged to; a mismatch at fire time
-        /// means the whole attempt was torn down meanwhile.
-        task_attempt: u32,
-    },
 }
 
 impl CloudEnv {
@@ -218,17 +194,12 @@ impl CloudEnv {
 
     pub(super) fn on_timer(&mut self, route: Route) {
         match route {
-            Route::Wake { gate } => {
-                // Open the gate and pump the kernel *inside* this
-                // dispatch — but without advancing the kernel clock, so
-                // kernel timers (checkpoint sleeps) keep firing at their
-                // end-of-pump position. The woken loop queues its
-                // command and the drain runs it right here, exactly
-                // where the old hand-rolled timer handler ran.
-                gate.open();
-                self.kernel.run_ready();
-                self.drain_cmds();
+            Route::MonitorTick { job, generation } => self.on_monitor_tick(job, generation),
+            Route::StragglerSweep { job, generation } => {
+                self.on_straggler_sweep(job, generation)
             }
+            Route::RetryTask { job, task, attempt } => self.on_retry_task(job, task, attempt),
+            Route::RetryStorage(retry) => self.on_retry_storage(*retry),
             Route::PoolVm { pool, slot, epoch } => self.on_pool_vm_ready(pool, slot, epoch),
             Route::PoolIdle { pool, epoch } => self.on_pool_idle(pool, epoch),
             Route::Checkpoint { pool, job } => self.on_checkpoint_tick(pool, job),

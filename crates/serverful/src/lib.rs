@@ -40,10 +40,13 @@
 //! The crate is backed by the [`cloudsim`] substrate; all latencies,
 //! contention and billing come from its calibrated models. The
 //! orchestration core lives in the [`env`](mod@env) module tree:
-//! [`CloudEnv`] pumps world notifications and hosts a deterministic
-//! async kernel ([`simkernel::aio`]) on which the completion monitor,
-//! retry re-arming and straggler speculation run as futures — see
-//! `env/`'s submodule docs for the per-concern breakdown.
+//! [`CloudEnv`] pumps world notifications, and its timed control loops
+//! — the completion monitor, straggler speculation, retry backoffs and
+//! checkpoint cadence — are world timers whose routes carry the
+//! staleness key their handlers check, so the world's event queue is
+//! the only clock. See `env/`'s submodule docs for the per-concern
+//! breakdown. The DAG driver ([`run_dag_async`]) runs its nodes as
+//! futures on the deterministic async kernel ([`simkernel::aio`]).
 
 #![warn(missing_docs)]
 

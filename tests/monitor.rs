@@ -1,12 +1,15 @@
-//! Property tests of the per-job completion-monitor future.
+//! Property tests of the per-job completion monitor.
 //!
-//! The monitor is one kernel future per job; its cardinal invariant is
-//! that the LIST cycle never forks: at any instant at most one LIST is
-//! in flight per job, across monitor restarts (straggler speculation
-//! sharing the loop, master kills, checkpointed re-adoption replaying
-//! the monitor on a replacement master). `CloudEnv::monitor_list_overlap`
-//! tracks the high-water mark of concurrent same-generation LISTs; every
-//! property here drives a full job and asserts the mark stayed at 1.
+//! The monitor is a chain of world timers stamped with its generation:
+//! each tick issues one LIST, and only the LIST's reply (or a monitor
+//! restart under a new generation) arms the next tick. Its cardinal
+//! invariant is that the LIST cycle never forks: at any instant at most
+//! one LIST is in flight per job, across monitor restarts (straggler
+//! sweeps riding the same generation, master kills, checkpointed
+//! re-adoption replaying the monitor on a replacement master).
+//! `CloudEnv::monitor_list_overlap` tracks the high-water mark of
+//! concurrent same-generation LISTs; every property here drives a full
+//! job and asserts the mark stayed at 1.
 //!
 //! No crates.io access means no `proptest`; cases are drawn from
 //! [`SimRng`] with the failing seed printed on assertion failure, like
@@ -14,12 +17,12 @@
 
 use std::sync::Arc;
 
-use serverful::job::TaskFactory;
-use serverful::{
-    Backend, CloudEnv, ExecMode, ExecutorConfig, Payload, RecoveryMode, ScriptTask,
+use serverful_repro::serverful::job::TaskFactory;
+use serverful_repro::serverful::{
+    Backend, CloudEnv, ExecMode, ExecutorConfig, FunctionExecutor, Payload, RecoveryMode,
+    ScriptTask,
 };
-use serverful::FunctionExecutor;
-use simkernel::SimRng;
+use serverful_repro::simkernel::SimRng;
 
 const TASKS: usize = 10;
 
@@ -99,8 +102,8 @@ fn fault_free_monitor_never_overlaps_lists() {
     }
 }
 
-/// A straggler-speculating FaaS monitor shares the tick loop's
-/// cancellation scope and still never forks the LIST cycle.
+/// A straggler-speculating FaaS monitor rides the same generation as
+/// its sweeps and still never forks the LIST cycle.
 #[test]
 fn straggler_speculation_shares_the_list_cycle() {
     for seed in [5, 23] {
