@@ -14,7 +14,7 @@
 //!   own [`EventQueue`], so two runs with the same seed and the same
 //!   spawn sequence replay byte-identical schedules.
 //! * **Wakes are explicit.** The leaf futures ([`AsyncExecutor::sleep`],
-//!   [`Gate`], [`Notifier`], [`Slots`], [`JoinHandle`]) register the
+//!   [`Gate`], [`Notifier`], [`JoinHandle`]) register the
 //!   polling task with the executor and wake it by [`TaskId`]; the
 //!   [`std::task::Waker`] in the poll context is a no-op. External
 //!   futures that rely on waker plumbing are therefore not supported —
@@ -30,8 +30,8 @@
 //! * **Host-clocked** ([`AsyncExecutor::advance_to`] +
 //!   [`AsyncExecutor::run_ready`]): an outer simulation (the cloud
 //!   world) owns the clock; the executor is pumped after each host
-//!   event. This is how the DAG scheduler and the fleet driver bridge
-//!   futures onto `CloudEnv`.
+//!   event. This is how the DAG scheduler and the fleet driver run
+//!   their jobs as futures on top of `CloudEnv`.
 //!
 //! # Example
 //!
@@ -54,7 +54,7 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
@@ -80,7 +80,7 @@ pub struct ExecStats {
     /// Individual task polls.
     pub polls: u64,
     /// Explicit wakes delivered (timer fires, gate opens, notifies,
-    /// slot handoffs, join completions).
+    /// join completions).
     pub wakes: u64,
     /// Timer entries fired.
     pub timer_fires: u64,
@@ -341,35 +341,12 @@ impl AsyncExecutor {
         }
     }
 
-    /// A cancellation token bound to this executor.
-    pub fn cancel_token(&self) -> CancelToken {
-        CancelToken {
-            state: Rc::new(RefCell::new(CancelState {
-                cancelled: false,
-                waiters: Vec::new(),
-                exec: Rc::downgrade(&self.inner),
-            })),
-        }
-    }
-
     /// A multi-round broadcast notifier bound to this executor.
     pub fn notifier(&self) -> Notifier {
         Notifier {
             state: Rc::new(RefCell::new(NotifyState {
                 epoch: 0,
                 waiters: Vec::new(),
-                exec: Rc::downgrade(&self.inner),
-            })),
-        }
-    }
-
-    /// A FIFO async slot pool (counting semaphore) bound to this
-    /// executor, with `permits` concurrent slots.
-    pub fn slots(&self, permits: usize) -> Slots {
-        Slots {
-            state: Rc::new(RefCell::new(SlotState {
-                free: permits,
-                queue: VecDeque::new(),
                 exec: Rc::downgrade(&self.inner),
             })),
         }
@@ -590,219 +567,6 @@ impl Future for GateWait {
 }
 
 // ---------------------------------------------------------------------
-// CancelToken
-// ---------------------------------------------------------------------
-
-struct CancelState {
-    cancelled: bool,
-    waiters: Vec<u64>,
-    exec: Weak<RefCell<Inner>>,
-}
-
-/// A cooperative cancellation signal: any number of tasks await
-/// [`CancelToken::cancelled`] (typically inside a [`race`] against
-/// their real work) until some other code calls
-/// [`CancelToken::cancel`]. Once cancelled it stays cancelled. Clones
-/// share the same state, so the orchestrator keeps one clone and the
-/// spawned loop keeps another.
-///
-/// ```
-/// use simkernel::{race, AsyncExecutor, Either, SimDuration};
-///
-/// let exec = AsyncExecutor::new();
-/// let token = exec.cancel_token();
-/// let exec2 = exec.clone();
-/// let t2 = token.clone();
-/// let loser = exec.spawn(async move {
-///     match race(exec2.sleep(SimDuration::from_secs(60)), t2.cancelled()).await {
-///         Either::Left(()) => "timer won",
-///         Either::Right(()) => "cancelled",
-///     }
-/// });
-/// exec.run_ready();
-/// token.cancel();
-/// exec.run_ready();
-/// assert_eq!(loser.try_take(), Some("cancelled"));
-/// // The pending 60 s sleep was dropped with the race: the clock
-/// // never has to advance to it.
-/// assert_eq!(exec.now().as_secs_f64(), 0.0);
-/// ```
-#[derive(Clone)]
-pub struct CancelToken {
-    state: Rc<RefCell<CancelState>>,
-}
-
-impl std::fmt::Debug for CancelToken {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CancelToken")
-            .field("cancelled", &self.is_cancelled())
-            .finish()
-    }
-}
-
-impl CancelToken {
-    /// True once [`Self::cancel`] was called.
-    pub fn is_cancelled(&self) -> bool {
-        self.state.borrow().cancelled
-    }
-
-    /// Cancels the token, waking every waiter (idempotent).
-    pub fn cancel(&self) {
-        let (exec, waiters) = {
-            let mut st = self.state.borrow_mut();
-            if st.cancelled {
-                return;
-            }
-            st.cancelled = true;
-            (st.exec.clone(), std::mem::take(&mut st.waiters))
-        };
-        wake_all(&exec, waiters);
-    }
-
-    /// A future that resolves once the token is cancelled. A loop that
-    /// should die silently can park on this forever.
-    pub fn cancelled(&self) -> Cancelled {
-        Cancelled {
-            state: self.state.clone(),
-            registered: false,
-        }
-    }
-}
-
-/// Future returned by [`CancelToken::cancelled`].
-#[derive(Debug)]
-pub struct Cancelled {
-    state: Rc<RefCell<CancelState>>,
-    registered: bool,
-}
-
-impl std::fmt::Debug for CancelState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CancelState")
-            .field("cancelled", &self.cancelled)
-            .finish()
-    }
-}
-
-impl Future for Cancelled {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        let this = &mut *self;
-        let mut st = this.state.borrow_mut();
-        if st.cancelled {
-            return Poll::Ready(());
-        }
-        if !this.registered {
-            let exec = st.exec.upgrade().expect("executor dropped mid-wait");
-            let id = exec.borrow().current_task();
-            st.waiters.push(id);
-            this.registered = true;
-        }
-        Poll::Pending
-    }
-}
-
-// ---------------------------------------------------------------------
-// race / timeout
-// ---------------------------------------------------------------------
-
-/// The winner of a [`race`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Either<A, B> {
-    /// The first future finished first (or the two tied — the race is
-    /// left-biased).
-    Left(A),
-    /// The second future finished first.
-    Right(B),
-}
-
-/// Races two futures; the loser is dropped, which cancels any timer or
-/// queue position it held. Deterministically **left-biased**: when both
-/// are ready at the same poll, `a` wins.
-///
-/// ```
-/// use simkernel::{race, AsyncExecutor, Either, SimDuration};
-///
-/// let exec = AsyncExecutor::new();
-/// let exec2 = exec.clone();
-/// let h = exec.spawn(async move {
-///     let quick = exec2.sleep(SimDuration::from_secs(1));
-///     let slow = exec2.sleep(SimDuration::from_secs(10));
-///     race(quick, slow).await
-/// });
-/// exec.run();
-/// assert!(matches!(h.try_take(), Some(Either::Left(()))));
-/// assert_eq!(exec.now().as_secs_f64(), 1.0);
-/// ```
-pub fn race<A: Future, B: Future>(a: A, b: B) -> Race<A, B> {
-    Race {
-        a: Box::pin(a),
-        b: Box::pin(b),
-    }
-}
-
-/// Future returned by [`race`].
-pub struct Race<A: Future, B: Future> {
-    a: Pin<Box<A>>,
-    b: Pin<Box<B>>,
-}
-
-impl<A: Future, B: Future> std::fmt::Debug for Race<A, B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Race").finish()
-    }
-}
-
-impl<A: Future, B: Future> Future for Race<A, B> {
-    type Output = Either<A::Output, B::Output>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if let Poll::Ready(out) = self.a.as_mut().poll(cx) {
-            return Poll::Ready(Either::Left(out));
-        }
-        if let Poll::Ready(out) = self.b.as_mut().poll(cx) {
-            return Poll::Ready(Either::Right(out));
-        }
-        Poll::Pending
-    }
-}
-
-/// Runs `fut` with a deadline `dur` from now: `Some(output)` if it
-/// finishes in time, `None` if the timer fires first. Built on [`race`]
-/// with the payload future on the left, so a future that completes
-/// exactly at the deadline still wins.
-///
-/// ```
-/// use simkernel::{timeout, AsyncExecutor, SimDuration};
-///
-/// let exec = AsyncExecutor::new();
-/// let exec2 = exec.clone();
-/// let h = exec.spawn(async move {
-///     let fast = timeout(&exec2, SimDuration::from_secs(5), exec2.sleep(SimDuration::from_secs(1))).await;
-///     let slow = timeout(&exec2, SimDuration::from_secs(5), exec2.sleep(SimDuration::from_secs(100))).await;
-///     (fast, slow)
-/// });
-/// exec.run();
-/// assert_eq!(h.try_take(), Some((Some(()), None)));
-/// // 1 s for the fast await plus the 5 s deadline of the slow one.
-/// assert_eq!(exec.now().as_secs_f64(), 6.0);
-/// ```
-pub fn timeout<F: Future>(
-    exec: &AsyncExecutor,
-    dur: SimDuration,
-    fut: F,
-) -> impl Future<Output = Option<F::Output>> {
-    let deadline = exec.sleep(dur);
-    async move {
-        match race(fut, deadline).await {
-            Either::Left(out) => Some(out),
-            Either::Right(()) => None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Notifier (multi-round broadcast)
 // ---------------------------------------------------------------------
 
@@ -881,147 +645,6 @@ impl Future for Notified {
             this.registered = true;
         }
         Poll::Pending
-    }
-}
-
-// ---------------------------------------------------------------------
-// Slots (FIFO counting semaphore)
-// ---------------------------------------------------------------------
-
-struct SlotState {
-    free: usize,
-    /// Waiting tasks, strictly FIFO — no barging: a new acquirer queues
-    /// behind existing waiters even when a permit is free.
-    queue: VecDeque<u64>,
-    exec: Weak<RefCell<Inner>>,
-}
-
-/// A FIFO async slot pool: the `await`-side twin of
-/// [`crate::SlotPool`]. `acquire_slot().await` suspends until a permit
-/// is free *and* every earlier waiter was served. Clones share the
-/// same permits.
-#[derive(Clone)]
-pub struct Slots {
-    state: Rc<RefCell<SlotState>>,
-}
-
-impl std::fmt::Debug for Slots {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.borrow();
-        f.debug_struct("Slots")
-            .field("free", &st.free)
-            .field("waiting", &st.queue.len())
-            .finish()
-    }
-}
-
-impl Slots {
-    /// Currently free permits.
-    pub fn free(&self) -> usize {
-        self.state.borrow().free
-    }
-
-    /// A future resolving to a held slot ([`SlotGuard`]), FIFO-fair.
-    pub fn acquire_slot(&self) -> AcquireSlot {
-        AcquireSlot {
-            state: self.state.clone(),
-            queued: None,
-        }
-    }
-}
-
-/// Future returned by [`Slots::acquire_slot`]. Dropping it while
-/// queued relinquishes the queue position.
-pub struct AcquireSlot {
-    state: Rc<RefCell<SlotState>>,
-    queued: Option<u64>,
-}
-
-impl std::fmt::Debug for AcquireSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AcquireSlot")
-            .field("queued", &self.queued)
-            .finish()
-    }
-}
-
-impl Future for AcquireSlot {
-    type Output = SlotGuard;
-
-    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<SlotGuard> {
-        let mut st = self.state.borrow_mut();
-        match self.queued {
-            None => {
-                if st.free > 0 && st.queue.is_empty() {
-                    st.free -= 1;
-                    return Poll::Ready(SlotGuard {
-                        state: self.state.clone(),
-                    });
-                }
-                let exec = st.exec.upgrade().expect("executor dropped mid-acquire");
-                let id = exec.borrow().current_task();
-                st.queue.push_back(id);
-                drop(st);
-                self.queued = Some(id);
-                Poll::Pending
-            }
-            Some(id) => {
-                if st.free > 0 && st.queue.front() == Some(&id) {
-                    st.queue.pop_front();
-                    st.free -= 1;
-                    drop(st);
-                    self.queued = None;
-                    return Poll::Ready(SlotGuard {
-                        state: self.state.clone(),
-                    });
-                }
-                Poll::Pending
-            }
-        }
-    }
-}
-
-impl Drop for AcquireSlot {
-    fn drop(&mut self) {
-        let Some(id) = self.queued else { return };
-        let mut st = self.state.borrow_mut();
-        if let Some(pos) = st.queue.iter().position(|q| *q == id) {
-            st.queue.remove(pos);
-        }
-        // If permits are free and someone else now heads the queue,
-        // hand the wake over so the pool cannot stall.
-        if st.free > 0 {
-            if let Some(&next) = st.queue.front() {
-                let exec = st.exec.clone();
-                drop(st);
-                wake_all(&exec, [next]);
-            }
-        }
-    }
-}
-
-/// A held slot; dropping it releases the permit and wakes the next
-/// FIFO waiter.
-pub struct SlotGuard {
-    state: Rc<RefCell<SlotState>>,
-}
-
-impl std::fmt::Debug for SlotGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SlotGuard").finish()
-    }
-}
-
-impl Drop for SlotGuard {
-    fn drop(&mut self) {
-        let (exec, next) = {
-            let mut st = self.state.borrow_mut();
-            st.free += 1;
-            (st.exec.clone(), st.queue.front().copied())
-        };
-        if let Some(next) = next {
-            wake_all(&exec, [next]);
-        }
     }
 }
 
@@ -1171,97 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_fifo_fair() {
-        let exec = AsyncExecutor::new();
-        let slots = exec.slots(1);
-        let events = log();
-        for i in 0..3 {
-            let exec2 = exec.clone();
-            let s = slots.clone();
-            let ev = events.clone();
-            exec.spawn(async move {
-                let guard = s.acquire_slot().await;
-                ev.borrow_mut().push(format!("acq{i}"));
-                exec2.sleep(SimDuration::from_secs(1)).await;
-                drop(guard);
-            });
-        }
-        exec.run();
-        assert_eq!(*events.borrow(), vec!["acq0", "acq1", "acq2"]);
-        assert_eq!(exec.now().as_secs_f64(), 3.0);
-        assert_eq!(slots.free(), 1);
-    }
-
-    #[test]
-    fn slots_no_barging_past_the_queue() {
-        let exec = AsyncExecutor::new();
-        let slots = exec.slots(1);
-        let events = log();
-        // Task 0 holds the slot until t=2. Task 1 queues at t=0. Task 2
-        // tries at t=1 (while a permit is NOT free) and must queue
-        // behind task 1 even though it polls again right at handoff.
-        for (i, (start, hold)) in [(0.0, 2.0), (0.0, 1.0), (1.0, 1.0)].into_iter().enumerate() {
-            let exec2 = exec.clone();
-            let s = slots.clone();
-            let ev = events.clone();
-            exec.spawn(async move {
-                exec2.sleep(SimDuration::from_secs_f64(start)).await;
-                let guard = s.acquire_slot().await;
-                ev.borrow_mut().push(format!("acq{i}"));
-                exec2.sleep(SimDuration::from_secs_f64(hold)).await;
-                drop(guard);
-            });
-        }
-        exec.run();
-        assert_eq!(*events.borrow(), vec!["acq0", "acq1", "acq2"]);
-    }
-
-    #[test]
-    fn dropped_acquire_leaves_the_queue() {
-        let exec = AsyncExecutor::new();
-        let slots = exec.slots(1);
-        let held = exec.spawn({
-            let s = slots.clone();
-            let exec2 = exec.clone();
-            async move {
-                let g = s.acquire_slot().await;
-                exec2.sleep(SimDuration::from_secs(2)).await;
-                drop(g);
-            }
-        });
-        // This waiter gives up (drops its acquire) at t=1.
-        let quitter = exec.spawn({
-            let s = slots.clone();
-            let exec2 = exec.clone();
-            async move {
-                let acq = s.acquire_slot();
-                let sleep = exec2.sleep(SimDuration::from_secs(1));
-                // Poll the acquire once to enqueue, then abandon it.
-                let mut acq = Box::pin(acq);
-                let _ = futures_poll_once(&mut acq);
-                sleep.await;
-                drop(acq);
-            }
-        });
-        let last = exec.spawn({
-            let s = slots.clone();
-            async move {
-                let _g = s.acquire_slot().await;
-                "got it"
-            }
-        });
-        exec.run();
-        assert!(held.is_done() && quitter.is_done());
-        assert_eq!(last.try_take(), Some("got it"));
-    }
-
-    /// Polls a future once with a no-op waker (test helper).
-    fn futures_poll_once<F: Future + Unpin>(fut: &mut F) -> Poll<F::Output> {
-        let mut cx = Context::from_waker(Waker::noop());
-        Pin::new(fut).poll(&mut cx)
-    }
-
-    #[test]
     fn sleep_drop_cancels_timer() {
         let exec = AsyncExecutor::new();
         let exec2 = exec.clone();
@@ -1344,119 +876,6 @@ mod tests {
         });
         // Nothing will ever open the gate: run() returns 1 pending.
         assert_eq!(exec.run(), 1);
-    }
-
-    #[test]
-    fn cancel_token_wakes_every_waiter_once() {
-        let exec = AsyncExecutor::new();
-        let token = exec.cancel_token();
-        let events = log();
-        for i in 0..3 {
-            let t = token.clone();
-            let ev = events.clone();
-            exec.spawn(async move {
-                t.cancelled().await;
-                ev.borrow_mut().push(i);
-            });
-        }
-        exec.run_ready();
-        assert!(events.borrow().is_empty());
-        assert!(!token.is_cancelled());
-        token.cancel();
-        token.cancel(); // idempotent
-        exec.run_ready();
-        assert_eq!(*events.borrow(), vec![0, 1, 2]);
-        // A late waiter passes straight through.
-        let late = exec.spawn({
-            let t = token.clone();
-            async move { t.cancelled().await }
-        });
-        exec.run_ready();
-        assert!(late.is_done());
-    }
-
-    #[test]
-    fn cancelling_a_raced_sleep_drops_its_timer() {
-        // Satellite coverage: a loop parked on race(sleep, cancelled)
-        // that is cancelled mid-sleep must drop the pending timer so
-        // the clock never advances to the abandoned deadline.
-        let exec = AsyncExecutor::new();
-        let token = exec.cancel_token();
-        let exec2 = exec.clone();
-        let t2 = token.clone();
-        let h = exec.spawn(async move {
-            match race(exec2.sleep(SimDuration::from_secs(1_000)), t2.cancelled()).await {
-                Either::Left(()) => "slept",
-                Either::Right(()) => "cancelled",
-            }
-        });
-        exec.run_ready();
-        token.cancel();
-        exec.run_ready();
-        assert_eq!(h.try_take(), Some("cancelled"));
-        assert_eq!(exec.now(), SimTime::ZERO);
-        // Self-clocked run has nothing left: the 1000 s timer is gone.
-        assert_eq!(exec.run(), 0);
-        assert_eq!(exec.now(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn race_is_left_biased_on_ties() {
-        let exec = AsyncExecutor::new();
-        let exec2 = exec.clone();
-        let h = exec.spawn(async move {
-            race(
-                exec2.sleep(SimDuration::from_secs(3)),
-                exec2.sleep(SimDuration::from_secs(3)),
-            )
-            .await
-        });
-        exec.run();
-        assert!(matches!(h.try_take(), Some(Either::Left(()))));
-    }
-
-    #[test]
-    fn timeout_racing_a_gate() {
-        // Satellite coverage: a timeout around Gate::wait resolves to
-        // Some(()) when the gate opens in time and None when it does
-        // not — and the expired wait deregisters cleanly.
-        let exec = AsyncExecutor::new();
-        let opened = exec.gate();
-        let never = exec.gate();
-        let exec2 = exec.clone();
-        let g1 = opened.clone();
-        let g2 = never.clone();
-        let h = exec.spawn(async move {
-            let won = timeout(&exec2, SimDuration::from_secs(10), g1.wait()).await;
-            let lost = timeout(&exec2, SimDuration::from_secs(10), g2.wait()).await;
-            (won, lost)
-        });
-        exec.run_ready();
-        exec.advance_to(SimTime::from_secs_f64(4.0));
-        opened.open();
-        exec.run_ready();
-        exec.advance_to(SimTime::from_secs_f64(20.0));
-        assert_eq!(h.try_take(), Some((Some(()), None)));
-        // Opening the dead gate later must not wake anything.
-        never.open();
-        exec.run_ready();
-        assert_eq!(exec.pending_tasks(), 0);
-    }
-
-    #[test]
-    fn timeout_returns_payload_on_deadline_tie() {
-        let exec = AsyncExecutor::new();
-        let exec2 = exec.clone();
-        let h = exec.spawn(async move {
-            timeout(
-                &exec2,
-                SimDuration::from_secs(5),
-                exec2.sleep(SimDuration::from_secs(5)),
-            )
-            .await
-        });
-        exec.run();
-        assert_eq!(h.try_take(), Some(Some(())));
     }
 
     #[test]

@@ -42,10 +42,7 @@ pub mod series;
 pub mod slots;
 pub mod time;
 
-pub use aio::{
-    join_all, race, timeout, AsyncExecutor, CancelToken, Either, ExecStats, Gate, JoinHandle,
-    Notifier, Slots, TaskId,
-};
+pub use aio::{join_all, AsyncExecutor, ExecStats, Gate, JoinHandle, Notifier, TaskId};
 pub use engine::{EventQueue, EventToken, SchedStats};
 pub use fair_share::{FairShare, FlowId};
 pub use rng::SimRng;
