@@ -1,21 +1,12 @@
 //! Microbenchmarks of the deterministic async kernel
 //! ([`simkernel::aio`]): raw event throughput, timer churn, fan-in
-//! wakeup storms, and two replay-shaped head-to-heads of the old
-//! scan-everything pump-loop discipline against the wake-only async
-//! path (fleet stage completions, and completion-monitor poll churn). `scripts/ci.sh` runs these in `--release` every run, writes
-//! `BENCH_kernel.json`, and fails the build when throughput regresses
-//! more than 20% below the committed `BENCH_kernel_baseline.json`.
-//!
-//! The fleet-replay scenario is the headline number: both sides replay
-//! the *identical* event schedule (same jobs, stages, task durations,
-//! completion times — asserted via a commutative checksum), and differ
-//! only in how stage completions reach the jobs. The legacy model
-//! rescans every job's every stage slot on every world event, exactly
-//! the shape of the old `poll_active`/`poll_pipe` loops; the async
-//! model pops the same events and wakes only the one future whose gate
-//! opened.
+//! wakeup storms, and a fleet-shaped replay in which each job is a
+//! future woken only by the gates of its own stages. `scripts/ci.sh`
+//! runs these in `--release` every run, writes `BENCH_kernel.json`, and
+//! fails the build when throughput regresses more than 20% below the
+//! committed `BENCH_kernel_baseline.json`.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::future::Future;
 use std::pin::Pin;
@@ -26,7 +17,7 @@ use std::time::Instant;
 use simkernel::{join_all, AsyncExecutor, EventQueue, Gate, SimDuration, SimRng, SimTime};
 
 /// Identifies the JSON layout; bump on breaking changes.
-pub const SCHEMA: &str = "bench-kernel/v2";
+pub const SCHEMA: &str = "bench-kernel/v3";
 
 /// Scenario sizes; [`KernelBenchConfig::full`] for CI, `tiny` for
 /// debug-fast schema tests.
@@ -51,16 +42,8 @@ pub struct KernelBenchConfig {
     /// Tasks per replayed stage.
     pub fleet_tasks: usize,
     /// Non-completion world events interleaved per task (sandbox
-    /// starts, transfers — the traffic the old loop rescanned on).
+    /// starts, transfers).
     pub fleet_noise: usize,
-    /// Jobs in the monitor-churn scenario (each runs one completion
-    /// monitor).
-    pub monitor_jobs: usize,
-    /// Tasks per monitor-churn job.
-    pub monitor_tasks: usize,
-    /// Poll interval of each monitor-churn monitor, in microseconds —
-    /// short on purpose, so tick traffic dominates.
-    pub monitor_interval_us: u64,
 }
 
 impl KernelBenchConfig {
@@ -77,9 +60,6 @@ impl KernelBenchConfig {
             fleet_stages: 5,
             fleet_tasks: 40,
             fleet_noise: 4,
-            monitor_jobs: 500,
-            monitor_tasks: 40,
-            monitor_interval_us: 1_000,
         }
     }
 
@@ -96,9 +76,6 @@ impl KernelBenchConfig {
             fleet_stages: 2,
             fleet_tasks: 3,
             fleet_noise: 2,
-            monitor_jobs: 3,
-            monitor_tasks: 4,
-            monitor_interval_us: 2_000,
         }
     }
 }
@@ -126,40 +103,20 @@ pub struct KernelBenchReport {
     pub git_rev: String,
     /// Per-scenario results, in a fixed order.
     pub scenarios: Vec<ScenarioResult>,
-    /// Wall-clock ratio legacy-pump / async-kernel on the fleet-replay
-    /// scenario (same events on both sides).
-    pub fleet_replay_speedup: f64,
-    /// Wall-clock ratio legacy-pump / async-kernel on the monitor-churn
-    /// scenario (same events on both sides).
-    pub monitor_churn_speedup: f64,
 }
 
 /// Runs every scenario and assembles the report.
-///
-/// # Panics
-///
-/// Panics if the fleet-replay legacy and async paths disagree on the
-/// replayed completion-time checksum — the equivalence guard that makes
-/// the speedup a like-for-like number.
 pub fn run(seed: u64, git_rev: &str, cfg: &KernelBenchConfig) -> KernelBenchReport {
-    let mut scenarios = Vec::new();
-    scenarios.push(event_throughput(seed, cfg));
-    scenarios.push(timer_churn(seed, cfg));
-    scenarios.push(fanin_storm(seed, cfg));
-    let (legacy, asynchronous) = fleet_replay(seed, cfg);
-    let speedup = legacy.wall_secs / asynchronous.wall_secs;
-    scenarios.push(legacy);
-    scenarios.push(asynchronous);
-    let (m_legacy, m_async) = monitor_churn(seed, cfg);
-    let monitor_speedup = m_legacy.wall_secs / m_async.wall_secs;
-    scenarios.push(m_legacy);
-    scenarios.push(m_async);
+    let scenarios = vec![
+        event_throughput(seed, cfg),
+        timer_churn(seed, cfg),
+        fanin_storm(seed, cfg),
+        fleet_replay(seed, cfg),
+    ];
     KernelBenchReport {
         seed,
         git_rev: git_rev.to_owned(),
         scenarios,
-        fleet_replay_speedup: speedup,
-        monitor_churn_speedup: monitor_speedup,
     }
 }
 
@@ -277,26 +234,15 @@ fn fanin_storm(seed: u64, cfg: &KernelBenchConfig) -> ScenarioResult {
     result("fanin-storm", st.polls + st.wakes + st.timer_fires, wall)
 }
 
-/// A replayed world event: `task` finishing a stage's work, or noise
-/// (transfers, sandbox starts) that the old loop still rescanned on.
+/// A replayed world event: one task of `job` finishing `stage`, or
+/// noise (transfers, sandbox starts) that wakes no job.
 #[derive(Clone, Copy)]
 enum Ev {
     Noise,
-    Done { job: usize, stage: usize, task: usize },
+    Done { job: usize, stage: usize },
 }
 
-/// Order-independent fold of one stage completion, so both replay
-/// models can accumulate in their own processing order.
-fn mix(at: SimTime, job: usize, stage: usize) -> u64 {
-    let x = at
-        .as_micros()
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .rotate_left(17)
-        ^ ((job as u64) << 32 | stage as u64);
-    x.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-}
-
-/// Per-task stage durations, shared by both replay models.
+/// Per-task stage durations of the replayed fleet.
 fn fleet_durations(seed: u64, cfg: &KernelBenchConfig) -> Vec<Vec<Vec<u64>>> {
     let mut rng = SimRng::seed_from(seed ^ 0xF1EE7);
     (0..cfg.fleet_jobs)
@@ -322,14 +268,14 @@ fn schedule_stage(
     stage: usize,
     at: SimTime,
 ) {
-    for (task, &dur) in durs[job][stage].iter().enumerate() {
+    for &dur in &durs[job][stage] {
         for i in 1..=cfg.fleet_noise {
             let frac = dur * i as u64 / (cfg.fleet_noise as u64 + 1);
             q.schedule_at(SimTime::from_micros(at.as_micros() + frac), Ev::Noise);
         }
         q.schedule_at(
             SimTime::from_micros(at.as_micros() + dur),
-            Ev::Done { job, stage, task },
+            Ev::Done { job, stage },
         );
     }
 }
@@ -338,67 +284,14 @@ fn fleet_arrival(job: usize) -> SimTime {
     SimTime::from_micros(job as u64 * 50_000)
 }
 
-/// Replays the fleet schedule the old way: every popped world event
-/// triggers a rescan of every job's every stage slot (the
-/// `poll_active`/`poll_pipe` discipline), completed stages launch their
-/// successor inline.
-fn fleet_replay_legacy(
-    seed: u64,
-    cfg: &KernelBenchConfig,
-    durs: &[Vec<Vec<u64>>],
-) -> (ScenarioResult, u64) {
-    let _ = seed;
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    let mut done = vec![vec![vec![false; cfg.fleet_tasks]; cfg.fleet_stages]; cfg.fleet_jobs];
-    let mut launched = vec![vec![false; cfg.fleet_stages]; cfg.fleet_jobs];
-    let mut complete = vec![vec![false; cfg.fleet_stages]; cfg.fleet_jobs];
-    for (job, slots) in launched.iter_mut().enumerate() {
-        schedule_stage(&mut q, durs, cfg, job, 0, fleet_arrival(job));
-        slots[0] = true;
-    }
-    let mut events = 0u64;
-    let mut checksum = 0u64;
-    let t = Instant::now();
-    while let Some((now, ev)) = q.next() {
-        events += 1;
-        if let Ev::Done { job, stage, task } = ev {
-            done[job][stage][task] = true;
-        }
-        // The old loop's shape: scan everything on every event.
-        for job in 0..cfg.fleet_jobs {
-            for stage in 0..cfg.fleet_stages {
-                if !launched[job][stage] || complete[job][stage] {
-                    continue;
-                }
-                if done[job][stage].iter().all(|d| *d) {
-                    complete[job][stage] = true;
-                    checksum = checksum.wrapping_add(mix(now, job, stage));
-                    if stage + 1 < cfg.fleet_stages {
-                        schedule_stage(&mut q, durs, cfg, job, stage + 1, now);
-                        launched[job][stage + 1] = true;
-                    }
-                }
-            }
-        }
-    }
-    let wall = t.elapsed().as_secs_f64();
-    (result("fleet-replay-legacy-pump", events, wall), checksum)
-}
-
-/// Replays the same schedule on the async kernel: the reactor pops the
-/// identical events but only decrements a counter and opens a gate on
-/// completions; each job is a future that awaits its stage gates and
+/// Replays a fleet-shaped schedule on the async kernel: the reactor
+/// pops world events and, on completions, only decrements a counter and
+/// opens a gate; each job is a future that awaits its stage gates and
 /// schedules the successor stage itself.
-fn fleet_replay_async(
-    seed: u64,
-    cfg: &KernelBenchConfig,
-    durs: &[Vec<Vec<u64>>],
-) -> (ScenarioResult, u64) {
-    let _ = seed;
+fn fleet_replay(seed: u64, cfg: &KernelBenchConfig) -> ScenarioResult {
     let exec = AsyncExecutor::new();
     let q = Rc::new(RefCell::new(EventQueue::<Ev>::new()));
-    let durs = Rc::new(durs.to_vec());
-    let checksum = Rc::new(Cell::new(0u64));
+    let durs = Rc::new(fleet_durations(seed, cfg));
     let gates: Vec<Vec<Gate>> = (0..cfg.fleet_jobs)
         .map(|_| (0..cfg.fleet_stages).map(|_| exec.gate()).collect())
         .collect();
@@ -408,14 +301,12 @@ fn fleet_replay_async(
         let exec2 = exec.clone();
         let q2 = Rc::clone(&q);
         let durs2 = Rc::clone(&durs);
-        let sum2 = Rc::clone(&checksum);
         let job_gates = stage_gates.clone();
         let cfg2 = *cfg;
         exec.spawn(async move {
             for (stage, gate) in job_gates.iter().enumerate() {
                 gate.wait().await;
                 let now = exec2.now();
-                sum2.set(sum2.get().wrapping_add(mix(now, job, stage)));
                 if stage + 1 < cfg2.fleet_stages {
                     schedule_stage(&mut q2.borrow_mut(), &durs2, &cfg2, job, stage + 1, now);
                 }
@@ -430,7 +321,7 @@ fn fleet_replay_async(
         let Some((now, ev)) = popped else { break };
         events += 1;
         exec.advance_to(now);
-        if let Ev::Done { job, stage, .. } = ev {
+        if let Ev::Done { job, stage } = ev {
             remaining[job][stage] -= 1;
             if remaining[job][stage] == 0 {
                 gates[job][stage].open();
@@ -440,179 +331,7 @@ fn fleet_replay_async(
     }
     let wall = t.elapsed().as_secs_f64();
     assert_eq!(exec.pending_tasks(), 0, "every replayed job completed");
-    (result("fleet-replay-async-kernel", events, wall), checksum.get())
-}
-
-/// Runs both fleet-replay models over the identical schedule, asserts
-/// their completion-time checksums match, and returns both results
-/// (legacy first).
-fn fleet_replay(seed: u64, cfg: &KernelBenchConfig) -> (ScenarioResult, ScenarioResult) {
-    let durs = fleet_durations(seed, cfg);
-    let (legacy, legacy_sum) = fleet_replay_legacy(seed, cfg, &durs);
-    let (asynchronous, async_sum) = fleet_replay_async(seed, cfg, &durs);
-    assert_eq!(
-        legacy_sum, async_sum,
-        "fleet replay models diverged — the speedup would be meaningless"
-    );
-    assert_eq!(legacy.events, asynchronous.events, "same schedule, same events");
-    (legacy, asynchronous)
-}
-
-/// A replayed monitor-churn world event: one task of `job` finishing,
-/// or (legacy model only) one completion-monitor poll tick.
-#[derive(Clone, Copy)]
-enum MEv {
-    TaskDone { job: usize },
-    Poll { job: usize },
-}
-
-/// Per-task completion delays for the monitor-churn jobs. Forced odd so
-/// a completion never ties with an (even-interval) poll tick — the two
-/// replay models break same-instant ties differently.
-fn monitor_durations(seed: u64, cfg: &KernelBenchConfig) -> Vec<Vec<u64>> {
-    let mut rng = SimRng::seed_from(seed ^ 0x404E17);
-    (0..cfg.monitor_jobs)
-        .map(|_| {
-            (0..cfg.monitor_tasks)
-                .map(|_| rng.uniform_u64(1_000, 80_000) | 1)
-                .collect()
-        })
-        .collect()
-}
-
-fn monitor_arrival(job: usize) -> u64 {
-    job as u64 * 2_000
-}
-
-/// Replays monitor churn the old way: poll ticks are timer events routed
-/// through the global queue, and every popped event walks every job's
-/// monitor state to re-derive the one-LIST-in-flight guard (the
-/// `schedule_poll`/`on_poll` discipline).
-fn monitor_churn_legacy(
-    seed: u64,
-    cfg: &KernelBenchConfig,
-    durs: &[Vec<u64>],
-) -> (ScenarioResult, u64) {
-    let _ = seed;
-    let interval = cfg.monitor_interval_us;
-    let mut q: EventQueue<MEv> = EventQueue::new();
-    let mut remaining: Vec<usize> = durs.iter().map(Vec::len).collect();
-    let mut ticks = vec![0u64; cfg.monitor_jobs];
-    let mut finished = vec![false; cfg.monitor_jobs];
-    for (job, ds) in durs.iter().enumerate() {
-        let at = monitor_arrival(job);
-        for &d in ds {
-            q.schedule_at(SimTime::from_micros(at + d), MEv::TaskDone { job });
-        }
-        q.schedule_at(SimTime::from_micros(at + interval), MEv::Poll { job });
-    }
-    let mut events = 0u64;
-    let mut checksum = 0u64;
-    let t = Instant::now();
-    while let Some((now, ev)) = q.next() {
-        events += 1;
-        // The old loop's shape: every pump re-derives the monitor guard
-        // by scanning every job's state.
-        let mut live = 0usize;
-        for f in &finished {
-            live += usize::from(!*f);
-        }
-        std::hint::black_box(live);
-        match ev {
-            MEv::TaskDone { job } => remaining[job] -= 1,
-            MEv::Poll { job } => {
-                ticks[job] += 1;
-                checksum = checksum.wrapping_add(mix(now, job, ticks[job] as usize));
-                if remaining[job] == 0 {
-                    finished[job] = true;
-                } else {
-                    q.schedule_at(
-                        SimTime::from_micros(now.as_micros() + interval),
-                        MEv::Poll { job },
-                    );
-                }
-            }
-        }
-    }
-    let wall = t.elapsed().as_secs_f64();
-    (result("monitor-churn-legacy-pump", events, wall), checksum)
-}
-
-/// Replays the same monitor churn on the async kernel: each job's
-/// monitor is one future sleeping its poll interval on the kernel's
-/// timer wheel; the reactor pops only the task completions and wakes
-/// nobody else.
-fn monitor_churn_async(
-    seed: u64,
-    cfg: &KernelBenchConfig,
-    durs: &[Vec<u64>],
-) -> (ScenarioResult, u64) {
-    let _ = seed;
-    let interval = cfg.monitor_interval_us;
-    let exec = AsyncExecutor::new();
-    let mut q: EventQueue<MEv> = EventQueue::new();
-    let checksum = Rc::new(Cell::new(0u64));
-    let remaining: Vec<Rc<Cell<usize>>> = durs
-        .iter()
-        .map(|ds| Rc::new(Cell::new(ds.len())))
-        .collect();
-    for (job, ds) in durs.iter().enumerate() {
-        let at = monitor_arrival(job);
-        for &d in ds {
-            q.schedule_at(SimTime::from_micros(at + d), MEv::TaskDone { job });
-        }
-        let exec2 = exec.clone();
-        let sum2 = Rc::clone(&checksum);
-        let rem = Rc::clone(&remaining[job]);
-        exec.spawn(async move {
-            let mut next = at + interval;
-            let mut ticks = 0u64;
-            loop {
-                let now = exec2.now().as_micros();
-                exec2.sleep(SimDuration::from_micros(next - now)).await;
-                ticks += 1;
-                sum2.set(sum2.get().wrapping_add(mix(exec2.now(), job, ticks as usize)));
-                if rem.get() == 0 {
-                    break;
-                }
-                next += interval;
-            }
-        });
-    }
-    let mut events = 0u64;
-    let t = Instant::now();
-    exec.run_ready();
-    while let Some((now, ev)) = q.next() {
-        events += 1;
-        exec.advance_to(now);
-        let MEv::TaskDone { job } = ev else {
-            unreachable!("the async model schedules no poll events")
-        };
-        remaining[job].set(remaining[job].get() - 1);
-        exec.run_ready();
-    }
-    // The final detection tick of every job lies beyond the last world
-    // event; drain the timer wheel.
-    let stuck = exec.run();
-    let wall = t.elapsed().as_secs_f64();
-    assert_eq!(stuck, 0, "every monitor detected completion");
-    events += exec.stats().timer_fires;
-    (result("monitor-churn-async-kernel", events, wall), checksum.get())
-}
-
-/// Runs both monitor-churn models over the identical schedule, asserts
-/// their tick-trace checksums match, and returns both results (legacy
-/// first).
-fn monitor_churn(seed: u64, cfg: &KernelBenchConfig) -> (ScenarioResult, ScenarioResult) {
-    let durs = monitor_durations(seed, cfg);
-    let (legacy, legacy_sum) = monitor_churn_legacy(seed, cfg, &durs);
-    let (asynchronous, async_sum) = monitor_churn_async(seed, cfg, &durs);
-    assert_eq!(
-        legacy_sum, async_sum,
-        "monitor-churn models diverged — the speedup would be meaningless"
-    );
-    assert_eq!(legacy.events, asynchronous.events, "same schedule, same events");
-    (legacy, asynchronous)
+    result("fleet-replay-async-kernel", events, wall)
 }
 
 impl KernelBenchReport {
@@ -637,18 +356,7 @@ impl KernelBenchReport {
                 "    }\n"
             });
         }
-        out.push_str("  ],\n");
-        let _ = writeln!(
-            out,
-            "  \"fleet_replay_speedup\": {:.3},",
-            self.fleet_replay_speedup
-        );
-        let _ = writeln!(
-            out,
-            "  \"monitor_churn_speedup\": {:.3}",
-            self.monitor_churn_speedup
-        );
-        out.push_str("}\n");
+        out.push_str("  ]\n}\n");
         out
     }
 
@@ -670,8 +378,6 @@ impl KernelBenchReport {
         let mut schema = None;
         let mut seed = None;
         let mut git_rev = None;
-        let mut speedup = None;
-        let mut monitor_speedup = None;
         let mut scenarios: Vec<ScenarioResult> = Vec::new();
         let mut cur: Option<ScenarioResult> = None;
         let mut in_scenarios = false;
@@ -710,10 +416,6 @@ impl KernelBenchReport {
                 seed = num_field(t).map(|v| v as u64);
             } else if t.starts_with("\"git_rev\"") {
                 git_rev = str_field(t).map(str::to_owned);
-            } else if t.starts_with("\"fleet_replay_speedup\"") {
-                speedup = num_field(t);
-            } else if t.starts_with("\"monitor_churn_speedup\"") {
-                monitor_speedup = num_field(t);
             }
         }
         let schema = schema.ok_or("missing \"schema\"")?;
@@ -727,9 +429,6 @@ impl KernelBenchReport {
             seed: seed.ok_or("missing \"seed\"")?,
             git_rev: git_rev.ok_or("missing \"git_rev\"")?,
             scenarios,
-            fleet_replay_speedup: speedup.ok_or("missing \"fleet_replay_speedup\"")?,
-            monitor_churn_speedup: monitor_speedup
-                .ok_or("missing \"monitor_churn_speedup\"")?,
         })
     }
 
@@ -758,26 +457,6 @@ mod tests {
         for (b, r) in back.scenarios.iter().zip(&report.scenarios) {
             assert_eq!(b.name, r.name);
             assert_eq!(b.events, r.events);
-        }
-    }
-
-    #[test]
-    fn fleet_replay_models_agree_across_seeds() {
-        let cfg = KernelBenchConfig::tiny();
-        for seed in [1, 7, 42] {
-            // `fleet_replay` panics internally on checksum divergence.
-            let (l, a) = fleet_replay(seed, &cfg);
-            assert_eq!(l.events, a.events);
-        }
-    }
-
-    #[test]
-    fn monitor_churn_models_agree_across_seeds() {
-        let cfg = KernelBenchConfig::tiny();
-        for seed in [1, 7, 42] {
-            // `monitor_churn` panics internally on checksum divergence.
-            let (l, a) = monitor_churn(seed, &cfg);
-            assert_eq!(l.events, a.events);
         }
     }
 

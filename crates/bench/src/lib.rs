@@ -2,9 +2,8 @@
 //!
 //! Each function runs the corresponding experiment on the simulated
 //! substrate and returns structured results; the `repro` binary renders
-//! them next to the paper's published numbers, and the Criterion benches
-//! wrap them for `cargo bench`. See EXPERIMENTS.md for the recorded
-//! paper-vs-measured comparison.
+//! them next to the paper's published numbers. See EXPERIMENTS.md for
+//! the recorded paper-vs-measured comparison.
 
 #![warn(missing_docs)]
 
@@ -523,33 +522,6 @@ pub fn extension_huge_sort(seed: u64, total_gb: f64) -> (String, f64, f64) {
     let itype = sizing.choose(cfg.total_bytes);
     let report = vm_sort(&mut env, &mut exec, &cfg, &refs, &sizing).expect("huge sort");
     (itype.name.to_owned(), report.wall_secs, report.cost_usd)
-}
-
-/// A minimal timing harness for the `harness = false` benches (the
-/// offline build environment has no Criterion; these print comparable
-/// per-iteration statistics).
-pub mod harness {
-    use std::time::Instant;
-
-    /// Times `iters` calls of `f` (plus one untimed warm-up) and prints
-    /// mean/min/max wall milliseconds. `f` receives a 1-based iteration
-    /// index usable as a seed.
-    pub fn run_bench<R>(name: &str, iters: u64, mut f: impl FnMut(u64) -> R) {
-        std::hint::black_box(f(0));
-        let mut times = Vec::with_capacity(iters as usize);
-        for i in 1..=iters {
-            let t = Instant::now();
-            std::hint::black_box(f(i));
-            times.push(t.elapsed().as_secs_f64() * 1e3);
-        }
-        times.sort_by(f64::total_cmp);
-        let mean: f64 = times.iter().sum::<f64>() / times.len() as f64;
-        println!(
-            "{name:<52} mean {mean:>10.3} ms  min {:>10.3} ms  max {:>10.3} ms  (n={iters})",
-            times[0],
-            times[times.len() - 1],
-        );
-    }
 }
 
 #[cfg(test)]

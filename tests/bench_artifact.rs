@@ -1,8 +1,9 @@
 //! Schema gate for the `BENCH_kernel.json` artifact `scripts/ci.sh`
 //! writes on every run: the committed baseline, a freshly generated
 //! tiny-config report, and (when present) the artifact itself must all
-//! parse to the `bench-kernel/v1` layout with the required fields —
-//! scenario names, seed, git rev — and finite positive throughput.
+//! parse to the current `bench-kernel` layout ([`SCHEMA`]) with the
+//! required fields — scenario names, seed, git rev — and finite positive
+//! throughput.
 
 use serverful_repro::bench::kernelbench::{
     run, KernelBenchConfig, KernelBenchReport, SCHEMA,
@@ -10,11 +11,10 @@ use serverful_repro::bench::kernelbench::{
 
 /// Scenario names ci.sh's regression gate matches on; renaming one
 /// silently un-gates it, so the set is pinned here.
-const REQUIRED_SCENARIOS: [&str; 5] = [
+const REQUIRED_SCENARIOS: [&str; 4] = [
     "event-throughput",
     "timer-churn",
     "fanin-storm",
-    "fleet-replay-legacy-pump",
     "fleet-replay-async-kernel",
 ];
 
@@ -36,11 +36,6 @@ fn assert_well_formed(report: &KernelBenchReport, what: &str) {
             s.events_per_sec
         );
     }
-    assert!(
-        report.fleet_replay_speedup.is_finite() && report.fleet_replay_speedup > 0.0,
-        "{what}: fleet_replay_speedup {}",
-        report.fleet_replay_speedup
-    );
 }
 
 #[test]
@@ -53,11 +48,6 @@ fn committed_baseline_parses_and_is_well_formed() {
     );
     let report = KernelBenchReport::parse(&text).expect("baseline parses");
     assert_well_formed(&report, "baseline");
-    assert!(
-        report.fleet_replay_speedup >= 10.0,
-        "baseline speedup {} below the issue's 10x target",
-        report.fleet_replay_speedup
-    );
 }
 
 #[test]
@@ -80,6 +70,6 @@ fn ci_artifact_when_present_is_well_formed() {
         return;
     };
     let report = KernelBenchReport::parse(&text)
-        .expect("BENCH_kernel.json parses as bench-kernel/v1");
+        .expect("BENCH_kernel.json parses as the current bench-kernel schema");
     assert_well_formed(&report, "BENCH_kernel.json");
 }
