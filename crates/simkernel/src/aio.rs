@@ -1,9 +1,12 @@
 //! A deterministic single-threaded async executor on virtual time.
 //!
-//! The executor runs a seeded queue of futures over [`SimTime`]: VM
-//! lifecycles, sandbox invocations, storage transfers and monitors
-//! become straight-line `await` code instead of callback re-arming and
-//! hand-rolled polling loops. Determinism is a hard invariant, not an
+//! The executor runs a seeded queue of futures over [`SimTime`], so
+//! drivers that juggle many concurrent jobs — the DAG scheduler's
+//! nodes, the fleet driver's tenant jobs — are straight-line `await`
+//! code instead of hand-rolled polling loops. The primitives are
+//! deliberately few: [`AsyncExecutor::spawn`] with [`JoinHandle`] and
+//! [`join_all`], [`AsyncExecutor::sleep`], one-shot [`Gate`]s and
+//! multi-round [`Notifier`]s. Determinism is a hard invariant, not an
 //! accident:
 //!
 //! * **Wakeup order is keyed on `(SimTime, spawn_seq)`.** Every task
