@@ -66,7 +66,8 @@ impl CloudEnv {
         }
     }
 
-    /// True while `generation` is the job's live monitor.
+    /// True while `generation` is the job's live monitor (a finished
+    /// job has none: `complete_job` drops its handle).
     fn monitor_current(&self, job: usize, generation: u64) -> bool {
         self.monitors
             .get(&job)
@@ -77,8 +78,7 @@ impl CloudEnv {
     /// stale (job finished, superseded generation) or its monitoring
     /// host died, which ends the chain.
     pub(super) fn on_monitor_tick(&mut self, job: usize, generation: u64) {
-        if self.jobs[job].is_finished()
-            || !self.monitor_current(job, generation)
+        if !self.monitor_current(job, generation)
             || !self.world.host_alive(self.jobs[job].monitor_host)
         {
             return;
@@ -100,8 +100,7 @@ impl CloudEnv {
     /// A straggler-speculation sweep fired: abandon late FaaS attempts,
     /// then re-arm while the job runs under the same monitor.
     pub(super) fn on_straggler_sweep(&mut self, job: usize, generation: u64) {
-        if self.jobs[job].is_finished()
-            || !self.monitor_current(job, generation)
+        if !self.monitor_current(job, generation)
             || !self.world.host_alive(self.jobs[job].monitor_host)
         {
             return;
@@ -159,13 +158,12 @@ impl CloudEnv {
                 handle.lists_in_flight = handle.lists_in_flight.saturating_sub(1);
             }
         }
-        // A checkpoint replay already restarted the monitor (generation
-        // mismatch), or the listing master died while the op was in
-        // flight: drop the reply and arm nothing. In the latter case the
+        // The job finished, a checkpoint replay already restarted the
+        // monitor (generation mismatch), or the listing master died while
+        // the op was in flight: drop the reply and arm nothing. In the latter case the
         // replacement monitor (or the stall, under
         // [`RecoveryMode::Protected`]) owns the job from here.
-        if self.jobs[job].is_finished()
-            || !self.monitor_current(job, generation)
+        if !self.monitor_current(job, generation)
             || !self.world.host_alive(self.jobs[job].monitor_host)
         {
             return;

@@ -313,17 +313,17 @@ impl CloudEnv {
         let StorageRetry {
             spec,
             attempts,
-            route: inner,
+            route,
             pending_slot,
             task_attempt,
         } = retry;
-        let Some(job) = Self::route_job(&inner) else {
-            unreachable!("storage retry routed to {inner:?}")
+        let Some(job) = Self::route_job(&route) else {
+            unreachable!("storage retry routed to {route:?}")
         };
         if self.jobs[job].is_finished() {
             return;
         }
-        if let Route::Task { job: j, task } = inner {
+        if let Route::Task { job: j, task } = route {
             if self.jobs[j].tasks[task].attempts != task_attempt {
                 return; // the whole attempt was retried; drop the op
             }
@@ -332,14 +332,14 @@ impl CloudEnv {
             // Issuing host died; task-level recovery owns this — except
             // an in-flight decentralized claim, whose task would
             // otherwise be stranded (it has no worker assigned yet).
-            if let Route::DcClaim { pool, task, .. } = inner {
+            if let Route::DcClaim { pool, task, .. } = route {
                 self.pools[pool].dc_ready.push_back(task);
                 self.on_requeue_done(pool);
             }
             return;
         }
-        let op = self.issue_storage(spec, attempts + 1, inner.clone());
-        if let Route::Task { job: j, task } = inner {
+        let op = self.issue_storage(spec, attempts + 1, route.clone());
+        if let Route::Task { job: j, task } = route {
             if let (Some((stale, idx)), Some(run)) =
                 (pending_slot, self.jobs[j].tasks[task].run.as_mut())
             {

@@ -195,9 +195,7 @@ impl CloudEnv {
     pub(super) fn on_timer(&mut self, route: Route) {
         match route {
             Route::MonitorTick { job, generation } => self.on_monitor_tick(job, generation),
-            Route::StragglerSweep { job, generation } => {
-                self.on_straggler_sweep(job, generation)
-            }
+            Route::StragglerSweep { job, generation } => self.on_straggler_sweep(job, generation),
             Route::RetryTask { job, task, attempt } => self.on_retry_task(job, task, attempt),
             Route::RetryStorage(retry) => self.on_retry_storage(*retry),
             Route::PoolVm { pool, slot, epoch } => self.on_pool_vm_ready(pool, slot, epoch),

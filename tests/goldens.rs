@@ -27,8 +27,8 @@ use serverful_repro::bench::render::{
 };
 use serverful_repro::cloudsim::{CloudConfig, FaultConfig};
 use serverful_repro::metaspace::{
-    self, jobs, plan::PlanKind, run_annotation_traced, Architecture, DeploymentPlan,
-    FunctionsPlan, TraceOutput,
+    self, jobs, plan::PlanKind, run_annotation_traced, Architecture, DeploymentPlan, FunctionsPlan,
+    TraceOutput,
 };
 use serverful_repro::serverful::executor::MapOptions;
 use serverful_repro::serverful::{
