@@ -152,30 +152,20 @@ impl CloudEnv {
         }
     }
 
-    /// Snapshots a job that just started on the pool — a replay baseline
-    /// exists as soon as the job does, even for jobs shorter than the
-    /// interval — and arms its checkpoint cadence.
-    pub(super) fn start_checkpoints(&mut self, pool: usize, job: usize) {
-        self.write_checkpoint(pool);
-        self.arm_checkpoint(pool, job);
-    }
-
-    fn arm_checkpoint(&mut self, pool: usize, job: usize) {
-        let interval = SimDuration::from_secs_f64(
-            self.pools[pool].cfg.checkpoint_interval_secs.max(0.05),
-        );
-        self.set_timer(interval, Route::Checkpoint { pool, job });
-    }
-
-    /// A checkpoint tick of `job` fired: snapshot and re-arm, so ticks
-    /// land at job start + k·interval for as long as the job owns the
-    /// pool; a tick of a job that no longer does ends the cadence.
+    /// A checkpoint tick of `job`: snapshot and re-arm, so ticks land at
+    /// job start + k·interval for as long as the job owns the pool; a
+    /// tick of a job that no longer does ends the cadence. Tick 0 runs
+    /// when the job starts, so a replay baseline exists as soon as the
+    /// job does, even for jobs shorter than the interval.
     pub(super) fn on_checkpoint_tick(&mut self, pool: usize, job: usize) {
         if self.pools[pool].active != Some(job) {
             return;
         }
         self.write_checkpoint(pool);
-        self.arm_checkpoint(pool, job);
+        let interval = SimDuration::from_secs_f64(
+            self.pools[pool].cfg.checkpoint_interval_secs.max(0.05),
+        );
+        self.set_timer(interval, Route::Checkpoint { pool, job });
     }
 
     /// Snapshots the master's orchestration state to object storage.

@@ -580,7 +580,7 @@ impl CloudEnv {
                 self.dc_start_job(pool, job);
                 return;
             }
-            RecoveryMode::Checkpointed => self.start_checkpoints(pool, job),
+            RecoveryMode::Checkpointed => self.on_checkpoint_tick(pool, job),
             RecoveryMode::Protected => {}
         }
         let kv = self.pools[pool].kv.expect("pool started without KV");
