@@ -161,7 +161,7 @@ fn event_throughput(seed: u64, cfg: &KernelBenchConfig) -> ScenarioResult {
 }
 
 /// Polls a future exactly once and completes regardless of its result
-/// — drops (cancels) a pending timer the way a timeout race would.
+/// — drops (cancels) a pending timer the way an abandoned wait would.
 struct PollOnce<F: Future + Unpin>(F);
 
 impl<F: Future + Unpin> Future for PollOnce<F> {

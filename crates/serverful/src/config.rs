@@ -41,7 +41,7 @@ pub struct StandaloneConfig {
     /// fresh VM, seconds.
     pub ssh_setup: (f64, f64),
     /// Master's storage-polling interval while monitoring a job,
-    /// seconds (the tick period of the job's monitor future).
+    /// seconds (the period of the job's monitor ticks).
     pub poll_interval: f64,
     /// Client-side setup per `map` on this backend — small, because the
     /// runtime and modules already live on the VMs.
@@ -104,7 +104,7 @@ pub struct ExecutorConfig {
     /// Sandbox memory for the FaaS backend, MB (1769 MB = 1 vCPU).
     pub runtime_memory_mb: u32,
     /// Client's storage-polling interval while monitoring a FaaS job,
-    /// seconds (the tick period of the job's monitor future).
+    /// seconds (the period of the job's monitor ticks).
     pub poll_interval: f64,
     /// Whether each sandbox fetches its input bundle from object storage
     /// before running (Lithops ships function + data through storage).
