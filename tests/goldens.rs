@@ -6,7 +6,9 @@
 //! does: an unexplained diff is a regression, not noise.
 //! `control_paths.txt` pins the fault-handling paths the same way: the
 //! exact end state of small runs that retry, speculate, replace VMs
-//! and recover from a master kill.
+//! and recover from a master kill. `drivers.txt` pins what the DAG and
+//! fleet drivers schedule: fleet cells (barrier and pipelined, what-if
+//! plans) and pipelined DAG runs, traced and master-killed.
 //!
 //! After an *intentional* behaviour change, refresh the snapshots and
 //! review the diff like any other code change:
@@ -26,6 +28,7 @@ use serverful_repro::bench::render::{
     render_fig5, render_fig6, render_table1, render_table2, render_table3, render_table4,
 };
 use serverful_repro::cloudsim::{CloudConfig, FaultConfig};
+use serverful_repro::fleet::{self, report, run_scenario, FleetReport, PolicyOutcome, Scenario, TenantSpec};
 use serverful_repro::metaspace::{
     self, jobs, plan::PlanKind, run_annotation_traced, Architecture, DeploymentPlan, FunctionsPlan,
     TraceOutput,
@@ -259,9 +262,10 @@ fn vm_fleet_path() -> String {
     env_line("vm-fleet-losses", &env, &results)
 }
 
-/// The smoke-scaled Brain hybrid on a four-VM fleet, its master killed
-/// at a fixed routed-event index of the measured window.
-fn brain_kill_path(recovery: RecoveryMode) -> String {
+/// The smoke-scaled Brain hybrid on a four-VM fleet, run in `execution`
+/// mode, its master killed at a fixed routed-event index of the
+/// measured window.
+fn brain_kill_path(recovery: RecoveryMode, execution: ExecutionMode) -> String {
     const KILL_AT: u64 = 300;
     let spec = jobs::brain();
     let stages = metaspace::pipeline::scaled_stages(&spec, 0.02);
@@ -272,7 +276,7 @@ fn brain_kill_path(recovery: RecoveryMode) -> String {
     let plan = DeploymentPlan::functions(
         format!("hybrid-{}", recovery.name()),
         FunctionsPlan {
-            execution: ExecutionMode::Barrier,
+            execution,
             recovery,
             vm_count: 4,
             ..f.clone()
@@ -311,11 +315,129 @@ fn golden_control_paths() {
         faas_retry_path(),
         faas_straggler_path(),
         vm_fleet_path(),
-        brain_kill_path(RecoveryMode::Decentralized),
-        brain_kill_path(RecoveryMode::Checkpointed),
+        brain_kill_path(RecoveryMode::Decentralized, ExecutionMode::Barrier),
+        brain_kill_path(RecoveryMode::Checkpointed, ExecutionMode::Barrier),
     ]
     .concat();
     check_golden("control_paths", &text);
+}
+
+// --- golden drivers ------------------------------------------------------
+
+/// The exact numbers of one fleet cell, below the rendered table's
+/// rounding: billing bits, a digest of every job's finish time, the
+/// admission and pool counters, and the science digest.
+fn policy_line(p: &PolicyOutcome) -> String {
+    let finished = fnv(p.jobs.iter().flat_map(|j| j.finished.as_micros().to_le_bytes()));
+    format!(
+        "{}: jobs={} finished={finished:#018x} billed={:#018x} throttled={} degraded={} \
+         leases={} hits={} science={:#018x}\n",
+        p.label,
+        p.jobs.len(),
+        p.cost_usd.to_bits(),
+        p.throttled,
+        p.degraded,
+        p.pool_leases,
+        p.pool_hits,
+        p.science_digest,
+    )
+}
+
+/// A fleet report as `repro fleet` renders it, plus one exact line per
+/// cell.
+fn fleet_text(report: &FleetReport) -> String {
+    let mut text = report::render(report);
+    report.policies.iter().for_each(|p| text.push_str(&policy_line(p)));
+    text
+}
+
+/// The smoke scenario with the `terasort-small` tenant of
+/// `tests/fleet.rs`, run dependency-driven.
+fn pipelined_fleet() -> Scenario {
+    let mut sc = Scenario::smoke();
+    sc.name = "smoke+terasort".to_owned();
+    sc.pipelined = true;
+    sc.tenants.push(TenantSpec {
+        name: "sorters".to_owned(),
+        job: "terasort-small".to_owned(),
+        weight: 2.0,
+        scale: 0.05,
+    });
+    sc
+}
+
+/// The smoke tenant's hybrid plan, run Pipelined under the smoke
+/// scenario's traffic.
+fn whatif_pipelined() -> String {
+    let sc = Scenario::smoke();
+    let stages = sc.tenants[0].stages();
+    let plan = DeploymentPlan::functions(
+        "hybrid-pipelined",
+        FunctionsPlan {
+            execution: ExecutionMode::Pipelined,
+            ..FunctionsPlan::hybrid(&stages)
+        },
+    );
+    let outcome =
+        fleet::whatif::plan_under_load(&sc, &plan, GOLDEN_SEED).expect("what-if run completes");
+    fleet_text(&FleetReport {
+        scenario: sc,
+        seed: GOLDEN_SEED,
+        policies: vec![outcome],
+    })
+}
+
+/// The smoke-scaled Brain hybrid, run Pipelined with tracing on: wall
+/// and billing bits plus a digest of the whole Chrome trace.
+fn brain_pipelined_trace() -> String {
+    let spec = jobs::brain();
+    let stages = metaspace::pipeline::scaled_stages(&spec, 0.02);
+    let plan = DeploymentPlan::functions(
+        "hybrid-pipelined",
+        FunctionsPlan {
+            execution: ExecutionMode::Pipelined,
+            ..FunctionsPlan::hybrid(&stages)
+        },
+    );
+    let (report, trace) = metaspace::run_plan_stages(
+        spec.name,
+        &stages,
+        &plan,
+        GOLDEN_SEED,
+        CloudConfig::default(),
+        true,
+    )
+    .expect("traced pipelined run");
+    let trace = trace.expect("traced run returns a trace");
+    format!(
+        "brain-pipelined-trace: wall={:#018x} billed={:#018x} chrome={:#018x}\n",
+        report.wall_secs.to_bits(),
+        report.cost_usd.to_bits(),
+        fnv(trace.chrome_json.bytes()),
+    )
+}
+
+/// Pins what the two drivers schedule. The table goldens run only
+/// Barrier DAGs and no fleet cell, so this covers the rest: fleet cells
+/// under barrier and pipelined scheduling, a what-if plan under load,
+/// and pipelined DAG runs, traced and master-killed.
+#[test]
+fn golden_drivers() {
+    let run = |sc: &Scenario| run_scenario(sc, GOLDEN_SEED, 1).expect("fleet traffic completes");
+    let text = [
+        "== fleet smoke ==\n".to_owned(),
+        fleet_text(&run(&Scenario::smoke())),
+        "== fleet smoke+terasort, pipelined ==\n".to_owned(),
+        fleet_text(&run(&pipelined_fleet())),
+        "== what-if: smoke hybrid plan, pipelined ==\n".to_owned(),
+        whatif_pipelined(),
+        "== dag: pipelined ==\n".to_owned(),
+        brain_pipelined_trace(),
+        brain_kill_path(RecoveryMode::Decentralized, ExecutionMode::Pipelined),
+        brain_kill_path(RecoveryMode::Checkpointed, ExecutionMode::Pipelined),
+    ]
+    .concat();
+    check_golden("drivers", &text);
 }
 
 /// The paper-scale acceptance check: the seeded Xenograft trace replays
