@@ -28,7 +28,7 @@ use cloudsim::{CloudConfig, InstanceType, ObjectBody, World};
 use clustersim::{ClusterConfig, ClusterEngine, StageDef};
 use serverful::executor::MapOptions;
 use serverful::{
-    run_dag_async, Backend, CloudEnv, Dag, DagNode, Edge, ExecError, ExecMode, ExecutorConfig,
+    run_dag, Backend, CloudEnv, Dag, DagNode, Edge, ExecError, ExecMode, ExecutorConfig,
     FunctionExecutor, Payload, RecoveryMode, RecoveryStats, RetryPolicy, ScriptTask, SizingPolicy,
 };
 use shuffle::tasks::Exchange;
@@ -585,10 +585,8 @@ fn run_functions_plan(
     // releases downstream partitions as their upstream dependencies
     // complete.
     let dag = build_stage_dag(stages, edges, plan, &sizing, planned_itype, vm_workers, seed, exchange);
-    let ctx = StageCtx { faas, vm };
-    let (env_back, ctx, result) = run_dag_async(env, ctx, dag, plan.execution);
-    env = env_back;
-    result?;
+    let mut ctx = StageCtx { faas, vm };
+    run_dag(&mut env, &mut ctx, dag, plan.execution)?;
     if let Some(mut vm_exec) = ctx.vm {
         vm_exec.shutdown(&mut env);
     }

@@ -8,7 +8,7 @@
 //! partitions idle behind stragglers at every boundary, and a
 //! dependency-driven scheduler removes exactly that cost.
 //!
-//! Execution comes in two [`ExecutionMode`]s:
+//! [`run_dag`] executes a graph in one of two [`ExecutionMode`]s:
 //!
 //! * [`ExecutionMode::Barrier`] — the classic BSP chain. Nodes run one
 //!   at a time in submission order; each blocks until fully drained.
@@ -23,11 +23,18 @@
 //!   FaaS tasks launch immediately; serverful tasks enqueue on the
 //!   already-warm worker pool.
 //!
+//! Both modes are plain loops over [`CloudEnv::pump`]. Pipelined mode
+//! follows every pumped event with an *observe* pass (stamp newly
+//! completed tasks, collect finished jobs) and then a *release* pass,
+//! each over the nodes in submission order; that fixed scan order is
+//! what makes the env call sequence, span-id allocation, tables, traces
+//! and billing byte-identical across repeat runs.
+//!
 //! The launch closures own backend choice and input seeding; the DAG
 //! only sequences them. See `metaspace::runner` for the full pipeline
 //! lowering and `examples/dag_pipeline.rs` for a standalone example.
 
-use crate::env::CloudEnv;
+use crate::env::{CloudEnv, EnvEvent};
 use crate::error::ExecError;
 use crate::executor::JobHandle;
 use simkernel::SimTime;
@@ -205,12 +212,6 @@ impl<C> Dag<C> {
         self.nodes.is_empty()
     }
 
-    /// Mutable access to node `idx` (the async driver runs launch
-    /// closures through this).
-    pub(crate) fn node_mut(&mut self, idx: usize) -> &mut DagNode<C> {
-        &mut self.nodes[idx]
-    }
-
     /// The upstream task indices task `t` of node `v` waits on through
     /// `edge`, as a half-open range over the upstream node's tasks.
     #[cfg(test)]
@@ -219,8 +220,7 @@ impl<C> Dag<C> {
     }
 }
 
-/// Per-node scheduling telemetry from a [`crate::run_dag_async`]
-/// execution.
+/// Per-node scheduling telemetry from a [`run_dag`] execution.
 #[derive(Debug, Clone)]
 pub struct NodeStats {
     /// The node's label.
@@ -247,8 +247,230 @@ pub struct DagStats {
     pub nodes: Vec<NodeStats>,
 }
 
+/// Executes the graph. Consumes the DAG: each launch closure runs once.
+///
+/// In [`ExecutionMode::Barrier`] nodes run strictly one after another —
+/// the degenerate DAG — reproducing the classic stage-chained executor
+/// byte-for-byte (identical storage/compute call sequence, so golden
+/// traces are unchanged). In [`ExecutionMode::Pipelined`] all nodes
+/// submit up front gated and tasks are released as their dependencies
+/// complete.
+///
+/// When tracing is enabled, each group opens a `stage` span covering
+/// its nodes; in pipelined mode each job span additionally carries a
+/// `deps` attribute naming its upstream nodes (spans parented on DAG
+/// edges).
+///
+/// # Errors
+///
+/// Propagates the first node failure or a drained (stalled) world.
+pub fn run_dag<C>(
+    env: &mut CloudEnv,
+    ctx: &mut C,
+    dag: Dag<C>,
+    mode: ExecutionMode,
+) -> Result<DagStats, ExecError> {
+    match mode {
+        ExecutionMode::Barrier => run_barrier(env, ctx, dag),
+        ExecutionMode::Pipelined => run_pipelined(env, ctx, dag),
+    }
+}
+
+fn run_barrier<C>(env: &mut CloudEnv, ctx: &mut C, mut dag: Dag<C>) -> Result<DagStats, ExecError> {
+    let mut open = vec![SpanId::NONE; dag.groups.len()];
+    let mut nodes = Vec::with_capacity(dag.len());
+    for v in 0..dag.len() {
+        maybe_begin_group_span(env, &dag, v, &mut open);
+        if let Some(g) = dag.nodes[v].group {
+            env.set_job_parent(open[g]);
+        }
+        let launched_at = env.now();
+        let handle = (dag.nodes[v].launch)(ctx, env, false)?;
+        let tasks = handle.total_tasks(env);
+        // The barrier: pump until the node drains completely.
+        let result = loop {
+            if let Some(r) = env.try_job_result(handle.id) {
+                break r;
+            }
+            if matches!(env.pump(), EnvEvent::Drained) {
+                break Err(ExecError::Stalled(format!(
+                    "simulation drained with DAG node {} ({}) unfinished",
+                    v, dag.nodes[v].label
+                )));
+            }
+        };
+        env.set_job_parent(SpanId::NONE);
+        maybe_end_group_span(env, &dag, v, &mut open);
+        result?;
+        let finished_at = env.now();
+        nodes.push(NodeStats {
+            label: dag.nodes[v].label.clone(),
+            group: dag.nodes[v].group,
+            tasks,
+            launched_at,
+            finished_at,
+            released_at: vec![launched_at; tasks],
+            done_at: vec![finished_at; tasks],
+        });
+    }
+    Ok(DagStats { nodes })
+}
+
+/// Scheduling state of one submitted node in pipelined mode.
+struct Live {
+    handle: JobHandle,
+    stats: NodeStats,
+    done: Vec<bool>,
+    released: Vec<bool>,
+    complete: bool,
+}
+
+fn run_pipelined<C>(
+    env: &mut CloudEnv,
+    ctx: &mut C,
+    mut dag: Dag<C>,
+) -> Result<DagStats, ExecError> {
+    let mut open = vec![SpanId::NONE; dag.groups.len()];
+    let mut live: Vec<Live> = Vec::with_capacity(dag.len());
+    for v in 0..dag.len() {
+        maybe_begin_group_span(env, &dag, v, &mut open);
+        if let Some(g) = dag.nodes[v].group {
+            env.set_job_parent(open[g]);
+        }
+        let launched_at = env.now();
+        let handle = (dag.nodes[v].launch)(ctx, env, true)?;
+        env.set_job_parent(SpanId::NONE);
+        let node = &dag.nodes[v];
+        let tasks = handle.total_tasks(env);
+        debug_assert_eq!(
+            tasks, node.tasks,
+            "node {} declared {} tasks but launched {}",
+            node.label, node.tasks, tasks
+        );
+        if !node.deps.is_empty() {
+            let deps: Vec<&str> = node
+                .deps
+                .iter()
+                .map(|e| dag.nodes[e.from].label.as_str())
+                .collect();
+            env.annotate_job_span(handle.id, "deps", &deps.join(","));
+        }
+        // Publish the fan-in metadata so decentralized pools can fire
+        // continuations without the scheduler in the loop (no-op for
+        // other recovery modes).
+        for e in &node.deps {
+            env.register_continuation(
+                live[e.from].handle.id,
+                handle.id,
+                e.fan_in,
+                dag.nodes[e.from].tasks,
+                node.tasks,
+            );
+        }
+        live.push(Live {
+            handle,
+            stats: NodeStats {
+                label: node.label.clone(),
+                group: node.group,
+                tasks,
+                launched_at,
+                finished_at: launched_at,
+                released_at: vec![SimTime::ZERO; tasks],
+                done_at: vec![SimTime::ZERO; tasks],
+            },
+            done: vec![false; tasks],
+            released: vec![false; tasks],
+            complete: false,
+        });
+    }
+
+    release_ready(env, &dag, &mut live);
+    loop {
+        if live.iter().all(|l| l.complete) {
+            return Ok(DagStats {
+                nodes: live.into_iter().map(|l| l.stats).collect(),
+            });
+        }
+        if matches!(env.pump(), EnvEvent::Drained) {
+            let stuck: Vec<&str> = live
+                .iter()
+                .filter(|l| !l.complete)
+                .map(|l| l.stats.label.as_str())
+                .collect();
+            return Err(ExecError::Stalled(format!(
+                "simulation drained with DAG nodes unfinished: {}",
+                stuck.join(", ")
+            )));
+        }
+        // Observe every node before releasing any; the first failure
+        // ends the pass and the run.
+        for (v, l) in live.iter_mut().enumerate() {
+            if !l.complete {
+                observe(env, &dag, v, l, &mut open)?;
+            }
+        }
+        release_ready(env, &dag, &mut live);
+    }
+}
+
+/// Stamps node `v`'s newly completed tasks; collects its job when it
+/// finishes (ending the group span on the group's last member).
+fn observe<C>(
+    env: &mut CloudEnv,
+    dag: &Dag<C>,
+    v: usize,
+    l: &mut Live,
+    open: &mut [SpanId],
+) -> Result<(), ExecError> {
+    let now = env.now();
+    if l.handle.done_tasks(env) > l.done.iter().filter(|d| **d).count() {
+        for t in 0..l.stats.tasks {
+            if !l.done[t] && l.handle.task_done(env, t) {
+                l.done[t] = true;
+                l.stats.done_at[t] = now;
+            }
+        }
+    }
+    if !l.handle.is_finished(env) {
+        return Ok(());
+    }
+    let result = env
+        .try_job_result(l.handle.id)
+        .expect("finished job yields a result");
+    l.complete = true;
+    l.stats.finished_at = now;
+    maybe_end_group_span(env, dag, v, open);
+    result.map(|_| ())
+}
+
+/// Releases, in node then task order, every gated task whose upstream
+/// partitions are done.
+fn release_ready<C>(env: &mut CloudEnv, dag: &Dag<C>, live: &mut [Live]) {
+    let now = env.now();
+    for (v, node) in dag.nodes.iter().enumerate() {
+        if live[v].complete {
+            continue;
+        }
+        for t in 0..node.tasks {
+            if live[v].released[t] {
+                continue;
+            }
+            let ready = node.deps.iter().all(|e| {
+                fan_in_range(e.fan_in, dag.nodes[e.from].tasks, node.tasks, t)
+                    .all(|u| live[e.from].done[u])
+            });
+            if !ready {
+                continue;
+            }
+            live[v].released[t] = true;
+            live[v].stats.released_at[t] = now;
+            live[v].handle.release_task(env, t);
+        }
+    }
+}
+
 /// Begins the trace span of a group when `node` is its first member.
-pub(crate) fn maybe_begin_group_span<C>(
+fn maybe_begin_group_span<C>(
     env: &mut CloudEnv,
     dag: &Dag<C>,
     node: usize,
@@ -274,7 +496,7 @@ pub(crate) fn maybe_begin_group_span<C>(
 }
 
 /// Ends a group's span once its last member node finished.
-pub(crate) fn maybe_end_group_span<C>(
+fn maybe_end_group_span<C>(
     env: &mut CloudEnv,
     dag: &Dag<C>,
     node: usize,

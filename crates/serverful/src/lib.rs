@@ -45,15 +45,14 @@
 //! checkpoint cadence — are world timers whose routes carry the
 //! staleness key their handlers check, so the world's event queue is
 //! the only clock. See `env/`'s submodule docs for the per-concern
-//! breakdown. The DAG driver ([`run_dag_async`]) runs its nodes as
-//! futures on the deterministic async kernel ([`simkernel::aio`]).
+//! breakdown. The DAG driver ([`run_dag`]) is a plain loop over
+//! [`CloudEnv::pump`] that scans its nodes in submission order.
 
 #![warn(missing_docs)]
 
 pub mod cloudobject;
 pub mod config;
 pub mod dag;
-pub mod dag_async;
 pub mod env;
 pub mod error;
 pub mod executor;
@@ -67,8 +66,9 @@ pub mod task;
 
 pub use cloudobject::CloudObjectRef;
 pub use config::{ExecMode, ExecutorConfig, StandaloneConfig};
-pub use dag::{fan_in_range, Dag, DagNode, DagStats, Edge, ExecutionMode, FanIn, NodeStats};
-pub use dag_async::run_dag_async;
+pub use dag::{
+    fan_in_range, run_dag, Dag, DagNode, DagStats, Edge, ExecutionMode, FanIn, NodeStats,
+};
 pub use env::{CloudEnv, EnvEvent};
 pub use error::ExecError;
 pub use executor::{Backend, FunctionExecutor, JobHandle, MapOptions};

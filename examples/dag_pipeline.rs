@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use serverful_repro::serverful::{
-    run_dag_async, Backend, CloudEnv, Dag, DagNode, Edge, ExecutionMode, ExecutorConfig,
+    run_dag, Backend, CloudEnv, Dag, DagNode, Edge, ExecutionMode, ExecutorConfig,
     FunctionExecutor, MapOptions, Payload, ScriptTask,
 };
 
@@ -66,9 +66,8 @@ fn diamond() -> Dag<Ctx> {
 fn run(mode: ExecutionMode) -> (f64, f64) {
     let mut env = CloudEnv::new_default(42);
     let exec = FunctionExecutor::new(&mut env, Backend::faas(), ExecutorConfig::default());
-    let ctx = Ctx { exec };
-    let (env, _ctx, result) = run_dag_async(env, ctx, diamond(), mode);
-    let stats = result.expect("dag runs");
+    let mut ctx = Ctx { exec };
+    let stats = run_dag(&mut env, &mut ctx, diamond(), mode).expect("dag runs");
     println!("{mode}:");
     for n in &stats.nodes {
         println!(

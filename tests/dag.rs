@@ -15,7 +15,7 @@ use serverful_repro::bench::render::render_dag;
 use serverful_repro::bench::dag_comparison;
 use serverful_repro::metaspace::jobs;
 use serverful_repro::serverful::{
-    fan_in_range, run_dag_async, Backend, CloudEnv, Dag, DagNode, Edge, ExecutionMode,
+    fan_in_range, run_dag, Backend, CloudEnv, Dag, DagNode, Edge, ExecutionMode,
     ExecutorConfig, FanIn, FunctionExecutor, MapOptions, Payload, ScriptTask,
 };
 use serverful_repro::simkernel::SimRng;
@@ -93,10 +93,9 @@ fn pipelined_release_order_respects_random_dag_dependencies() {
         let shape = shapes(&dag);
         let mut env = CloudEnv::new_default(seed);
         let exec = FunctionExecutor::new(&mut env, Backend::faas(), ExecutorConfig::default());
-        let ctx = Ctx { exec };
-        let (_env, _ctx, result) = run_dag_async(env, ctx, dag, ExecutionMode::Pipelined);
-        let stats =
-            result.unwrap_or_else(|e| panic!("case seed {seed:#x}: pipelined run failed: {e}"));
+        let mut ctx = Ctx { exec };
+        let stats = run_dag(&mut env, &mut ctx, dag, ExecutionMode::Pipelined)
+            .unwrap_or_else(|e| panic!("case seed {seed:#x}: pipelined run failed: {e}"));
 
         for (v, (tasks, deps)) in shape.iter().enumerate() {
             let node = &stats.nodes[v];
@@ -135,10 +134,9 @@ fn barrier_mode_is_a_strict_stage_chain_on_random_dags() {
         let dag = random_dag(&mut rng);
         let mut env = CloudEnv::new_default(seed);
         let exec = FunctionExecutor::new(&mut env, Backend::faas(), ExecutorConfig::default());
-        let ctx = Ctx { exec };
-        let (_env, _ctx, result) = run_dag_async(env, ctx, dag, ExecutionMode::Barrier);
-        let stats =
-            result.unwrap_or_else(|e| panic!("case seed {seed:#x}: barrier run failed: {e}"));
+        let mut ctx = Ctx { exec };
+        let stats = run_dag(&mut env, &mut ctx, dag, ExecutionMode::Barrier)
+            .unwrap_or_else(|e| panic!("case seed {seed:#x}: barrier run failed: {e}"));
         // Each node launches only after the previous one fully drained
         // (the degenerate DAG), regardless of the declared edges.
         for w in stats.nodes.windows(2) {

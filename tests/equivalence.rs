@@ -1,11 +1,9 @@
-//! Executor determinism: the async-kernel DAG driver
-//! ([`serverful::run_dag_async`]) is the workspace's only engine, so
-//! the contract the deleted legacy pump loop used to witness is now
-//! stated directly — repeat runs of the same (workload, plan, mode,
-//! seed) cell must be *byte-identical*: same report tables, same span
-//! traces (down to span-id allocation order), same billing bits. This
-//! is what lets goldens, chaos replays and CI double-runs mean
-//! anything.
+//! Executor determinism: the DAG driver ([`serverful::run_dag`]) is
+//! the workspace's only engine, so its contract is stated directly —
+//! repeat runs of the same (workload, plan, mode, seed) cell must be
+//! *byte-identical*: same report tables, same span traces (down to
+//! span-id allocation order), same billing bits. This is what lets
+//! goldens, chaos replays and CI double-runs mean anything.
 //!
 //! Debug builds run the smoke-scaled graphs (same shape, ~2% volume);
 //! the full paper-scale sweep is release-gated like the other
