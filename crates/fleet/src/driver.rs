@@ -8,23 +8,19 @@
 //! [`planner::parallel_map`] and merges in index order, which makes the
 //! full report byte-identical for any `--threads`.
 //!
-//! Inside a cell, job lifecycles are futures on the deterministic async
-//! kernel ([`simkernel::aio`]): a barrier job `await`s its stages one
-//! after another; a pipelined job fans every stage's completion in
-//! through [`simkernel::join_all`]. A small reactor pumps the
-//! environment and feeds completions to those futures through exactly
-//! one [`serverful::FunctionExecutor::try_result`] dispatch
-//! (`CellState::scan_completions`) — barrier and pipelined cells share
-//! that single join path instead of the two hand-rolled poll loops the
-//! driver used to carry. Arrivals are
-//! [`serverful::CloudEnv::external_timer`]s that spawn a job future
-//! (spawn order = arrival order, the kernel's deterministic tie-break),
-//! and every stage submission still passes the [`Admission`]
-//! controller.
+//! Inside a cell, one loop pumps [`serverful::CloudEnv`] an event at a
+//! time. Arrivals are [`serverful::CloudEnv::external_timer`]s: an
+//! arriving job submits its first stage (barrier) or its gated
+//! always-FaaS stages (pipelined). After every other event the loop
+//! polls each in-flight stage through exactly one
+//! [`serverful::FunctionExecutor::try_result`] dispatch
+//! (`CellState::scan_completions`), jobs in arrival order and stages in
+//! pipeline order, then advances the jobs whose stages drained, in job
+//! order. That fixed scan order is the cell's only scheduler and what
+//! keeps it deterministic. Every stage submission passes the
+//! [`Admission`] controller.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 use std::sync::Arc;
 
 use cloudsim::{CloudConfig, ObjectBody, World};
@@ -35,7 +31,7 @@ use serverful::{
     fan_in_range, Backend, CloudEnv, EnvEvent, ExecError, ExecutionMode, ExecutorConfig,
     FunctionExecutor, JobHandle, Payload, ScriptTask,
 };
-use simkernel::{join_all, AsyncExecutor, Gate, JoinHandle as AioJoinHandle, SimTime};
+use simkernel::SimTime;
 
 use crate::admission::Admission;
 use crate::arrivals::{self, Arrival};
@@ -158,13 +154,6 @@ pub(crate) enum Placement<'a> {
     /// (what-if evaluation of a [`metaspace::plan::DeploymentPlan`]
     /// under load).
     Plan(&'a [StageBackend], ExecutionMode),
-}
-
-/// Owned form of [`Placement`] (job futures need `'static` cell state;
-/// the execution mode is already folded into `pipelined`).
-enum CellPlacement {
-    Policy(Policy),
-    Plan(Vec<StageBackend>),
 }
 
 /// Runs every policy cell over the scenario's traffic and merges the
@@ -294,13 +283,8 @@ fn run_cell_traffic(
         needs_pool.then(|| SharedPool::new(&mut env, &sc.pool, profile.map(|p| p.master_instance)));
     let pipelined = sc.pipelined
         || matches!(placement, Placement::Plan(_, ExecutionMode::Pipelined));
-    let placement = match placement {
-        Placement::Policy(p) => CellPlacement::Policy(p),
-        Placement::Plan(backends, _) => CellPlacement::Plan(backends.to_vec()),
-    };
-
     let mut state = CellState {
-        sc: sc.clone(),
+        sc,
         placement,
         pipelined,
         env,
@@ -316,151 +300,8 @@ fn run_cell_traffic(
         let token = state.env.external_timer(delay);
         state.arrival_tokens.insert(token, a.clone());
     }
-    let cell = CellRef {
-        st: Rc::new(RefCell::new(state)),
-        exec: AsyncExecutor::new(),
-    };
-    reactor(&cell)?;
-    let CellRef { st, exec } = cell;
-    drop(exec); // all job futures completed; frees their state handles
-    let state = match Rc::try_unwrap(st) {
-        Ok(inner) => inner.into_inner(),
-        Err(_) => unreachable!("job futures outlive the cell reactor"),
-    };
+    state.run()?;
     Ok(state.into_outcome(label))
-}
-
-/// The cell's event loop: pump the world, feed stage completions to the
-/// job futures through the single join path, then let queued or gated
-/// submissions progress.
-fn reactor(cell: &CellRef) -> Result<(), ExecError> {
-    loop {
-        if cell.st.borrow().done() {
-            break;
-        }
-        let ev = cell.st.borrow_mut().env.pump();
-        match ev {
-            EnvEvent::Timer(token) => {
-                let a = cell
-                    .st
-                    .borrow_mut()
-                    .arrival_tokens
-                    .remove(&token)
-                    .expect("every external timer is an arrival");
-                spawn_job(cell, &a);
-                cell.exec.run_ready();
-                cell.st.borrow_mut().progress_stages()?;
-            }
-            EnvEvent::Progress => {
-                cell.st.borrow_mut().scan_completions()?;
-                cell.exec.run_ready();
-                cell.st.borrow_mut().progress_stages()?;
-            }
-            EnvEvent::Drained => {
-                cell.st.borrow_mut().scan_completions()?;
-                cell.exec.run_ready();
-                let progressed = cell.st.borrow_mut().progress_stages()?;
-                let st = cell.st.borrow();
-                if st.done() {
-                    break;
-                }
-                if !progressed {
-                    return Err(ExecError::Stalled(format!(
-                        "fleet cell drained with {} jobs unfinished",
-                        st.jobs.iter().filter(|j| j.finished.is_none()).count()
-                    )));
-                }
-            }
-        }
-    }
-    let st = &mut *cell.st.borrow_mut();
-    if let Some(pool) = st.pool.as_mut() {
-        pool.shutdown(&mut st.env);
-    }
-    Ok(())
-}
-
-/// Registers an arriving job and spawns its lifecycle future. The
-/// future's first poll (still within the arrival event) submits the
-/// job's first stage (barrier) or its gated FaaS stages (pipelined).
-fn spawn_job(cell: &CellRef, a: &Arrival) {
-    let (idx, gates, pipelined) = {
-        let stref = &mut *cell.st.borrow_mut();
-        let tenant = &stref.sc.tenants[a.tenant];
-        let idx = stref.jobs.len();
-        let w = tenant.workload();
-        let stages = w.stages;
-        let (edges, pipe) = if stref.pipelined {
-            let edges = w.edges;
-            let pipe = stages
-                .iter()
-                .map(|s| PipeStage {
-                    handle: None,
-                    complete: false,
-                    released: vec![false; s.tasks],
-                    throttle_noted: false,
-                })
-                .collect();
-            (edges, pipe)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let gates: Vec<Gate> = stages.iter().map(|_| cell.exec.gate()).collect();
-        let name = a.job_name(&stref.sc);
-        let arrived = stref.env.now();
-        stref.jobs.push(JobRun {
-            tenant: a.tenant,
-            name,
-            stages,
-            edges,
-            next_stage: 0,
-            arrived,
-            finished: None,
-            active: None,
-            pipe,
-            stage_done: gates.clone(),
-            own: None,
-        });
-        (idx, gates, stref.pipelined)
-    };
-    let cell = cell.clone();
-    cell.exec.clone().spawn(job_future(cell, idx, gates, pipelined));
-}
-
-/// One job's lifecycle as straight-line `await` code.
-async fn job_future(cell: CellRef, idx: usize, gates: Vec<Gate>, pipelined: bool) {
-    if pipelined {
-        {
-            // Every always-FaaS stage submits up front with its tasks
-            // gated: setup overlaps upstream work, tasks launch one by
-            // one as their upstream partitions (and the Lambda quota)
-            // allow. Pool/own stages launch from `pipe_pass` once their
-            // dependencies drain.
-            let st = &mut *cell.st.borrow_mut();
-            for s in 0..st.jobs[idx].stages.len() {
-                if st.faas_always(s) {
-                    st.submit_stage(idx, s, ExecSlot::Faas, true);
-                }
-            }
-        }
-        // Fan every stage's completion in through the one join path.
-        let stage_waits: Vec<AioJoinHandle<()>> = gates
-            .iter()
-            .map(|g| {
-                let g = g.clone();
-                cell.exec.spawn(async move { g.wait().await })
-            })
-            .collect();
-        join_all(stage_waits).await;
-    } else {
-        // The barrier chain: submit (or queue on admission), then block
-        // until the stage drains, stage after stage.
-        for gate in &gates {
-            cell.st.borrow_mut().advance_or_wait(idx);
-            gate.wait().await;
-        }
-    }
-    cell.st.borrow_mut().finish_job(idx);
 }
 
 /// Where a stage runs.
@@ -474,10 +315,10 @@ enum ExecSlot {
     Pool(usize),
 }
 
-/// One stage's dataflow state inside a pipelined cell.
-struct PipeStage {
-    /// The submitted job, once launched (FaaS stages launch gated at
-    /// arrival; pool/own stages launch when their dependencies drain).
+/// One stage's scheduling state inside a job.
+struct StageRun {
+    /// The submitted job, once launched (pipelined FaaS stages launch
+    /// gated at arrival; every other stage launches when admitted).
     handle: Option<(JobHandle, ExecSlot)>,
     /// Whole stage finished and its result taken.
     complete: bool,
@@ -493,32 +334,27 @@ struct JobRun {
     name: String,
     stages: Vec<Stage>,
     /// Stage-level dataflow edges from the tenant's workload
-    /// description (pipelined cells only).
+    /// description (pipelined cells schedule on them).
     edges: Vec<Vec<StageEdge>>,
-    next_stage: usize,
+    /// Per-stage scheduling state, aligned with `stages`.
+    runs: Vec<StageRun>,
     arrived: SimTime,
     finished: Option<SimTime>,
-    active: Option<(JobHandle, ExecSlot)>,
-    /// Per-stage dataflow state (pipelined cells only).
-    pipe: Vec<PipeStage>,
-    /// Per-stage completion gates the job future awaits; opened by
-    /// [`CellState::scan_completions`].
-    stage_done: Vec<Gate>,
     /// The per-job fleet executor ([`Policy::PerJobFleet`] only).
     own: Option<FunctionExecutor>,
 }
 
-/// Shared handle to one cell: its state plus the async kernel the job
-/// futures run on.
-#[derive(Clone)]
-struct CellRef {
-    st: Rc<RefCell<CellState>>,
-    exec: AsyncExecutor,
+impl JobRun {
+    /// The first stage not yet submitted (barrier cells submit in
+    /// pipeline order), or `None` once every stage was.
+    fn next_stage(&self) -> Option<usize> {
+        self.runs.iter().position(|r| r.handle.is_none())
+    }
 }
 
-struct CellState {
-    sc: Scenario,
-    placement: CellPlacement,
+struct CellState<'a> {
+    sc: &'a Scenario,
+    placement: Placement<'a>,
     /// Dependency-driven scheduling instead of BSP barriers.
     pipelined: bool,
     env: CloudEnv,
@@ -533,14 +369,102 @@ struct CellState {
     arrival_tokens: HashMap<u64, Arrival>,
 }
 
-impl CellState {
+impl CellState<'_> {
+    /// The cell's event loop: pump the world, then admit the arriving
+    /// job or take in stage completions, then let queued or gated
+    /// submissions progress.
+    fn run(&mut self) -> Result<(), ExecError> {
+        while !self.done() {
+            match self.env.pump() {
+                EnvEvent::Timer(token) => {
+                    let a = self
+                        .arrival_tokens
+                        .remove(&token)
+                        .expect("every external timer is an arrival");
+                    self.arrive(&a);
+                    self.progress_stages()?;
+                }
+                EnvEvent::Progress => {
+                    self.scan_completions()?;
+                    self.progress_stages()?;
+                }
+                EnvEvent::Drained => {
+                    self.scan_completions()?;
+                    let progressed = self.progress_stages()?;
+                    if self.done() {
+                        break;
+                    }
+                    if !progressed {
+                        return Err(ExecError::Stalled(format!(
+                            "fleet cell drained with {} jobs unfinished",
+                            self.jobs.iter().filter(|j| j.finished.is_none()).count()
+                        )));
+                    }
+                }
+            }
+        }
+        if let Some(pool) = self.pool.as_mut() {
+            pool.shutdown(&mut self.env);
+        }
+        Ok(())
+    }
+
     fn done(&self) -> bool {
         self.arrival_tokens.is_empty()
             && self.waiting.is_empty()
             && self.jobs.iter().all(|j| j.finished.is_some())
     }
 
-    /// Stamps a job finished (its future ran out of stages to await).
+    /// Registers an arriving job and submits what can start at once: a
+    /// barrier job's first stage (or queues it on admission), a
+    /// pipelined job's always-FaaS stages.
+    fn arrive(&mut self, a: &Arrival) {
+        let w = self.sc.tenants[a.tenant].workload();
+        let idx = self.jobs.len();
+        self.jobs.push(JobRun {
+            tenant: a.tenant,
+            name: a.job_name(self.sc),
+            runs: w
+                .stages
+                .iter()
+                .map(|s| StageRun {
+                    handle: None,
+                    complete: false,
+                    released: vec![false; s.tasks],
+                    throttle_noted: false,
+                })
+                .collect(),
+            stages: w.stages,
+            edges: w.edges,
+            arrived: self.env.now(),
+            finished: None,
+            own: None,
+        });
+        if !self.pipelined {
+            self.advance_barrier(idx);
+            return;
+        }
+        // Every always-FaaS stage submits up front with its tasks gated:
+        // setup overlaps upstream work, tasks launch one by one as their
+        // upstream partitions (and the Lambda quota) allow. Pool/own
+        // stages launch from `pipe_pass` once their dependencies drain.
+        for s in 0..self.jobs[idx].stages.len() {
+            if self.faas_always(s) {
+                self.submit_stage(idx, s, ExecSlot::Faas, true);
+            }
+        }
+    }
+
+    /// Submits (or queues) a barrier job's next stage, or stamps the job
+    /// finished once its last stage drained.
+    fn advance_barrier(&mut self, idx: usize) {
+        match self.jobs[idx].next_stage() {
+            Some(_) => self.advance_or_wait(idx),
+            None => self.finish_job(idx),
+        }
+    }
+
+    /// Stamps a job finished and shuts down its per-job fleet.
     fn finish_job(&mut self, idx: usize) {
         self.jobs[idx].finished = Some(self.env.now());
         if let Some(mut own) = self.jobs[idx].own.take() {
@@ -574,40 +498,37 @@ impl CellState {
     }
 
     /// Polls every in-flight stage (jobs in arrival order, stages in
-    /// pipeline order) and opens the completion gate of each stage that
-    /// drained; the job futures take it from there.
+    /// pipeline order), then advances, in job order, each job with a
+    /// stage that drained: a barrier job moves to its next stage, and a
+    /// job with every stage drained finishes.
     fn scan_completions(&mut self) -> Result<(), ExecError> {
+        let mut drained = Vec::new();
         for idx in 0..self.jobs.len() {
-            if self.pipelined {
-                if self.jobs[idx].finished.is_some() {
-                    continue;
-                }
-                for s in 0..self.jobs[idx].stages.len() {
-                    if self.jobs[idx].pipe[s].complete {
-                        continue;
-                    }
-                    let Some((handle, slot)) = self.jobs[idx].pipe[s].handle else {
-                        continue;
-                    };
-                    let Some(result) = self.try_stage_result(idx, handle, slot) else {
-                        continue;
-                    };
-                    result?;
-                    self.jobs[idx].pipe[s].complete = true;
-                    self.jobs[idx].stage_done[s].open();
-                }
-            } else {
-                let Some((handle, slot)) = self.jobs[idx].active else {
+            if self.jobs[idx].finished.is_some() {
+                continue;
+            }
+            let mut any = false;
+            for s in 0..self.jobs[idx].stages.len() {
+                let run = &self.jobs[idx].runs[s];
+                let (false, Some((handle, slot))) = (run.complete, run.handle) else {
                     continue;
                 };
                 let Some(result) = self.try_stage_result(idx, handle, slot) else {
                     continue;
                 };
                 result?;
-                self.jobs[idx].active = None;
-                let s = self.jobs[idx].next_stage;
-                self.jobs[idx].next_stage += 1;
-                self.jobs[idx].stage_done[s].open();
+                self.jobs[idx].runs[s].complete = true;
+                any = true;
+            }
+            if any {
+                drained.push(idx);
+            }
+        }
+        for idx in drained {
+            if !self.pipelined {
+                self.advance_barrier(idx);
+            } else if self.jobs[idx].runs.iter().all(|r| r.complete) {
+                self.finish_job(idx);
             }
         }
         Ok(())
@@ -626,17 +547,17 @@ impl CellState {
     /// Whether a stage's placement is unconditionally cloud functions
     /// (eligible for gated submission and task-granular release).
     fn faas_always(&self, stage_idx: usize) -> bool {
-        match &self.placement {
-            CellPlacement::Policy(Policy::Serverless) => true,
-            CellPlacement::Policy(_) => false,
-            CellPlacement::Plan(backends) => backends[stage_idx] == StageBackend::Functions,
+        match self.placement {
+            Placement::Policy(Policy::Serverless) => true,
+            Placement::Policy(_) => false,
+            Placement::Plan(backends, _) => backends[stage_idx] == StageBackend::Functions,
         }
     }
 
     /// Attempts the job's next stage; queues it (counting the throttle)
     /// when the region has no headroom.
     fn advance_or_wait(&mut self, idx: usize) {
-        if !self.try_advance(idx, self.jobs[idx].next_stage) {
+        if !self.try_advance(idx, self.jobs[idx].next_stage().expect("a stage is left")) {
             self.adm.note_throttle();
             self.waiting.push_back(idx);
         }
@@ -648,7 +569,7 @@ impl CellState {
     fn drain_waiting(&mut self) -> Result<bool, ExecError> {
         let mut progressed = false;
         while let Some(&idx) = self.waiting.front() {
-            if !self.try_advance(idx, self.jobs[idx].next_stage) {
+            if !self.try_advance(idx, self.jobs[idx].next_stage().expect("a queued stage")) {
                 break;
             }
             self.waiting.pop_front();
@@ -671,16 +592,16 @@ impl CellState {
                 continue;
             }
             for s in 0..self.jobs[idx].stages.len() {
-                if self.jobs[idx].pipe[s].complete {
+                if self.jobs[idx].runs[s].complete {
                     continue;
                 }
-                if self.jobs[idx].pipe[s].handle.is_none() {
+                if self.jobs[idx].runs[s].handle.is_none() {
                     // Pool/own-placed stage: the in-memory exchange
                     // reads whole inputs, so it waits for every
                     // upstream stage to drain — then launches at once.
                     let ready = self.jobs[idx].edges[s]
                         .iter()
-                        .all(|e| self.jobs[idx].pipe[e.from].complete);
+                        .all(|e| self.jobs[idx].runs[e.from].complete);
                     if !ready {
                         continue;
                     }
@@ -701,16 +622,16 @@ impl CellState {
     /// are done, stopping at the first that the Lambda quota cannot
     /// admit. Returns whether any task was released.
     fn release_ready_tasks(&mut self, idx: usize, s: usize, released_now: &mut usize) -> bool {
-        let (handle, _) = self.jobs[idx].pipe[s].handle.expect("caller checked submission");
+        let (handle, _) = self.jobs[idx].runs[s].handle.expect("caller checked submission");
         let tasks = self.jobs[idx].stages[s].tasks;
         let mut any = false;
         for t in 0..tasks {
-            if self.jobs[idx].pipe[s].released[t] {
+            if self.jobs[idx].runs[s].released[t] {
                 continue;
             }
             let job = &self.jobs[idx];
             let ready = job.edges[s].iter().all(|e| {
-                let up = &job.pipe[e.from];
+                let up = &job.runs[e.from];
                 if up.complete {
                     return true;
                 }
@@ -729,7 +650,7 @@ impl CellState {
                 self.note_stage_throttle(idx, s);
                 break;
             }
-            self.jobs[idx].pipe[s].released[t] = true;
+            self.jobs[idx].runs[s].released[t] = true;
             handle.release_task(&mut self.env, t);
             *released_now += 1;
             any = true;
@@ -740,28 +661,24 @@ impl CellState {
     /// Counts at most one quota throttle per stage (pipelined cells
     /// rescan stages every pass; the barrier path counts per queueing).
     fn note_stage_throttle(&mut self, idx: usize, s: usize) {
-        if !self.jobs[idx].pipe[s].throttle_noted {
+        if !self.jobs[idx].runs[s].throttle_noted {
             self.adm.note_throttle();
-            self.jobs[idx].pipe[s].throttle_noted = true;
+            self.jobs[idx].runs[s].throttle_noted = true;
         }
     }
 
     /// Tries to submit the job's given stage. Returns `false` when the
     /// admission controller has no headroom for it yet.
     fn try_advance(&mut self, idx: usize, stage_idx: usize) -> bool {
-        debug_assert!(if self.pipelined {
-            self.jobs[idx].pipe[stage_idx].handle.is_none()
-        } else {
-            self.jobs[idx].active.is_none()
-        });
+        debug_assert!(self.jobs[idx].runs[stage_idx].handle.is_none());
         let stateful = self.jobs[idx].stages[stage_idx].is_stateful();
         let tasks = self.jobs[idx].stages[stage_idx].tasks;
-        let wants_pool = match &self.placement {
-            CellPlacement::Policy(Policy::Serverless) => false,
-            CellPlacement::Policy(Policy::PerJobFleet) => {
+        let wants_pool = match self.placement {
+            Placement::Policy(Policy::Serverless) => false,
+            Placement::Policy(Policy::PerJobFleet) => {
                 return self.try_advance_own(idx, stage_idx);
             }
-            CellPlacement::Policy(Policy::SharedPool) => {
+            Placement::Policy(Policy::SharedPool) => {
                 // The pool is home; a stateless stage *degrades* to
                 // cloud functions when every executor is busy and the
                 // Lambda quota still has headroom (burst capacity).
@@ -779,7 +696,7 @@ impl CellState {
                 }
                 true
             }
-            CellPlacement::Plan(backends) => backends[stage_idx] == StageBackend::Serverful,
+            Placement::Plan(backends, _) => backends[stage_idx] == StageBackend::Serverful,
         };
         if wants_pool {
             let lease = self
@@ -902,11 +819,7 @@ impl CellState {
                     .map_with(env, factory, inputs, opts),
             }
         };
-        if self.pipelined {
-            self.jobs[idx].pipe[stage_idx].handle = Some((handle, slot));
-        } else {
-            self.jobs[idx].active = Some((handle, slot));
-        }
+        self.jobs[idx].runs[stage_idx].handle = Some((handle, slot));
     }
 
     /// Extracts the cell's measurements.
