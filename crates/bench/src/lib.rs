@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use metaspace::{jobs, run_annotation, AnnotationReport, Architecture, JobSpec};
 
-pub mod kernelbench;
 pub mod render;
 use serverful::executor::MapOptions;
 use serverful::{

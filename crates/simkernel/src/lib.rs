@@ -15,9 +15,6 @@
 //!   utilisation traces ([`series`]).
 //! * [`SimRng`] — seeded random numbers plus the handful of distributions
 //!   the cloud model needs ([`rng`]).
-//! * [`AsyncExecutor`] — a deterministic single-threaded async executor
-//!   on virtual time, with wakeup order tie-broken on
-//!   `(SimTime, spawn_seq)` ([`aio`]).
 //!
 //! # Example
 //!
@@ -34,7 +31,6 @@
 
 #![warn(missing_docs)]
 
-pub mod aio;
 pub mod engine;
 pub mod fair_share;
 pub mod rng;
@@ -42,7 +38,6 @@ pub mod series;
 pub mod slots;
 pub mod time;
 
-pub use aio::{join_all, AsyncExecutor, ExecStats, Gate, JoinHandle, Notifier, TaskId};
 pub use engine::{EventQueue, EventToken, SchedStats};
 pub use fair_share::{FairShare, FlowId};
 pub use rng::SimRng;

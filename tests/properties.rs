@@ -10,9 +10,7 @@ use serverful_repro::cloudsim::{catalog, LambdaTariff, ObjectBody};
 use serverful_repro::serverful::{CloudObjectRef, Payload};
 use serverful_repro::telemetry::{CostCategory, CostLedger};
 use serverful_repro::shuffle::data as sortdata;
-use serverful_repro::simkernel::{
-    AsyncExecutor, EventQueue, FairShare, Gate, SimDuration, SimRng, SimTime, StepSeries,
-};
+use serverful_repro::simkernel::{EventQueue, FairShare, SimDuration, SimRng, SimTime, StepSeries};
 
 /// Runs `body` over `n` seeded cases; the case seed is passed through so
 /// failures print a reproducible starting point.
@@ -322,127 +320,6 @@ fn hybrid_cost_is_sum_of_fleet_ledgers() {
             "seed {seed}: {} vs {expected_total}",
             merged.total()
         );
-    });
-}
-
-// ---------------------------------------------------------------------
-// Deterministic async kernel (simkernel::aio)
-// ---------------------------------------------------------------------
-
-/// One node of a random task graph: dependencies point strictly to
-/// lower indices, so every graph is acyclic by construction.
-struct GraphTask {
-    deps: Vec<usize>,
-    delay_us: u64,
-}
-
-fn arb_task_graph(rng: &mut SimRng) -> Vec<GraphTask> {
-    let n = 3 + rng.uniform_u64(0, 10) as usize;
-    (0..n)
-        .map(|i| {
-            let max_deps = i.min(3) as u64;
-            let k = rng.uniform_u64(0, max_deps + 1);
-            let mut deps = std::collections::BTreeSet::new();
-            for _ in 0..k {
-                deps.insert(rng.uniform_u64(0, i as u64) as usize);
-            }
-            GraphTask {
-                deps: deps.into_iter().collect(),
-                delay_us: rng.uniform_u64(1, 10_000),
-            }
-        })
-        .collect()
-}
-
-/// A uniformly random topological order of the graph (dependencies
-/// always spawn before their dependents).
-fn arb_topo_order(rng: &mut SimRng, graph: &[GraphTask]) -> Vec<usize> {
-    let n = graph.len();
-    let mut placed = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    while order.len() < n {
-        let ready: Vec<usize> = (0..n)
-            .filter(|&t| !placed[t] && graph[t].deps.iter().all(|&d| placed[d]))
-            .collect();
-        let pick = ready[rng.uniform_u64(0, ready.len() as u64) as usize];
-        placed[pick] = true;
-        order.push(pick);
-    }
-    order
-}
-
-/// Runs the graph on the async kernel, spawning tasks in `order`: each
-/// task awaits its dependencies' gates, sleeps its own delay, logs its
-/// completion, and opens its gate. Returns the full completion-event
-/// log (the kernel's observable event order) and per-task finish times.
-fn run_task_graph(
-    graph: &[GraphTask],
-    order: &[usize],
-) -> (Vec<(usize, u64)>, Vec<u64>) {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let exec = AsyncExecutor::new();
-    let gates: Vec<Gate> = graph.iter().map(|_| exec.gate()).collect();
-    let log: Rc<RefCell<Vec<(usize, u64)>>> = Rc::new(RefCell::new(Vec::new()));
-    for &t in order {
-        let exec2 = exec.clone();
-        let own = gates[t].clone();
-        let deps: Vec<Gate> = graph[t].deps.iter().map(|&d| gates[d].clone()).collect();
-        let delay = graph[t].delay_us;
-        let log2 = Rc::clone(&log);
-        exec.spawn(async move {
-            for dep in &deps {
-                dep.wait().await;
-            }
-            exec2.sleep(SimDuration::from_micros(delay)).await;
-            log2.borrow_mut().push((t, exec2.now().as_micros()));
-            own.open();
-        });
-    }
-    let stuck = exec.run();
-    assert_eq!(stuck, 0, "task graph deadlocked");
-    let events = log.borrow().clone();
-    let mut finish = vec![0u64; graph.len()];
-    for &(t, at) in &events {
-        finish[t] = at;
-    }
-    (events, finish)
-}
-
-/// Repeated runs of the same task graph replay the identical event
-/// order — the kernel's `(SimTime, spawn_seq)` wakeup rule leaves no
-/// room for drift.
-#[test]
-fn async_kernel_event_order_is_identical_across_runs() {
-    forall_cases(64, |seed, rng| {
-        let graph = arb_task_graph(rng);
-        let order: Vec<usize> = (0..graph.len()).collect();
-        let (events_a, finish_a) = run_task_graph(&graph, &order);
-        let (events_b, finish_b) = run_task_graph(&graph, &order);
-        assert_eq!(events_a, events_b, "seed {seed}: event order drifted");
-        assert_eq!(finish_a, finish_b, "seed {seed}: final state drifted");
-    });
-}
-
-/// The final state (every task's finish time) is invariant under
-/// dependency-preserving spawn-order permutations: spawn order may
-/// shuffle same-instant wakeups, but virtual-time outcomes are fixed by
-/// the graph alone.
-#[test]
-fn async_kernel_state_is_invariant_to_spawn_permutations() {
-    forall_cases(64, |seed, rng| {
-        let graph = arb_task_graph(rng);
-        let identity: Vec<usize> = (0..graph.len()).collect();
-        let (_, base) = run_task_graph(&graph, &identity);
-        for _ in 0..3 {
-            let order = arb_topo_order(rng, &graph);
-            let (_, finish) = run_task_graph(&graph, &order);
-            assert_eq!(
-                base, finish,
-                "seed {seed}: final state depends on spawn order {order:?}"
-            );
-        }
     });
 }
 
