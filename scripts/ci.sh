@@ -26,13 +26,16 @@ if [[ -n "${UPDATE_GOLDENS:-}" ]]; then
     exit 1
 fi
 
-echo "== structural gate (serverful env stays modular, one clock) =="
+echo "== structural gate (serverful env stays modular, one scheduler) =="
 # The env monolith was broken up into focused modules; keep it that way.
 # No serverful source file may grow past 1,200 lines, the deleted
 # hand-rolled monitor machinery (Route::Poll, MonitorState) must not
 # reappear, and neither may the world/kernel bridge: CloudEnv's control
 # loops are world-timer routes, so env/ hosts no async kernel and no
-# command queue.
+# command queue. The world's event queue is the workspace's only
+# scheduler: the DAG and fleet drivers are plain loops over
+# CloudEnv::pump, so no futures executor or shared Rc<RefCell> state
+# may come back anywhere.
 oversized=$(find crates/serverful/src -name '*.rs' \
     | xargs wc -l | awk '$2 != "total" && $1 > 1200 {print $2 " (" $1 " lines)"}')
 [[ -z "$oversized" ]] \
@@ -44,6 +47,11 @@ if grep -rn "Route::Poll\b\|MonitorState" crates/serverful/src; then
 fi
 if grep -rnE "EnvCmd|ReplySlot|TickVerdict|Route::Wake|AsyncExecutor" crates/serverful/src/env/; then
     echo "the world/kernel bridge is back in serverful::env" >&2
+    exit 1
+fi
+if grep -rnE "async fn|async move|\.await|AsyncExecutor|Rc<RefCell" \
+        crates/*/src tests examples src; then
+    echo "a second scheduler (futures or shared Rc<RefCell> state) is back" >&2
     exit 1
 fi
 
@@ -69,8 +77,8 @@ echo "== doctests (count-gated) =="
 # sync when examples are deliberately added or removed.
 cargo test --workspace --doc -q | tee /tmp/doctests.txt
 doctests=$(grep -Eo '[0-9]+ passed' /tmp/doctests.txt | awk '{s+=$1} END {print s}')
-[[ "${doctests:-0}" -ge 44 ]] \
-    || { echo "doctest count dropped to ${doctests:-0} (floor 44)" >&2; exit 1; }
+[[ "${doctests:-0}" -ge 43 ]] \
+    || { echo "doctest count dropped to ${doctests:-0} (floor 43)" >&2; exit 1; }
 
 echo "== tests (debug, incl. fast goldens) =="
 cargo test --workspace -q
@@ -81,15 +89,6 @@ echo "== planner smoke search (Brain) =="
 # cost (the paper's Figure 4 direction). Debug evaluation of the full
 # pipeline takes minutes, so this runs the release binary.
 cargo build --release -p bench -q
-
-echo "== async-kernel microbenchmarks (BENCH_kernel.json + regression gate) =="
-# Runs the kernel bench in release, writes BENCH_kernel.json (gitignored;
-# CI artifact), and fails when any scenario's throughput drops more than
-# 20% below the committed BENCH_kernel_baseline.json.
-./target/release/kernel --seed 42 \
-    --git-rev "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-    --out BENCH_kernel.json \
-    --check-against BENCH_kernel_baseline.json
 
 ./target/release/repro plan brain --smoke --threads 2 --seed 42 \
     | tee /tmp/plan_smoke.txt
