@@ -40,4 +40,5 @@ mod spec;
 pub use dsl::{emit, parse, DslError};
 pub use spec::{
     ScaleOptions, Stage, StageEdge, StageKind, ValidateError, Workload, WorkloadBuilder,
+    MAX_CPU_SECS_PER_TASK,
 };

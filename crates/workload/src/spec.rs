@@ -81,6 +81,12 @@ impl Stage {
     }
 }
 
+/// The most CPU-seconds one task may declare: about 31.7 years, four
+/// orders of magnitude inside the simulator's clock range (`SimTime` is
+/// u64 microseconds, about 1.8e13 s), so a task's compute time always
+/// fits the clock.
+pub const MAX_CPU_SECS_PER_TASK: f64 = 1e9;
+
 /// A validation failure: why a [`Workload`] is not schedulable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidateError(pub String);
@@ -145,7 +151,8 @@ impl Workload {
 
     /// Checks the description is schedulable: topological (acyclic)
     /// edges, in-bounds fan-in ranges for every downstream partition,
-    /// unique token-safe names, and sane resource numbers.
+    /// unique token-safe names, and sane resource numbers (per-task CPU
+    /// at most [`MAX_CPU_SECS_PER_TASK`]).
     pub fn validate(&self) -> Result<(), ValidateError> {
         let err = |m: String| Err(ValidateError(m));
         if !token_ok(&self.name) {
@@ -182,6 +189,12 @@ impl Workload {
                 if !v.is_finite() || v < 0.0 {
                     return err(format!("stage {:?} {label} = {v} (must be finite and >= 0)", s.name));
                 }
+            }
+            if s.cpu_secs_per_task > MAX_CPU_SECS_PER_TASK {
+                return err(format!(
+                    "stage {:?} cpu_secs = {:e} (must be at most {MAX_CPU_SECS_PER_TASK:e} per task)",
+                    s.name, s.cpu_secs_per_task
+                ));
             }
             match s.kind {
                 StageKind::Stateless { read_spread, write_spread } => {

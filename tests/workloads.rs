@@ -15,7 +15,9 @@ use serverful_repro::bench::workload_comparison;
 use serverful_repro::metaspace::workloads;
 use serverful_repro::serverful::{fan_in_range, FanIn};
 use serverful_repro::simkernel::SimRng;
-use serverful_repro::workload::{emit, parse, Stage, StageEdge, StageKind, Workload};
+use serverful_repro::workload::{
+    emit, parse, Stage, StageEdge, StageKind, Workload, MAX_CPU_SECS_PER_TASK,
+};
 
 /// Every bundled workload — the METASPACE Table 2 jobs and the DSL
 /// families — emits to canonical DSL text and parses back to the
@@ -29,6 +31,40 @@ fn every_bundled_workload_round_trips_through_the_dsl() {
         let back = parse(&text).unwrap_or_else(|e| panic!("{name}: re-parse failed: {e}"));
         assert_eq!(w, back, "{name}: DSL round trip changed the workload");
         assert_eq!(text, emit(&back), "{name}: emit is not canonical");
+    }
+}
+
+/// A per-task `cpu_secs` too large for the simulator's clock is
+/// rejected when the text is loaded, naming the stage and the field,
+/// instead of panicking mid-run with a virtual-time overflow; every
+/// bundled workload stays under the ceiling.
+#[test]
+fn oversized_cpu_secs_is_rejected_at_validation() {
+    let text = emit(&workloads::named("terasort-small").expect("bundled name resolves"));
+    let edited: String = text
+        .lines()
+        .map(|line| {
+            if !line.starts_with("stage gen ") {
+                return format!("{line}\n");
+            }
+            let fields: Vec<&str> = line
+                .split(' ')
+                .map(|f| if f.starts_with("cpu_secs=") { "cpu_secs=1e308" } else { f })
+                .collect();
+            format!("{}\n", fields.join(" "))
+        })
+        .collect();
+    assert!(edited.contains("cpu_secs=1e308"), "the edit must land:\n{edited}");
+    let err = parse(&edited).expect_err("cpu_secs=1e308 must not validate").to_string();
+    assert!(err.contains("cpu_secs") && err.contains("\"gen\""), "unhelpful error: {err}");
+
+    for name in workloads::all_names() {
+        let w = workloads::named(&name).expect("bundled name resolves");
+        w.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            w.stages.iter().all(|s| s.cpu_secs_per_task <= MAX_CPU_SECS_PER_TASK),
+            "{name}: a stage exceeds the per-task CPU ceiling"
+        );
     }
 }
 
