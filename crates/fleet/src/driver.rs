@@ -382,15 +382,15 @@ impl CellState<'_> {
                         .remove(&token)
                         .expect("every external timer is an arrival");
                     self.arrive(&a);
-                    self.progress_stages()?;
+                    self.progress_stages();
                 }
                 EnvEvent::Progress => {
                     self.scan_completions()?;
-                    self.progress_stages()?;
+                    self.progress_stages();
                 }
                 EnvEvent::Drained => {
                     self.scan_completions()?;
-                    let progressed = self.progress_stages()?;
+                    let progressed = self.progress_stages();
                     if self.done() {
                         break;
                     }
@@ -441,7 +441,7 @@ impl CellState<'_> {
             own: None,
         });
         if !self.pipelined {
-            self.advance_barrier(idx);
+            self.advance_or_wait(idx, 0);
             return;
         }
         // Every always-FaaS stage submits up front with its tasks gated:
@@ -455,15 +455,6 @@ impl CellState<'_> {
         }
     }
 
-    /// Submits (or queues) a barrier job's next stage, or stamps the job
-    /// finished once its last stage drained.
-    fn advance_barrier(&mut self, idx: usize) {
-        match self.jobs[idx].next_stage() {
-            Some(_) => self.advance_or_wait(idx),
-            None => self.finish_job(idx),
-        }
-    }
-
     /// Stamps a job finished and shuts down its per-job fleet.
     fn finish_job(&mut self, idx: usize) {
         self.jobs[idx].finished = Some(self.env.now());
@@ -472,35 +463,26 @@ impl CellState<'_> {
         }
     }
 
-    /// The one `try_result` dispatch in the driver: polls a stage's
-    /// handle on whichever executor its slot names. Both scheduling
-    /// disciplines consume completions through here.
-    fn try_stage_result(
-        &mut self,
-        idx: usize,
-        handle: JobHandle,
-        slot: ExecSlot,
-    ) -> Option<Result<Vec<Payload>, ExecError>> {
-        match slot {
-            ExecSlot::Faas => self.faas.try_result(&mut self.env, handle),
-            ExecSlot::Own => self.jobs[idx]
-                .own
-                .as_mut()
-                .expect("own slot has an executor")
-                .try_result(&mut self.env, handle),
+    /// The executor job `idx`'s stage slot names, borrowed alongside the
+    /// environment.
+    fn executor(&mut self, idx: usize, slot: ExecSlot) -> (&mut FunctionExecutor, &mut CloudEnv) {
+        let exec = match slot {
+            ExecSlot::Faas => &mut self.faas,
+            ExecSlot::Own => self.jobs[idx].own.as_mut().expect("own slot has an executor"),
             ExecSlot::Pool(lease) => self
                 .pool
                 .as_mut()
                 .expect("pool slot has a pool")
-                .exec_mut(lease)
-                .try_result(&mut self.env, handle),
-        }
+                .exec_mut(lease),
+        };
+        (exec, &mut self.env)
     }
 
     /// Polls every in-flight stage (jobs in arrival order, stages in
-    /// pipeline order), then advances, in job order, each job with a
-    /// stage that drained: a barrier job moves to its next stage, and a
-    /// job with every stage drained finishes.
+    /// pipeline order) through the driver's one `try_result` call, then
+    /// advances, in job order, each job with a stage that drained: a
+    /// barrier job moves to its next stage, and a job with every stage
+    /// drained finishes.
     fn scan_completions(&mut self) -> Result<(), ExecError> {
         let mut drained = Vec::new();
         for idx in 0..self.jobs.len() {
@@ -513,7 +495,8 @@ impl CellState<'_> {
                 let (false, Some((handle, slot))) = (run.complete, run.handle) else {
                     continue;
                 };
-                let Some(result) = self.try_stage_result(idx, handle, slot) else {
+                let (exec, env) = self.executor(idx, slot);
+                let Some(result) = exec.try_result(env, handle) else {
                     continue;
                 };
                 result?;
@@ -525,10 +508,12 @@ impl CellState<'_> {
             }
         }
         for idx in drained {
-            if !self.pipelined {
-                self.advance_barrier(idx);
-            } else if self.jobs[idx].runs.iter().all(|r| r.complete) {
+            let job = &self.jobs[idx];
+            if job.runs.iter().all(|r| r.complete) {
                 self.finish_job(idx);
+            } else if !self.pipelined {
+                let s = job.next_stage().expect("a barrier job with work left");
+                self.advance_or_wait(idx, s);
             }
         }
         Ok(())
@@ -536,7 +521,7 @@ impl CellState<'_> {
 
     /// Makes queued or gated stages progress after any event, whichever
     /// scheduling discipline the cell runs.
-    fn progress_stages(&mut self) -> Result<bool, ExecError> {
+    fn progress_stages(&mut self) -> bool {
         if self.pipelined {
             self.pipe_pass()
         } else {
@@ -554,10 +539,10 @@ impl CellState<'_> {
         }
     }
 
-    /// Attempts the job's next stage; queues it (counting the throttle)
-    /// when the region has no headroom.
-    fn advance_or_wait(&mut self, idx: usize) {
-        if !self.try_advance(idx, self.jobs[idx].next_stage().expect("a stage is left")) {
+    /// Attempts stage `s` of a barrier job; queues the job (counting the
+    /// throttle) when the region has no headroom.
+    fn advance_or_wait(&mut self, idx: usize, s: usize) {
+        if !self.try_advance(idx, s) {
             self.adm.note_throttle();
             self.waiting.push_back(idx);
         }
@@ -566,16 +551,17 @@ impl CellState<'_> {
     /// Re-attempts queued submissions in FIFO order, stopping at the
     /// first that still does not fit (head-of-line, like a real
     /// admission queue). Returns whether anything was admitted.
-    fn drain_waiting(&mut self) -> Result<bool, ExecError> {
+    fn drain_waiting(&mut self) -> bool {
         let mut progressed = false;
         while let Some(&idx) = self.waiting.front() {
-            if !self.try_advance(idx, self.jobs[idx].next_stage().expect("a queued stage")) {
+            let s = self.jobs[idx].next_stage().expect("a queued job has a stage left");
+            if !self.try_advance(idx, s) {
                 break;
             }
             self.waiting.pop_front();
             progressed = true;
         }
-        Ok(progressed)
+        progressed
     }
 
     /// One dependency-driven scheduling pass: launches pool/own stages
@@ -584,7 +570,7 @@ impl CellState<'_> {
     /// individually admitted against the Lambda quota. Deterministic:
     /// jobs in arrival order, stages in pipeline order, tasks in index
     /// order. Returns whether anything launched or released.
-    fn pipe_pass(&mut self) -> Result<bool, ExecError> {
+    fn pipe_pass(&mut self) -> bool {
         let mut progressed = false;
         let mut released_now = 0usize;
         for idx in 0..self.jobs.len() {
@@ -615,7 +601,7 @@ impl CellState<'_> {
                 }
             }
         }
-        Ok(progressed)
+        progressed
     }
 
     /// Releases every gated task of stage `s` whose upstream partitions
@@ -802,23 +788,8 @@ impl CellState<'_> {
         if gated {
             opts = opts.gated();
         }
-        let handle = {
-            let env = &mut self.env;
-            match slot {
-                ExecSlot::Faas => self.faas.map_with(env, factory, inputs, opts),
-                ExecSlot::Own => self.jobs[idx]
-                    .own
-                    .as_mut()
-                    .expect("own slot has an executor")
-                    .map_with(env, factory, inputs, opts),
-                ExecSlot::Pool(lease) => self
-                    .pool
-                    .as_mut()
-                    .expect("pool slot has a pool")
-                    .exec_mut(lease)
-                    .map_with(env, factory, inputs, opts),
-            }
-        };
+        let (exec, env) = self.executor(idx, slot);
+        let handle = exec.map_with(env, factory, inputs, opts);
         self.jobs[idx].runs[stage_idx].handle = Some((handle, slot));
     }
 
