@@ -6,6 +6,8 @@
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time
 //!   newtypes ([`time`]).
 //! * [`EventQueue`] — a cancellable, deterministic event heap ([`engine`]).
+//!   The cloud world's clock runs on one; it is the workspace's only
+//!   scheduler.
 //! * [`FairShare`] — a max-min fair bandwidth-sharing pool used to model
 //!   contended links such as object-storage aggregate throughput and VM
 //!   NICs ([`fair_share`]).
