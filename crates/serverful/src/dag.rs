@@ -470,12 +470,7 @@ fn release_ready<C>(env: &mut CloudEnv, dag: &Dag<C>, live: &mut [Live]) {
 }
 
 /// Begins the trace span of a group when `node` is its first member.
-fn maybe_begin_group_span<C>(
-    env: &mut CloudEnv,
-    dag: &Dag<C>,
-    node: usize,
-    open: &mut [SpanId],
-) {
+fn maybe_begin_group_span<C>(env: &mut CloudEnv, dag: &Dag<C>, node: usize, open: &mut [SpanId]) {
     let Some(g) = dag.nodes[node].group else {
         return;
     };
@@ -496,12 +491,7 @@ fn maybe_begin_group_span<C>(
 }
 
 /// Ends a group's span once its last member node finished.
-fn maybe_end_group_span<C>(
-    env: &mut CloudEnv,
-    dag: &Dag<C>,
-    node: usize,
-    open: &mut [SpanId],
-) {
+fn maybe_end_group_span<C>(env: &mut CloudEnv, dag: &Dag<C>, node: usize, open: &mut [SpanId]) {
     let Some(g) = dag.nodes[node].group else {
         return;
     };

@@ -28,7 +28,9 @@ use serverful_repro::bench::render::{
     render_fig5, render_fig6, render_table1, render_table2, render_table3, render_table4,
 };
 use serverful_repro::cloudsim::{CloudConfig, FaultConfig};
-use serverful_repro::fleet::{self, report, run_scenario, FleetReport, PolicyOutcome, Scenario, TenantSpec};
+use serverful_repro::fleet::{
+    self, report, run_scenario, FleetReport, PolicyOutcome, Scenario, TenantSpec,
+};
 use serverful_repro::metaspace::{
     self, jobs, plan::PlanKind, run_annotation_traced, Architecture, DeploymentPlan, FunctionsPlan,
     TraceOutput,
