@@ -16,9 +16,8 @@
 //! [`serverful::FunctionExecutor::try_result`] dispatch
 //! (`CellState::scan_completions`), jobs in arrival order and stages in
 //! pipeline order, then advances the jobs whose stages drained, in job
-//! order. That fixed scan order is the cell's only scheduler and what
-//! keeps it deterministic. Every stage submission passes the
-//! [`Admission`] controller.
+//! order. That fixed scan order is what keeps a cell deterministic.
+//! Every stage submission passes the [`Admission`] controller.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -292,6 +291,7 @@ fn run_cell_traffic(
         pool,
         adm: Admission::new(sc.quotas.clone()),
         jobs: Vec::new(),
+        in_flight: Vec::new(),
         waiting: VecDeque::new(),
         arrival_tokens: HashMap::new(),
     };
@@ -319,7 +319,7 @@ enum ExecSlot {
 struct StageRun {
     /// The submitted job, once launched (pipelined FaaS stages launch
     /// gated at arrival; every other stage launches when admitted).
-    handle: Option<(JobHandle, ExecSlot)>,
+    handle: Option<JobHandle>,
     /// Whole stage finished and its result taken.
     complete: bool,
     /// Per-task released flags (gated FaaS stages).
@@ -352,6 +352,15 @@ impl JobRun {
     }
 }
 
+/// A submitted stage that has not drained yet.
+#[derive(Clone, Copy)]
+struct InFlight {
+    job: usize,
+    stage: usize,
+    handle: JobHandle,
+    slot: ExecSlot,
+}
+
 struct CellState<'a> {
     sc: &'a Scenario,
     placement: Placement<'a>,
@@ -362,6 +371,10 @@ struct CellState<'a> {
     pool: Option<SharedPool>,
     adm: Admission,
     jobs: Vec<JobRun>,
+    /// Every submitted stage that has not drained, in job-then-stage
+    /// order: what `scan_completions` polls after each event, kept
+    /// apart from `jobs` so the poll touches only live stages.
+    in_flight: Vec<InFlight>,
     /// Jobs whose next stage awaits quota headroom, FIFO (barrier cells
     /// only; pipelined cells rescan in job order instead).
     waiting: VecDeque<usize>,
@@ -485,26 +498,19 @@ impl CellState<'_> {
     /// drained finishes.
     fn scan_completions(&mut self) -> Result<(), ExecError> {
         let mut drained = Vec::new();
-        for idx in 0..self.jobs.len() {
-            if self.jobs[idx].finished.is_some() {
+        let mut k = 0;
+        while k < self.in_flight.len() {
+            let f = self.in_flight[k];
+            let (exec, env) = self.executor(f.job, f.slot);
+            let Some(result) = exec.try_result(env, f.handle) else {
+                k += 1;
                 continue;
-            }
-            let mut any = false;
-            for s in 0..self.jobs[idx].stages.len() {
-                let run = &self.jobs[idx].runs[s];
-                let (false, Some((handle, slot))) = (run.complete, run.handle) else {
-                    continue;
-                };
-                let (exec, env) = self.executor(idx, slot);
-                let Some(result) = exec.try_result(env, handle) else {
-                    continue;
-                };
-                result?;
-                self.jobs[idx].runs[s].complete = true;
-                any = true;
-            }
-            if any {
-                drained.push(idx);
+            };
+            result?;
+            self.in_flight.remove(k);
+            self.jobs[f.job].runs[f.stage].complete = true;
+            if drained.last() != Some(&f.job) {
+                drained.push(f.job);
             }
         }
         for idx in drained {
@@ -608,7 +614,7 @@ impl CellState<'_> {
     /// are done, stopping at the first that the Lambda quota cannot
     /// admit. Returns whether any task was released.
     fn release_ready_tasks(&mut self, idx: usize, s: usize, released_now: &mut usize) -> bool {
-        let (handle, _) = self.jobs[idx].runs[s].handle.expect("caller checked submission");
+        let handle = self.jobs[idx].runs[s].handle.expect("caller checked submission");
         let tasks = self.jobs[idx].stages[s].tasks;
         let mut any = false;
         for t in 0..tasks {
@@ -621,7 +627,7 @@ impl CellState<'_> {
                 if up.complete {
                     return true;
                 }
-                let Some((uh, _)) = up.handle else {
+                let Some(uh) = up.handle else {
                     return false;
                 };
                 fan_in_range(e.fan_in, job.stages[e.from].tasks, tasks, t)
@@ -790,7 +796,9 @@ impl CellState<'_> {
         }
         let (exec, env) = self.executor(idx, slot);
         let handle = exec.map_with(env, factory, inputs, opts);
-        self.jobs[idx].runs[stage_idx].handle = Some((handle, slot));
+        self.jobs[idx].runs[stage_idx].handle = Some(handle);
+        let at = self.in_flight.partition_point(|f| (f.job, f.stage) < (idx, stage_idx));
+        self.in_flight.insert(at, InFlight { job: idx, stage: stage_idx, handle, slot });
     }
 
     /// Extracts the cell's measurements.
