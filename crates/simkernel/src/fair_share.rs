@@ -17,6 +17,34 @@
 //! The pool does not own an event queue. Drivers integrate it with three
 //! calls: [`FairShare::start`]/[`FairShare::advance`] whenever membership
 //! changes, and [`FairShare::next_completion`] to know when to look again.
+//!
+//! # Layout and cost
+//!
+//! In-flight flows live in one `Vec` in [`FlowId`] order, each holding its
+//! remaining bytes and up to two group slots inline. Groups live in a
+//! `Vec` indexed by the slot [`FairShare::set_group_cap`] assigned, and
+//! each caches its per-member share `cap / members`, refreshed whenever
+//! its membership or cap changes. So [`FairShare::advance`] and
+//! [`FairShare::next_completion`] are each one pass over the in-flight
+//! flows with no hashing, and no allocation beyond the returned list of
+//! finished flows; `advance` compacts the vector in place, which keeps
+//! [`FlowId`] order. Only `set_group_cap`, `has_group` and `start` map a
+//! group id to its slot.
+//!
+//! The pool is deliberately not a virtual-time design (a cumulative
+//! service counter per group signature and a heap of finish tags), which
+//! would make each call O(log n): that design subtracts service in a
+//! different association order, which moves completions by a microsecond.
+//! Every flow here performs these float operations, in this order, and
+//! simulated outputs depend on them bit for bit:
+//!
+//! * rate is `per_flow.min(aggregate / n)`, then `.min(share)` for each of
+//!   the flow's groups in the order given to `start`;
+//! * over an interval `dt`, remaining becomes `(remaining - rate * dt).max(0.0)`;
+//! * the next completion is `ceil(min(remaining.max(0) / rate) * 1e6)` µs
+//!   after the last update;
+//! * finished flows are reported, and their residue added to
+//!   [`FairShare::completed_bytes`], in [`FlowId`] order.
 
 use std::collections::HashMap;
 
@@ -30,16 +58,46 @@ pub struct FlowId(u64);
 /// float residue when progress is integrated in pieces.
 const DONE_EPSILON_BYTES: f64 = 1e-3;
 
+/// The most groups one flow may belong to: the world constrains a flow by
+/// the requester's NIC and the key prefix, or by both endpoints' NICs.
+const MAX_GROUPS: usize = 2;
+
 #[derive(Debug, Clone)]
 struct Flow {
+    id: FlowId,
     remaining: f64,
-    groups: Vec<u64>,
+    /// Slots of this flow's groups in [`FairShare::groups`]; the first
+    /// `n_groups` are in use.
+    slots: [usize; MAX_GROUPS],
+    n_groups: usize,
+}
+
+impl Flow {
+    fn slots(&self) -> &[usize] {
+        &self.slots[..self.n_groups]
+    }
+
+    /// This flow's rate: `base` capped by each of its groups' shares.
+    fn rate(&self, base: f64, groups: &[Group]) -> f64 {
+        self.slots()
+            .iter()
+            .fold(base, |rate, &slot| rate.min(groups[slot].share))
+    }
 }
 
 #[derive(Debug, Clone, Default)]
 struct Group {
     cap_bps: f64,
     active: usize,
+    /// `cap_bps / active.max(1)`: the most each member may take.
+    share: f64,
+}
+
+impl Group {
+    /// Recomputes `share` after `cap_bps` or `active` changed.
+    fn refresh(&mut self) {
+        self.share = self.cap_bps / self.active.max(1) as f64;
+    }
 }
 
 /// A fair-share bandwidth pool. See the [module docs](self) for the model.
@@ -59,8 +117,11 @@ struct Group {
 pub struct FairShare {
     aggregate_bps: f64,
     per_flow_bps: f64,
-    flows: HashMap<FlowId, Flow>,
-    groups: HashMap<u64, Group>,
+    /// In-flight flows in [`FlowId`] order.
+    flows: Vec<Flow>,
+    groups: Vec<Group>,
+    /// Group id to its slot in `groups`.
+    slot_of: HashMap<u64, usize>,
     last_update: SimTime,
     next_id: u64,
     /// Total bytes that have finished transferring through this pool.
@@ -85,8 +146,9 @@ impl FairShare {
         FairShare {
             aggregate_bps,
             per_flow_bps,
-            flows: HashMap::new(),
-            groups: HashMap::new(),
+            flows: Vec::new(),
+            groups: Vec::new(),
+            slot_of: HashMap::new(),
             last_update: SimTime::ZERO,
             next_id: 0,
             completed_bytes: 0.0,
@@ -94,50 +156,66 @@ impl FairShare {
     }
 
     /// Declares (or updates) the capacity of a flow group, typically one
-    /// host's NIC.
+    /// host's NIC. A new cap applies to in-flight members from the last
+    /// update on.
     ///
     /// # Panics
     ///
     /// Panics if `cap_bps` is not positive.
     pub fn set_group_cap(&mut self, group: u64, cap_bps: f64) {
         assert!(cap_bps > 0.0, "group cap must be positive");
-        self.groups.entry(group).or_default().cap_bps = cap_bps;
+        let groups = &mut self.groups;
+        let slot = *self.slot_of.entry(group).or_insert_with(|| {
+            groups.push(Group::default());
+            groups.len() - 1
+        });
+        let group = &mut groups[slot];
+        group.cap_bps = cap_bps;
+        group.refresh();
     }
 
-    /// Starts a transfer of `bytes` at time `now`, constrained by zero or
-    /// more group caps (e.g. the host's NIC and the storage key prefix).
-    /// Progress of all existing flows is brought up to `now` first; call
-    /// [`Self::advance`] *before* `start` if you need the completions
-    /// that may occur at the same instant.
+    /// Starts a transfer of `bytes` at time `now`, constrained by zero,
+    /// one or two group caps (e.g. the host's NIC and the storage key
+    /// prefix). Progress of all existing flows is brought up to `now`
+    /// first; call [`Self::advance`] *before* `start` if you need the
+    /// completions that may occur at the same instant.
     ///
     /// # Panics
     ///
-    /// Panics if `now` precedes the last update, or if a group was never
-    /// declared via [`Self::set_group_cap`].
+    /// Panics if `groups` names more than two groups, if `now` precedes
+    /// the last update, or if a group was never declared via
+    /// [`Self::set_group_cap`].
     pub fn start(&mut self, now: SimTime, bytes: u64, groups: &[u64]) -> FlowId {
+        assert!(
+            groups.len() <= MAX_GROUPS,
+            "a flow belongs to at most {MAX_GROUPS} groups, got {}",
+            groups.len()
+        );
         self.progress_to(now);
-        for &g in groups {
-            let entry = self
-                .groups
-                .get_mut(&g)
+        let mut slots = [0; MAX_GROUPS];
+        for (slot, g) in slots.iter_mut().zip(groups) {
+            *slot = *self
+                .slot_of
+                .get(g)
                 .expect("flow group must be declared before use");
-            entry.active += 1;
+            let group = &mut self.groups[*slot];
+            group.active += 1;
+            group.refresh();
         }
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        self.flows.insert(
+        self.flows.push(Flow {
             id,
-            Flow {
-                remaining: bytes as f64,
-                groups: groups.to_vec(),
-            },
-        );
+            remaining: bytes as f64,
+            slots,
+            n_groups: groups.len(),
+        });
         id
     }
 
     /// Whether a group has been declared.
     pub fn has_group(&self, group: u64) -> bool {
-        self.groups.contains_key(&group)
+        self.slot_of.contains_key(&group)
     }
 
     /// Advances all flows to `now` and returns the flows that completed,
@@ -148,32 +226,32 @@ impl FairShare {
     /// Panics if `now` precedes the last update.
     pub fn advance(&mut self, now: SimTime) -> Vec<FlowId> {
         self.progress_to(now);
-        let mut done: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.remaining <= DONE_EPSILON_BYTES)
-            .map(|(id, _)| *id)
-            .collect();
-        done.sort_unstable();
-        for id in &done {
-            self.remove(*id);
-        }
+        let mut done = Vec::new();
+        let (groups, completed_bytes) = (&mut self.groups, &mut self.completed_bytes);
+        self.flows.retain(|flow| {
+            if flow.remaining > DONE_EPSILON_BYTES {
+                return true;
+            }
+            *completed_bytes += 0.0f64.max(flow.remaining); // residue is ~0
+            for &slot in flow.slots() {
+                let group = &mut groups[slot];
+                group.active -= 1;
+                group.refresh();
+            }
+            done.push(flow.id);
+            false
+        });
         done
-    }
-
-    /// Aborts an in-flight transfer. No-op if the flow already completed.
-    pub fn cancel(&mut self, now: SimTime, id: FlowId) {
-        self.progress_to(now);
-        self.remove(id);
     }
 
     /// The earliest instant at which some current flow completes, assuming
     /// membership does not change. `None` when the pool is idle.
     pub fn next_completion(&self) -> Option<SimTime> {
+        let base = self.base_rate();
         let min_secs = self
             .flows
-            .values()
-            .map(|f| f.remaining.max(0.0) / self.rate_of(f))
+            .iter()
+            .map(|f| f.remaining.max(0.0) / f.rate(base, &self.groups))
             .fold(f64::INFINITY, f64::min);
         if min_secs.is_finite() {
             // Round up to the next whole microsecond so the driver's tick
@@ -195,15 +273,11 @@ impl FairShare {
         self.completed_bytes
     }
 
-    /// Instantaneous rate of one flow under the current membership.
-    fn rate_of(&self, flow: &Flow) -> f64 {
+    /// The cap every flow is under before its groups':
+    /// `per_flow.min(aggregate / n)`.
+    fn base_rate(&self) -> f64 {
         let n = self.flows.len().max(1) as f64;
-        let mut rate = self.per_flow_bps.min(self.aggregate_bps / n);
-        for g in &flow.groups {
-            let group = &self.groups[g];
-            rate = rate.min(group.cap_bps / group.active.max(1) as f64);
-        }
-        rate
+        self.per_flow_bps.min(self.aggregate_bps / n)
     }
 
     fn progress_to(&mut self, now: SimTime) {
@@ -220,24 +294,10 @@ impl FairShare {
         }
         // Rates depend only on membership, which is constant over the
         // interval, so a single linear step is exact.
-        let rates: Vec<(FlowId, f64)> = self
-            .flows
-            .iter()
-            .map(|(id, f)| (*id, self.rate_of(f)))
-            .collect();
-        for (id, rate) in rates {
-            let f = self.flows.get_mut(&id).expect("flow disappeared");
-            f.remaining = (f.remaining - rate * dt).max(0.0);
-        }
-    }
-
-    fn remove(&mut self, id: FlowId) {
-        if let Some(flow) = self.flows.remove(&id) {
-            self.completed_bytes += 0.0f64.max(flow.remaining); // residue is ~0
-            for g in &flow.groups {
-                let group = self.groups.get_mut(g).expect("group disappeared");
-                group.active = group.active.saturating_sub(1);
-            }
+        let base = self.base_rate();
+        for flow in &mut self.flows {
+            let rate = flow.rate(base, &self.groups);
+            flow.remaining = (flow.remaining - rate * dt).max(0.0);
         }
     }
 }
@@ -301,17 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_flow_and_frees_share() {
-        let mut pool = FairShare::new(100.0, 100.0);
-        let a = pool.start(t(0.0), 1_000, &[]);
-        pool.start(t(0.0), 100, &[]);
-        pool.cancel(t(1.0), a);
-        assert_eq!(pool.active(), 1);
-        // Survivor had 50 bytes left at t=1, now alone at 100 B/s.
-        assert_eq!(pool.next_completion(), Some(t(1.5)));
-    }
-
-    #[test]
     fn zero_byte_flow_completes_immediately() {
         let mut pool = FairShare::new(100.0, 100.0);
         pool.start(t(0.0), 0, &[]);
@@ -333,5 +382,15 @@ mod tests {
     fn undeclared_group_panics() {
         let mut pool = FairShare::new(100.0, 100.0);
         pool.start(t(0.0), 10, &[99]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2 groups")]
+    fn third_group_panics() {
+        let mut pool = FairShare::new(100.0, 100.0);
+        for g in 0..3 {
+            pool.set_group_cap(g, 100.0);
+        }
+        pool.start(t(0.0), 10, &[0, 1, 2]);
     }
 }

@@ -10,7 +10,9 @@ use serverful_repro::cloudsim::{catalog, LambdaTariff, ObjectBody};
 use serverful_repro::serverful::{CloudObjectRef, Payload};
 use serverful_repro::telemetry::{CostCategory, CostLedger};
 use serverful_repro::shuffle::data as sortdata;
-use serverful_repro::simkernel::{EventQueue, FairShare, SimDuration, SimRng, SimTime, StepSeries};
+use serverful_repro::simkernel::{
+    EventQueue, FairShare, FlowId, SimDuration, SimRng, SimTime, StepSeries,
+};
 
 /// Runs `body` over `n` seeded cases; the case seed is passed through so
 /// failures print a reproducible starting point.
@@ -164,6 +166,172 @@ fn fair_share_conserves_bytes() {
         // No faster than the aggregate cap allows.
         let lower_bound = total as f64 / aggregate;
         assert!(now.as_secs_f64() >= lower_bound * 0.999, "seed {seed}");
+    });
+}
+
+/// A naive fair-share pool: every rate is recomputed from the formula in
+/// the `fair_share` module docs, with each group's membership counted by
+/// scanning every flow.
+struct FormulaPool {
+    aggregate_bps: f64,
+    per_flow_bps: f64,
+    caps: Vec<(u64, f64)>,
+    /// In-flight flows in start order: the real pool's id, remaining
+    /// bytes and groups.
+    flows: Vec<(FlowId, f64, Vec<u64>)>,
+    last_update: SimTime,
+    completed_bytes: f64,
+}
+
+impl FormulaPool {
+    fn set_group_cap(&mut self, group: u64, cap: f64) {
+        match self.caps.iter_mut().find(|(g, _)| *g == group) {
+            Some(entry) => entry.1 = cap,
+            None => self.caps.push((group, cap)),
+        }
+    }
+
+    /// `min(per_flow, aggregate / n)`, then `min(cap(g) / members(g))`
+    /// for each group `g` of the flow, in order.
+    fn rate(&self, groups: &[u64]) -> f64 {
+        let n = self.flows.len().max(1) as f64;
+        let mut rate = self.per_flow_bps.min(self.aggregate_bps / n);
+        for &g in groups {
+            let cap = self.caps.iter().find(|(c, _)| *c == g).expect("declared").1;
+            let members: usize = self
+                .flows
+                .iter()
+                .map(|(_, _, gs)| gs.iter().filter(|&&x| x == g).count())
+                .sum();
+            rate = rate.min(cap / members.max(1) as f64);
+        }
+        rate
+    }
+
+    fn progress_to(&mut self, now: SimTime) {
+        let dt = (now - self.last_update).as_secs_f64();
+        self.last_update = now;
+        let rates: Vec<f64> = self.flows.iter().map(|(_, _, gs)| self.rate(gs)).collect();
+        for (flow, rate) in self.flows.iter_mut().zip(rates) {
+            flow.1 = (flow.1 - rate * dt).max(0.0);
+        }
+    }
+
+    fn start(&mut self, now: SimTime, id: FlowId, bytes: u64, groups: &[u64]) {
+        self.progress_to(now);
+        self.flows.push((id, bytes as f64, groups.to_vec()));
+    }
+
+    /// Flows with at most 1e-3 bytes left are done.
+    fn advance(&mut self, now: SimTime) -> Vec<FlowId> {
+        self.progress_to(now);
+        let mut done = Vec::new();
+        for &(id, remaining, _) in &self.flows {
+            if remaining <= 1e-3 {
+                done.push(id);
+                self.completed_bytes += 0.0f64.max(remaining);
+            }
+        }
+        self.flows.retain(|(id, ..)| !done.contains(id));
+        done
+    }
+
+    fn next_completion(&self) -> Option<SimTime> {
+        let secs = self
+            .flows
+            .iter()
+            .map(|(_, remaining, gs)| remaining.max(0.0) / self.rate(gs))
+            .fold(f64::INFINITY, f64::min);
+        secs.is_finite()
+            .then(|| self.last_update + SimDuration::from_micros((secs * 1e6).ceil() as u64))
+    }
+}
+
+/// The pool computes exactly what its documented formula says: the same
+/// completions, the same completion instants and bit-identical completed
+/// bytes, under random group caps (changed while flows are in flight),
+/// zero-byte and simultaneous completions, and advances at, before and
+/// again at the same instant. Rates reach down to 10 B/s and some
+/// advances land a few microseconds before a completion, so flows finish
+/// with a sub-epsilon residue whose bits expose any reordered float
+/// operation through `completed_bytes`.
+#[test]
+fn fair_share_matches_formula_model() {
+    let log_uniform = |rng: &mut SimRng, lo: f64, hi: f64| 10f64.powf(rng.uniform(lo, hi));
+    forall_cases(128, |seed, rng| {
+        let aggregate = if rng.uniform_u64(0, 4) == 0 {
+            f64::INFINITY
+        } else {
+            log_uniform(rng, 3.0, 10.0)
+        };
+        let per_flow = log_uniform(rng, 2.0, 9.0);
+        let mut pool = FairShare::new(aggregate, per_flow);
+        let mut model = FormulaPool {
+            aggregate_bps: aggregate,
+            per_flow_bps: per_flow,
+            caps: Vec::new(),
+            flows: Vec::new(),
+            last_update: SimTime::ZERO,
+            completed_bytes: 0.0,
+        };
+        let mut declared: Vec<u64> = Vec::new();
+        let mut now = SimTime::ZERO;
+        for step in 0..rng.uniform_u64(1, 80) {
+            let ctx = format!("seed {seed} step {step}");
+            match rng.uniform_u64(0, 6) {
+                0 => {
+                    let group = rng.uniform_u64(0, 4);
+                    let cap = log_uniform(rng, 1.0, 9.0);
+                    pool.set_group_cap(group, cap);
+                    model.set_group_cap(group, cap);
+                    if !declared.contains(&group) {
+                        declared.push(group);
+                    }
+                }
+                1 | 2 => {
+                    let k = rng.uniform_u64(0, 3).min(declared.len() as u64);
+                    let groups: Vec<u64> = (0..k)
+                        .map(|_| declared[rng.uniform_u64(0, declared.len() as u64) as usize])
+                        .collect();
+                    let bytes = match rng.uniform_u64(0, 4) {
+                        0 => 0,
+                        1 => rng.uniform_u64(1, 1_000),
+                        _ => rng.uniform_u64(0, 1_000_000_001),
+                    };
+                    let id = pool.start(now, bytes, &groups);
+                    model.start(now, id, bytes, &groups);
+                }
+                3 => {
+                    now = pool
+                        .next_completion()
+                        .unwrap_or(now + SimDuration::from_micros(rng.uniform_u64(0, 1_000)));
+                    assert_eq!(pool.advance(now), model.advance(now), "{ctx}");
+                }
+                4 => {
+                    let horizon = pool
+                        .next_completion()
+                        .map_or(1_000, |t| (t - now).as_micros());
+                    let ahead = if rng.uniform_u64(0, 2) == 0 {
+                        rng.uniform_u64(0, horizon + 1)
+                    } else {
+                        horizon.saturating_sub(rng.uniform_u64(1, 32))
+                    };
+                    now += SimDuration::from_micros(ahead);
+                    assert_eq!(pool.advance(now), model.advance(now), "{ctx}");
+                }
+                _ => {
+                    assert_eq!(pool.advance(now), model.advance(now), "{ctx}");
+                    assert_eq!(pool.advance(now), model.advance(now), "{ctx}");
+                }
+            }
+            assert_eq!(pool.active(), model.flows.len(), "{ctx}");
+            assert_eq!(pool.next_completion(), model.next_completion(), "{ctx}");
+            assert_eq!(
+                pool.completed_bytes().to_bits(),
+                model.completed_bytes.to_bits(),
+                "{ctx}"
+            );
+        }
     });
 }
 
