@@ -2,46 +2,26 @@
 //!
 //! [`EventQueue`] is a deterministic priority queue of `(SimTime, E)`
 //! pairs. Ties are broken by insertion order, so two runs with the same
-//! seed and the same schedule produce byte-identical traces. Events can be
-//! cancelled through the [`EventToken`] returned at scheduling time; this
-//! is how the bandwidth-sharing pools retract a provisional completion
-//! when pool membership changes.
+//! seed and the same schedule produce byte-identical traces. Pending
+//! events live in an ordered map keyed by `(time, insertion sequence)`:
+//! popping takes the first key, and cancelling through the [`EventToken`]
+//! returned at scheduling time removes the event outright. This is how
+//! the bandwidth-sharing pools retract a provisional completion when pool
+//! membership changes. Cancelling a token whose event already fired (or
+//! was already cancelled) is a no-op and is not counted.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a scheduled event so it can be cancelled later.
 ///
 /// Tokens are unique for the lifetime of the queue and are never reused.
+/// They order by firing time, then by insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventToken(u64);
-
-#[derive(Debug)]
-struct Entry<E> {
+pub struct EventToken {
     at: SimTime,
     seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
 }
 
 /// Lifetime counters of scheduler activity.
@@ -49,7 +29,7 @@ impl<E> Ord for Entry<E> {
 /// These are the queue's contribution to a trace: they cost two counter
 /// increments per event and let an observer report how much scheduling
 /// work a run performed without the queue depending on any telemetry
-/// machinery.
+/// machinery. Once the queue drains, `scheduled == fired + cancelled`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Events ever scheduled (including later-cancelled ones).
@@ -77,12 +57,9 @@ pub struct SchedStats {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    pending: BTreeMap<EventToken, E>,
     now: SimTime,
     next_seq: u64,
-    // Sorted vec of cancelled seq numbers still sitting in the heap. The
-    // set stays tiny because entries are purged as they surface.
-    cancelled: Vec<u64>,
     stats: SchedStats,
 }
 
@@ -96,10 +73,9 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            pending: BTreeMap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            cancelled: Vec::new(),
             stats: SchedStats::default(),
         }
     }
@@ -128,11 +104,14 @@ impl<E> EventQueue<E> {
             at,
             self.now
         );
-        let seq = self.next_seq;
+        let token = EventToken {
+            at,
+            seq: self.next_seq,
+        };
         self.next_seq += 1;
         self.stats.scheduled += 1;
-        self.heap.push(Entry { at, seq, event });
-        EventToken(seq)
+        self.pending.insert(token, event);
+        token
     }
 
     /// Schedules `event` after `delay` from the current time.
@@ -141,10 +120,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Cancels a previously scheduled event. Cancelling an event that has
-    /// already fired (or was already cancelled) is a no-op.
+    /// already fired (or was already cancelled) is a no-op and is not
+    /// counted.
     pub fn cancel(&mut self, token: EventToken) {
-        if let Err(pos) = self.cancelled.binary_search(&token.0) {
-            self.cancelled.insert(pos, token.0);
+        if self.pending.remove(&token).is_some() {
             self.stats.cancelled += 1;
         }
     }
@@ -156,40 +135,26 @@ impl<E> EventQueue<E> {
     /// advances the simulation clock, a semantic iterators must not have).
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if let Ok(pos) = self.cancelled.binary_search(&entry.seq) {
-                self.cancelled.remove(pos);
-                continue;
-            }
-            debug_assert!(entry.at >= self.now, "event heap went backwards");
-            self.now = entry.at;
-            self.stats.fired += 1;
-            return Some((entry.at, entry.event));
-        }
-        None
+        let (token, event) = self.pending.pop_first()?;
+        debug_assert!(token.at >= self.now, "event queue went backwards");
+        self.now = token.at;
+        self.stats.fired += 1;
+        Some((token.at, event))
     }
 
     /// The timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if let Ok(pos) = self.cancelled.binary_search(&entry.seq) {
-                self.cancelled.remove(pos);
-                self.heap.pop();
-                continue;
-            }
-            return Some(entry.at);
-        }
-        None
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.pending.first_key_value().map(|(token, _)| token.at)
     }
 
     /// Number of live (not cancelled) events currently scheduled.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.pending.len()
     }
 
     /// True when no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.pending.is_empty()
     }
 }
 
@@ -250,7 +215,10 @@ mod tests {
         q.schedule_in(SimDuration::from_secs(2), 2);
         assert_eq!(q.next().map(|(_, e)| e), Some(1));
         q.cancel(tok);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.stats().cancelled, 0);
         assert_eq!(q.next().map(|(_, e)| e), Some(2));
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time
 //!   newtypes ([`time`]).
-//! * [`EventQueue`] — a cancellable, deterministic event heap ([`engine`]).
+//! * [`EventQueue`] — a cancellable, deterministic event queue ([`engine`]).
 //!   The cloud world's clock runs on one; it is the workspace's only
 //!   scheduler.
 //! * [`FairShare`] — a max-min fair bandwidth-sharing pool used to model

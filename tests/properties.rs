@@ -137,6 +137,56 @@ fn event_queue_is_time_ordered() {
     });
 }
 
+/// Under random schedules, cancels (of live, fired and already-cancelled
+/// tokens) and pops, the queue's length matches a model count of live
+/// events after every step, it never fires a cancelled event, and once
+/// it drains every scheduled event was either fired or cancelled once.
+#[test]
+fn event_queue_counts_match_a_model() {
+    forall_cases(128, |seed, rng| {
+        let mut q: EventQueue<usize> = EventQueue::new();
+        // Per scheduled event: its token and whether it is still live.
+        let mut events = Vec::new();
+        let mut live = 0;
+        for step in 0..rng.uniform_u64(1, 200) {
+            match rng.uniform_u64(0, 3) {
+                0 => {
+                    let delay = SimDuration::from_micros(rng.uniform_u64(0, 1_000));
+                    events.push((q.schedule_in(delay, events.len()), true));
+                    live += 1;
+                }
+                1 if !events.is_empty() => {
+                    let i = rng.uniform_u64(0, events.len() as u64) as usize;
+                    q.cancel(events[i].0);
+                    if std::mem::replace(&mut events[i].1, false) {
+                        live -= 1;
+                    }
+                }
+                _ => {
+                    if let Some((_, i)) = q.next() {
+                        assert!(
+                            events[i].1,
+                            "seed {seed} step {step}: fired a cancelled event"
+                        );
+                        events[i].1 = false;
+                        live -= 1;
+                    }
+                }
+            }
+            assert_eq!(q.len(), live, "seed {seed} step {step}");
+        }
+        while q.next().is_some() {}
+        assert!(q.is_empty(), "seed {seed}");
+        let stats = q.stats();
+        assert_eq!(stats.scheduled, events.len() as u64, "seed {seed}");
+        assert_eq!(
+            stats.scheduled,
+            stats.fired + stats.cancelled,
+            "seed {seed}"
+        );
+    });
+}
+
 /// Fair-share transfers all complete, and total completion time is
 /// bounded below by aggregate capacity.
 #[test]
