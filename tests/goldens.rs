@@ -17,7 +17,7 @@
 //! UPDATE_GOLDENS=1 cargo test --release --test goldens
 //! ```
 //!
-//! The paper-scale goldens (Tables 3–4, Figures 5–6, the Xenograft
+//! The slowest paper-scale goldens (Table 4, Figure 6, the Xenograft
 //! trace) are ignored under debug builds; run them with `--release`.
 
 use std::fs;
@@ -95,7 +95,6 @@ fn golden_table2() {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "paper-scale run; use --release")]
 fn golden_table3() {
     check_golden("table3", &render_table3(GOLDEN_SEED));
 }
@@ -107,7 +106,6 @@ fn golden_table4() {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "paper-scale run; use --release")]
 fn golden_fig5() {
     check_golden("fig5", &render_fig5(GOLDEN_SEED));
 }
