@@ -134,7 +134,6 @@ impl CloudEnv {
                 // `on_pool_vm_ready` fetches the checkpoint.
                 self.recovery_stats.masters_replaced += 1;
                 self.pools[pool].recovering = true;
-                self.pools[pool].recovery_episode += 1;
                 self.world
                     .tracer_mut()
                     .instant(now, "master-lost", "recovery", "recovery");
@@ -197,7 +196,7 @@ impl CloudEnv {
         let tasks = &self.jobs[job].tasks;
         let snapshot = MasterCheckpoint {
             seq: self.pools[pool].ckpt_seq,
-            worker_epochs: self.pools[pool].workers.iter().map(|w| w.epoch).collect(),
+            worker_vms: self.pools[pool].workers.iter().map(|w| w.vm.index()).collect(),
             jobs: vec![JobCheckpoint {
                 job: job as u64,
                 released: tasks
@@ -235,8 +234,8 @@ impl CloudEnv {
 
     /// The replacement master finished SSH setup: fetch the checkpoint
     /// so the replay can re-adopt workers and re-dispatch work. The
-    /// fetch is stamped with the recovery episode, so a master lost
-    /// again before it lands leaves the reply to the next replacement.
+    /// fetch names the replacement's VM, so a master lost again before
+    /// it lands leaves the reply to the next replacement.
     pub(super) fn begin_readopt(&mut self, pool: usize) {
         let active = self.pools[pool].active;
         let finished = active.is_some_and(|j| self.jobs[j].is_finished());
@@ -251,9 +250,8 @@ impl CloudEnv {
         if master.phase != VmPhase::Ready || !self.world.host_alive(master.host) {
             return; // replacement died too; the next one fetches instead
         }
-        let host = master.host;
+        let (host, vm) = (master.host, master.vm);
         let bucket = self.jobs[job].bucket.clone();
-        let episode = self.pools[pool].recovery_episode;
         self.issue_storage(
             StorageSpec::Get {
                 host,
@@ -261,18 +259,19 @@ impl CloudEnv {
                 key: checkpoint_key(pool),
             },
             1,
-            Route::Readopt { pool, job, episode },
+            Route::Readopt { pool, job, vm },
         );
     }
 
-    /// Checkpoint fetched: replay it. Live workers re-register by epoch
-    /// handshake, the monitor restarts on the new master, and every
-    /// unacknowledged, unowned task is re-dispatched. Tasks still
+    /// Checkpoint fetched: replay it. Every worker that is ready and
+    /// alive re-registers, the monitor restarts on the new master, and
+    /// every unacknowledged, unowned task is re-dispatched. Tasks still
     /// running on surviving workers keep running — their results land in
     /// object storage either way, which is what bounds the billing delta
     /// to re-executed work.
-    pub(super) fn on_readopt(&mut self, pool: usize, job: usize, episode: u64, outcome: OpOutcome) {
-        if self.pools[pool].recovery_episode != episode || !self.pools[pool].recovering {
+    pub(super) fn on_readopt(&mut self, pool: usize, job: usize, vm: VmId, outcome: OpOutcome) {
+        let master = self.pools[pool].master_slot();
+        if self.live_host(pool, master, vm).is_none() || !self.pools[pool].recovering {
             return;
         }
         // A missing object (master died before the first snapshot) or a
@@ -289,8 +288,7 @@ impl CloudEnv {
         if let Some(s) = &snapshot {
             self.pools[pool].ckpt_seq = self.pools[pool].ckpt_seq.max(s.seq);
         }
-        // Epoch handshake: every live worker re-registers with the
-        // replacement master.
+        // Every live worker re-registers with the replacement master.
         let readopted = self.pools[pool]
             .workers
             .iter()
@@ -388,10 +386,6 @@ impl CloudEnv {
             self.on_requeue_done(pool);
             return;
         }
-        let bundle = Payload::List(vec![
-            Payload::U64(task as u64),
-            self.jobs[job].inputs[task].clone(),
-        ]);
         let host = self.world.client_host();
         let bucket = self.jobs[job].bucket.clone();
         self.issue_storage(
@@ -399,7 +393,7 @@ impl CloudEnv {
                 host,
                 bucket,
                 key: dc_bundle_key(job, task),
-                body: ObjectBody::real(bundle.encode()),
+                body: self.task_bundle(job, task),
             },
             1,
             Route::DcBundle { pool, job, task },
@@ -431,14 +425,13 @@ impl CloudEnv {
         if w.phase != VmPhase::Ready {
             return;
         }
-        let host = w.host;
-        let epoch = w.epoch;
+        let (host, vm) = (w.host, w.vm);
         if !self.world.host_alive(host) {
             return; // VM just died; its VmFailed notification is queued
         }
         let task = loop {
             let Some(t) = self.pools[pool].dc_ready.pop_front() else {
-                self.pools[pool].idle_procs.push((vm_idx, proc));
+                self.pools[pool].idle_procs.push((vm_idx, proc, vm));
                 return;
             };
             let ts = &self.jobs[job].tasks[t];
@@ -455,14 +448,7 @@ impl CloudEnv {
                 key: dc_bundle_key(job, task),
             },
             1,
-            Route::DcClaim {
-                pool,
-                job,
-                vm_idx,
-                proc,
-                epoch,
-                task,
-            },
+            Route::DcClaim { pool, job, vm_idx, proc, vm, task },
         );
     }
 
@@ -477,18 +463,14 @@ impl CloudEnv {
         job: usize,
         vm_idx: usize,
         proc: usize,
-        epoch: u64,
+        vm: VmId,
         task: usize,
         outcome: OpOutcome,
     ) {
         if self.pools[pool].active != Some(job) || self.jobs[job].is_finished() {
             return;
         }
-        let stale = match self.pools[pool].workers.get(vm_idx) {
-            Some(w) => w.epoch != epoch || !self.world.host_alive(w.host),
-            None => true,
-        };
-        if stale {
+        if self.live_host(pool, PoolSlot::Worker(vm_idx), vm).is_none() {
             // The bundle is durable in storage: hand the claim back.
             self.pools[pool].dc_ready.push_back(task);
             self.on_requeue_done(pool);
@@ -505,22 +487,7 @@ impl CloudEnv {
             self.worker_pop(pool, vm_idx, proc);
             return;
         };
-        let bytes = body.bytes().expect("task bundles are always real bytes");
-        let bundle = Payload::decode(bytes).expect("task bundle decodes");
-        let items = bundle.as_list().expect("bundle is a list");
-        let input = items[1].clone();
-        let host = self.pools[pool].workers[vm_idx].host;
-        let fleet = self.pools[pool].fleet_name.clone();
-        let span = self.begin_attempt_span(job, task, &fleet);
-        let now = self.world.now();
-        let t = &mut self.jobs[job].tasks[task];
-        t.worker = Some((vm_idx, proc));
-        t.attempts += 1;
-        t.started_at = Some(now);
-        t.span = span;
-        // No KV handle: decentralized tasks have no master to exchange
-        // through (stage tasks only touch object storage).
-        self.start_task(job, task, host, None, &input);
+        self.start_bundle(pool, job, vm_idx, proc, &body);
     }
 
     /// A finishing decentralized task writes its completion counter to

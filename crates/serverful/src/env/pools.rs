@@ -13,8 +13,8 @@ pub(super) enum PoolSlot {
 /// Lifecycle of a pool VM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum VmPhase {
+    /// Provisioned, and still booting or in SSH setup.
     Booting,
-    SshSetup,
     Ready,
     /// The slot's VM is gone and its provisioning budget is spent; a new
     /// job re-provisions it with a fresh budget.
@@ -23,13 +23,12 @@ pub(super) enum VmPhase {
 
 #[derive(Debug)]
 pub(super) struct PoolVm {
+    /// Also the slot generation: a world never reissues a VM id, so a
+    /// replaced VM's notifications name an id the slot no longer holds.
     pub(super) vm: VmId,
     pub(super) host: HostId,
     pub(super) itype: cloudsim::InstanceType,
     pub(super) phase: VmPhase,
-    /// Slot generation; bumped on every (re-)provision so in-flight pops
-    /// and SSH timers of a replaced VM can be told apart.
-    pub(super) epoch: u64,
     /// Provisioning attempts charged against this slot for the current
     /// job (boot failures and losses both consume the budget).
     pub(super) provision_attempts: u32,
@@ -51,11 +50,9 @@ pub(crate) struct StandalonePool {
     pub(super) active: Option<usize>,
     /// Pushes still outstanding before workers may start popping.
     pub(super) pushes_outstanding: usize,
-    /// Worker processes that popped an empty queue and went idle; woken
-    /// when a requeued bundle lands.
-    pub(super) idle_procs: Vec<(usize, usize)>,
-    /// Source of slot epochs.
-    pub(super) epoch_counter: u64,
+    /// Worker processes `(slot, proc, vm)` that popped an empty queue
+    /// and went idle; woken when a requeued bundle lands.
+    pub(super) idle_procs: Vec<(usize, usize, VmId)>,
     /// Idle-window generation for the keep-alive timer (see
     /// [`Route::PoolIdle`]).
     pub(super) idle_epoch: u64,
@@ -66,9 +63,6 @@ pub(crate) struct StandalonePool {
     /// True between a master loss and the replacement's checkpoint
     /// replay (Checkpointed mode); dispatch defers to the re-adoption.
     pub(super) recovering: bool,
-    /// Master-recovery generation; stale re-adoption fetches of an
-    /// earlier episode are dropped.
-    pub(super) recovery_episode: u64,
     /// Monotonic checkpoint sequence number (survives master swaps via
     /// the snapshot itself).
     pub(super) ckpt_seq: u64,
@@ -79,22 +73,32 @@ impl StandalonePool {
         matches!(self.cfg.exec_mode, ExecMode::Consolidated)
     }
 
-    pub(super) fn master_host(&self) -> HostId {
+    /// The slot acting as master: the single worker VM in consolidated
+    /// mode, the dedicated master VM otherwise.
+    pub(super) fn master_slot(&self) -> PoolSlot {
         if self.consolidated() {
-            self.workers[0].host
+            PoolSlot::Worker(0)
         } else {
-            self.master.as_ref().expect("master missing").host
+            PoolSlot::Master
         }
     }
 
-    /// The VM currently acting as master (the single worker VM in
-    /// consolidated mode), if the slot is populated.
-    pub(super) fn master_pv(&self) -> Option<&PoolVm> {
-        if self.consolidated() {
-            self.workers.first()
-        } else {
-            self.master.as_ref()
+    /// The slot's VM, if the slot still exists (pool shutdowns drain the
+    /// worker list while replacements may still be booting).
+    pub(super) fn slot_vm(&self, slot: PoolSlot) -> Option<&PoolVm> {
+        match slot {
+            PoolSlot::Master => self.master.as_ref(),
+            PoolSlot::Worker(i) => self.workers.get(i),
         }
+    }
+
+    /// The VM currently acting as master, if the slot is populated.
+    pub(super) fn master_pv(&self) -> Option<&PoolVm> {
+        self.slot_vm(self.master_slot())
+    }
+
+    pub(super) fn master_host(&self) -> HostId {
+        self.master_pv().expect("master missing").host
     }
 
     pub(super) fn all_ready(&self) -> bool {
@@ -124,12 +128,10 @@ impl CloudEnv {
             active: None,
             pushes_outstanding: 0,
             idle_procs: Vec::new(),
-            epoch_counter: 0,
             idle_epoch: 0,
             fleet_name,
             dc_ready: VecDeque::new(),
             recovering: false,
-            recovery_episode: 0,
             ckpt_seq: 0,
         });
         idx
@@ -210,11 +212,7 @@ impl CloudEnv {
         // uptime bills under the pool's fleet label, not whichever job
         // happens to be current when they terminate.
         self.world.set_bill_label(fleet_name.clone());
-        let is_master_vm = match slot {
-            PoolSlot::Master => true,
-            PoolSlot::Worker(0) => self.pools[pool].consolidated(),
-            _ => false,
-        };
+        let is_master_vm = slot == self.pools[pool].master_slot();
         let tenancy = match self.pools[pool].cfg.bid {
             crate::sizing::BidPolicy::Spot { max_preemptions }
                 if !is_master_vm && preemptions < max_preemptions =>
@@ -225,14 +223,11 @@ impl CloudEnv {
         };
         let vm = self.world.vm_provision_with(&itype, &fleet_name, tenancy);
         let host = self.world.vm_host(vm);
-        self.pools[pool].epoch_counter += 1;
-        let epoch = self.pools[pool].epoch_counter;
         let pv = PoolVm {
             vm,
             host,
             itype,
             phase: VmPhase::Booting,
-            epoch,
             provision_attempts,
             preemptions,
         };
@@ -253,7 +248,7 @@ impl CloudEnv {
         if is_master_vm && self.pools[pool].cfg.recovery == RecoveryMode::Protected {
             self.world.protect_host(host);
         }
-        self.vm_routes.insert(vm, Route::PoolVm { pool, slot, epoch });
+        self.vm_routes.insert(vm, Route::PoolVm { pool, slot, vm });
     }
 
     /// Re-provisions any slot left `Dead` by an exhausted replacement
@@ -336,39 +331,25 @@ impl CloudEnv {
         self.pools[pool].all_ready()
     }
 
+    /// A pool VM booted: start its SSH setup. The timer names the VM, so
+    /// it is dropped if the VM is replaced or lost meanwhile.
     pub(super) fn on_vm_up(&mut self, route: Route, vm: VmId) {
-        let Route::PoolVm { pool, slot, epoch } = route else {
+        let Route::PoolVm { pool, slot, .. } = route else {
             unreachable!("vm route is always a pool vm")
         };
-        match self.pool_vm_opt(pool, slot) {
-            Some(pv) if pv.epoch == epoch => {}
-            _ => {
-                // Slot gone (pool shut down) or replaced: the VM is
-                // orphaned; stop paying for it.
-                self.vm_routes.remove(&vm);
-                self.world.vm_terminate(vm);
-                return;
-            }
-        }
+        self.routed_vm(pool, slot, vm);
         let ssh = self.pools[pool].cfg.ssh_setup;
-        self.pool_vm_mut(pool, slot).phase = VmPhase::SshSetup;
         let delay = world_latency(&mut self.world, ssh);
-        self.set_timer(delay, Route::PoolVm { pool, slot, epoch });
+        self.set_timer(delay, route);
     }
 
-    pub(super) fn on_pool_vm_ready(&mut self, pool: usize, slot: PoolSlot, epoch: u64) {
-        match self.pool_vm_opt(pool, slot) {
-            Some(pv) if pv.epoch == epoch && pv.phase == VmPhase::SshSetup => {
-                pv.phase = VmPhase::Ready;
-            }
-            _ => return, // stale SSH timer of a replaced VM or shut pool
+    pub(super) fn on_pool_vm_ready(&mut self, pool: usize, slot: PoolSlot, vm: VmId) {
+        if self.live_host(pool, slot, vm).is_none() {
+            return; // stale SSH timer of a replaced or lost VM, or a shut pool
         }
+        self.routed_vm(pool, slot, vm).phase = VmPhase::Ready;
         // The master's KV server starts as soon as its VM is ready.
-        let is_master_vm = match slot {
-            PoolSlot::Master => true,
-            PoolSlot::Worker(0) => self.pools[pool].consolidated(),
-            _ => false,
-        };
+        let is_master_vm = slot == self.pools[pool].master_slot();
         let kv_dead = self.pools[pool]
             .kv
             .is_some_and(|kv| !self.world.kv_alive(kv));
@@ -376,7 +357,6 @@ impl CloudEnv {
             && self.pools[pool].cfg.recovery != RecoveryMode::Decentralized
             && (self.pools[pool].kv.is_none() || kv_dead)
         {
-            let vm = self.pool_vm_mut(pool, slot).vm;
             let kv = self.world.kv_create(vm);
             self.pools[pool].kv = Some(kv);
         }
@@ -405,22 +385,17 @@ impl CloudEnv {
     /// and the replacement falls back to on-demand once the bid policy's
     /// budget is spent (ledgered as a spot fallback).
     pub(super) fn on_pool_vm_failed(&mut self, route: Route, fault: FaultKind) {
-        let Route::PoolVm { pool, slot, epoch } = route else {
+        let Route::PoolVm { pool, slot, vm } = route else {
             unreachable!("vm route is always a pool vm")
         };
         let preempted = fault == FaultKind::SpotPreemption;
-        let (itype, attempts, preemptions, was_ready) = match self.pool_vm_opt(pool, slot) {
-            Some(pv) if pv.epoch == epoch => {
-                let was_ready = pv.phase == VmPhase::Ready;
-                pv.phase = VmPhase::Dead;
-                if preempted {
-                    pv.preemptions += 1;
-                }
-                (pv.itype, pv.provision_attempts, pv.preemptions, was_ready)
-            }
-            // Stale failure of a replaced VM or a shut-down pool.
-            _ => return,
-        };
+        let pv = self.routed_vm(pool, slot, vm);
+        let was_ready = pv.phase == VmPhase::Ready;
+        pv.phase = VmPhase::Dead;
+        if preempted {
+            pv.preemptions += 1;
+        }
+        let (itype, attempts, preemptions) = (pv.itype, pv.provision_attempts, pv.preemptions);
         if preempted {
             if let crate::sizing::BidPolicy::Spot { max_preemptions } = self.pools[pool].cfg.bid
             {
@@ -431,18 +406,14 @@ impl CloudEnv {
                 }
             }
         }
+        // Idle processes of this VM stay listed until a wake drops them
+        // by the staleness rule (see `live_host`).
         if let PoolSlot::Worker(i) = slot {
-            self.pools[pool].idle_procs.retain(|&(v, _)| v != i);
             if was_ready {
                 self.pool_worker_lost(pool, i);
             }
         }
-        let is_master_vm = match slot {
-            PoolSlot::Master => true,
-            PoolSlot::Worker(0) => self.pools[pool].consolidated(),
-            _ => false,
-        };
-        if is_master_vm && was_ready {
+        if slot == self.pools[pool].master_slot() && was_ready {
             let mode = self.pools[pool].cfg.recovery;
             self.on_master_lost(pool, mode);
             if mode == RecoveryMode::Decentralized && matches!(slot, PoolSlot::Master) {
@@ -526,25 +497,35 @@ impl CloudEnv {
             // bundle has nowhere to go — the job stalls (Protected).
             return;
         }
+        let body = self.task_bundle(job, task);
+        self.master_push(pool, kv, job, body, Route::Requeue { pool });
+    }
+
+    /// A task's queue bundle: its index and input, as
+    /// [`Self::start_bundle`] decodes it.
+    pub(super) fn task_bundle(&self, job: usize, task: usize) -> ObjectBody {
+        let input = self.jobs[job].inputs[task].clone();
+        ObjectBody::real(Payload::List(vec![Payload::U64(task as u64), input]).encode())
+    }
+
+    /// The master pushes a bundle onto `job`'s queue in its KV store.
+    fn master_push(&mut self, pool: usize, kv: KvId, job: usize, body: ObjectBody, route: Route) {
         let master = self.pools[pool].master_host();
         let queue = format!("job-{job}");
-        let bundle = Payload::List(vec![
-            Payload::U64(task as u64),
-            self.jobs[job].inputs[task].clone(),
-        ]);
-        let body = ObjectBody::real(bundle.encode());
         self.world.set_trace_parent(self.jobs[job].span);
         let op = self.world.kv_push(master, kv, &queue, body);
         self.world.set_trace_parent(SpanId::NONE);
-        self.op_routes.insert(op, Route::Requeue { pool });
+        self.op_routes.insert(op, route);
     }
 
     /// A requeued bundle landed: wake idle worker processes so one of
     /// them picks it up.
     pub(super) fn on_requeue_done(&mut self, pool: usize) {
-        let idle: Vec<(usize, usize)> = self.pools[pool].idle_procs.drain(..).collect();
-        for (vm_idx, proc) in idle {
-            self.worker_pop(pool, vm_idx, proc);
+        let idle = std::mem::take(&mut self.pools[pool].idle_procs);
+        for (vm_idx, proc, vm) in idle {
+            if self.live_host(pool, PoolSlot::Worker(vm_idx), vm).is_some() {
+                self.worker_pop(pool, vm_idx, proc);
+            }
         }
     }
 
@@ -558,17 +539,25 @@ impl CloudEnv {
         }
     }
 
-    pub(super) fn pool_vm_mut(&mut self, pool: usize, slot: PoolSlot) -> &mut PoolVm {
-        self.pool_vm_opt(pool, slot).expect("pool VM slot missing")
+    /// The one staleness rule for notifications that name a pool VM (SSH
+    /// timers, pops, claims, idle processes, re-adoption fetches): one is
+    /// live only while `slot` still holds `vm` and its host is up.
+    /// Returns that host.
+    pub(super) fn live_host(&self, pool: usize, slot: PoolSlot, vm: VmId) -> Option<HostId> {
+        let pv = self.pools[pool].slot_vm(slot).filter(|pv| pv.vm == vm)?;
+        self.world.host_alive(pv.host).then_some(pv.host)
     }
 
-    /// The slot's VM, if the slot still exists (pool shutdowns drain the
-    /// worker list while replacements may still be booting).
-    pub(super) fn pool_vm_opt(&mut self, pool: usize, slot: PoolSlot) -> Option<&mut PoolVm> {
-        match slot {
+    /// The slot's VM, which must be `vm`: the caller checked, or holds a
+    /// `VmUp` or `VmFailed`. Those need no staleness check: they arrive
+    /// through `vm_routes`, whose entry leaves exactly when its VM
+    /// leaves its slot.
+    fn routed_vm(&mut self, pool: usize, slot: PoolSlot, vm: VmId) -> &mut PoolVm {
+        let pv = match slot {
             PoolSlot::Master => self.pools[pool].master.as_mut(),
             PoolSlot::Worker(i) => self.pools[pool].workers.get_mut(i),
-        }
+        };
+        pv.filter(|pv| pv.vm == vm).expect("a routed VM is still in its slot")
     }
 
     /// Infra ready: master pushes every task bundle into its KV queue.
@@ -584,25 +573,16 @@ impl CloudEnv {
             RecoveryMode::Protected => {}
         }
         let kv = self.pools[pool].kv.expect("pool started without KV");
-        let master = self.pools[pool].master_host();
-        self.jobs[job].monitor_host = master;
+        self.jobs[job].monitor_host = self.pools[pool].master_host();
         let n = self.jobs[job].inputs.len();
-        let queue = format!("job-{job}");
         let ready: Vec<usize> = (0..n)
             .filter(|&t| !self.jobs[job].tasks[t].held)
             .collect();
         self.pools[pool].pushes_outstanding = ready.len();
-        self.world.set_trace_parent(self.jobs[job].span);
         for task in ready {
-            let bundle = Payload::List(vec![
-                Payload::U64(task as u64),
-                self.jobs[job].inputs[task].clone(),
-            ]);
-            let body = ObjectBody::real(bundle.encode());
-            let op = self.world.kv_push(master, kv, &queue, body);
-            self.op_routes.insert(op, Route::Push { pool, job });
+            let body = self.task_bundle(job, task);
+            self.master_push(pool, kv, job, body, Route::Push { pool, job });
         }
-        self.world.set_trace_parent(SpanId::NONE);
         if self.pools[pool].pushes_outstanding == 0 {
             // Fully gated job: workers spin up idle and wait for
             // released bundles.
@@ -655,30 +635,21 @@ impl CloudEnv {
         if w.phase != VmPhase::Ready {
             return;
         }
-        let host = w.host;
-        let epoch = w.epoch;
+        let (host, vm) = (w.host, w.vm);
         if !self.world.host_alive(host) {
             return; // VM just died; its VmFailed notification is queued
         }
         if !self.world.kv_alive(kv) {
             // Queue died with the master; idle until recovery (or the
             // stall, under Protected) resolves the run.
-            self.pools[pool].idle_procs.push((vm_idx, proc));
+            self.pools[pool].idle_procs.push((vm_idx, proc, vm));
             return;
         }
         let queue = format!("job-{job}");
         self.world.set_trace_parent(self.jobs[job].span);
         let op = self.world.kv_pop(host, kv, &queue);
         self.world.set_trace_parent(SpanId::NONE);
-        self.op_routes.insert(
-            op,
-            Route::Pop {
-                pool,
-                vm_idx,
-                proc,
-                epoch,
-            },
-        );
+        self.op_routes.insert(op, Route::Pop { pool, vm_idx, proc, vm });
     }
 
     pub(super) fn on_pop(
@@ -686,7 +657,7 @@ impl CloudEnv {
         pool: usize,
         vm_idx: usize,
         proc: usize,
-        epoch: u64,
+        vm: VmId,
         outcome: OpOutcome,
     ) {
         let Some(job) = self.pools[pool].active else {
@@ -695,35 +666,40 @@ impl CloudEnv {
         let OpOutcome::KvValue { body } = outcome else {
             unreachable!("pop yielded a non-KV outcome")
         };
-        let stale = self.pools[pool].workers[vm_idx].epoch != epoch
-            || !self.world.host_alive(self.pools[pool].workers[vm_idx].host);
-        if stale {
+        if self.live_host(pool, PoolSlot::Worker(vm_idx), vm).is_none() {
             // Pop issued by a since-lost worker VM (or one whose crash
             // notification is still queued): the popped bundle must not
             // vanish with it — push it back for the others.
-            if let Some(body) = body {
-                if let Some(kv) = self.pools[pool].kv {
-                    let master = self.pools[pool].master_host();
-                    let queue = format!("job-{job}");
-                    self.world.set_trace_parent(self.jobs[job].span);
-                    let op = self.world.kv_push(master, kv, &queue, body);
-                    self.world.set_trace_parent(SpanId::NONE);
-                    self.op_routes.insert(op, Route::Requeue { pool });
-                }
+            if let (Some(body), Some(kv)) = (body, self.pools[pool].kv) {
+                self.master_push(pool, kv, job, body, Route::Requeue { pool });
             }
             return;
         }
         let Some(body) = body else {
             // Queue drained; the worker process idles until a requeued
             // bundle wakes it.
-            self.pools[pool].idle_procs.push((vm_idx, proc));
+            self.pools[pool].idle_procs.push((vm_idx, proc, vm));
             return;
         };
+        self.start_bundle(pool, job, vm_idx, proc, &body);
+    }
+
+    /// Runs the task a fetched bundle carries on worker process
+    /// `(vm_idx, proc)`. Decentralized pools run no KV server, so their
+    /// tasks get no handle: they have no master to exchange through
+    /// (stage tasks only touch object storage).
+    pub(super) fn start_bundle(
+        &mut self,
+        pool: usize,
+        job: usize,
+        vm_idx: usize,
+        proc: usize,
+        body: &ObjectBody,
+    ) {
         let bytes = body.bytes().expect("task bundles are always real bytes");
         let bundle = Payload::decode(bytes).expect("task bundle decodes");
         let items = bundle.as_list().expect("bundle is a list");
         let task = items[0].as_u64().expect("bundle[0] is the index") as usize;
-        let input = items[1].clone();
         let host = self.pools[pool].workers[vm_idx].host;
         let kv = self.pools[pool].kv;
         let fleet = self.pools[pool].fleet_name.clone();
@@ -734,7 +710,7 @@ impl CloudEnv {
         t.attempts += 1;
         t.started_at = Some(now);
         t.span = span;
-        self.start_task(job, task, host, kv, &input);
+        self.start_task(job, task, host, kv, &items[1]);
     }
 
     // ------------------------------------------------------------------

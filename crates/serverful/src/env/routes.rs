@@ -34,15 +34,14 @@ pub(super) enum Route {
     RetryTask { job: usize, task: usize, attempt: u32 },
     /// A storage retry's backoff elapsed: re-issue the faulted request.
     RetryStorage(Box<StorageRetry>),
-    /// A pool VM came up / finished SSH setup. `epoch` versions the
-    /// slot so timers of a replaced VM are dropped.
-    PoolVm { pool: usize, slot: PoolSlot, epoch: u64 },
+    /// A pool VM came up / finished SSH setup. Like every route naming a
+    /// pool VM, it is dropped once `slot` no longer holds `vm` (see
+    /// `CloudEnv::live_host`).
+    PoolVm { pool: usize, slot: PoolSlot, vm: VmId },
     /// Master pushed one task bundle into the KV queue.
     Push { pool: usize, job: usize },
-    /// A worker process's KV pop. `epoch` versions the worker VM so
-    /// pops issued by a since-replaced VM are not mistaken for the
-    /// replacement's.
-    Pop { pool: usize, vm_idx: usize, proc: usize, epoch: u64 },
+    /// A worker process's KV pop, issued by worker VM `vm`.
+    Pop { pool: usize, vm_idx: usize, proc: usize, vm: VmId },
     /// The master's SSH notification reaching the client.
     MasterNotify { job: usize },
     /// Master re-pushing a requeued task bundle after a worker loss.
@@ -58,15 +57,14 @@ pub(super) enum Route {
     /// the cadence timer of `job` on `pool`, and the snapshot PUT it
     /// issues.
     Checkpoint { pool: usize, job: usize },
-    /// The replacement master's checkpoint GET during re-adoption.
-    /// `episode` versions the recovery so a twice-replaced master drops
-    /// the first replacement's fetch.
-    Readopt { pool: usize, job: usize, episode: u64 },
+    /// The checkpoint GET of replacement master `vm` during
+    /// re-adoption; a twice-replaced master drops the first one's fetch.
+    Readopt { pool: usize, job: usize, vm: VmId },
     /// Client PUT of a task bundle to object storage
     /// ([`RecoveryMode::Decentralized`] dispatch).
     DcBundle { pool: usize, job: usize, task: usize },
     /// Worker GET of a claimed task bundle (decentralized dispatch).
-    DcClaim { pool: usize, job: usize, vm_idx: usize, proc: usize, epoch: u64, task: usize },
+    DcClaim { pool: usize, job: usize, vm_idx: usize, proc: usize, vm: VmId, task: usize },
     /// Worker PUT of a per-task completion counter (decentralized
     /// continuation passing).
     DcCounter { pool: usize, job: usize, task: usize },
@@ -119,32 +117,18 @@ impl CloudEnv {
                 generation,
             } => self.on_collect(job, task, generation, outcome),
             Route::Push { pool, job } => self.on_push_done(pool, job),
-            Route::Pop {
-                pool,
-                vm_idx,
-                proc,
-                epoch,
-            } => self.on_pop(pool, vm_idx, proc, epoch, outcome),
+            Route::Pop { pool, vm_idx, proc, vm } => self.on_pop(pool, vm_idx, proc, vm, outcome),
             Route::Requeue { pool } => self.on_requeue_done(pool),
             Route::Checkpoint { pool, .. } => {
                 if self.pools[pool].cfg.recovery == RecoveryMode::Checkpointed {
                     self.recovery_stats.checkpoints_written += 1;
                 }
             }
-            Route::Readopt {
-                pool,
-                job,
-                episode,
-            } => self.on_readopt(pool, job, episode, outcome),
+            Route::Readopt { pool, job, vm } => self.on_readopt(pool, job, vm, outcome),
             Route::DcBundle { pool, job, task } => self.on_dc_bundle(pool, job, task),
-            Route::DcClaim {
-                pool,
-                job,
-                vm_idx,
-                proc,
-                epoch,
-                task,
-            } => self.on_dc_claim(pool, job, vm_idx, proc, epoch, task, outcome),
+            Route::DcClaim { pool, job, vm_idx, proc, vm, task } => {
+                self.on_dc_claim(pool, job, vm_idx, proc, vm, task, outcome)
+            }
             Route::DcCounter { pool, job, task } => self.on_dc_counter(pool, job, task),
             other => unreachable!("op completion routed to {other:?}"),
         }
@@ -156,23 +140,12 @@ impl CloudEnv {
     /// master kill is supposed to strand the run.
     pub(super) fn on_kv_unreachable(&mut self, route: Route) {
         match route {
-            Route::Pop {
-                pool,
-                vm_idx,
-                proc,
-                epoch,
-            } => {
-                let Some(w) = self.pools[pool].workers.get(vm_idx) else {
-                    return;
-                };
-                if w.epoch == epoch
-                    && w.phase == VmPhase::Ready
-                    && self.world.host_alive(w.host)
-                {
-                    // The worker process survives the master: it idles
-                    // until recovery requeues work (or forever).
-                    self.pools[pool].idle_procs.push((vm_idx, proc));
-                }
+            // The worker process survives the master: it idles until
+            // recovery requeues work (or forever).
+            Route::Pop { pool, vm_idx, proc, vm }
+                if self.live_host(pool, PoolSlot::Worker(vm_idx), vm).is_some() =>
+            {
+                self.pools[pool].idle_procs.push((vm_idx, proc, vm));
             }
             Route::Push { pool, job } => {
                 // Keep the outstanding-push bookkeeping moving so the
@@ -198,7 +171,7 @@ impl CloudEnv {
             Route::StragglerSweep { job, generation } => self.on_straggler_sweep(job, generation),
             Route::RetryTask { job, task, attempt } => self.on_retry_task(job, task, attempt),
             Route::RetryStorage(retry) => self.on_retry_storage(*retry),
-            Route::PoolVm { pool, slot, epoch } => self.on_pool_vm_ready(pool, slot, epoch),
+            Route::PoolVm { pool, slot, vm } => self.on_pool_vm_ready(pool, slot, vm),
             Route::PoolIdle { pool, epoch } => self.on_pool_idle(pool, epoch),
             Route::Checkpoint { pool, job } => self.on_checkpoint_tick(pool, job),
             Route::MasterNotify { job } => {

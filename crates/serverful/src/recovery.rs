@@ -10,10 +10,10 @@
 //!   chaos suite's forced kill), in-flight jobs stall and fail.
 //! * [`RecoveryMode::Checkpointed`] — the master periodically
 //!   snapshots its task queue, completion counters and worker registry
-//!   to object storage ([`MasterCheckpoint`], epoch-versioned). On
+//!   to object storage ([`MasterCheckpoint`], sequence-numbered). On
 //!   master loss a replacement boots, fetches the snapshot, re-adopts
-//!   live workers by epoch handshake and re-dispatches only the tasks
-//!   whose acknowledgement died with the old master.
+//!   every worker that is still ready and alive, and re-dispatches only
+//!   the tasks whose acknowledgement died with the old master.
 //! * [`RecoveryMode::Decentralized`] — continuation-passing in the
 //!   unum style: task bundles and per-task completion counters live in
 //!   object storage, and a completing task triggers its DAG successors
@@ -96,18 +96,18 @@ pub struct JobCheckpoint {
 }
 
 /// A snapshot of the master's orchestration state: active jobs with
-/// their release/acknowledgement frontiers, plus the worker registry's
-/// epochs (the handshake a replacement master re-adopts workers with).
+/// their release/acknowledgement frontiers, plus the worker registry
+/// (the VM id in each worker slot).
 ///
 /// Serialised through the framework's own [`Payload`] wire format, so
 /// the checkpoint PUT/GET pays realistic, state-proportional storage
 /// I/O.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MasterCheckpoint {
-    /// Monotonic snapshot sequence number (epoch-versioned).
+    /// Monotonic snapshot sequence number.
     pub seq: u64,
-    /// Epoch of each worker slot at snapshot time.
-    pub worker_epochs: Vec<u64>,
+    /// VM id (its index) of each worker slot at snapshot time.
+    pub worker_vms: Vec<u64>,
     /// Per-active-job dispatch state.
     pub jobs: Vec<JobCheckpoint>,
 }
@@ -128,12 +128,7 @@ impl MasterCheckpoint {
             .collect();
         Payload::List(vec![
             Payload::U64(self.seq),
-            Payload::List(
-                self.worker_epochs
-                    .iter()
-                    .map(|e| Payload::U64(*e))
-                    .collect(),
-            ),
+            Payload::List(self.worker_vms.iter().map(|v| Payload::U64(*v)).collect()),
             Payload::List(jobs),
         ])
         .encode()
@@ -161,13 +156,13 @@ impl MasterCheckpoint {
         let Payload::List(top) = &value else {
             return Err(ExecError::Decode("checkpoint envelope expected".into()));
         };
-        let [seq, epochs, jobs] = top.as_slice() else {
+        let [seq, vms, jobs] = top.as_slice() else {
             return Err(ExecError::Decode("checkpoint arity mismatch".into()));
         };
         let seq = seq
             .as_u64()
             .ok_or_else(|| ExecError::Decode("checkpoint seq expected".into()))?;
-        let worker_epochs = u64s(epochs)?;
+        let worker_vms = u64s(vms)?;
         let Payload::List(jobs) = jobs else {
             return Err(ExecError::Decode("checkpoint job list expected".into()));
         };
@@ -191,7 +186,7 @@ impl MasterCheckpoint {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(MasterCheckpoint {
             seq,
-            worker_epochs,
+            worker_vms,
             jobs,
         })
     }
@@ -213,7 +208,7 @@ mod tests {
     fn checkpoint_roundtrips_through_wire_bytes() {
         let ckpt = MasterCheckpoint {
             seq: 7,
-            worker_epochs: vec![1, 1, 3],
+            worker_vms: vec![1, 2, 5],
             jobs: vec![
                 JobCheckpoint {
                     job: 4,
