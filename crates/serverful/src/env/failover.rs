@@ -431,7 +431,7 @@ impl CloudEnv {
         }
         let task = loop {
             let Some(t) = self.pools[pool].dc_ready.pop_front() else {
-                self.pools[pool].idle_procs.push((vm_idx, proc, vm));
+                self.pools[pool].idle_procs.push((job, vm_idx, proc, vm));
                 return;
             };
             let ts = &self.jobs[job].tasks[t];

@@ -50,9 +50,9 @@ pub(crate) struct StandalonePool {
     pub(super) active: Option<usize>,
     /// Pushes still outstanding before workers may start popping.
     pub(super) pushes_outstanding: usize,
-    /// Worker processes `(slot, proc, vm)` that popped an empty queue
-    /// and went idle; woken when a requeued bundle lands.
-    pub(super) idle_procs: Vec<(usize, usize, VmId)>,
+    /// Worker processes `(job, slot, proc, vm)` that popped `job`'s
+    /// empty queue and went idle; woken when a requeued bundle lands.
+    pub(super) idle_procs: Vec<(usize, usize, usize, VmId)>,
     /// Idle-window generation for the keep-alive timer (see
     /// [`Route::PoolIdle`]).
     pub(super) idle_epoch: u64,
@@ -522,8 +522,11 @@ impl CloudEnv {
     /// them picks it up.
     pub(super) fn on_requeue_done(&mut self, pool: usize) {
         let idle = std::mem::take(&mut self.pools[pool].idle_procs);
-        for (vm_idx, proc, vm) in idle {
-            if self.live_host(pool, PoolSlot::Worker(vm_idx), vm).is_some() {
+        for (job, vm_idx, proc, vm) in idle {
+            // A finished job's processes were restarted for the next job.
+            if self.pools[pool].active == Some(job)
+                && self.live_host(pool, PoolSlot::Worker(vm_idx), vm).is_some()
+            {
                 self.worker_pop(pool, vm_idx, proc);
             }
         }
@@ -642,27 +645,28 @@ impl CloudEnv {
         if !self.world.kv_alive(kv) {
             // Queue died with the master; idle until recovery (or the
             // stall, under Protected) resolves the run.
-            self.pools[pool].idle_procs.push((vm_idx, proc, vm));
+            self.pools[pool].idle_procs.push((job, vm_idx, proc, vm));
             return;
         }
         let queue = format!("job-{job}");
         self.world.set_trace_parent(self.jobs[job].span);
         let op = self.world.kv_pop(host, kv, &queue);
         self.world.set_trace_parent(SpanId::NONE);
-        self.op_routes.insert(op, Route::Pop { pool, vm_idx, proc, vm });
+        self.op_routes.insert(op, Route::Pop { pool, job, vm_idx, proc, vm });
     }
 
     pub(super) fn on_pop(
         &mut self,
         pool: usize,
+        job: usize,
         vm_idx: usize,
         proc: usize,
         vm: VmId,
         outcome: OpOutcome,
     ) {
-        let Some(job) = self.pools[pool].active else {
-            return;
-        };
+        if self.pools[pool].active != Some(job) {
+            return; // the job finished; its processes restart for the next
+        }
         let OpOutcome::KvValue { body } = outcome else {
             unreachable!("pop yielded a non-KV outcome")
         };
@@ -678,7 +682,7 @@ impl CloudEnv {
         let Some(body) = body else {
             // Queue drained; the worker process idles until a requeued
             // bundle wakes it.
-            self.pools[pool].idle_procs.push((vm_idx, proc, vm));
+            self.pools[pool].idle_procs.push((job, vm_idx, proc, vm));
             return;
         };
         self.start_bundle(pool, job, vm_idx, proc, &body);
@@ -700,6 +704,12 @@ impl CloudEnv {
         let bundle = Payload::decode(bytes).expect("task bundle decodes");
         let items = bundle.as_list().expect("bundle is a list");
         let task = items[0].as_u64().expect("bundle[0] is the index") as usize;
+        debug_assert!(
+            !self.jobs[job].tasks.iter().enumerate().any(|(i, t)| i != task
+                && t.worker == Some((vm_idx, proc))
+                && !matches!(t.phase, TaskPhase::Done)),
+            "worker process {proc} of slot {vm_idx} already runs a task of job {job}"
+        );
         let host = self.pools[pool].workers[vm_idx].host;
         let kv = self.pools[pool].kv;
         let fleet = self.pools[pool].fleet_name.clone();

@@ -40,8 +40,9 @@ pub(super) enum Route {
     PoolVm { pool: usize, slot: PoolSlot, vm: VmId },
     /// Master pushed one task bundle into the KV queue.
     Push { pool: usize, job: usize },
-    /// A worker process's KV pop, issued by worker VM `vm`.
-    Pop { pool: usize, vm_idx: usize, proc: usize, vm: VmId },
+    /// A worker process's KV pop from `job`'s queue, issued by worker VM
+    /// `vm`.
+    Pop { pool: usize, job: usize, vm_idx: usize, proc: usize, vm: VmId },
     /// The master's SSH notification reaching the client.
     MasterNotify { job: usize },
     /// Master re-pushing a requeued task bundle after a worker loss.
@@ -117,7 +118,9 @@ impl CloudEnv {
                 generation,
             } => self.on_collect(job, task, generation, outcome),
             Route::Push { pool, job } => self.on_push_done(pool, job),
-            Route::Pop { pool, vm_idx, proc, vm } => self.on_pop(pool, vm_idx, proc, vm, outcome),
+            Route::Pop { pool, job, vm_idx, proc, vm } => {
+                self.on_pop(pool, job, vm_idx, proc, vm, outcome)
+            }
             Route::Requeue { pool } => self.on_requeue_done(pool),
             Route::Checkpoint { pool, .. } => {
                 if self.pools[pool].cfg.recovery == RecoveryMode::Checkpointed {
@@ -142,10 +145,10 @@ impl CloudEnv {
         match route {
             // The worker process survives the master: it idles until
             // recovery requeues work (or forever).
-            Route::Pop { pool, vm_idx, proc, vm }
+            Route::Pop { pool, job, vm_idx, proc, vm }
                 if self.live_host(pool, PoolSlot::Worker(vm_idx), vm).is_some() =>
             {
-                self.pools[pool].idle_procs.push((vm_idx, proc, vm));
+                self.pools[pool].idle_procs.push((job, vm_idx, proc, vm));
             }
             Route::Push { pool, job } => {
                 // Keep the outstanding-push bookkeeping moving so the

@@ -36,10 +36,20 @@ fn chaos_cloud() -> CloudConfig {
 /// A map whose results are a pure function of the input, so re-executed
 /// attempts must reproduce them exactly.
 fn square_map(env: &mut CloudEnv, exec: &mut FunctionExecutor, n: u64) -> Vec<Payload> {
-    let factory: serverful_repro::serverful::job::TaskFactory = Arc::new(|input: &Payload| {
+    square_map_for(env, exec, n, 0.8)
+}
+
+/// [`square_map`] with tasks that compute for `secs`.
+fn square_map_for(
+    env: &mut CloudEnv,
+    exec: &mut FunctionExecutor,
+    n: u64,
+    secs: f64,
+) -> Vec<Payload> {
+    let factory: serverful_repro::serverful::job::TaskFactory = Arc::new(move |input: &Payload| {
         let i = input.as_u64().expect("u64 input");
         ScriptTask::new()
-            .compute(0.8)
+            .compute(secs)
             .finish_value(Payload::U64(i * i))
             .boxed()
     });
@@ -134,6 +144,48 @@ fn vm_pool_survives_boot_failures_and_worker_loss() {
         "failed VMs must be replaced: {}",
         ledger.report()
     );
+}
+
+/// Worker loss on one fleet pool reused by three back-to-back maps of
+/// short tasks: VMs die during SSH setup and with pops in flight,
+/// replacements join mid-job, and requeues wake idle worker processes.
+/// A worker process must never run two tasks at once (a debug
+/// assertion), and every seed must reproduce the fault-free results.
+#[test]
+fn reused_vm_pool_survives_worker_loss_across_jobs() {
+    let run = |faults: FaultConfig, seed: u64| {
+        let cloud = CloudConfig {
+            faults,
+            ..CloudConfig::default()
+        };
+        let mut env = CloudEnv::new(cloud, seed);
+        let mut cfg = ExecutorConfig::default();
+        cfg.retry.max_attempts = 8;
+        cfg.standalone.max_provision_attempts = 20;
+        cfg.standalone.exec_mode = ExecMode::Fleet {
+            instance_type: "c5.large".into(),
+            count: 4,
+        };
+        let mut exec = FunctionExecutor::new(&mut env, Backend::vm(), cfg);
+        let results: Vec<Vec<Payload>> =
+            (0..3).map(|_| square_map_for(&mut env, &mut exec, 40, 0.3)).collect();
+        exec.shutdown(&mut env);
+        (results, env.world().fault_ledger().vm_replacements)
+    };
+    let (clean, _) = run(FaultConfig::disabled(), 1);
+    let faults = FaultConfig {
+        vm_loss_prob: 0.6,
+        vm_loss_after: (0.2, 6.0),
+        vm_boot_failure_prob: 0.1,
+        ..FaultConfig::disabled()
+    };
+    let mut replacements = 0;
+    for seed in 0..40 {
+        let (results, replaced) = run(faults.clone(), seed);
+        assert_eq!(results, clean, "seed {seed}: results diverged under worker loss");
+        replacements += replaced;
+    }
+    assert!(replacements > 0, "the fault profile should replace worker VMs");
 }
 
 #[test]
