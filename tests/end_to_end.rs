@@ -1,7 +1,13 @@
 //! Cross-crate integration tests: the paper's claims as assertions.
 
+use std::sync::Arc;
+
 use serverful_repro::metaspace::{algo, data, jobs, run_annotation, Architecture};
-use serverful_repro::simkernel::SimRng;
+use serverful_repro::serverful::executor::MapOptions;
+use serverful_repro::serverful::{
+    Backend, CloudEnv, EnvEvent, ExecutorConfig, FunctionExecutor, Payload, ScriptTask,
+};
+use serverful_repro::simkernel::{SimDuration, SimRng};
 
 /// The paper's abstract in one test: the hybrid deployment is more
 /// cost-effective than pure serverless while being much faster than the
@@ -163,4 +169,52 @@ fn runs_are_deterministic_per_seed_and_vary_across_seeds() {
     assert_eq!(a.cost_usd, b.cost_usd);
     let c = run_annotation(&job, Architecture::Hybrid, 10).unwrap();
     assert_ne!(a.wall_secs, c.wall_secs, "different seeds should jitter");
+}
+
+/// The serverful pool's keep-alive window ("use existing, previously
+/// configured VMs"): a job submitted right after another reuses the warm
+/// VM, while a pool left idle past its window releases it, so the next
+/// job pays the boot again. Results never depend on which VM ran them.
+#[test]
+fn idle_vm_pool_is_released_after_its_keep_alive_window() {
+    let mut env = CloudEnv::new_default(7);
+    let mut cfg = ExecutorConfig::default();
+    cfg.standalone.idle_timeout_secs = Some(30.0);
+    let mut exec = FunctionExecutor::new(&mut env, Backend::vm(), cfg);
+    let run = |env: &mut CloudEnv, exec: &mut FunctionExecutor| {
+        let factory: serverful_repro::serverful::job::TaskFactory = Arc::new(|input: &Payload| {
+            let i = input.as_u64().expect("u64 input");
+            ScriptTask::new()
+                .compute(0.5)
+                .finish_value(Payload::U64(i * 3))
+                .boxed()
+        });
+        let start = env.now();
+        let inputs = (0..8).map(Payload::U64).collect();
+        let job = exec.map_with(env, factory, inputs, MapOptions::named("keep-alive"));
+        let results = exec.get_result(env, job).expect("vm map");
+        (results, (env.now() - start).as_secs_f64())
+    };
+
+    let (first, _) = run(&mut env, &mut exec);
+    assert!(exec.warm(&env), "the pool stays warm after a job");
+    let (second, warm_secs) = run(&mut env, &mut exec);
+    assert!(warm_secs < 5.0, "a job on the warm pool took {warm_secs:.2} s");
+
+    // Idle well past the 30 s window: the keep-alive timer releases the VM.
+    let idle = env.external_timer(SimDuration::from_secs_f64(120.0));
+    loop {
+        match env.pump() {
+            EnvEvent::Timer(token) if token == idle => break,
+            EnvEvent::Drained => panic!("the idle timer never fired"),
+            _ => {}
+        }
+    }
+    assert!(!exec.warm(&env), "the keep-alive window should release the pool");
+    let (third, cold_secs) = run(&mut env, &mut exec);
+    assert!(cold_secs > 20.0, "a job on a released pool took only {cold_secs:.2} s");
+    exec.shutdown(&mut env);
+
+    assert_eq!(first, second);
+    assert_eq!(second, third);
 }
