@@ -40,5 +40,5 @@ mod spec;
 pub use dsl::{emit, parse, DslError};
 pub use spec::{
     ScaleOptions, Stage, StageEdge, StageKind, ValidateError, Workload, WorkloadBuilder,
-    MAX_CPU_SECS_PER_TASK,
+    MAX_CPU_SECS_PER_TASK, MAX_TASKS_PER_STAGE,
 };

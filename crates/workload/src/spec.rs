@@ -87,6 +87,15 @@ impl Stage {
 /// fits the clock.
 pub const MAX_CPU_SECS_PER_TASK: f64 = 1e9;
 
+/// The most tasks one stage may declare: about 5× the largest bundled
+/// stage (Xenograft's 2,006). Every task is simulated individually and
+/// shares the storage data plane with the stage's other flows, so run
+/// time grows faster than the count: on a 2-vCPU box, terasort-small
+/// with a 10,000-task `gen` stage runs at full scale in about 6 s, and
+/// with 100,000 tasks for over a minute. Far past the cap, a mistyped
+/// count would abort the run on allocation.
+pub const MAX_TASKS_PER_STAGE: usize = 10_000;
+
 /// A validation failure: why a [`Workload`] is not schedulable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidateError(pub String);
@@ -151,8 +160,9 @@ impl Workload {
 
     /// Checks the description is schedulable: topological (acyclic)
     /// edges, in-bounds fan-in ranges for every downstream partition,
-    /// unique token-safe names, and sane resource numbers (per-task CPU
-    /// at most [`MAX_CPU_SECS_PER_TASK`]).
+    /// unique token-safe names, and sane resource numbers (at most
+    /// [`MAX_TASKS_PER_STAGE`] tasks per stage and
+    /// [`MAX_CPU_SECS_PER_TASK`] CPU-seconds per task).
     pub fn validate(&self) -> Result<(), ValidateError> {
         let err = |m: String| Err(ValidateError(m));
         if !token_ok(&self.name) {
@@ -180,6 +190,12 @@ impl Workload {
             }
             if s.tasks == 0 {
                 return err(format!("stage {:?} has zero tasks", s.name));
+            }
+            if s.tasks > MAX_TASKS_PER_STAGE {
+                return err(format!(
+                    "stage {:?} tasks = {} (must be at most {MAX_TASKS_PER_STAGE})",
+                    s.name, s.tasks
+                ));
             }
             for (label, v) in [
                 ("cpu_secs", s.cpu_secs_per_task),

@@ -17,6 +17,7 @@ use serverful_repro::serverful::{fan_in_range, FanIn};
 use serverful_repro::simkernel::SimRng;
 use serverful_repro::workload::{
     emit, parse, Stage, StageEdge, StageKind, Workload, MAX_CPU_SECS_PER_TASK,
+    MAX_TASKS_PER_STAGE,
 };
 
 /// Every bundled workload — the METASPACE Table 2 jobs and the DSL
@@ -34,29 +35,33 @@ fn every_bundled_workload_round_trips_through_the_dsl() {
     }
 }
 
-/// A per-task `cpu_secs` too large for the simulator's clock is
-/// rejected when the text is loaded, naming the stage and the field,
-/// instead of panicking mid-run with a virtual-time overflow; every
-/// bundled workload stays under the ceiling.
+/// A stage field too large for the simulator is rejected when the text
+/// is loaded, naming the stage and the field, instead of failing deep
+/// in a run: a per-task `cpu_secs` past the clock's range would panic
+/// with a virtual-time overflow, and a huge `tasks` count would abort
+/// on allocation. Every bundled workload stays under both ceilings.
 #[test]
-fn oversized_cpu_secs_is_rejected_at_validation() {
+fn oversized_stage_fields_are_rejected_at_validation() {
     let text = emit(&workloads::named("terasort-small").expect("bundled name resolves"));
-    let edited: String = text
-        .lines()
-        .map(|line| {
-            if !line.starts_with("stage gen ") {
-                return format!("{line}\n");
-            }
-            let fields: Vec<&str> = line
-                .split(' ')
-                .map(|f| if f.starts_with("cpu_secs=") { "cpu_secs=1e308" } else { f })
-                .collect();
-            format!("{}\n", fields.join(" "))
-        })
-        .collect();
-    assert!(edited.contains("cpu_secs=1e308"), "the edit must land:\n{edited}");
-    let err = parse(&edited).expect_err("cpu_secs=1e308 must not validate").to_string();
-    assert!(err.contains("cpu_secs") && err.contains("\"gen\""), "unhelpful error: {err}");
+    for (field, value) in [("cpu_secs", "1e308"), ("tasks", "1000000000000")] {
+        let edit = format!("{field}={value}");
+        let edited: String = text
+            .lines()
+            .map(|line| {
+                if !line.starts_with("stage gen ") {
+                    return format!("{line}\n");
+                }
+                let fields: Vec<&str> = line
+                    .split(' ')
+                    .map(|f| if f.starts_with(&format!("{field}=")) { edit.as_str() } else { f })
+                    .collect();
+                format!("{}\n", fields.join(" "))
+            })
+            .collect();
+        assert!(edited.contains(&edit), "the edit must land:\n{edited}");
+        let err = parse(&edited).expect_err("an oversized field must not validate").to_string();
+        assert!(err.contains(field) && err.contains("\"gen\""), "{edit}: unhelpful error: {err}");
+    }
 
     for name in workloads::all_names() {
         let w = workloads::named(&name).expect("bundled name resolves");
@@ -64,6 +69,10 @@ fn oversized_cpu_secs_is_rejected_at_validation() {
         assert!(
             w.stages.iter().all(|s| s.cpu_secs_per_task <= MAX_CPU_SECS_PER_TASK),
             "{name}: a stage exceeds the per-task CPU ceiling"
+        );
+        assert!(
+            w.stages.iter().all(|s| s.tasks <= MAX_TASKS_PER_STAGE),
+            "{name}: a stage exceeds the task-count ceiling"
         );
     }
 }
