@@ -345,8 +345,8 @@ fn protected_master_kill_fails_the_run() {
 }
 
 /// The full paper-scale matrix — every Table 2 workload crossed with
-/// both execution and both recovery modes. `scripts/ci.sh --full` runs
-/// this as the release gate, one verdict per cell.
+/// both execution and both recovery modes. `scripts/ci.sh` runs this in
+/// release as a gate, one verdict per cell.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "paper-scale run; use --release")]
 fn full_matrix_paper_scale() {
