@@ -360,11 +360,13 @@ impl CloudEnv {
             let kv = self.world.kv_create(vm);
             self.pools[pool].kv = Some(kv);
         }
-        self.pool_try_start(pool);
         // A replacement worker joining mid-job starts its processes
-        // immediately (the initial cohort is started by on_push_done).
+        // immediately; a job starting now starts them itself, once its
+        // initial pushes land (`pool_pushes_complete`).
+        let mid_job = self.pools[pool].active.is_some();
+        self.pool_try_start(pool);
         if let PoolSlot::Worker(i) = slot {
-            if self.pools[pool].active.is_some() && self.pools[pool].pushes_outstanding == 0 {
+            if mid_job && self.pools[pool].pushes_outstanding == 0 {
                 let vcpus = self.pools[pool].workers[i].itype.vcpus as usize;
                 for proc in 0..vcpus {
                     self.worker_pop(pool, i, proc);

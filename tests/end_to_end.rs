@@ -218,3 +218,37 @@ fn idle_vm_pool_is_released_after_its_keep_alive_window() {
     assert_eq!(first, second);
     assert_eq!(second, third);
 }
+
+/// A fully gated job that starts the moment its pool's VM finishes SSH
+/// setup: the job's start launches the VM's worker processes, and the
+/// VM's readiness must not launch them a second time. A debug assertion
+/// checks that no worker process runs two tasks at once; the results
+/// must match the released inputs.
+#[test]
+fn gated_job_starting_on_a_fresh_vm_runs_each_process_once() {
+    let mut env = CloudEnv::new_default(3);
+    let mut exec = FunctionExecutor::new(&mut env, Backend::vm(), ExecutorConfig::default());
+    let factory: serverful_repro::serverful::job::TaskFactory = Arc::new(|input: &Payload| {
+        let i = input.as_u64().expect("u64 input");
+        ScriptTask::new()
+            .compute(0.5)
+            .finish_value(Payload::U64(i * 3))
+            .boxed()
+    });
+    let inputs = (0..16).map(Payload::U64).collect();
+    let job = exec.map_with(&mut env, factory, inputs, MapOptions::named("gated").gated());
+    // Release only once the pool is up and the job owns it.
+    let booted = env.external_timer(SimDuration::from_secs_f64(120.0));
+    loop {
+        match env.pump() {
+            EnvEvent::Timer(token) if token == booted => break,
+            EnvEvent::Drained => panic!("the boot timer never fired"),
+            _ => {}
+        }
+    }
+    assert!(exec.warm(&env), "the pool should be up before the release");
+    job.release_all(&mut env);
+    let results = exec.get_result(&mut env, job).expect("gated vm map");
+    exec.shutdown(&mut env);
+    assert_eq!(results, (0..16).map(|i| Payload::U64(i * 3)).collect::<Vec<_>>());
+}
