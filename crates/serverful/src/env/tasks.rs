@@ -375,7 +375,6 @@ impl CloudEnv {
     pub(super) fn finish_task(&mut self, job: usize, task: usize, payload: Payload) {
         let host = self.jobs[job].tasks[task].run.as_ref().unwrap().host;
         self.jobs[job].tasks[task].phase = TaskPhase::WritingResult;
-        self.jobs[job].results[task] = None; // filled by the monitor
         let bucket = self.jobs[job].bucket.clone();
         let key = self.jobs[job].result_key(task);
         let body = ObjectBody::real(payload.encode());

@@ -147,13 +147,14 @@ fn vm_pool_survives_boot_failures_and_worker_loss() {
 }
 
 /// Worker loss on one fleet pool reused by three back-to-back maps of
-/// short tasks: VMs die during SSH setup and with pops in flight,
+/// short tasks: VMs die during SSH setup, with pops in flight and with a
+/// result write in flight (the result lands, yet the task runs again),
 /// replacements join mid-job, and requeues wake idle worker processes.
 /// A worker process must never run two tasks at once (a debug
 /// assertion), and every seed must reproduce the fault-free results.
 #[test]
 fn reused_vm_pool_survives_worker_loss_across_jobs() {
-    let run = |faults: FaultConfig, seed: u64| {
+    let run = |faults: FaultConfig, seed: u64, secs: f64| {
         let cloud = CloudConfig {
             faults,
             ..CloudConfig::default()
@@ -168,11 +169,11 @@ fn reused_vm_pool_survives_worker_loss_across_jobs() {
         };
         let mut exec = FunctionExecutor::new(&mut env, Backend::vm(), cfg);
         let results: Vec<Vec<Payload>> =
-            (0..3).map(|_| square_map_for(&mut env, &mut exec, 40, 0.3)).collect();
+            (0..3).map(|_| square_map_for(&mut env, &mut exec, 40, secs)).collect();
         exec.shutdown(&mut env);
         (results, env.world().fault_ledger().vm_replacements)
     };
-    let (clean, _) = run(FaultConfig::disabled(), 1);
+    let (clean, _) = run(FaultConfig::disabled(), 1, 0.3);
     let faults = FaultConfig {
         vm_loss_prob: 0.6,
         vm_loss_after: (0.2, 6.0),
@@ -180,10 +181,12 @@ fn reused_vm_pool_survives_worker_loss_across_jobs() {
         ..FaultConfig::disabled()
     };
     let mut replacements = 0;
-    for seed in 0..40 {
-        let (results, replaced) = run(faults.clone(), seed);
-        assert_eq!(results, clean, "seed {seed}: results diverged under worker loss");
-        replacements += replaced;
+    for secs in [0.15, 0.3] {
+        for seed in 0..40 {
+            let (results, replaced) = run(faults.clone(), seed, secs);
+            assert_eq!(results, clean, "{secs} s tasks, seed {seed}: results diverged");
+            replacements += replaced;
+        }
     }
     assert!(replacements > 0, "the fault profile should replace worker VMs");
 }
