@@ -271,7 +271,7 @@ impl CloudEnv {
     /// to re-executed work.
     pub(super) fn on_readopt(&mut self, pool: usize, job: usize, vm: VmId, outcome: OpOutcome) {
         let master = self.pools[pool].master_slot();
-        if self.live_host(pool, master, vm).is_none() || !self.pools[pool].recovering {
+        if !self.vm_live(pool, master, vm) || !self.pools[pool].recovering {
             return;
         }
         // A missing object (master died before the first snapshot) or a
@@ -470,7 +470,7 @@ impl CloudEnv {
         if self.pools[pool].active != Some(job) || self.jobs[job].is_finished() {
             return;
         }
-        if self.live_host(pool, PoolSlot::Worker(vm_idx), vm).is_none() {
+        if !self.vm_live(pool, PoolSlot::Worker(vm_idx), vm) {
             // The bundle is durable in storage: hand the claim back.
             self.pools[pool].dc_ready.push_back(task);
             self.on_requeue_done(pool);

@@ -344,7 +344,7 @@ impl CloudEnv {
     }
 
     pub(super) fn on_pool_vm_ready(&mut self, pool: usize, slot: PoolSlot, vm: VmId) {
-        if self.live_host(pool, slot, vm).is_none() {
+        if !self.vm_live(pool, slot, vm) {
             return; // stale SSH timer of a replaced or lost VM, or a shut pool
         }
         self.routed_vm(pool, slot, vm).phase = VmPhase::Ready;
@@ -409,7 +409,7 @@ impl CloudEnv {
             }
         }
         // Idle processes of this VM stay listed until a wake drops them
-        // by the staleness rule (see `live_host`).
+        // by the staleness rule (see `vm_live`).
         if let PoolSlot::Worker(i) = slot {
             if was_ready {
                 self.pool_worker_lost(pool, i);
@@ -527,7 +527,7 @@ impl CloudEnv {
         for (job, vm_idx, proc, vm) in idle {
             // A finished job's processes were restarted for the next job.
             if self.pools[pool].active == Some(job)
-                && self.live_host(pool, PoolSlot::Worker(vm_idx), vm).is_some()
+                && self.vm_live(pool, PoolSlot::Worker(vm_idx), vm)
             {
                 self.worker_pop(pool, vm_idx, proc);
             }
@@ -547,10 +547,10 @@ impl CloudEnv {
     /// The one staleness rule for notifications that name a pool VM (SSH
     /// timers, pops, claims, idle processes, re-adoption fetches): one is
     /// live only while `slot` still holds `vm` and its host is up.
-    /// Returns that host.
-    pub(super) fn live_host(&self, pool: usize, slot: PoolSlot, vm: VmId) -> Option<HostId> {
-        let pv = self.pools[pool].slot_vm(slot).filter(|pv| pv.vm == vm)?;
-        self.world.host_alive(pv.host).then_some(pv.host)
+    pub(super) fn vm_live(&self, pool: usize, slot: PoolSlot, vm: VmId) -> bool {
+        self.pools[pool]
+            .slot_vm(slot)
+            .is_some_and(|pv| pv.vm == vm && self.world.host_alive(pv.host))
     }
 
     /// The slot's VM, which must be `vm`: the caller checked, or holds a
@@ -672,7 +672,7 @@ impl CloudEnv {
         let OpOutcome::KvValue { body } = outcome else {
             unreachable!("pop yielded a non-KV outcome")
         };
-        if self.live_host(pool, PoolSlot::Worker(vm_idx), vm).is_none() {
+        if !self.vm_live(pool, PoolSlot::Worker(vm_idx), vm) {
             // Pop issued by a since-lost worker VM (or one whose crash
             // notification is still queued): the popped bundle must not
             // vanish with it — push it back for the others.

@@ -36,7 +36,7 @@ pub(super) enum Route {
     RetryStorage(Box<StorageRetry>),
     /// A pool VM came up / finished SSH setup. Like every route naming a
     /// pool VM, it is dropped once `slot` no longer holds `vm` (see
-    /// `CloudEnv::live_host`).
+    /// `CloudEnv::vm_live`).
     PoolVm { pool: usize, slot: PoolSlot, vm: VmId },
     /// Master pushed one task bundle into the KV queue.
     Push { pool: usize, job: usize },
@@ -146,7 +146,7 @@ impl CloudEnv {
             // The worker process survives the master: it idles until
             // recovery requeues work (or forever).
             Route::Pop { pool, job, vm_idx, proc, vm }
-                if self.live_host(pool, PoolSlot::Worker(vm_idx), vm).is_some() =>
+                if self.vm_live(pool, PoolSlot::Worker(vm_idx), vm) =>
             {
                 self.pools[pool].idle_procs.push((job, vm_idx, proc, vm));
             }

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use serverful_repro::metaspace::{algo, data, jobs, run_annotation, Architecture};
 use serverful_repro::serverful::executor::MapOptions;
+use serverful_repro::serverful::job::TaskFactory;
 use serverful_repro::serverful::{
     Backend, CloudEnv, EnvEvent, ExecutorConfig, FunctionExecutor, Payload, ScriptTask,
 };
@@ -171,6 +172,24 @@ fn runs_are_deterministic_per_seed_and_vary_across_seeds() {
     assert_ne!(a.wall_secs, c.wall_secs, "different seeds should jitter");
 }
 
+/// Tasks that compute for half a second and return three times their
+/// input, whichever VM runs them.
+fn tripling_tasks() -> TaskFactory {
+    Arc::new(|input: &Payload| {
+        let i = input.as_u64().expect("u64 input");
+        ScriptTask::new()
+            .compute(0.5)
+            .finish_value(Payload::U64(i * 3))
+            .boxed()
+    })
+}
+
+/// Pumps the environment until `secs` of virtual time have passed.
+fn wait(env: &mut CloudEnv, secs: f64) {
+    let token = env.external_timer(SimDuration::from_secs_f64(secs));
+    while env.pump() != EnvEvent::Timer(token) {}
+}
+
 /// The serverful pool's keep-alive window ("use existing, previously
 /// configured VMs"): a job submitted right after another reuses the warm
 /// VM, while a pool left idle past its window releases it, so the next
@@ -182,16 +201,9 @@ fn idle_vm_pool_is_released_after_its_keep_alive_window() {
     cfg.standalone.idle_timeout_secs = Some(30.0);
     let mut exec = FunctionExecutor::new(&mut env, Backend::vm(), cfg);
     let run = |env: &mut CloudEnv, exec: &mut FunctionExecutor| {
-        let factory: serverful_repro::serverful::job::TaskFactory = Arc::new(|input: &Payload| {
-            let i = input.as_u64().expect("u64 input");
-            ScriptTask::new()
-                .compute(0.5)
-                .finish_value(Payload::U64(i * 3))
-                .boxed()
-        });
         let start = env.now();
         let inputs = (0..8).map(Payload::U64).collect();
-        let job = exec.map_with(env, factory, inputs, MapOptions::named("keep-alive"));
+        let job = exec.map_with(env, tripling_tasks(), inputs, MapOptions::named("keep-alive"));
         let results = exec.get_result(env, job).expect("vm map");
         (results, (env.now() - start).as_secs_f64())
     };
@@ -202,14 +214,7 @@ fn idle_vm_pool_is_released_after_its_keep_alive_window() {
     assert!(warm_secs < 5.0, "a job on the warm pool took {warm_secs:.2} s");
 
     // Idle well past the 30 s window: the keep-alive timer releases the VM.
-    let idle = env.external_timer(SimDuration::from_secs_f64(120.0));
-    loop {
-        match env.pump() {
-            EnvEvent::Timer(token) if token == idle => break,
-            EnvEvent::Drained => panic!("the idle timer never fired"),
-            _ => {}
-        }
-    }
+    wait(&mut env, 120.0);
     assert!(!exec.warm(&env), "the keep-alive window should release the pool");
     let (third, cold_secs) = run(&mut env, &mut exec);
     assert!(cold_secs > 20.0, "a job on a released pool took only {cold_secs:.2} s");
@@ -228,24 +233,11 @@ fn idle_vm_pool_is_released_after_its_keep_alive_window() {
 fn gated_job_starting_on_a_fresh_vm_runs_each_process_once() {
     let mut env = CloudEnv::new_default(3);
     let mut exec = FunctionExecutor::new(&mut env, Backend::vm(), ExecutorConfig::default());
-    let factory: serverful_repro::serverful::job::TaskFactory = Arc::new(|input: &Payload| {
-        let i = input.as_u64().expect("u64 input");
-        ScriptTask::new()
-            .compute(0.5)
-            .finish_value(Payload::U64(i * 3))
-            .boxed()
-    });
     let inputs = (0..16).map(Payload::U64).collect();
-    let job = exec.map_with(&mut env, factory, inputs, MapOptions::named("gated").gated());
+    let options = MapOptions::named("gated").gated();
+    let job = exec.map_with(&mut env, tripling_tasks(), inputs, options);
     // Release only once the pool is up and the job owns it.
-    let booted = env.external_timer(SimDuration::from_secs_f64(120.0));
-    loop {
-        match env.pump() {
-            EnvEvent::Timer(token) if token == booted => break,
-            EnvEvent::Drained => panic!("the boot timer never fired"),
-            _ => {}
-        }
-    }
+    wait(&mut env, 120.0);
     assert!(exec.warm(&env), "the pool should be up before the release");
     job.release_all(&mut env);
     let results = exec.get_result(&mut env, job).expect("gated vm map");
