@@ -1,8 +1,12 @@
 //! Identifier newtypes for cloud entities.
 //!
 //! Each identifier is issued by exactly one [`World`](crate::World) and is
-//! only meaningful within it. The newtypes keep op handles, sandboxes, VMs
-//! and KV servers from being confused for one another at compile time.
+//! only meaningful within it. A world issues ids in increasing order and
+//! never reissues one, not even after its entity is gone, so an id can
+//! stand for the generation of whatever slot holds it: the serverful
+//! pool drops a notification naming a VM its slot no longer holds. The
+//! newtypes keep op handles, sandboxes, VMs and KV servers from being
+//! confused for one another at compile time.
 
 use std::fmt;
 
