@@ -103,14 +103,18 @@ cargo build --release -p bench -q
 grep -q "verdict: frontier beats pure-serverless on cost: yes" /tmp/plan_smoke.txt \
     || { echo "planner smoke search lost to pure serverless" >&2; exit 1; }
 
-echo "== paper tables (release: Table 4, Figure 6 vs goldens) =="
-# The debug test pass skips these two paper-scale goldens; the release
+echo "== paper tables (release: Table 4, Figure 6, workload families vs goldens) =="
+# The debug test pass skips these paper-scale goldens; the release
 # binary prints them in seconds, so diff its output against the
 # snapshots here. `--full` also checks them through cargo test.
 ./target/release/repro table4 42 | diff tests/goldens/table4.txt - \
     || { echo "repro table4 drifted from tests/goldens/table4.txt" >&2; exit 1; }
 ./target/release/repro fig6 42 | diff tests/goldens/fig6.txt - \
     || { echo "repro fig6 drifted from tests/goldens/fig6.txt" >&2; exit 1; }
+for wl in terasort-small terasort-medium terasort-large mlpipe montage; do
+    ./target/release/repro workload "$wl" --seed 42
+done | diff tests/goldens/workloads.txt - \
+    || { echo "repro workload drifted from tests/goldens/workloads.txt" >&2; exit 1; }
 
 echo "== fleet smoke determinism (threads 1 vs 8, repeat runs) =="
 # The multi-tenant traffic report must be byte-identical for any worker

@@ -9,6 +9,9 @@
 //! and recover from a master kill. `drivers.txt` pins what the DAG and
 //! fleet drivers schedule: fleet cells (barrier and pipelined, what-if
 //! plans) and pipelined DAG runs, traced and master-killed.
+//! `workloads.txt` pins the full-scale runs of the exchange-heavy
+//! workload families, whose storage flows load the fair-share data
+//! plane most.
 //!
 //! After an *intentional* behaviour change, refresh the snapshots and
 //! review the diff like any other code change:
@@ -17,8 +20,9 @@
 //! UPDATE_GOLDENS=1 cargo test --release --test goldens
 //! ```
 //!
-//! The slowest paper-scale goldens (Table 4, Figure 6, the Xenograft
-//! trace) are ignored under debug builds; run them with `--release`.
+//! The slowest paper-scale goldens (Table 4, Figure 6, the workload
+//! families, the Xenograft trace) are ignored under debug builds; run
+//! them with `--release`.
 
 use std::fs;
 use std::path::PathBuf;
@@ -26,14 +30,16 @@ use std::sync::Arc;
 
 use serverful_repro::bench::render::{
     render_fig5, render_fig6, render_table1, render_table2, render_table3, render_table4,
+    render_workload,
 };
+use serverful_repro::bench::workload_comparison;
 use serverful_repro::cloudsim::{CloudConfig, FaultConfig};
 use serverful_repro::fleet::{
     self, report, run_scenario, FleetReport, PolicyOutcome, Scenario, TenantSpec,
 };
 use serverful_repro::metaspace::{
-    self, jobs, plan::PlanKind, run_annotation_traced, Architecture, DeploymentPlan, FunctionsPlan,
-    TraceOutput,
+    self, jobs, plan::PlanKind, run_annotation_traced, workloads, Architecture, DeploymentPlan,
+    FunctionsPlan, TraceOutput,
 };
 use serverful_repro::serverful::executor::MapOptions;
 use serverful_repro::serverful::{
@@ -114,6 +120,23 @@ fn golden_fig5() {
 #[cfg_attr(debug_assertions, ignore = "paper-scale run; use --release")]
 fn golden_fig6() {
     check_golden("fig6", &render_fig6(GOLDEN_SEED));
+}
+
+/// The full-scale comparisons of the exchange-heavy workload families,
+/// each as `repro workload <name> --seed 42` prints it: all-to-all
+/// shuffles and wide scans through object storage, hundreds of
+/// concurrent flows under a few key prefixes.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "paper-scale run; use --release")]
+fn golden_workloads() {
+    let text: String = ["terasort-small", "terasort-medium", "terasort-large", "mlpipe", "montage"]
+        .into_iter()
+        .map(|name| {
+            let w = workloads::named(name).expect("bundled workload");
+            render_workload(&workload_comparison(&w, GOLDEN_SEED, false).expect("workload runs"))
+        })
+        .collect();
+    check_golden("workloads", &text);
 }
 
 // --- golden traces -------------------------------------------------------
