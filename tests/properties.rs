@@ -219,9 +219,9 @@ fn fair_share_conserves_bytes() {
     });
 }
 
-/// A naive fair-share pool: every rate is recomputed from the formula in
-/// the `fair_share` module docs, with each group's membership counted by
-/// scanning every flow.
+/// A naive fair-share pool: every call recomputes every rate from the
+/// formula in the `fair_share` module docs, with each group's membership
+/// counted by scanning every flow.
 struct FormulaPool {
     aggregate_bps: f64,
     per_flow_bps: f64,
@@ -234,6 +234,17 @@ struct FormulaPool {
 }
 
 impl FormulaPool {
+    fn new(aggregate_bps: f64, per_flow_bps: f64) -> Self {
+        FormulaPool {
+            aggregate_bps,
+            per_flow_bps,
+            caps: Vec::new(),
+            flows: Vec::new(),
+            last_update: SimTime::ZERO,
+            completed_bytes: 0.0,
+        }
+    }
+
     fn set_group_cap(&mut self, group: u64, cap: f64) {
         match self.caps.iter_mut().find(|(g, _)| *g == group) {
             Some(entry) => entry.1 = cap,
@@ -241,27 +252,38 @@ impl FormulaPool {
         }
     }
 
-    /// `min(per_flow, aggregate / n)`, then `min(cap(g) / members(g))`
-    /// for each group `g` of the flow, in order.
-    fn rate(&self, groups: &[u64]) -> f64 {
+    /// Every flow's rate, in start order: `min(per_flow, aggregate / n)`,
+    /// then `min(cap(g) / members(g))` for each group `g` of the flow, in
+    /// order.
+    fn rates(&self) -> Vec<f64> {
         let n = self.flows.len().max(1) as f64;
-        let mut rate = self.per_flow_bps.min(self.aggregate_bps / n);
-        for &g in groups {
-            let cap = self.caps.iter().find(|(c, _)| *c == g).expect("declared").1;
-            let members: usize = self
-                .flows
-                .iter()
-                .map(|(_, _, gs)| gs.iter().filter(|&&x| x == g).count())
-                .sum();
-            rate = rate.min(cap / members.max(1) as f64);
-        }
-        rate
+        let base = self.per_flow_bps.min(self.aggregate_bps / n);
+        let shares: Vec<(u64, f64)> = self
+            .caps
+            .iter()
+            .map(|&(group, cap)| {
+                let members: usize = self
+                    .flows
+                    .iter()
+                    .map(|(_, _, gs)| gs.iter().filter(|&&g| g == group).count())
+                    .sum();
+                (group, cap / members.max(1) as f64)
+            })
+            .collect();
+        self.flows
+            .iter()
+            .map(|(_, _, gs)| {
+                gs.iter().fold(base, |rate, g| {
+                    rate.min(shares.iter().find(|(s, _)| s == g).expect("declared").1)
+                })
+            })
+            .collect()
     }
 
     fn progress_to(&mut self, now: SimTime) {
         let dt = (now - self.last_update).as_secs_f64();
         self.last_update = now;
-        let rates: Vec<f64> = self.flows.iter().map(|(_, _, gs)| self.rate(gs)).collect();
+        let rates = self.rates();
         for (flow, rate) in self.flows.iter_mut().zip(rates) {
             flow.1 = (flow.1 - rate * dt).max(0.0);
         }
@@ -290,24 +312,62 @@ impl FormulaPool {
         let secs = self
             .flows
             .iter()
-            .map(|(_, remaining, gs)| remaining.max(0.0) / self.rate(gs))
+            .zip(self.rates())
+            .map(|((_, remaining, _), rate)| remaining.max(0.0) / rate)
             .fold(f64::INFINITY, f64::min);
         secs.is_finite()
             .then(|| self.last_update + SimDuration::from_micros((secs * 1e6).ceil() as u64))
     }
 }
 
+/// Asserts that `pool` and `model` agree on everything observable: the
+/// flows in flight, the next completion and the completed bytes, bit
+/// for bit.
+fn assert_pool_matches(pool: &FairShare, model: &FormulaPool, ctx: &str) {
+    assert_eq!(pool.active(), model.flows.len(), "{ctx}");
+    assert_eq!(pool.next_completion(), model.next_completion(), "{ctx}");
+    assert_eq!(
+        pool.completed_bytes().to_bits(),
+        model.completed_bytes.to_bits(),
+        "{ctx}"
+    );
+}
+
+/// Starts the same flow in `pool` and `model`.
+fn start_both(
+    pool: &mut FairShare,
+    model: &mut FormulaPool,
+    now: SimTime,
+    bytes: u64,
+    groups: &[u64],
+) {
+    let id = pool.start(now, bytes, groups);
+    model.start(now, id, bytes, groups);
+}
+
+fn log_uniform(rng: &mut SimRng, lo: f64, hi: f64) -> f64 {
+    10f64.powf(rng.uniform(lo, hi))
+}
+
 /// The pool computes exactly what its documented formula says: the same
 /// completions, the same completion instants and bit-identical completed
-/// bytes, under random group caps (changed while flows are in flight),
-/// zero-byte and simultaneous completions, and advances at, before and
-/// again at the same instant. Rates reach down to 10 B/s and some
-/// advances land a few microseconds before a completion, so flows finish
-/// with a sub-epsilon residue whose bits expose any reordered float
-/// operation through `completed_bytes`.
+/// bytes, in two regimes.
+///
+/// Small random pools: random group caps (changed while flows are in
+/// flight), zero-byte and simultaneous completions, and advances at,
+/// before and again at the same instant. Rates reach down to 10 B/s and
+/// some advances land a few microseconds before a completion, so flows
+/// finish with a sub-epsilon residue whose bits expose any reordered
+/// float operation through `completed_bytes`.
+///
+/// Pools sized like the world's storage pool: a few hundred flows in a
+/// handful of shared signatures (flows naming the same groups), filled
+/// and drained in phases so that signatures empty and refill. Flows
+/// start in bursts of equal sizes (ties), some at the instant another
+/// completes; one-flow signatures, flows naming the same group twice,
+/// zero-byte flows and in-flight cap changes are mixed in.
 #[test]
 fn fair_share_matches_formula_model() {
-    let log_uniform = |rng: &mut SimRng, lo: f64, hi: f64| 10f64.powf(rng.uniform(lo, hi));
     forall_cases(128, |seed, rng| {
         let aggregate = if rng.uniform_u64(0, 4) == 0 {
             f64::INFINITY
@@ -316,14 +376,7 @@ fn fair_share_matches_formula_model() {
         };
         let per_flow = log_uniform(rng, 2.0, 9.0);
         let mut pool = FairShare::new(aggregate, per_flow);
-        let mut model = FormulaPool {
-            aggregate_bps: aggregate,
-            per_flow_bps: per_flow,
-            caps: Vec::new(),
-            flows: Vec::new(),
-            last_update: SimTime::ZERO,
-            completed_bytes: 0.0,
-        };
+        let mut model = FormulaPool::new(aggregate, per_flow);
         let mut declared: Vec<u64> = Vec::new();
         let mut now = SimTime::ZERO;
         for step in 0..rng.uniform_u64(1, 80) {
@@ -348,8 +401,7 @@ fn fair_share_matches_formula_model() {
                         1 => rng.uniform_u64(1, 1_000),
                         _ => rng.uniform_u64(0, 1_000_000_001),
                     };
-                    let id = pool.start(now, bytes, &groups);
-                    model.start(now, id, bytes, &groups);
+                    start_both(&mut pool, &mut model, now, bytes, &groups);
                 }
                 3 => {
                     now = pool
@@ -374,13 +426,81 @@ fn fair_share_matches_formula_model() {
                     assert_eq!(pool.advance(now), model.advance(now), "{ctx}");
                 }
             }
-            assert_eq!(pool.active(), model.flows.len(), "{ctx}");
-            assert_eq!(pool.next_completion(), model.next_completion(), "{ctx}");
-            assert_eq!(
-                pool.completed_bytes().to_bits(),
-                model.completed_bytes.to_bits(),
-                "{ctx}"
-            );
+            assert_pool_matches(&pool, &model, &ctx);
+        }
+    });
+
+    // Hosts 0..4 and prefixes 100 and 101 make the shared signatures;
+    // each one-flow signature gets a host group of its own from 1_000 on.
+    const SHARED: [u64; 6] = [0, 1, 2, 3, 100, 101];
+    forall_cases(4, |seed, rng| {
+        let aggregate = log_uniform(rng, 8.0, 10.0);
+        let per_flow = log_uniform(rng, 6.0, 8.5);
+        let mut pool = FairShare::new(aggregate, per_flow);
+        let mut model = FormulaPool::new(aggregate, per_flow);
+        for group in SHARED {
+            let cap = log_uniform(rng, 7.0, 9.0);
+            pool.set_group_cap(group, cap);
+            model.set_group_cap(group, cap);
+        }
+        let mut lone = 1_000;
+        let mut now = SimTime::ZERO;
+        for step in 0..240 {
+            let ctx = format!("large seed {seed} step {step}");
+            let filling = step % 80 < 40;
+            match rng.uniform_u64(0, 10) {
+                0..=5 if filling => {
+                    if rng.uniform_u64(0, 3) == 0 {
+                        // Start at the instant of the next completion,
+                        // before the advance that reports it.
+                        now = pool.next_completion().unwrap_or(now);
+                    }
+                    let host = rng.uniform_u64(0, 4);
+                    let groups = match rng.uniform_u64(0, 6) {
+                        0 => vec![host, host],
+                        1 => vec![host],
+                        _ => vec![host, 100 + rng.uniform_u64(0, 2)],
+                    };
+                    let bytes = match rng.uniform_u64(0, 8) {
+                        0 => 0,
+                        _ => rng.uniform_u64(1, 64) * 1_000_000,
+                    };
+                    for _ in 0..rng.uniform_u64(1, 24) {
+                        let bytes = match rng.uniform_u64(0, 6) {
+                            0 => rng.uniform_u64(0, 64_000_001),
+                            _ => bytes,
+                        };
+                        start_both(&mut pool, &mut model, now, bytes, &groups);
+                    }
+                }
+                0 | 1 => {
+                    let cap = log_uniform(rng, 6.0, 8.0);
+                    pool.set_group_cap(lone, cap);
+                    model.set_group_cap(lone, cap);
+                    let bytes = rng.uniform_u64(0, 64_000_001);
+                    let groups = [lone, 100 + rng.uniform_u64(0, 2)];
+                    start_both(&mut pool, &mut model, now, bytes, &groups);
+                    lone += 1;
+                }
+                2 => {
+                    let group = SHARED[rng.uniform_u64(0, 6) as usize];
+                    let cap = log_uniform(rng, 7.0, 9.0);
+                    pool.set_group_cap(group, cap);
+                    model.set_group_cap(group, cap);
+                }
+                3 => {
+                    let horizon = pool
+                        .next_completion()
+                        .map_or(1_000, |t| (t - now).as_micros());
+                    now += SimDuration::from_micros(horizon.saturating_sub(rng.uniform_u64(1, 32)));
+                    assert_eq!(pool.advance(now), model.advance(now), "{ctx}");
+                }
+                _ => {
+                    now = pool.next_completion().unwrap_or(now);
+                    assert_eq!(pool.advance(now), model.advance(now), "{ctx}");
+                }
+            }
+            assert_pool_matches(&pool, &model, &ctx);
         }
     });
 }
