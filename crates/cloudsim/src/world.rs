@@ -1267,13 +1267,14 @@ impl World {
     /// saturates while wide scans across many prefixes scale out.
     fn prefix_group(&mut self, key: &str) -> u64 {
         const PREFIX_GROUP_BASE: u64 = 1 << 48;
-        let prefix = key.split('/').next().unwrap_or(key).to_owned();
-        let next = PREFIX_GROUP_BASE + self.prefix_groups.len() as u64;
-        let id = *self.prefix_groups.entry(prefix).or_insert(next);
-        if !self.st_pool.has_group(id) {
-            self.st_pool
-                .set_group_cap(id, self.cfg.storage.per_prefix_bps);
+        let prefix = key.split('/').next().unwrap_or(key);
+        if let Some(&id) = self.prefix_groups.get(prefix) {
+            return id;
         }
+        let id = PREFIX_GROUP_BASE + self.prefix_groups.len() as u64;
+        self.prefix_groups.insert(prefix.to_owned(), id);
+        self.st_pool
+            .set_group_cap(id, self.cfg.storage.per_prefix_bps);
         id
     }
 

@@ -28,8 +28,8 @@
 //! [`FairShare::next_completion`] are each one pass over the in-flight
 //! flows with no hashing, and no allocation beyond the returned list of
 //! finished flows; `advance` compacts the vector in place, which keeps
-//! [`FlowId`] order. Only `set_group_cap`, `has_group` and `start` map a
-//! group id to its slot.
+//! [`FlowId`] order. Only `set_group_cap` and `start` map a group id to
+//! its slot.
 //!
 //! The pool is deliberately not a virtual-time design (a cumulative
 //! service counter per group signature and a heap of finish tags), which
@@ -211,11 +211,6 @@ impl FairShare {
             n_groups: groups.len(),
         });
         id
-    }
-
-    /// Whether a group has been declared.
-    pub fn has_group(&self, group: u64) -> bool {
-        self.slot_of.contains_key(&group)
     }
 
     /// Advances all flows to `now` and returns the flows that completed,
