@@ -20,31 +20,58 @@
 //!
 //! # Layout and cost
 //!
-//! In-flight flows live in one `Vec` in [`FlowId`] order, each holding its
-//! remaining bytes and up to two group slots inline. Groups live in a
-//! `Vec` indexed by the slot [`FairShare::set_group_cap`] assigned, and
-//! each caches its per-member share `cap / members`, refreshed whenever
-//! its membership or cap changes. So [`FairShare::advance`] and
-//! [`FairShare::next_completion`] are each one pass over the in-flight
-//! flows with no hashing, and no allocation beyond the returned list of
-//! finished flows; `advance` compacts the vector in place, which keeps
-//! [`FlowId`] order. Only `set_group_cap` and `start` map a group id to
-//! its slot.
+//! Flows that name the same group slots in the same order form a
+//! *signature*, e.g. one host's NIC plus one key prefix. Every member of
+//! a signature has the same rate at every instant, so each interval
+//! takes the same `rate * dt` off all of them and their order by
+//! remaining bytes never changes. Each signature keeps its members in
+//! that order: the one with the fewest remaining bytes inline, the rest
+//! in a buffer sorted most-first, so the next to finish is popped from
+//! its back. Signatures live in one vector; an emptied one moves past
+//! the live ones and is reused, buffer included, by the next new
+//! signature. Groups live in a vector indexed by the slot
+//! [`FairShare::set_group_cap`] assigned, each caching its per-member
+//! share `cap / members`.
 //!
-//! The pool is deliberately not a virtual-time design (a cumulative
-//! service counter per group signature and a heap of finish tags), which
-//! would make each call O(log n): that design subtracts service in a
-//! different association order, which moves completions by a microsecond.
-//! Every flow here performs these float operations, in this order, and
-//! simulated outputs depend on them bit for bit:
+//! So the cost of a call is O(signatures), not O(flows), for the rates
+//! (one per signature), for [`FairShare::next_completion`] (a
+//! signature's next completion is its smallest member's) and for finding
+//! the finished flows in [`FairShare::advance`] (a prefix of each
+//! signature). What stays O(flows) is bringing progress up to date, one
+//! contiguous `(remaining - served).max(0.0)` loop per signature, and
+//! placing a started flow among its signature's members. Only
+//! `set_group_cap` and `start` map a group id to its slot. `start` finds
+//! a flow's signature by comparing slots, with no hashing, and skips the
+//! search when one of its groups had no members: then no signature names
+//! that group. A signature of one flow costs what a flow did in a flat
+//! vector of flows.
 //!
-//! * rate is `per_flow.min(aggregate / n)`, then `.min(share)` for each of
-//!   the flow's groups in the order given to `start`;
-//! * over an interval `dt`, remaining becomes `(remaining - rate * dt).max(0.0)`;
+//! # Exactness
+//!
+//! Simulated outputs depend bit for bit on these float operations, which
+//! are those of the per-flow formula, with the same operands in the same
+//! order:
+//!
+//! * rate is `per_flow.min(aggregate / n)`, then `.min(share)` for each
+//!   of the flow's groups in the order given to `start`. `min` is exact,
+//!   so one rate per signature is every member's rate;
+//! * over an interval `dt`, remaining becomes
+//!   `(remaining - rate * dt).max(0.0)`, with `rate * dt` rounded once
+//!   per signature. Rounding is monotone, so the step keeps a
+//!   signature's members in order;
 //! * the next completion is `ceil(min(remaining.max(0) / rate) * 1e6)` µs
-//!   after the last update;
+//!   after the last update. Dividing by a positive rate is monotone, so a
+//!   signature's minimum is its smallest member's, and `min` over the
+//!   signatures is order-free;
 //! * finished flows are reported, and their residue added to
-//!   [`FairShare::completed_bytes`], in [`FlowId`] order.
+//!   [`FairShare::completed_bytes`], in [`FlowId`] order: they are
+//!   gathered from the signatures and sorted by id first.
+//!
+//! The pool is deliberately not a virtual-time design, a cumulative
+//! service counter per signature and a heap of finish tags, which would
+//! drop the O(flows) step and make each call O(log n): that design
+//! subtracts service in a different association order, which moves
+//! completions by a microsecond.
 
 use std::collections::HashMap;
 
@@ -62,26 +89,48 @@ const DONE_EPSILON_BYTES: f64 = 1e-3;
 /// the requester's NIC and the key prefix, or by both endpoints' NICs.
 const MAX_GROUPS: usize = 2;
 
-#[derive(Debug, Clone)]
-struct Flow {
+/// Fills the group slots a [`Signature`] does not use.
+const NO_SLOT: u32 = u32::MAX;
+
+/// An in-flight flow.
+#[derive(Debug, Clone, Copy)]
+struct Member {
     id: FlowId,
     remaining: f64,
-    /// Slots of this flow's groups in [`FairShare::groups`]; the first
-    /// `n_groups` are in use.
-    slots: [usize; MAX_GROUPS],
-    n_groups: usize,
 }
 
-impl Flow {
-    fn slots(&self) -> &[usize] {
-        &self.slots[..self.n_groups]
+/// The in-flight flows that name the same group slots in the same order.
+#[derive(Debug)]
+struct Signature {
+    /// Slots of the groups in [`FairShare::groups`], then [`NO_SLOT`].
+    slots: [u32; MAX_GROUPS],
+    /// The member with the fewest remaining bytes: the next to finish.
+    head: Member,
+    /// The other members, most remaining bytes first.
+    rest: Vec<Member>,
+}
+
+impl Signature {
+    fn slots(&self) -> impl Iterator<Item = &u32> {
+        self.slots.iter().take_while(|&&slot| slot != NO_SLOT)
     }
 
-    /// This flow's rate: `base` capped by each of its groups' shares.
+    /// Every member's rate: `base` capped by each of the groups' shares.
     fn rate(&self, base: f64, groups: &[Group]) -> f64 {
         self.slots()
-            .iter()
-            .fold(base, |rate, &slot| rate.min(groups[slot].share))
+            .fold(base, |rate, &slot| rate.min(groups[slot as usize].share))
+    }
+
+    /// Adds a member in its place by remaining bytes.
+    fn insert(&mut self, member: Member) {
+        if member.remaining < self.head.remaining {
+            self.rest.push(std::mem::replace(&mut self.head, member));
+        } else {
+            let at = self
+                .rest
+                .partition_point(|m| m.remaining > member.remaining);
+            self.rest.insert(at, member);
+        }
     }
 }
 
@@ -117,11 +166,15 @@ impl Group {
 pub struct FairShare {
     aggregate_bps: f64,
     per_flow_bps: f64,
-    /// In-flight flows in [`FlowId`] order.
-    flows: Vec<Flow>,
+    /// Signatures with in-flight flows (`..live`), then emptied ones
+    /// kept for reuse.
+    sigs: Vec<Signature>,
+    live: usize,
+    /// In-flight flows, over all signatures.
+    flows: usize,
     groups: Vec<Group>,
     /// Group id to its slot in `groups`.
-    slot_of: HashMap<u64, usize>,
+    slot_of: HashMap<u64, u32>,
     last_update: SimTime,
     next_id: u64,
     /// Total bytes that have finished transferring through this pool.
@@ -146,7 +199,9 @@ impl FairShare {
         FairShare {
             aggregate_bps,
             per_flow_bps,
-            flows: Vec::new(),
+            sigs: Vec::new(),
+            live: 0,
+            flows: 0,
             groups: Vec::new(),
             slot_of: HashMap::new(),
             last_update: SimTime::ZERO,
@@ -167,9 +222,9 @@ impl FairShare {
         let groups = &mut self.groups;
         let slot = *self.slot_of.entry(group).or_insert_with(|| {
             groups.push(Group::default());
-            groups.len() - 1
+            u32::try_from(groups.len() - 1).expect("a pool holds fewer than 2^32 groups")
         });
-        let group = &mut groups[slot];
+        let group = &mut groups[slot as usize];
         group.cap_bps = cap_bps;
         group.refresh();
     }
@@ -192,25 +247,45 @@ impl FairShare {
             groups.len()
         );
         self.progress_to(now);
-        let mut slots = [0; MAX_GROUPS];
+        let mut slots = [NO_SLOT; MAX_GROUPS];
+        // A group that no in-flight flow names is in no live signature.
+        let mut fresh = false;
         for (slot, g) in slots.iter_mut().zip(groups) {
             *slot = *self
                 .slot_of
                 .get(g)
                 .expect("flow group must be declared before use");
-            let group = &mut self.groups[*slot];
+            let group = &mut self.groups[*slot as usize];
+            fresh |= group.active == 0;
             group.active += 1;
             group.refresh();
         }
-        let id = FlowId(self.next_id);
-        self.next_id += 1;
-        self.flows.push(Flow {
-            id,
+        let member = Member {
+            id: FlowId(self.next_id),
             remaining: bytes as f64,
-            slots,
-            n_groups: groups.len(),
-        });
-        id
+        };
+        self.next_id += 1;
+        self.flows += 1;
+        let live = &mut self.sigs[..self.live];
+        let found = if fresh {
+            None
+        } else {
+            live.iter_mut().find(|sig| sig.slots == slots)
+        };
+        if let Some(sig) = found {
+            sig.insert(member);
+        } else if let Some(sig) = self.sigs.get_mut(self.live) {
+            (sig.slots, sig.head) = (slots, member);
+            self.live += 1;
+        } else {
+            self.sigs.push(Signature {
+                slots,
+                head: member,
+                rest: Vec::new(),
+            });
+            self.live += 1;
+        }
+        member.id
     }
 
     /// Advances all flows to `now` and returns the flows that completed,
@@ -221,32 +296,60 @@ impl FairShare {
     /// Panics if `now` precedes the last update.
     pub fn advance(&mut self, now: SimTime) -> Vec<FlowId> {
         self.progress_to(now);
+        // Most calls finish nothing; look for a finished head first.
+        let first = self.sigs[..self.live]
+            .iter()
+            .position(|sig| sig.head.remaining <= DONE_EPSILON_BYTES);
+        let Some(mut i) = first else {
+            return Vec::new();
+        };
         let mut done = Vec::new();
-        let (groups, completed_bytes) = (&mut self.groups, &mut self.completed_bytes);
-        self.flows.retain(|flow| {
-            if flow.remaining > DONE_EPSILON_BYTES {
-                return true;
+        while i < self.live {
+            let sig = &mut self.sigs[i];
+            let before = done.len();
+            let mut emptied = false;
+            while sig.head.remaining <= DONE_EPSILON_BYTES {
+                done.push(sig.head);
+                match sig.rest.pop() {
+                    Some(next) => sig.head = next,
+                    None => {
+                        emptied = true;
+                        break;
+                    }
+                }
             }
-            *completed_bytes += 0.0f64.max(flow.remaining); // residue is ~0
-            for &slot in flow.slots() {
-                let group = &mut groups[slot];
-                group.active -= 1;
-                group.refresh();
+            let finished = done.len() - before;
+            if finished > 0 {
+                for &slot in sig.slots() {
+                    let group = &mut self.groups[slot as usize];
+                    group.active -= finished;
+                    group.refresh();
+                }
             }
-            done.push(flow.id);
-            false
-        });
-        done
+            if emptied {
+                self.live -= 1;
+                self.sigs.swap(i, self.live);
+            } else {
+                i += 1;
+            }
+        }
+        self.flows -= done.len();
+        done.sort_unstable_by_key(|m| m.id);
+        done.iter()
+            .map(|m| {
+                self.completed_bytes += 0.0f64.max(m.remaining); // residue is ~0
+                m.id
+            })
+            .collect()
     }
 
     /// The earliest instant at which some current flow completes, assuming
     /// membership does not change. `None` when the pool is idle.
     pub fn next_completion(&self) -> Option<SimTime> {
         let base = self.base_rate();
-        let min_secs = self
-            .flows
+        let min_secs = self.sigs[..self.live]
             .iter()
-            .map(|f| f.remaining.max(0.0) / f.rate(base, &self.groups))
+            .map(|sig| sig.head.remaining.max(0.0) / sig.rate(base, &self.groups))
             .fold(f64::INFINITY, f64::min);
         if min_secs.is_finite() {
             // Round up to the next whole microsecond so the driver's tick
@@ -260,7 +363,7 @@ impl FairShare {
 
     /// Number of in-flight transfers.
     pub fn active(&self) -> usize {
-        self.flows.len()
+        self.flows
     }
 
     /// Total bytes fully transferred through this pool so far.
@@ -271,7 +374,7 @@ impl FairShare {
     /// The cap every flow is under before its groups':
     /// `per_flow.min(aggregate / n)`.
     fn base_rate(&self) -> f64 {
-        let n = self.flows.len().max(1) as f64;
+        let n = self.flows.max(1) as f64;
         self.per_flow_bps.min(self.aggregate_bps / n)
     }
 
@@ -284,15 +387,18 @@ impl FairShare {
         );
         let dt = (now - self.last_update).as_secs_f64();
         self.last_update = now;
-        if dt == 0.0 || self.flows.is_empty() {
+        if dt == 0.0 || self.flows == 0 {
             return;
         }
         // Rates depend only on membership, which is constant over the
         // interval, so a single linear step is exact.
         let base = self.base_rate();
-        for flow in &mut self.flows {
-            let rate = flow.rate(base, &self.groups);
-            flow.remaining = (flow.remaining - rate * dt).max(0.0);
+        for sig in &mut self.sigs[..self.live] {
+            let served = sig.rate(base, &self.groups) * dt;
+            sig.head.remaining = (sig.head.remaining - served).max(0.0);
+            for m in &mut sig.rest {
+                m.remaining = (m.remaining - served).max(0.0);
+            }
         }
     }
 }
