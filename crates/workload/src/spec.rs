@@ -96,6 +96,23 @@ pub const MAX_CPU_SECS_PER_TASK: f64 = 1e9;
 /// count would abort the run on allocation.
 pub const MAX_TASKS_PER_STAGE: usize = 10_000;
 
+/// The most megabytes one task may read: about 6.5× the largest bundled
+/// value (1,536). Transfers move through the storage data plane in
+/// pieces, so run time grows with the volume: on a 2-vCPU box,
+/// terasort-small with `read_mb=1e8` on its `validate` stage runs at
+/// full scale in about 2 s, and with 1e308 it never ends.
+pub const MAX_READ_MB_PER_TASK: f64 = 1e4;
+
+/// The most megabytes one task may write: about 4× the largest bundled
+/// value (512), for the same reason as [`MAX_READ_MB_PER_TASK`].
+pub const MAX_WRITE_MB_PER_TASK: f64 = 2e3;
+
+/// The most gigabytes one stateful stage may exchange: 4× the largest
+/// bundled value (terasort-large's 50). Run time grows with the volume:
+/// terasort-small with `exchange_gb=1e4` on its `sort` stage runs at
+/// full scale in about 8 s on a 2-vCPU box.
+pub const MAX_EXCHANGE_GB_PER_STAGE: f64 = 200.0;
+
 /// A validation failure: why a [`Workload`] is not schedulable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidateError(pub String);
@@ -161,8 +178,10 @@ impl Workload {
     /// Checks the description is schedulable: topological (acyclic)
     /// edges, in-bounds fan-in ranges for every downstream partition,
     /// unique token-safe names, and sane resource numbers (at most
-    /// [`MAX_TASKS_PER_STAGE`] tasks per stage and
-    /// [`MAX_CPU_SECS_PER_TASK`] CPU-seconds per task).
+    /// [`MAX_TASKS_PER_STAGE`] tasks per stage, [`MAX_CPU_SECS_PER_TASK`]
+    /// CPU-seconds, [`MAX_READ_MB_PER_TASK`] MB read and
+    /// [`MAX_WRITE_MB_PER_TASK`] MB written per task, and
+    /// [`MAX_EXCHANGE_GB_PER_STAGE`] GB exchanged per stage).
     pub fn validate(&self) -> Result<(), ValidateError> {
         let err = |m: String| Err(ValidateError(m));
         if !token_ok(&self.name) {
@@ -197,20 +216,20 @@ impl Workload {
                     s.name, s.tasks
                 ));
             }
-            for (label, v) in [
-                ("cpu_secs", s.cpu_secs_per_task),
-                ("read_mb", s.read_mb_per_task),
-                ("write_mb", s.write_mb_per_task),
+            for (label, v, max) in [
+                ("cpu_secs", s.cpu_secs_per_task, MAX_CPU_SECS_PER_TASK),
+                ("read_mb", s.read_mb_per_task, MAX_READ_MB_PER_TASK),
+                ("write_mb", s.write_mb_per_task, MAX_WRITE_MB_PER_TASK),
             ] {
                 if !v.is_finite() || v < 0.0 {
                     return err(format!("stage {:?} {label} = {v} (must be finite and >= 0)", s.name));
                 }
-            }
-            if s.cpu_secs_per_task > MAX_CPU_SECS_PER_TASK {
-                return err(format!(
-                    "stage {:?} cpu_secs = {:e} (must be at most {MAX_CPU_SECS_PER_TASK:e} per task)",
-                    s.name, s.cpu_secs_per_task
-                ));
+                if v > max {
+                    return err(format!(
+                        "stage {:?} {label} = {v:e} (must be at most {max:e} per task)",
+                        s.name
+                    ));
+                }
             }
             match s.kind {
                 StageKind::Stateless { read_spread, write_spread } => {
@@ -222,6 +241,13 @@ impl Workload {
                     if !exchange_gb.is_finite() || exchange_gb <= 0.0 {
                         return err(format!(
                             "stage {:?} exchange_gb = {exchange_gb} (must be finite and > 0)",
+                            s.name
+                        ));
+                    }
+                    if exchange_gb > MAX_EXCHANGE_GB_PER_STAGE {
+                        return err(format!(
+                            "stage {:?} exchange_gb = {exchange_gb:e} (must be at most \
+                             {MAX_EXCHANGE_GB_PER_STAGE:e} per stage)",
                             s.name
                         ));
                     }

@@ -17,7 +17,7 @@ use serverful_repro::serverful::{fan_in_range, FanIn};
 use serverful_repro::simkernel::SimRng;
 use serverful_repro::workload::{
     emit, parse, Stage, StageEdge, StageKind, Workload, MAX_CPU_SECS_PER_TASK,
-    MAX_TASKS_PER_STAGE,
+    MAX_EXCHANGE_GB_PER_STAGE, MAX_READ_MB_PER_TASK, MAX_TASKS_PER_STAGE, MAX_WRITE_MB_PER_TASK,
 };
 
 /// Every bundled workload — the METASPACE Table 2 jobs and the DSL
@@ -38,17 +38,24 @@ fn every_bundled_workload_round_trips_through_the_dsl() {
 /// A stage field too large for the simulator is rejected when the text
 /// is loaded, naming the stage and the field, instead of failing deep
 /// in a run: a per-task `cpu_secs` past the clock's range would panic
-/// with a virtual-time overflow, and a huge `tasks` count would abort
-/// on allocation. Every bundled workload stays under both ceilings.
+/// with a virtual-time overflow, a huge `tasks` count would abort on
+/// allocation, and a huge data volume would keep the run going forever.
+/// Every bundled workload stays under every ceiling.
 #[test]
 fn oversized_stage_fields_are_rejected_at_validation() {
     let text = emit(&workloads::named("terasort-small").expect("bundled name resolves"));
-    for (field, value) in [("cpu_secs", "1e308"), ("tasks", "1000000000000")] {
+    for (stage, field, value) in [
+        ("gen", "cpu_secs", "1e308"),
+        ("gen", "tasks", "1000000000000"),
+        ("validate", "read_mb", "1e308"),
+        ("gen", "write_mb", "1e308"),
+        ("sort", "exchange_gb", "1e308"),
+    ] {
         let edit = format!("{field}={value}");
         let edited: String = text
             .lines()
             .map(|line| {
-                if !line.starts_with("stage gen ") {
+                if !line.starts_with(&format!("stage {stage} ")) {
                     return format!("{line}\n");
                 }
                 let fields: Vec<&str> = line
@@ -60,20 +67,25 @@ fn oversized_stage_fields_are_rejected_at_validation() {
             .collect();
         assert!(edited.contains(&edit), "the edit must land:\n{edited}");
         let err = parse(&edited).expect_err("an oversized field must not validate").to_string();
-        assert!(err.contains(field) && err.contains("\"gen\""), "{edit}: unhelpful error: {err}");
+        assert!(
+            err.contains(field) && err.contains(&format!("{stage:?}")),
+            "{stage} {edit}: unhelpful error: {err}"
+        );
     }
 
     for name in workloads::all_names() {
         let w = workloads::named(&name).expect("bundled name resolves");
         w.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(
-            w.stages.iter().all(|s| s.cpu_secs_per_task <= MAX_CPU_SECS_PER_TASK),
-            "{name}: a stage exceeds the per-task CPU ceiling"
-        );
-        assert!(
-            w.stages.iter().all(|s| s.tasks <= MAX_TASKS_PER_STAGE),
-            "{name}: a stage exceeds the task-count ceiling"
-        );
+        for s in &w.stages {
+            let ctx = format!("{name} stage {}", s.name);
+            assert!(s.cpu_secs_per_task <= MAX_CPU_SECS_PER_TASK, "{ctx}: CPU ceiling");
+            assert!(s.tasks <= MAX_TASKS_PER_STAGE, "{ctx}: task-count ceiling");
+            assert!(s.read_mb_per_task <= MAX_READ_MB_PER_TASK, "{ctx}: read ceiling");
+            assert!(s.write_mb_per_task <= MAX_WRITE_MB_PER_TASK, "{ctx}: write ceiling");
+            if let StageKind::Stateful { exchange_gb } = s.kind {
+                assert!(exchange_gb <= MAX_EXCHANGE_GB_PER_STAGE, "{ctx}: exchange ceiling");
+            }
+        }
     }
 }
 
