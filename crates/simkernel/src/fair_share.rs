@@ -43,8 +43,8 @@
 //! `set_group_cap` and `start` map a group id to its slot. `start` finds
 //! a flow's signature by comparing slots, with no hashing, and skips the
 //! search when one of its groups had no members: then no signature names
-//! that group. A signature of one flow costs what a flow did in a flat
-//! vector of flows.
+//! that group. A signature of one flow holds it inline and allocates
+//! nothing.
 //!
 //! # Exactness
 //!
