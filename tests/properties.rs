@@ -11,7 +11,7 @@ use serverful_repro::serverful::{CloudObjectRef, Payload};
 use serverful_repro::telemetry::{CostCategory, CostLedger};
 use serverful_repro::shuffle::data as sortdata;
 use serverful_repro::simkernel::{
-    EventQueue, FairShare, FlowId, SimDuration, SimRng, SimTime, StepSeries,
+    EventQueue, EventToken, FairShare, FlowId, SchedStats, SimDuration, SimRng, SimTime, StepSeries,
 };
 
 /// Runs `body` over `n` seeded cases; the case seed is passed through so
@@ -137,51 +137,94 @@ fn event_queue_is_time_ordered() {
     });
 }
 
-/// Under random schedules, cancels (of live, fired and already-cancelled
-/// tokens) and pops, the queue's length matches a model count of live
-/// events after every step, it never fires a cancelled event, and once
-/// it drains every scheduled event was either fired or cancelled once.
+/// Under random schedules, cancels and pops, the queue matches a model
+/// that keeps each live event's time and insertion index. Every pop
+/// returns the model's smallest `(time, insertion)` entry, and after
+/// every step `peek_time`, `len` and the counters agree with the model.
+/// Cancels hit live events, the current head, already-cancelled tokens
+/// and tokens whose event fired long ago; only a live one is counted.
+/// Half the cases draw delays of 0–2 µs, so that ties dominate.
 #[test]
 fn event_queue_counts_match_a_model() {
+    let mut case = 0;
     forall_cases(128, |seed, rng| {
+        case += 1;
+        let max_delay = if case % 2 == 0 { 3 } else { 1_000 };
         let mut q: EventQueue<usize> = EventQueue::new();
-        // Per scheduled event: its token and whether it is still live.
-        let mut events = Vec::new();
-        let mut live = 0;
-        for step in 0..rng.uniform_u64(1, 200) {
-            match rng.uniform_u64(0, 3) {
-                0 => {
-                    let delay = SimDuration::from_micros(rng.uniform_u64(0, 1_000));
-                    events.push((q.schedule_in(delay, events.len()), true));
-                    live += 1;
+        // Per scheduled event, by insertion index: its token, and its
+        // time while it is live.
+        let mut events: Vec<(EventToken, Option<SimTime>)> = Vec::new();
+        // Insertion indices of fired events, in firing order.
+        let mut fired: Vec<usize> = Vec::new();
+        let mut cancelled = 0;
+        let head = |events: &[(EventToken, Option<SimTime>)]| {
+            events
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &(_, at))| Some((at?, i)))
+                .min()
+        };
+        // Random steps, then pops until the model has no live event.
+        let steps = rng.uniform_u64(1, 200);
+        for step in 0.. {
+            let draining = step >= steps;
+            let mut cancel = |events: &mut Vec<(EventToken, Option<SimTime>)>, i: usize| {
+                q.cancel(events[i].0);
+                if events[i].1.take().is_some() {
+                    cancelled += 1;
                 }
-                1 if !events.is_empty() => {
+            };
+            match if draining { 7 } else { rng.uniform_u64(0, 8) } {
+                0..=2 => {
+                    let delay = SimDuration::from_micros(rng.uniform_u64(0, max_delay));
+                    let at = q.now() + delay;
+                    events.push((q.schedule_in(delay, events.len()), Some(at)));
+                }
+                3 if !events.is_empty() => {
                     let i = rng.uniform_u64(0, events.len() as u64) as usize;
-                    q.cancel(events[i].0);
-                    if std::mem::replace(&mut events[i].1, false) {
-                        live -= 1;
+                    cancel(&mut events, i);
+                }
+                4 => {
+                    if let Some((_, i)) = head(&events) {
+                        cancel(&mut events, i);
                     }
                 }
+                5 if !fired.is_empty() => {
+                    // One of the older half of the fired events.
+                    let i = fired[rng.uniform_u64(0, fired.len() as u64 / 2 + 1) as usize];
+                    cancel(&mut events, i);
+                }
                 _ => {
-                    if let Some((_, i)) = q.next() {
-                        assert!(
-                            events[i].1,
-                            "seed {seed} step {step}: fired a cancelled event"
-                        );
-                        events[i].1 = false;
-                        live -= 1;
+                    let want = head(&events);
+                    let got = q.next();
+                    assert_eq!(got, want, "seed {seed} step {step}: pop order");
+                    if let Some((_, i)) = got {
+                        events[i].1 = None;
+                        fired.push(i);
                     }
                 }
             }
+            let live = events.iter().filter(|(_, at)| at.is_some()).count();
             assert_eq!(q.len(), live, "seed {seed} step {step}");
+            assert_eq!(
+                q.peek_time(),
+                head(&events).map(|(at, _)| at),
+                "seed {seed} step {step}"
+            );
+            let want = SchedStats {
+                scheduled: events.len() as u64,
+                fired: fired.len() as u64,
+                cancelled,
+            };
+            assert_eq!(q.stats(), want, "seed {seed} step {step}");
+            if draining && live == 0 {
+                break;
+            }
         }
-        while q.next().is_some() {}
         assert!(q.is_empty(), "seed {seed}");
-        let stats = q.stats();
-        assert_eq!(stats.scheduled, events.len() as u64, "seed {seed}");
         assert_eq!(
-            stats.scheduled,
-            stats.fired + stats.cancelled,
+            events.len(),
+            fired.len() + cancelled as usize,
             "seed {seed}"
         );
     });
