@@ -12,10 +12,12 @@
 //! Billing flows into a [`telemetry::CostLedger`] and CPU occupancy into
 //! a [`telemetry::CpuMonitor`], both owned by the world.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use simkernel::fair_share::FlowId;
-use simkernel::{EventQueue, EventToken, FairShare, SchedStats, SimDuration, SimRng, SimTime};
+use simkernel::{
+    EventQueue, EventToken, FairShare, IdMap, IdSet, SchedStats, SimDuration, SimRng, SimTime,
+};
 use telemetry::trace::{SpanId, Tracer};
 use telemetry::{
     CostCategory, CostLedger, CpuMonitor, FaultKind, FaultLedger, FleetTag, SuppressReason,
@@ -253,7 +255,7 @@ struct Kv {
     host: HostId,
     pool: FairShare,
     tick: Option<EventToken>,
-    flows: HashMap<FlowId, FlowDone>,
+    flows: IdMap<FlowId, FlowDone>,
     data: HashMap<String, ObjectBody>,
     queues: HashMap<String, VecDeque<ObjectBody>>,
     /// Set when the hosting VM was killed; every subsequent (or still
@@ -273,7 +275,7 @@ pub struct World {
     store: ObjectStore,
     st_pool: FairShare,
     st_tick: Option<EventToken>,
-    st_flows: HashMap<FlowId, FlowDone>,
+    st_flows: IdMap<FlowId, FlowDone>,
     st_get_rl: RateLimiter,
     st_put_rl: RateLimiter,
     prefix_groups: HashMap<String, u64>,
@@ -281,7 +283,7 @@ pub struct World {
     // Direct host-to-host transfers (cluster shuffle traffic).
     vpc_pool: FairShare,
     vpc_tick: Option<EventToken>,
-    vpc_flows: HashMap<FlowId, FlowDone>,
+    vpc_flows: IdMap<FlowId, FlowDone>,
 
     // Hosts / sandboxes / VMs / KV.
     hosts: Vec<Host>,
@@ -293,16 +295,16 @@ pub struct World {
     emr_jobs: Vec<EmrJob>,
 
     // Op bookkeeping.
-    ops: HashMap<OpId, OpKind>,
+    ops: IdMap<OpId, OpKind>,
     next_op: u64,
     /// Host-local KV transfers finishing after a plain delay.
-    local_finishers: HashMap<OpId, FlowDone>,
+    local_finishers: IdMap<OpId, FlowDone>,
 
     // Fault injection.
     faults: FaultInjector,
     /// Hosts the injector must never take down mid-job (masters; hosts
     /// running a KV server are spared automatically).
-    protected_hosts: HashSet<HostId>,
+    protected_hosts: IdSet<HostId>,
 
     // Telemetry.
     ledger: CostLedger,
@@ -322,7 +324,7 @@ pub struct World {
     /// around the operations it issues on behalf of a task.
     trace_parent: SpanId,
     /// Open span per in-flight operation.
-    op_spans: HashMap<OpId, SpanId>,
+    op_spans: IdMap<OpId, SpanId>,
 }
 
 impl World {
@@ -347,13 +349,13 @@ impl World {
             store: ObjectStore::new(),
             st_pool,
             st_tick: None,
-            st_flows: HashMap::new(),
+            st_flows: IdMap::default(),
             st_get_rl,
             st_put_rl,
             prefix_groups: HashMap::new(),
             vpc_pool,
             vpc_tick: None,
-            vpc_flows: HashMap::new(),
+            vpc_flows: IdMap::default(),
             hosts,
             client: HostId::from_index(0),
             sandboxes: Vec::new(),
@@ -361,11 +363,11 @@ impl World {
             vms: Vec::new(),
             kvs: Vec::new(),
             emr_jobs: Vec::new(),
-            ops: HashMap::new(),
+            ops: IdMap::default(),
             next_op: 0,
-            local_finishers: HashMap::new(),
+            local_finishers: IdMap::default(),
             faults,
-            protected_hosts: HashSet::new(),
+            protected_hosts: IdSet::default(),
             ledger: CostLedger::new(),
             cpu: CpuMonitor::new(),
             fault_ledger: FaultLedger::new(),
@@ -375,7 +377,7 @@ impl World {
             active_vm_vcpus: 0.0,
             tracer: Tracer::new(),
             trace_parent: SpanId::NONE,
-            op_spans: HashMap::new(),
+            op_spans: IdMap::default(),
             cfg,
         }
     }
@@ -955,7 +957,7 @@ impl World {
             host,
             pool,
             tick: None,
-            flows: HashMap::new(),
+            flows: IdMap::default(),
             data: HashMap::new(),
             queues: HashMap::new(),
             dead: false,

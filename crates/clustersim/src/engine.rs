@@ -1,9 +1,9 @@
 //! The BSP execution engine.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use cloudsim::{HostId, Notify, ObjectBody, OpId, OpOutcome, VmId, World};
-use simkernel::{SimDuration, SimTime};
+use simkernel::{IdMap, IdSet, SimDuration, SimTime};
 use telemetry::{CostCategory, StageSpan, Timeline};
 
 use crate::config::{ClusterConfig, StageDef};
@@ -165,14 +165,14 @@ impl ClusterEngine {
 
         // Execute tasks in waves over the slot pool.
         let mut queue: VecDeque<usize> = (0..stage.tasks).collect();
-        let mut running: HashMap<OpId, (usize, RunningTask)> = HashMap::new();
+        let mut running: IdMap<OpId, (usize, RunningTask)> = IdMap::default();
         let mut in_flight = 0usize;
         let mut next_slot = 0usize;
         let mut done = 0usize;
 
         let launch = |world: &mut World,
                           queue: &mut VecDeque<usize>,
-                          running: &mut HashMap<OpId, (usize, RunningTask)>,
+                          running: &mut IdMap<OpId, (usize, RunningTask)>,
                           in_flight: &mut usize,
                           next_slot: &mut usize| {
             while *in_flight < self.total_slots {
@@ -304,7 +304,7 @@ fn wait_op(world: &mut World, op: OpId) -> SimTime {
 
 /// Pumps until every listed op completes.
 fn wait_all(world: &mut World, ops: Vec<OpId>) {
-    let mut remaining: std::collections::HashSet<OpId> = ops.into_iter().collect();
+    let mut remaining: IdSet<OpId> = ops.into_iter().collect();
     while !remaining.is_empty() {
         match world.step() {
             Some((_, Notify::Op { op, .. })) => {

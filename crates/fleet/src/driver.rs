@@ -19,7 +19,7 @@
 //! order. That fixed scan order is what keeps a cell deterministic.
 //! Every stage submission passes the [`Admission`] controller.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use cloudsim::{CloudConfig, ObjectBody, World};
@@ -30,7 +30,7 @@ use serverful::{
     fan_in_range, Backend, CloudEnv, EnvEvent, ExecError, ExecutionMode, ExecutorConfig,
     FunctionExecutor, JobHandle, Payload, ScriptTask,
 };
-use simkernel::SimTime;
+use simkernel::{IdMap, SimTime};
 
 use crate::admission::Admission;
 use crate::arrivals::{self, Arrival};
@@ -293,7 +293,7 @@ fn run_cell_traffic(
         jobs: Vec::new(),
         in_flight: Vec::new(),
         waiting: VecDeque::new(),
-        arrival_tokens: HashMap::new(),
+        arrival_tokens: IdMap::default(),
     };
     for a in arrivals {
         let delay = a.at.saturating_since(SimTime::ZERO);
@@ -379,7 +379,7 @@ struct CellState<'a> {
     /// only; pipelined cells rescan in job order instead).
     waiting: VecDeque<usize>,
     /// Pending arrival timers, token → arrival.
-    arrival_tokens: HashMap<u64, Arrival>,
+    arrival_tokens: IdMap<u64, Arrival>,
 }
 
 impl CellState<'_> {

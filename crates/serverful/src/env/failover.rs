@@ -309,7 +309,7 @@ impl CloudEnv {
         // running on a surviving worker, not already backed off for a
         // retry. The old KV queue died with the old master, so queued
         // bundles are re-pushed from the replayed release frontier.
-        let retry_pending: std::collections::HashSet<usize> = self
+        let retry_pending: IdSet<usize> = self
             .pending_task_retries
             .keys()
             .filter(|(j, _)| *j == job)

@@ -28,13 +28,13 @@
 //!    the client; all instances are automatically stopped afterwards
 //!    (unless instance reuse is enabled).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use cloudsim::{
     CloudConfig, FaultKind, HostId, KvId, Notify, ObjectBody, OpId, OpOutcome, SandboxId,
     Tenancy, VmId, World,
 };
-use simkernel::{SimDuration, SimTime};
+use simkernel::{IdMap, IdSet, SimDuration, SimTime};
 use telemetry::trace::SpanId;
 use telemetry::{FleetTag, StageSpan, Timeline};
 
@@ -78,12 +78,12 @@ pub struct CloudEnv {
     timeline: Timeline,
     jobs: Vec<JobState>,
     pools: Vec<StandalonePool>,
-    op_routes: HashMap<OpId, Route>,
+    op_routes: IdMap<OpId, Route>,
     /// Replay specs for in-flight storage ops (fault retries).
-    op_specs: HashMap<OpId, (StorageSpec, u32)>,
-    sandbox_routes: HashMap<SandboxId, Route>,
-    vm_routes: HashMap<VmId, Route>,
-    timer_routes: HashMap<u64, Route>,
+    op_specs: IdMap<OpId, (StorageSpec, u32)>,
+    sandbox_routes: IdMap<SandboxId, Route>,
+    vm_routes: IdMap<VmId, Route>,
+    timer_routes: IdMap<u64, Route>,
     next_timer: u64,
     scheduler_fleet: FleetTag,
     active_jobs: usize,
@@ -91,11 +91,11 @@ pub struct CloudEnv {
     /// span, for example).
     job_parent: SpanId,
     /// Live completion-monitor handles, one per monitored job.
-    monitors: HashMap<usize, MonitorHandle>,
+    monitors: IdMap<usize, MonitorHandle>,
     /// Task retries waiting out their backoff: `(job, task) -> attempt`.
     /// The re-adoption replay consults this so a backed-off task is not
     /// double-dispatched.
-    pending_task_retries: HashMap<(usize, usize), u32>,
+    pending_task_retries: IdMap<(usize, usize), u32>,
     /// High-water mark of concurrent same-generation monitor LISTs (the
     /// invariant says it never passes 1).
     max_list_overlap: u32,
@@ -105,7 +105,7 @@ pub struct CloudEnv {
     /// Registered decentralized DAG continuations.
     continuations: Vec<Continuation>,
     /// Per-job decentralized dispatch/counter state.
-    dc_jobs: HashMap<usize, DcJob>,
+    dc_jobs: IdMap<usize, DcJob>,
     /// Armed chaos kills: `(pool, event index)`; fired once the routed
     /// event counter passes the index and the master VM is up.
     armed_kills: Vec<(usize, u64)>,
@@ -139,21 +139,21 @@ impl CloudEnv {
             timeline: Timeline::new(),
             jobs: Vec::new(),
             pools: Vec::new(),
-            op_routes: HashMap::new(),
-            op_specs: HashMap::new(),
-            sandbox_routes: HashMap::new(),
-            vm_routes: HashMap::new(),
-            timer_routes: HashMap::new(),
+            op_routes: IdMap::default(),
+            op_specs: IdMap::default(),
+            sandbox_routes: IdMap::default(),
+            vm_routes: IdMap::default(),
+            timer_routes: IdMap::default(),
             next_timer: 0,
             scheduler_fleet,
             active_jobs: 0,
             job_parent: SpanId::NONE,
-            monitors: HashMap::new(),
-            pending_task_retries: HashMap::new(),
+            monitors: IdMap::default(),
+            pending_task_retries: IdMap::default(),
             max_list_overlap: 0,
             recovery_stats: RecoveryStats::new(),
             continuations: Vec::new(),
-            dc_jobs: HashMap::new(),
+            dc_jobs: IdMap::default(),
             armed_kills: Vec::new(),
             events_routed: 0,
         }

@@ -248,10 +248,9 @@ impl CloudEnv {
     /// worker slot (its process goes back to popping).
     pub(super) fn clear_task_attempt(&mut self, job: usize, task: usize, why: AttemptFailure) {
         if let Some(mut run) = self.jobs[job].tasks[task].run.take() {
-            let ops: Vec<OpId> = run.pending.keys().copied().collect();
-            for op in ops {
-                self.op_routes.remove(&op);
-                self.op_specs.remove(&op);
+            for op in run.pending.keys() {
+                self.op_routes.remove(op);
+                self.op_specs.remove(op);
             }
             self.end_io_busy(&mut run);
         }

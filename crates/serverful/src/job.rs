@@ -5,11 +5,10 @@
 //! (the task run executing a [`TaskLogic`] against the simulated world,
 //! and the storage-based completion monitor) live here.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use cloudsim::{HostId, KvId, ObjectBody, OpId, SandboxId};
-use simkernel::SimTime;
+use simkernel::{IdMap, SimTime};
 use telemetry::trace::SpanId;
 
 use crate::error::ExecError;
@@ -50,7 +49,7 @@ pub(crate) struct TaskRun {
     /// The master's KV store, when running on the serverful backend.
     pub kv: Option<KvId>,
     /// Outstanding ops of the current action, mapped to their index.
-    pub pending: HashMap<OpId, usize>,
+    pub pending: IdMap<OpId, usize>,
     pub shape: PendingShape,
     /// The overlapped-I/O busy fraction currently applied (0 = none).
     pub io_busy: f64,
@@ -71,7 +70,7 @@ impl TaskRun {
             logic,
             host,
             kv,
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             shape: PendingShape::Single,
             io_busy: 0.0,
         }

@@ -2,26 +2,73 @@
 //!
 //! [`EventQueue`] is a deterministic priority queue of `(SimTime, E)`
 //! pairs. Ties are broken by insertion order, so two runs with the same
-//! seed and the same schedule produce byte-identical traces. Pending
-//! events live in an ordered map keyed by `(time, insertion sequence)`:
-//! popping takes the first key, and cancelling through the [`EventToken`]
-//! returned at scheduling time removes the event outright. This is how
-//! the bandwidth-sharing pools retract a provisional completion when pool
-//! membership changes. Cancelling a token whose event already fired (or
-//! was already cancelled) is a no-op and is not counted.
+//! seed and the same schedule produce byte-identical traces. Cancelling
+//! through the [`EventToken`] returned at scheduling time removes the
+//! event; this is how the bandwidth-sharing pools retract a provisional
+//! completion when pool membership changes. Cancelling a token whose
+//! event already fired (or was already cancelled) is a no-op and is not
+//! counted.
+//!
+//! # Layout
+//!
+//! Each pending event sits in a *slot* of a vector, beside the insertion
+//! sequence number it was scheduled with. A fired or cancelled event
+//! frees its slot, and freed slots go on a free list for reuse. A binary
+//! min-heap orders `(time, sequence, slot)` entries. A token names its
+//! slot and sequence number, and a heap entry is *live* only while its
+//! slot still holds an event with the entry's sequence number.
+//! Cancelling empties the slot and leaves the entry in the heap, dead;
+//! after every cancel and pop, dead entries at the top of the heap are
+//! popped at once, so the top entry is always live.
+//!
+//! # Cost
+//!
+//! Scheduling is one heap push, and popping one heap pop, each O(log n)
+//! in the heap's entries, live and dead. Cancelling is O(1) plus the
+//! dead entries it uncovers at the top; each dead entry is popped once,
+//! so over a run that is one heap pop per cancel.
+//!
+//! # Why pop order and counters are exact
+//!
+//! Sequence numbers are unique and grow with insertion, so
+//! `(time, sequence)` orders entries strictly: the heap pops by time,
+//! then by insertion. The top entry is always live, so
+//! [`EventQueue::peek_time`] is exact without mutating the queue, and
+//! the queue is empty exactly when the heap is. A token matches its slot
+//! only while its event is pending: firing or cancelling empties the
+//! slot, and reusing it stores a new sequence number. So cancelling a
+//! fired, cancelled or reused token changes nothing and is not counted,
+//! and once the queue drains `scheduled == fired + cancelled`.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a scheduled event so it can be cancelled later.
 ///
-/// Tokens are unique for the lifetime of the queue and are never reused.
-/// They order by firing time, then by insertion.
+/// Tokens are unique for the lifetime of the queue and are never reused,
+/// even when the slot they name is. They order by insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventToken {
+    seq: u64,
+    slot: u32,
+}
+
+/// A heap entry; entries order by firing time, then by insertion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry {
     at: SimTime,
     seq: u64,
+    slot: u32,
+}
+
+/// Holds the pending event scheduled with `seq`, or nothing once that
+/// event fired or was cancelled.
+#[derive(Debug)]
+struct Slot<E> {
+    seq: u64,
+    event: Option<E>,
 }
 
 /// Lifetime counters of scheduler activity.
@@ -57,7 +104,11 @@ pub struct SchedStats {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    pending: BTreeMap<EventToken, E>,
+    /// Live and dead entries; the top one is always live.
+    heap: BinaryHeap<Reverse<Entry>>,
+    slots: Vec<Slot<E>>,
+    /// Slots holding no event.
+    free: Vec<u32>,
     now: SimTime,
     next_seq: u64,
     stats: SchedStats,
@@ -73,7 +124,9 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            pending: BTreeMap::new(),
+            heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             stats: SchedStats::default(),
@@ -104,14 +157,26 @@ impl<E> EventQueue<E> {
             at,
             self.now
         );
-        let token = EventToken {
-            at,
-            seq: self.next_seq,
-        };
+        let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.scheduled += 1;
-        self.pending.insert(token, event);
-        token
+        let filled = Slot {
+            seq,
+            event: Some(event),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = filled;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("under 2^32 pending events");
+                self.slots.push(filled);
+                slot
+            }
+        };
+        self.heap.push(Reverse(Entry { at, seq, slot }));
+        EventToken { seq, slot }
     }
 
     /// Schedules `event` after `delay` from the current time.
@@ -123,8 +188,11 @@ impl<E> EventQueue<E> {
     /// already fired (or was already cancelled) is a no-op and is not
     /// counted.
     pub fn cancel(&mut self, token: EventToken) {
-        if self.pending.remove(&token).is_some() {
+        let slot = &mut self.slots[token.slot as usize];
+        if slot.seq == token.seq && slot.event.take().is_some() {
+            self.free.push(token.slot);
             self.stats.cancelled += 1;
+            self.drop_dead_top();
         }
     }
 
@@ -135,26 +203,44 @@ impl<E> EventQueue<E> {
     /// advances the simulation clock, a semantic iterators must not have).
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<(SimTime, E)> {
-        let (token, event) = self.pending.pop_first()?;
-        debug_assert!(token.at >= self.now, "event queue went backwards");
-        self.now = token.at;
+        let Reverse(top) = self.heap.pop()?;
+        let event = self.slots[top.slot as usize]
+            .event
+            .take()
+            .expect("the top heap entry is live");
+        self.free.push(top.slot);
+        self.drop_dead_top();
+        debug_assert!(top.at >= self.now, "event queue went backwards");
+        self.now = top.at;
         self.stats.fired += 1;
-        Some((token.at, event))
+        Some((top.at, event))
     }
 
     /// The timestamp of the next live event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.pending.first_key_value().map(|(token, _)| token.at)
+        self.heap.peek().map(|Reverse(top)| top.at)
     }
 
     /// Number of live (not cancelled) events currently scheduled.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.slots.len() - self.free.len()
     }
 
     /// True when no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.heap.is_empty()
+    }
+
+    /// Pops dead entries off the top of the heap until a live one (or
+    /// nothing) is left there.
+    fn drop_dead_top(&mut self) {
+        while let Some(Reverse(top)) = self.heap.peek() {
+            let slot = &self.slots[top.slot as usize];
+            if slot.seq == top.seq && slot.event.is_some() {
+                break;
+            }
+            self.heap.pop();
+        }
     }
 }
 
@@ -244,6 +330,20 @@ mod tests {
         assert_eq!(stats.scheduled, 3);
         assert_eq!(stats.fired, 2);
         assert_eq!(stats.cancelled, 1);
+    }
+
+    #[test]
+    fn cancel_of_a_reused_slot_is_a_noop() {
+        let mut q = EventQueue::new();
+        let fired = q.schedule_in(SimDuration::from_secs(1), 1);
+        assert_eq!(q.next().map(|(_, e)| e), Some(1));
+        // Takes the slot the fired event freed.
+        let live = q.schedule_in(SimDuration::from_secs(1), 2);
+        assert_ne!(fired, live);
+        q.cancel(fired);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.stats().cancelled, 0);
+        assert_eq!(q.next().map(|(_, e)| e), Some(2));
     }
 
     #[test]

@@ -73,7 +73,7 @@
 //! subtracts service in a different association order, which moves
 //! completions by a microsecond.
 
-use std::collections::HashMap;
+use crate::idmap::IdMap;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -174,7 +174,7 @@ pub struct FairShare {
     flows: usize,
     groups: Vec<Group>,
     /// Group id to its slot in `groups`.
-    slot_of: HashMap<u64, u32>,
+    slot_of: IdMap<u64, u32>,
     last_update: SimTime,
     next_id: u64,
     /// Total bytes that have finished transferring through this pool.
@@ -203,7 +203,7 @@ impl FairShare {
             live: 0,
             flows: 0,
             groups: Vec::new(),
-            slot_of: HashMap::new(),
+            slot_of: IdMap::default(),
             last_update: SimTime::ZERO,
             next_id: 0,
             completed_bytes: 0.0,

@@ -11,6 +11,8 @@
 //! * [`FairShare`] — a max-min fair bandwidth-sharing pool used to model
 //!   contended links such as object-storage aggregate throughput and VM
 //!   NICs ([`fair_share`]).
+//! * [`IdMap`] / [`IdSet`] — hash maps and sets keyed by program-issued
+//!   integer ids, with a fast unkeyed hasher ([`idmap`]).
 //! * [`SlotPool`] — a FIFO vCPU slot pool used to model compute capacity
 //!   ([`slots`]).
 //! * [`StepSeries`] — a step-function time series used to record
@@ -35,6 +37,7 @@
 
 pub mod engine;
 pub mod fair_share;
+pub mod idmap;
 pub mod rng;
 pub mod series;
 pub mod slots;
@@ -42,6 +45,7 @@ pub mod time;
 
 pub use engine::{EventQueue, EventToken, SchedStats};
 pub use fair_share::{FairShare, FlowId};
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use rng::SimRng;
 pub use series::StepSeries;
 pub use slots::SlotPool;
