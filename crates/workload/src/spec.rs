@@ -81,11 +81,15 @@ impl Stage {
     }
 }
 
-/// The most CPU-seconds one task may declare: about 31.7 years, four
-/// orders of magnitude inside the simulator's clock range (`SimTime` is
-/// u64 microseconds, about 1.8e13 s), so a task's compute time always
-/// fits the clock.
-pub const MAX_CPU_SECS_PER_TASK: f64 = 1e9;
+/// The most CPU-seconds one task may declare: about 42× the largest
+/// bundled value (mlpipe's 240 s `train` tasks). Run time grows linearly
+/// with declared CPU time: on a 2-vCPU box, terasort-small with
+/// `cpu_secs=1e5` on its `validate` stage runs at full scale in about
+/// 0.13 s and with 1e6 in about 1.3 s, so 1e9 would take over 20
+/// minutes. At the cap, Xenograft with its 2,006-task `annotate` stage
+/// runs in under a second. Far past it, a task's compute time would
+/// overflow the simulator's clock.
+pub const MAX_CPU_SECS_PER_TASK: f64 = 1e4;
 
 /// The most tasks one stage may declare: about 5× the largest bundled
 /// stage (Xenograft's 2,006). Every task is simulated individually and

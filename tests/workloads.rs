@@ -39,13 +39,15 @@ fn every_bundled_workload_round_trips_through_the_dsl() {
 /// is loaded, naming the stage and the field, instead of failing deep
 /// in a run: a per-task `cpu_secs` past the clock's range would panic
 /// with a virtual-time overflow, a huge `tasks` count would abort on
-/// allocation, and a huge data volume would keep the run going forever.
+/// allocation, and a huge CPU time or data volume would keep the run
+/// going for minutes or forever.
 /// Every bundled workload stays under every ceiling.
 #[test]
 fn oversized_stage_fields_are_rejected_at_validation() {
     let text = emit(&workloads::named("terasort-small").expect("bundled name resolves"));
     for (stage, field, value) in [
         ("gen", "cpu_secs", "1e308"),
+        ("validate", "cpu_secs", "1e6"),
         ("gen", "tasks", "1000000000000"),
         ("validate", "read_mb", "1e308"),
         ("gen", "write_mb", "1e308"),
