@@ -105,10 +105,11 @@ impl ObjectStore {
     /// Inserts (or replaces) an object, returning the previous body if
     /// any.
     pub fn put(&mut self, bucket: &str, key: &str, body: ObjectBody) -> Option<ObjectBody> {
-        self.buckets
-            .entry(bucket.to_owned())
-            .or_default()
-            .insert(key.to_owned(), body)
+        let objects = match self.buckets.get_mut(bucket) {
+            Some(objects) => objects,
+            None => self.buckets.entry(bucket.to_owned()).or_default(),
+        };
+        objects.insert(key.to_owned(), body)
     }
 
     /// Reads an object.
@@ -131,6 +132,16 @@ impl ObjectStore {
                 .map(|(k, _)| k.clone())
                 .collect(),
         }
+    }
+
+    /// The objects in `bucket`, borrowed in place, in lexicographic key
+    /// order.
+    pub fn objects<'a>(&'a self, bucket: &str) -> impl Iterator<Item = (&'a str, &'a ObjectBody)> {
+        self.buckets
+            .get(bucket)
+            .into_iter()
+            .flatten()
+            .map(|(key, body)| (key.as_str(), body))
     }
 
     /// Number of objects across all buckets.
@@ -187,6 +198,17 @@ mod tests {
         assert_eq!(store.list_prefix("bk", "a/"), vec!["a/1", "a/2", "a/3"]);
         assert_eq!(store.list_prefix("bk", "c/"), Vec::<String>::new());
         assert_eq!(store.list_prefix("missing", ""), Vec::<String>::new());
+    }
+
+    #[test]
+    fn objects_walk_one_bucket_in_key_order() {
+        let mut store = ObjectStore::new();
+        for (bucket, key) in [("bk", "b"), ("other", "a"), ("bk", "a"), ("bk", "c")] {
+            store.put(bucket, key, ObjectBody::opaque(key.len() as u64));
+        }
+        let keys: Vec<&str> = store.objects("bk").map(|(key, _)| key).collect();
+        assert_eq!(keys, ["a", "b", "c"]);
+        assert_eq!(store.objects("missing").count(), 0);
     }
 
     #[test]

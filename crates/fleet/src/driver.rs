@@ -22,9 +22,10 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use cloudsim::{CloudConfig, ObjectBody, World};
+use cloudsim::{CloudConfig, ObjectBody};
 use metaspace::pipeline::{Stage, StageEdge, StageKind};
 use metaspace::plan::StageBackend;
+use metaspace::runner::science_digest;
 use serverful::executor::MapOptions;
 use serverful::{
     fan_in_range, Backend, CloudEnv, EnvEvent, ExecError, ExecutionMode, ExecutorConfig,
@@ -806,7 +807,7 @@ impl CellState<'_> {
         let faults = self.env.world().fault_ledger();
         let preemptions = faults.injected(FaultKind::SpotPreemption);
         let spot_fallbacks = faults.spot_fallbacks;
-        let science_digest = science_digest(self.env.world());
+        let science_digest = science_digest(self.env.world().store(), BUCKET);
         let ledger = self.env.world().ledger();
         let total = ledger.total();
         let tenant_jobs: Vec<usize> = (0..self.sc.tenants.len())
@@ -855,34 +856,6 @@ impl CellState<'_> {
             science_digest,
         }
     }
-}
-
-/// Deterministic FNV-1a digest of the science outputs in the fleet
-/// workspace bucket, mirroring the chaos suite's digest over the
-/// metaspace workspace: recovery snapshots and job plumbing
-/// (`recovery/`, `jobs/`) and warm-up keys are excluded, so a cell that
-/// lost spot VMs mid-run and recovered digests identically to a
-/// fault-free one.
-fn science_digest(world: &World) -> u64 {
-    let store = world.store();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    };
-    for key in store.list_prefix(BUCKET, "") {
-        if key.starts_with("recovery/") || key.starts_with("jobs/") || key.starts_with("warmup-") {
-            continue;
-        }
-        key.as_bytes().iter().for_each(|b| mix(*b));
-        mix(0);
-        let body = store.get(BUCKET, &key).expect("listed key exists");
-        body.len().to_le_bytes().iter().for_each(|b| mix(*b));
-        if let Some(bytes) = body.bytes() {
-            bytes.iter().for_each(|b| mix(*b));
-        }
-    }
-    h
 }
 
 /// The storage key of one task's stage input/output.

@@ -24,7 +24,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use cloudsim::{CloudConfig, InstanceType, ObjectBody, World};
+use cloudsim::{CloudConfig, InstanceType, ObjectBody, ObjectStore, World};
 use clustersim::{ClusterConfig, ClusterEngine, StageDef};
 use serverful::executor::MapOptions;
 use serverful::{
@@ -616,39 +616,37 @@ fn run_functions_plan(
     let chaos = ChaosReport {
         recovery: env.recovery_stats().clone(),
         events_routed: env.events_routed() - event_base,
-        science_digest: science_digest(env.world()),
+        science_digest: science_digest(env.world().store(), "lithops-workspace"),
         faults: env.world().fault_ledger().clone(),
         monitor_list_overlap: env.monitor_list_overlap(),
     };
     Ok((report, trace.then(|| trace_output(env.world())), chaos))
 }
 
-/// Deterministic FNV-1a digest of the science outputs in the workspace
-/// bucket. Recovery snapshots, decentralized bundles/counters and job
-/// plumbing (`recovery/`, `jobs/`) and warm-up keys are excluded: the
-/// digest covers exactly what the pipeline computed, so a killed run
-/// that recovered digests identically to a fault-free one.
-fn science_digest(world: &World) -> u64 {
-    const BUCKET: &str = "lithops-workspace";
-    let store = world.store();
+/// Deterministic FNV-1a digest of the science outputs in a workspace
+/// `bucket`, over each object's key, length and bytes in key order.
+/// Recovery snapshots, decentralized bundles/counters and job plumbing
+/// (`recovery/`, `jobs/`) and warm-up keys are excluded: the digest
+/// covers exactly what the pipeline computed, so a run that lost its
+/// master or spot VMs and recovered digests identically to a fault-free
+/// one.
+pub fn science_digest(store: &ObjectStore, bucket: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
+    let mut mix = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
     };
-    for key in store.list_prefix(BUCKET, "") {
-        if key.starts_with("recovery/")
-            || key.starts_with("jobs/")
-            || key.starts_with("warmup-")
-        {
+    for (key, body) in store.objects(bucket) {
+        if key.starts_with("recovery/") || key.starts_with("jobs/") || key.starts_with("warmup-") {
             continue;
         }
-        key.as_bytes().iter().for_each(|b| mix(*b));
-        mix(0);
-        let body = store.get(BUCKET, &key).expect("listed key exists");
-        body.len().to_le_bytes().iter().for_each(|b| mix(*b));
+        mix(key.as_bytes());
+        mix(&[0]);
+        mix(&body.len().to_le_bytes());
         if let Some(bytes) = body.bytes() {
-            bytes.iter().for_each(|b| mix(*b));
+            mix(bytes);
         }
     }
     h
