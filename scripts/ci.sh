@@ -62,6 +62,19 @@ if grep -rnE "async fn|async move|\.await|AsyncExecutor|Rc<RefCell" \
     echo "a second scheduler (futures or shared Rc<RefCell> state) is back" >&2
     exit 1
 fi
+# Every simulated event passes through the event queue and a few maps
+# keyed by ids the program issues itself. The queue is a slot-indexed
+# heap, and those maps are simkernel::IdMap / IdSet (an unkeyed hash);
+# std's SipHash is kept for string keys that come from workload files.
+id_key='(OpId|FlowId|SandboxId|VmId|KvId|HostId|u64|u32|usize)\b'
+if grep -rnE "Hash(Map|Set)(::)?<\(?$id_key" crates/*/src; then
+    echo "a std-hashed map keyed by an integer id is back (use simkernel::IdMap / IdSet)" >&2
+    exit 1
+fi
+if grep -n "BTreeMap" crates/simkernel/src/engine.rs; then
+    echo "the event queue's ordered map is back in simkernel::engine" >&2
+    exit 1
+fi
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
