@@ -74,7 +74,6 @@
 //! completions by a microsecond.
 
 use crate::idmap::IdMap;
-
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies an in-flight transfer within one [`FairShare`] pool.
