@@ -116,7 +116,7 @@ cargo build --release -p bench -q
 grep -q "verdict: frontier beats pure-serverless on cost: yes" /tmp/plan_smoke.txt \
     || { echo "planner smoke search lost to pure serverless" >&2; exit 1; }
 
-echo "== paper tables (release: Table 4, Figure 6, workload families vs goldens) =="
+echo "== paper tables (release: Table 4, Figure 6, workload families, full-scale drivers vs goldens) =="
 # The debug test pass skips these paper-scale goldens; the release
 # binary prints them in seconds, so diff its output against the
 # snapshots here. `--full` also checks them through cargo test.
@@ -128,6 +128,13 @@ for wl in terasort-small terasort-medium terasort-large mlpipe montage; do
     ./target/release/repro workload "$wl" --seed 42
 done | diff tests/goldens/workloads.txt - \
     || { echo "repro workload drifted from tests/goldens/workloads.txt" >&2; exit 1; }
+{
+    for job in brain xenograft x089; do
+        ./target/release/repro dag "$job" --seed 42
+    done
+    ./target/release/repro fleet mixed --seed 42 --threads 1
+} | diff tests/goldens/drivers_full.txt - \
+    || { echo "repro dag/fleet drifted from tests/goldens/drivers_full.txt" >&2; exit 1; }
 
 echo "== fleet smoke determinism (threads 1 vs 8, repeat runs) =="
 # The multi-tenant traffic report must be byte-identical for any worker

@@ -11,7 +11,8 @@
 //! plans) and pipelined DAG runs, traced and master-killed.
 //! `workloads.txt` pins the full-scale runs of the exchange-heavy
 //! workload families, whose storage flows load the fair-share data
-//! plane most.
+//! plane most. `drivers_full.txt` pins the same two drivers at full
+//! scale: `repro dag` on the three Table 2 jobs and `repro fleet mixed`.
 //!
 //! After an *intentional* behaviour change, refresh the snapshots and
 //! review the diff like any other code change:
@@ -21,18 +22,18 @@
 //! ```
 //!
 //! The slowest paper-scale goldens (Table 4, Figure 6, the workload
-//! families, the Xenograft trace) are ignored under debug builds; run
-//! them with `--release`.
+//! families, the full-scale drivers, the Xenograft trace) are ignored
+//! under debug builds; run them with `--release`.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use serverful_repro::bench::render::{
-    render_fig5, render_fig6, render_table1, render_table2, render_table3, render_table4,
-    render_workload,
+    render_dag, render_fig5, render_fig6, render_table1, render_table2, render_table3,
+    render_table4, render_workload,
 };
-use serverful_repro::bench::workload_comparison;
+use serverful_repro::bench::{dag_comparison, workload_comparison};
 use serverful_repro::cloudsim::{CloudConfig, FaultConfig};
 use serverful_repro::fleet::{
     self, report, run_scenario, FleetReport, PolicyOutcome, Scenario, TenantSpec,
@@ -461,6 +462,26 @@ fn golden_drivers() {
     ]
     .concat();
     check_golden("drivers", &text);
+}
+
+/// The two drivers at full scale, as `repro dag <job> --seed 42` and
+/// `repro fleet mixed --seed 42 --threads 1` print them: the pipelined
+/// release of the Table 2 jobs' thousands of gated tasks, and a fleet
+/// cell's 120 jobs under every policy.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "paper-scale run; use --release")]
+fn golden_drivers_full() {
+    let mut text: String = ["brain", "xenograft", "x089"]
+        .into_iter()
+        .map(|job| {
+            let spec = jobs::by_name(job).expect("Table 2 job");
+            render_dag(&dag_comparison(&spec, GOLDEN_SEED, false).expect("dag runs"))
+        })
+        .collect();
+    let report =
+        run_scenario(&Scenario::mixed(), GOLDEN_SEED, 1).expect("fleet traffic completes");
+    text.push_str(&report::render(&report));
+    check_golden("drivers_full", &text);
 }
 
 /// The paper-scale acceptance check: the seeded Xenograft trace replays
