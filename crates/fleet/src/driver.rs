@@ -11,13 +11,17 @@
 //! Inside a cell, one loop pumps [`serverful::CloudEnv`] an event at a
 //! time. Arrivals are [`serverful::CloudEnv::external_timer`]s: an
 //! arriving job submits its first stage (barrier) or its gated
-//! always-FaaS stages (pipelined). After every other event the loop
-//! polls each in-flight stage through exactly one
-//! [`serverful::FunctionExecutor::try_result`] dispatch
+//! always-FaaS stages (pipelined). A stage can only drain when one of
+//! the env's jobs finishes, so after any other event the loop looks at
+//! [`serverful::CloudEnv::finished_jobs`] and, only when that count has
+//! moved since its last look, polls each in-flight stage through exactly
+//! one [`serverful::FunctionExecutor::try_result`] dispatch
 //! (`CellState::scan_completions`), jobs in arrival order and stages in
 //! pipeline order, then advances the jobs whose stages drained, in job
-//! order. That fixed scan order is what keeps a cell deterministic.
-//! Every stage submission passes the [`Admission`] controller.
+//! order. A pipelined cell then releases gated tasks from each job's
+//! [`Readiness`] tracker, fed from the stages' completion logs. That
+//! fixed scan order is what keeps a cell deterministic. Every stage
+//! submission passes the [`Admission`] controller.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -28,15 +32,15 @@ use metaspace::plan::StageBackend;
 use metaspace::runner::science_digest;
 use serverful::executor::MapOptions;
 use serverful::{
-    fan_in_range, Backend, CloudEnv, EnvEvent, ExecError, ExecutionMode, ExecutorConfig,
-    FunctionExecutor, JobHandle, Payload, ScriptTask,
+    Backend, CloudEnv, Edge, EnvEvent, ExecError, ExecutionMode, ExecutorConfig,
+    FunctionExecutor, JobHandle, Payload, Readiness, ScriptTask,
 };
 use simkernel::{IdMap, SimTime};
 
 use crate::admission::Admission;
 use crate::arrivals::{self, Arrival};
 use crate::pool::SharedPool;
-use crate::scenario::{Policy, Scenario};
+use crate::scenario::{Policy, Scenario, TenantSpec};
 use telemetry::FaultKind;
 
 /// Object-storage bucket fleet jobs stage data through.
@@ -291,8 +295,11 @@ fn run_cell_traffic(
         faas,
         pool,
         adm: Admission::new(sc.quotas.clone()),
+        templates: sc.tenants.iter().map(JobTemplate::new).collect(),
         jobs: Vec::new(),
+        unfinished: 0,
         in_flight: Vec::new(),
+        scanned_finishes: 0,
         waiting: VecDeque::new(),
         arrival_tokens: IdMap::default(),
     };
@@ -316,6 +323,29 @@ enum ExecSlot {
     Pool(usize),
 }
 
+/// One tenant's job, built once per cell and cloned per arrival.
+struct JobTemplate {
+    stages: Vec<Stage>,
+    edges: Vec<Vec<StageEdge>>,
+    /// A fresh job's task readiness.
+    ready: Readiness,
+}
+
+impl JobTemplate {
+    fn new(tenant: &TenantSpec) -> JobTemplate {
+        let w = tenant.workload();
+        let ready = Readiness::new(w.stages.iter().zip(&w.edges).map(|(s, edges)| {
+            let deps = edges.iter().map(|e| Edge { from: e.from, fan_in: e.fan_in });
+            (s.tasks, deps)
+        }));
+        JobTemplate {
+            stages: w.stages,
+            edges: w.edges,
+            ready,
+        }
+    }
+}
+
 /// One stage's scheduling state inside a job.
 struct StageRun {
     /// The submitted job, once launched (pipelined FaaS stages launch
@@ -323,8 +353,9 @@ struct StageRun {
     handle: Option<JobHandle>,
     /// Whole stage finished and its result taken.
     complete: bool,
-    /// Per-task released flags (gated FaaS stages).
-    released: Vec<bool>,
+    /// Entries of the stage job's completion log fed to the job's
+    /// readiness tracker (pipelined cells).
+    seen: usize,
     /// Whether this stage already counted one quota throttle.
     throttle_noted: bool,
 }
@@ -339,6 +370,10 @@ struct JobRun {
     edges: Vec<Vec<StageEdge>>,
     /// Per-stage scheduling state, aligned with `stages`.
     runs: Vec<StageRun>,
+    /// Which tasks may be released, stage by stage: pipelined cells
+    /// feed it every completed task and every drained stage, and hand
+    /// its ready tasks out in task order.
+    ready: Readiness,
     arrived: SimTime,
     finished: Option<SimTime>,
     /// The per-job fleet executor ([`Policy::PerJobFleet`] only).
@@ -371,11 +406,18 @@ struct CellState<'a> {
     faas: FunctionExecutor,
     pool: Option<SharedPool>,
     adm: Admission,
+    /// Each tenant's job, index-aligned with the scenario's tenants.
+    templates: Vec<JobTemplate>,
     jobs: Vec<JobRun>,
+    /// Jobs that arrived and have not finished.
+    unfinished: usize,
     /// Every submitted stage that has not drained, in job-then-stage
-    /// order: what `scan_completions` polls after each event, kept
-    /// apart from `jobs` so the poll touches only live stages.
+    /// order: what `scan_completions` polls, kept apart from `jobs` so
+    /// the poll touches only live stages.
     in_flight: Vec<InFlight>,
+    /// [`CloudEnv::finished_jobs`] when `scan_completions` last ran: no
+    /// in-flight stage can have drained while the count stands still.
+    scanned_finishes: usize,
     /// Jobs whose next stage awaits quota headroom, FIFO (barrier cells
     /// only; pipelined cells rescan in job order instead).
     waiting: VecDeque<usize>,
@@ -399,7 +441,9 @@ impl CellState<'_> {
                     self.progress_stages();
                 }
                 EnvEvent::Progress => {
-                    self.scan_completions()?;
+                    if self.env.finished_jobs() != self.scanned_finishes {
+                        self.scan_completions()?;
+                    }
                     self.progress_stages();
                 }
                 EnvEvent::Drained => {
@@ -411,7 +455,7 @@ impl CellState<'_> {
                     if !progressed {
                         return Err(ExecError::Stalled(format!(
                             "fleet cell drained with {} jobs unfinished",
-                            self.jobs.iter().filter(|j| j.finished.is_none()).count()
+                            self.unfinished
                         )));
                     }
                 }
@@ -424,36 +468,36 @@ impl CellState<'_> {
     }
 
     fn done(&self) -> bool {
-        self.arrival_tokens.is_empty()
-            && self.waiting.is_empty()
-            && self.jobs.iter().all(|j| j.finished.is_some())
+        self.arrival_tokens.is_empty() && self.waiting.is_empty() && self.unfinished == 0
     }
 
     /// Registers an arriving job and submits what can start at once: a
     /// barrier job's first stage (or queues it on admission), a
     /// pipelined job's always-FaaS stages.
     fn arrive(&mut self, a: &Arrival) {
-        let w = self.sc.tenants[a.tenant].workload();
+        let template = &self.templates[a.tenant];
         let idx = self.jobs.len();
         self.jobs.push(JobRun {
             tenant: a.tenant,
             name: a.job_name(self.sc),
-            runs: w
+            runs: template
                 .stages
                 .iter()
-                .map(|s| StageRun {
+                .map(|_| StageRun {
                     handle: None,
                     complete: false,
-                    released: vec![false; s.tasks],
+                    seen: 0,
                     throttle_noted: false,
                 })
                 .collect(),
-            stages: w.stages,
-            edges: w.edges,
+            stages: template.stages.clone(),
+            edges: template.edges.clone(),
+            ready: template.ready.clone(),
             arrived: self.env.now(),
             finished: None,
             own: None,
         });
+        self.unfinished += 1;
         if !self.pipelined {
             self.advance_or_wait(idx, 0);
             return;
@@ -472,6 +516,7 @@ impl CellState<'_> {
     /// Stamps a job finished and shuts down its per-job fleet.
     fn finish_job(&mut self, idx: usize) {
         self.jobs[idx].finished = Some(self.env.now());
+        self.unfinished -= 1;
         if let Some(mut own) = self.jobs[idx].own.take() {
             own.shutdown(&mut self.env);
         }
@@ -498,6 +543,9 @@ impl CellState<'_> {
     /// barrier job moves to its next stage, and a job with every stage
     /// drained finishes.
     fn scan_completions(&mut self) -> Result<(), ExecError> {
+        // Taken before the poll: a job finishing during this scan's own
+        // submissions and shutdowns triggers the next one.
+        self.scanned_finishes = self.env.finished_jobs();
         let mut drained = Vec::new();
         let mut k = 0;
         while k < self.in_flight.len() {
@@ -510,6 +558,9 @@ impl CellState<'_> {
             result?;
             self.in_flight.remove(k);
             self.jobs[f.job].runs[f.stage].complete = true;
+            if self.pipelined {
+                self.jobs[f.job].ready.complete_node(f.stage);
+            }
             if drained.last() != Some(&f.job) {
                 drained.push(f.job);
             }
@@ -584,6 +635,7 @@ impl CellState<'_> {
             if self.jobs[idx].finished.is_some() {
                 continue;
             }
+            self.observe_tasks(idx);
             for s in 0..self.jobs[idx].stages.len() {
                 if self.jobs[idx].runs[s].complete {
                     continue;
@@ -611,39 +663,38 @@ impl CellState<'_> {
         progressed
     }
 
-    /// Releases every gated task of stage `s` whose upstream partitions
-    /// are done, stopping at the first that the Lambda quota cannot
-    /// admit. Returns whether any task was released.
+    /// Feeds the tasks job `idx`'s running stages completed since the
+    /// last pass to the job's readiness tracker.
+    fn observe_tasks(&mut self, idx: usize) {
+        let job = &mut self.jobs[idx];
+        for (s, run) in job.runs.iter_mut().enumerate() {
+            let Some(handle) = run.handle.filter(|_| !run.complete) else {
+                continue;
+            };
+            let log = handle.completed_tasks(&self.env);
+            for &t in &log[run.seen..] {
+                job.ready.complete(s, t);
+            }
+            run.seen = log.len();
+        }
+    }
+
+    /// Releases the ready tasks of stage `s` in task order, stopping at
+    /// the first that the Lambda quota cannot admit; it stays ready for
+    /// the next pass. A stage launched ungated after its upstream
+    /// drained has every task ready, and passes them through the same
+    /// admission. Returns whether any task was released.
     fn release_ready_tasks(&mut self, idx: usize, s: usize, released_now: &mut usize) -> bool {
         let handle = self.jobs[idx].runs[s].handle.expect("caller checked submission");
-        let tasks = self.jobs[idx].stages[s].tasks;
         let mut any = false;
-        for t in 0..tasks {
-            if self.jobs[idx].runs[s].released[t] {
-                continue;
-            }
-            let job = &self.jobs[idx];
-            let ready = job.edges[s].iter().all(|e| {
-                let up = &job.runs[e.from];
-                if up.complete {
-                    return true;
-                }
-                let Some(uh) = up.handle else {
-                    return false;
-                };
-                fan_in_range(e.fan_in, job.stages[e.from].tasks, tasks, t)
-                    .all(|u| uh.task_done(&self.env, u))
-            });
-            if !ready {
-                continue;
-            }
+        while let Some(t) = self.jobs[idx].ready.next_ready(s) {
             // Count this pass's not-yet-visible releases on top of the
             // world's active sandboxes: admission at task granularity.
             if !self.adm.admits_faas(self.env.world(), *released_now + 1) {
                 self.note_stage_throttle(idx, s);
                 break;
             }
-            self.jobs[idx].runs[s].released[t] = true;
+            self.jobs[idx].ready.take_ready(s);
             handle.release_task(&mut self.env, t);
             *released_now += 1;
             any = true;

@@ -24,15 +24,23 @@
 //!   already-warm worker pool.
 //!
 //! Both modes are plain loops over [`CloudEnv::pump`]. Pipelined mode
-//! follows every pumped event with an *observe* pass (stamp newly
-//! completed tasks, collect finished jobs) and then a *release* pass,
-//! each over the nodes in submission order; that fixed scan order is
-//! what makes the env call sequence, span-id allocation, tables, traces
-//! and billing byte-identical across repeat runs.
+//! follows every pumped event with an *observe* pass over the nodes in
+//! submission order, which reads only the new entries of each job's
+//! completion log ([`JobHandle::completed_tasks`]) and collects finished
+//! jobs, and then a *release* pass that hands out the tasks a
+//! [`Readiness`] tracker found ready, in node then task order. Each
+//! completion costs the downstream tasks that name it, and nothing costs
+//! the whole graph per event. The fixed pass order is what makes the env
+//! call sequence, span-id allocation, tables, traces and billing
+//! byte-identical across repeat runs.
 //!
 //! The launch closures own backend choice and input seeding; the DAG
 //! only sequences them. See `metaspace::runner` for the full pipeline
 //! lowering and `examples/dag_pipeline.rs` for a standalone example.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use crate::env::{CloudEnv, EnvEvent};
 use crate::error::ExecError;
@@ -102,6 +110,175 @@ pub fn fan_in_range(
             let hi = ((t + 1) * n / m).max(lo + 1).min(n);
             lo..hi
         }
+    }
+}
+
+/// Which tasks of a task-level dependency graph may run, fed one
+/// completion at a time. Both pipelined drivers, [`run_dag`] and the
+/// fleet's, decide readiness through it.
+///
+/// A task's *dependency units* are, per edge into its node, each
+/// upstream task of its [`fan_in_range`] block (one-to-one) or the
+/// whole upstream node (all-to-all, one unit). A task is ready once
+/// every unit is met, which is exactly when every upstream task of every
+/// edge's block is done. Feeding a completion costs the downstream tasks
+/// that name it; ready tasks wait in a per-node list, handed out in task
+/// order, until [`take_ready`](Self::take_ready) takes them.
+///
+/// # Example
+///
+/// ```
+/// use serverful::dag::{Edge, Readiness};
+///
+/// // 4 upstream partitions feeding 2 downstream: blocks [0,2) and [2,4).
+/// let mut r = Readiness::new([(4, vec![]), (2, vec![Edge::one_to_one(0)])]);
+/// assert_eq!(r.next_ready(0), Some(0)); // roots are ready at once
+/// r.complete(0, 3);
+/// r.complete(0, 2);
+/// assert_eq!(r.next_ready(1), Some(1));
+/// assert_eq!(r.take_ready(1), Some(1));
+/// assert_eq!(r.next_ready(1), None);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Readiness {
+    /// Per node, per task: dependency units not met yet.
+    unmet: Vec<Vec<u32>>,
+    /// Per node, per task: whether its completion was fed.
+    done: Vec<Vec<bool>>,
+    /// Per node: tasks with every unit met that were not taken yet.
+    ready: Vec<BinaryHeap<Reverse<usize>>>,
+    /// Per node: the edges out of it.
+    out: Vec<Vec<OutEdge>>,
+}
+
+/// An edge as its upstream node sees it.
+#[derive(Debug, Clone)]
+struct OutEdge {
+    /// The downstream node.
+    to: usize,
+    fan_out: FanOut,
+}
+
+#[derive(Debug, Clone)]
+enum FanOut {
+    /// One-to-one: per upstream task, the downstream tasks whose block
+    /// holds it (blocks are monotone, so these form a range).
+    Blocks(Vec<Range<usize>>),
+    /// All-to-all: upstream tasks not done yet; the unit is met at zero.
+    Whole { waiting: usize },
+}
+
+impl Readiness {
+    /// A tracker over nodes given as `(width, edges into the node)`, in
+    /// topological order. Nothing is done yet, so exactly the tasks with
+    /// no dependency units are ready.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge points at its own node or a later one.
+    pub fn new<E>(nodes: impl IntoIterator<Item = (usize, E)>) -> Readiness
+    where
+        E: IntoIterator<Item = Edge>,
+    {
+        let mut r = Readiness {
+            unmet: Vec::new(),
+            done: Vec::new(),
+            ready: Vec::new(),
+            out: Vec::new(),
+        };
+        for (v, (m, deps)) in nodes.into_iter().enumerate() {
+            let mut unmet = vec![0u32; m];
+            for e in deps {
+                assert!(e.from < v, "edge {} -> {v} is not topological", e.from);
+                let n = r.unmet[e.from].len();
+                let fan_out = match e.fan_in {
+                    FanIn::OneToOne => {
+                        let mut readers = vec![0..0; n];
+                        for (t, units) in unmet.iter_mut().enumerate() {
+                            let block = fan_in_range(FanIn::OneToOne, n, m, t);
+                            *units += block.len() as u32;
+                            for u in block {
+                                // `end == 0`: no reader yet.
+                                let named_by = &mut readers[u];
+                                debug_assert!(named_by.end == 0 || named_by.end == t);
+                                if named_by.end == 0 {
+                                    named_by.start = t;
+                                }
+                                named_by.end = t + 1;
+                            }
+                        }
+                        FanOut::Blocks(readers)
+                    }
+                    FanIn::AllToAll => {
+                        if n > 0 {
+                            unmet.iter_mut().for_each(|units| *units += 1);
+                        }
+                        FanOut::Whole { waiting: n }
+                    }
+                };
+                r.out[e.from].push(OutEdge { to: v, fan_out });
+            }
+            let ready = (0..m).filter(|&t| unmet[t] == 0).map(Reverse).collect();
+            r.unmet.push(unmet);
+            r.done.push(vec![false; m]);
+            r.ready.push(ready);
+            r.out.push(Vec::new());
+        }
+        r
+    }
+
+    /// Feeds one task's completion. Feeding a task again is a no-op.
+    pub fn complete(&mut self, node: usize, task: usize) {
+        if std::mem::replace(&mut self.done[node][task], true) {
+            return;
+        }
+        for edge in &mut self.out[node] {
+            let (unmet, ready) = (&mut self.unmet[edge.to], &mut self.ready[edge.to]);
+            match &mut edge.fan_out {
+                FanOut::Blocks(readers) => {
+                    for t in readers[task].clone() {
+                        meet(unmet, ready, t);
+                    }
+                }
+                FanOut::Whole { waiting } => {
+                    *waiting -= 1;
+                    if *waiting == 0 {
+                        (0..unmet.len()).for_each(|t| meet(unmet, ready, t));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Feeds the completion of every task of `node` not fed yet (the
+    /// node's whole job drained).
+    pub fn complete_node(&mut self, node: usize) {
+        for task in 0..self.done[node].len() {
+            self.complete(node, task);
+        }
+    }
+
+    /// The lowest ready task of `node` not taken yet.
+    pub fn next_ready(&self, node: usize) -> Option<usize> {
+        self.ready[node].peek().map(|&Reverse(t)| t)
+    }
+
+    /// Takes [`next_ready`](Self::next_ready): it is handed out once.
+    pub fn take_ready(&mut self, node: usize) -> Option<usize> {
+        self.ready[node].pop().map(|Reverse(t)| t)
+    }
+
+    /// Every ready task of `node` not taken yet, in no particular order.
+    pub fn ready(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        self.ready[node].iter().map(|&Reverse(t)| t)
+    }
+}
+
+/// Meets one dependency unit of downstream task `t`.
+fn meet(unmet: &mut [u32], ready: &mut BinaryHeap<Reverse<usize>>, t: usize) {
+    unmet[t] -= 1;
+    if unmet[t] == 0 {
+        ready.push(Reverse(t));
     }
 }
 
@@ -320,8 +497,8 @@ fn run_barrier<C>(env: &mut CloudEnv, ctx: &mut C, mut dag: Dag<C>) -> Result<Da
 struct Live {
     handle: JobHandle,
     stats: NodeStats,
-    done: Vec<bool>,
-    released: Vec<bool>,
+    /// Entries of the job's completion log observed so far.
+    seen: usize,
     complete: bool,
 }
 
@@ -378,13 +555,13 @@ fn run_pipelined<C>(
                 released_at: vec![SimTime::ZERO; tasks],
                 done_at: vec![SimTime::ZERO; tasks],
             },
-            done: vec![false; tasks],
-            released: vec![false; tasks],
+            seen: 0,
             complete: false,
         });
     }
 
-    release_ready(env, &dag, &mut live);
+    let mut ready = Readiness::new(dag.nodes.iter().map(|n| (n.tasks, n.deps.iter().copied())));
+    release_ready(env, &mut ready, &mut live);
     loop {
         if live.iter().all(|l| l.complete) {
             return Ok(DagStats {
@@ -406,31 +583,31 @@ fn run_pipelined<C>(
         // ends the pass and the run.
         for (v, l) in live.iter_mut().enumerate() {
             if !l.complete {
-                observe(env, &dag, v, l, &mut open)?;
+                observe(env, &dag, v, l, &mut ready, &mut open)?;
             }
         }
-        release_ready(env, &dag, &mut live);
+        release_ready(env, &mut ready, &mut live);
     }
 }
 
-/// Stamps node `v`'s newly completed tasks; collects its job when it
-/// finishes (ending the group span on the group's last member).
+/// Stamps node `v`'s newly completed tasks and feeds them to the
+/// tracker; collects its job when it finishes (ending the group span on
+/// the group's last member).
 fn observe<C>(
     env: &mut CloudEnv,
     dag: &Dag<C>,
     v: usize,
     l: &mut Live,
+    ready: &mut Readiness,
     open: &mut [SpanId],
 ) -> Result<(), ExecError> {
     let now = env.now();
-    if l.handle.done_tasks(env) > l.done.iter().filter(|d| **d).count() {
-        for t in 0..l.stats.tasks {
-            if !l.done[t] && l.handle.task_done(env, t) {
-                l.done[t] = true;
-                l.stats.done_at[t] = now;
-            }
-        }
+    let log = l.handle.completed_tasks(env);
+    for &t in &log[l.seen..] {
+        l.stats.done_at[t] = now;
+        ready.complete(v, t);
     }
+    l.seen = log.len();
     if !l.handle.is_finished(env) {
         return Ok(());
     }
@@ -445,26 +622,15 @@ fn observe<C>(
 
 /// Releases, in node then task order, every gated task whose upstream
 /// partitions are done.
-fn release_ready<C>(env: &mut CloudEnv, dag: &Dag<C>, live: &mut [Live]) {
+fn release_ready(env: &mut CloudEnv, ready: &mut Readiness, live: &mut [Live]) {
     let now = env.now();
-    for (v, node) in dag.nodes.iter().enumerate() {
-        if live[v].complete {
+    for (v, l) in live.iter_mut().enumerate() {
+        if l.complete {
             continue;
         }
-        for t in 0..node.tasks {
-            if live[v].released[t] {
-                continue;
-            }
-            let ready = node.deps.iter().all(|e| {
-                fan_in_range(e.fan_in, dag.nodes[e.from].tasks, node.tasks, t)
-                    .all(|u| live[e.from].done[u])
-            });
-            if !ready {
-                continue;
-            }
-            live[v].released[t] = true;
-            live[v].stats.released_at[t] = now;
-            live[v].handle.release_task(env, t);
+        while let Some(t) = ready.take_ready(v) {
+            l.stats.released_at[t] = now;
+            l.handle.release_task(env, t);
         }
     }
 }

@@ -87,6 +87,8 @@ pub struct CloudEnv {
     next_timer: u64,
     scheduler_fleet: FleetTag,
     active_jobs: usize,
+    /// Jobs finished so far, successfully or not.
+    finished_jobs: usize,
     /// Span subsequently submitted jobs parent under (a pipeline's stage
     /// span, for example).
     job_parent: SpanId,
@@ -147,6 +149,7 @@ impl CloudEnv {
             next_timer: 0,
             scheduler_fleet,
             active_jobs: 0,
+            finished_jobs: 0,
             job_parent: SpanId::NONE,
             monitors: IdMap::default(),
             pending_task_retries: IdMap::default(),
@@ -333,12 +336,8 @@ impl CloudEnv {
         self.jobs[job].tasks.len()
     }
 
-    pub(crate) fn job_done_tasks(&self, job: usize) -> usize {
-        self.jobs[job].done_tasks
-    }
-
-    pub(crate) fn job_task_done(&self, job: usize, task: usize) -> bool {
-        matches!(self.jobs[job].tasks[task].phase, TaskPhase::Done)
+    pub(crate) fn job_completed_tasks(&self, job: usize) -> &[usize] {
+        &self.jobs[job].completed
     }
 
     pub(crate) fn job_finished(&self, job: usize) -> bool {
@@ -369,7 +368,7 @@ impl CloudEnv {
                     return Err(ExecError::Stalled(format!(
                         "simulation drained with job {job} ({}) unfinished: {}/{} tasks done",
                         self.jobs[job].name,
-                        self.jobs[job].done_tasks,
+                        self.jobs[job].completed.len(),
                         self.jobs[job].tasks.len()
                     )));
                 }
@@ -434,6 +433,15 @@ impl CloudEnv {
     /// clock [`arm_master_kill`](Self::arm_master_kill) indices refer to.
     pub fn events_routed(&self) -> u64 {
         self.events_routed
+    }
+
+    /// Jobs finished so far, successfully or not. The count only grows,
+    /// and a job's result becomes available exactly when it moves, so a
+    /// driver polling many jobs with
+    /// [`FunctionExecutor::try_result`](crate::FunctionExecutor::try_result)
+    /// can skip the poll while it stands still.
+    pub fn finished_jobs(&self) -> usize {
+        self.finished_jobs
     }
 
     /// High-water mark of concurrent monitor LISTs belonging to a single

@@ -401,7 +401,7 @@ impl CloudEnv {
         let span = std::mem::replace(&mut self.jobs[job].tasks[task].span, SpanId::NONE);
         self.world.tracer_mut().end(span, now);
         self.jobs[job].tasks[task].phase = TaskPhase::Done;
-        self.jobs[job].done_tasks += 1;
+        self.jobs[job].completed.push(task);
         if let Some(sandbox) = self.jobs[job].tasks[task].sandbox {
             self.sandbox_routes.remove(&sandbox);
             self.world.faas_release(sandbox);

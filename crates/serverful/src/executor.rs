@@ -82,19 +82,14 @@ impl JobHandle {
         env.job_total_tasks(self.id)
     }
 
-    /// Tasks that have completed successfully so far. Partition-level
-    /// progress: a dataflow scheduler can release downstream work as
-    /// soon as specific upstream partitions finish, without waiting for
-    /// the whole job.
-    #[must_use = "a completion count only informs scheduling; it has no side effect"]
-    pub fn done_tasks(&self, env: &CloudEnv) -> usize {
-        env.job_done_tasks(self.id)
-    }
-
-    /// Whether a specific partition has completed successfully.
-    #[must_use = "a completion check only informs scheduling; it has no side effect"]
-    pub fn task_done(&self, env: &CloudEnv, task: usize) -> bool {
-        env.job_task_done(self.id, task)
+    /// The tasks that have completed successfully so far, in completion
+    /// order. Partition-level progress: the log only grows, so a
+    /// dataflow scheduler that remembers how much of it it has read
+    /// releases downstream work as specific upstream partitions finish,
+    /// paying per completion rather than per poll.
+    #[must_use = "a completion log only informs scheduling; it has no side effect"]
+    pub fn completed_tasks<'e>(&self, env: &'e CloudEnv) -> &'e [usize] {
+        env.job_completed_tasks(self.id)
     }
 
     /// Whether the whole job has finished (all results collected, or
@@ -266,7 +261,7 @@ impl FunctionExecutor {
                 })
                 .collect(),
             results: (0..n).map(|_| None).collect(),
-            done_tasks: 0,
+            completed: Vec::new(),
             held_tasks: if opts.gated { n } else { 0 },
             dispatch_ready: false,
             monitor_started: false,

@@ -186,7 +186,9 @@ pub(crate) struct JobState {
     pub inputs: Vec<Payload>,
     pub tasks: Vec<TaskState>,
     pub results: Vec<Option<Payload>>,
-    pub done_tasks: usize,
+    /// Tasks in the order they completed. `TaskPhase::Done` is terminal,
+    /// so each task appears at most once.
+    pub completed: Vec<usize>,
     /// Tasks still gated behind an explicit release (dataflow mode);
     /// 0 for ordinary jobs.
     pub held_tasks: usize,
@@ -220,7 +222,7 @@ impl std::fmt::Debug for JobState {
             .field("id", &self.id)
             .field("name", &self.name)
             .field("tasks", &self.tasks.len())
-            .field("done", &self.done_tasks)
+            .field("done", &self.completed.len())
             .finish()
     }
 }
@@ -280,7 +282,7 @@ mod tests {
             inputs: vec![Payload::U64(1), Payload::Opaque { size: 100 }],
             tasks: vec![TaskState::new(), TaskState::new()],
             results: vec![None, None],
-            done_tasks: 0,
+            completed: Vec::new(),
             held_tasks: 0,
             dispatch_ready: false,
             monitor_started: false,

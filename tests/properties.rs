@@ -7,7 +7,7 @@
 //! to reproduce (`SimRng::seed_from(seed)` regenerates the exact case).
 
 use serverful_repro::cloudsim::{catalog, LambdaTariff, ObjectBody};
-use serverful_repro::serverful::{CloudObjectRef, Payload};
+use serverful_repro::serverful::{fan_in_range, CloudObjectRef, Edge, Payload, Readiness};
 use serverful_repro::telemetry::{CostCategory, CostLedger};
 use serverful_repro::shuffle::data as sortdata;
 use serverful_repro::simkernel::{
@@ -544,6 +544,93 @@ fn fair_share_matches_formula_model() {
                 }
             }
             assert_pool_matches(&pool, &model, &ctx);
+        }
+    });
+}
+
+/// The pipelined drivers' readiness tracker against the fan-in rule it
+/// replaced: a task is ready iff, for every edge into its node, every
+/// upstream task of the edge's `fan_in_range` block is done. Graphs of
+/// 1-6 nodes, widths 1-40, mix one-to-one edges that narrow, widen and
+/// keep width with all-to-all edges and with two edges from one
+/// upstream node. Tasks complete in random batches, now and then a
+/// whole node at once, and some twice. After each batch every node's
+/// ready and untaken tasks must be the model's; then a random prefix of
+/// each is taken, as the fleet's quota does, and the rest carried over.
+#[test]
+fn readiness_matches_the_fan_in_rule() {
+    forall_cases(150, |seed, rng| {
+        let nodes = rng.uniform_u64(1, 7) as usize;
+        let mut widths: Vec<usize> = Vec::new();
+        let mut deps: Vec<Vec<Edge>> = Vec::new();
+        for v in 0..nodes {
+            let width = if v > 0 && rng.uniform_u64(0, 3) == 0 {
+                widths[rng.uniform_u64(0, v as u64) as usize]
+            } else {
+                rng.uniform_u64(1, 41) as usize
+            };
+            let mut edges: Vec<Edge> = Vec::new();
+            for _ in 0..if v > 0 { rng.uniform_u64(0, 3) } else { 0 } {
+                let from = match edges.last() {
+                    Some(e) if rng.uniform_u64(0, 2) == 0 => e.from,
+                    _ => rng.uniform_u64(0, v as u64) as usize,
+                };
+                edges.push(if rng.uniform_u64(0, 3) == 0 {
+                    Edge::all_to_all(from)
+                } else {
+                    Edge::one_to_one(from)
+                });
+            }
+            widths.push(width);
+            deps.push(edges);
+        }
+        let mut tracker = Readiness::new(widths.iter().copied().zip(deps.iter().cloned()));
+        let mut done: Vec<Vec<bool>> = widths.iter().map(|&w| vec![false; w]).collect();
+        let mut taken = done.clone();
+        let mut order: Vec<(usize, usize)> = (0..nodes)
+            .flat_map(|v| (0..widths[v]).map(move |t| (v, t)))
+            .collect();
+        let repeats: Vec<(usize, usize)> =
+            order.iter().copied().filter(|_| rng.uniform_u64(0, 8) == 0).collect();
+        order.extend(repeats);
+        rng.shuffle(&mut order);
+        let mut next = 0;
+        for batch in 0.. {
+            for v in 0..nodes {
+                let want: Vec<usize> = (0..widths[v])
+                    .filter(|&t| {
+                        !taken[v][t]
+                            && deps[v].iter().all(|e| {
+                                fan_in_range(e.fan_in, widths[e.from], widths[v], t)
+                                    .all(|u| done[e.from][u])
+                            })
+                    })
+                    .collect();
+                let ctx = format!("seed {seed} batch {batch} node {v} widths {widths:?} deps {deps:?}");
+                let mut got: Vec<usize> = tracker.ready(v).collect();
+                got.sort_unstable();
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(tracker.next_ready(v), want.first().copied(), "{ctx}");
+                let prefix = rng.uniform_u64(0, want.len() as u64 + 1) as usize;
+                for &t in &want[..prefix] {
+                    assert_eq!(tracker.take_ready(v), Some(t), "{ctx}");
+                    taken[v][t] = true;
+                }
+            }
+            if next == order.len() {
+                break;
+            }
+            if rng.uniform_u64(0, 10) == 0 {
+                let v = rng.uniform_u64(0, nodes as u64) as usize;
+                tracker.complete_node(v);
+                done[v].iter_mut().for_each(|d| *d = true);
+            }
+            let end = (next + rng.uniform_u64(1, 13) as usize).min(order.len());
+            for &(v, t) in &order[next..end] {
+                tracker.complete(v, t);
+                done[v][t] = true;
+            }
+            next = end;
         }
     });
 }
