@@ -866,17 +866,27 @@ impl CellState<'_> {
             .collect();
         let all_jobs: usize = tenant_jobs.iter().sum();
         // Direct cost carries the job's `{tenant}#{seq}` billing label;
-        // shared-pool VM time is a common good, split by job count.
-        let pool_cost = ledger.total_labelled("shared-pool");
-        let tenant_cost_usd: Vec<f64> = self
-            .sc
-            .tenants
+        // shared-pool VM time is a common good, split by job count. One
+        // pass over the ledger adds each entry to every sum whose label
+        // names it, in entry order, from `Iterator::sum`'s `-0.0`.
+        let mut direct = vec![-0.0; self.sc.tenants.len()];
+        let mut pool_cost = -0.0;
+        for e in ledger.entries() {
+            if e.label.contains("shared-pool") {
+                pool_cost += e.amount;
+            }
+            for (sum, spec) in direct.iter_mut().zip(&self.sc.tenants) {
+                if bills_tenant(&e.label, &spec.name) {
+                    *sum += e.amount;
+                }
+            }
+        }
+        let tenant_cost_usd: Vec<f64> = direct
             .iter()
-            .enumerate()
-            .map(|(t, spec)| {
-                let direct = ledger.total_labelled(&format!("{}#", spec.name));
+            .zip(&tenant_jobs)
+            .map(|(direct, &jobs)| {
                 let share = if all_jobs > 0 {
-                    pool_cost * tenant_jobs[t] as f64 / all_jobs as f64
+                    pool_cost * jobs as f64 / all_jobs as f64
                 } else {
                     0.0
                 };
@@ -912,4 +922,30 @@ impl CellState<'_> {
 /// The storage key of one task's stage input/output.
 fn stage_key(prefix: &str, dir: &str, task: usize, spread: usize) -> String {
     format!("{prefix}-{dir}{}/{dir}-{task:05}", task % spread.max(1))
+}
+
+/// Whether a billing label holds `{tenant}#`, the prefix of every job
+/// name the tenant submits: the tenant's name ends right before one of
+/// the label's `#`s. A byte scan for `#` instead of a substring search.
+fn bills_tenant(label: &str, tenant: &str) -> bool {
+    label.match_indices('#').any(|(at, _)| label[..at].ends_with(tenant))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bills_tenant_is_a_substring_match_on_the_job_prefix() {
+        let labels = ["brain-lab#3:annotate", "xeno#12:vm", "a#b#1:x", "shared-pool-0", "#", ""];
+        for label in labels {
+            for tenant in ["brain-lab", "lab", "xeno", "a", "a#b", "b", "shared-pool", ""] {
+                assert_eq!(
+                    bills_tenant(label, tenant),
+                    label.contains(&format!("{tenant}#")),
+                    "{label:?} / {tenant:?}"
+                );
+            }
+        }
+    }
 }
