@@ -284,6 +284,9 @@ pub struct World {
     vpc_pool: FairShare,
     vpc_tick: Option<EventToken>,
     vpc_flows: IdMap<FlowId, FlowDone>,
+    /// The flows one `FairShare::advance` call finished, reused by the
+    /// storage, VPC and KV pools.
+    done_flows: Vec<FlowId>,
 
     // Hosts / sandboxes / VMs / KV.
     hosts: Vec<Host>,
@@ -356,6 +359,7 @@ impl World {
             vpc_pool,
             vpc_tick: None,
             vpc_flows: IdMap::default(),
+            done_flows: Vec::new(),
             hosts,
             client: HostId::from_index(0),
             sandboxes: Vec::new(),
@@ -1281,10 +1285,13 @@ impl World {
     }
 
     fn st_collect(&mut self, now: SimTime) {
-        for flow in self.st_pool.advance(now) {
-            let done = self.st_flows.remove(&flow).expect("unknown storage flow");
+        let mut flows = std::mem::take(&mut self.done_flows);
+        self.st_pool.advance(now, &mut flows);
+        for flow in &flows {
+            let done = self.st_flows.remove(flow).expect("unknown storage flow");
             self.finish_flow(done);
         }
+        self.done_flows = flows;
     }
 
     fn st_reschedule(&mut self, now: SimTime) {
@@ -1309,10 +1316,13 @@ impl World {
     }
 
     fn vpc_collect(&mut self, now: SimTime) {
-        for flow in self.vpc_pool.advance(now) {
-            let done = self.vpc_flows.remove(&flow).expect("unknown vpc flow");
+        let mut flows = std::mem::take(&mut self.done_flows);
+        self.vpc_pool.advance(now, &mut flows);
+        for flow in &flows {
+            let done = self.vpc_flows.remove(flow).expect("unknown vpc flow");
             self.finish_flow(done);
         }
+        self.done_flows = flows;
     }
 
     fn vpc_reschedule(&mut self, now: SimTime) {
@@ -1473,14 +1483,16 @@ impl World {
     }
 
     fn kv_collect(&mut self, kv: KvId, now: SimTime) {
-        let completed = self.kvs[kv.index() as usize].pool.advance(now);
-        for flow in completed {
+        let mut flows = std::mem::take(&mut self.done_flows);
+        self.kvs[kv.index() as usize].pool.advance(now, &mut flows);
+        for flow in &flows {
             let done = self.kvs[kv.index() as usize]
                 .flows
-                .remove(&flow)
+                .remove(flow)
                 .expect("unknown KV flow");
             self.finish_flow(done);
         }
+        self.done_flows = flows;
     }
 
     fn kv_reschedule(&mut self, kv: KvId, now: SimTime) {

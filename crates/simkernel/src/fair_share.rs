@@ -65,7 +65,9 @@
 //!   signatures is order-free;
 //! * finished flows are reported, and their residue added to
 //!   [`FairShare::completed_bytes`], in [`FlowId`] order: they are
-//!   gathered from the signatures and sorted by id first.
+//!   gathered from the signatures into a buffer the pool keeps, and
+//!   sorted by id first. The ids go into a vector the caller owns, so a
+//!   call allocates nothing once both buffers have grown.
 //!
 //! The pool is deliberately not a virtual-time design, a cumulative
 //! service counter per signature and a heap of finish tags, which would
@@ -171,6 +173,9 @@ pub struct FairShare {
     live: usize,
     /// In-flight flows, over all signatures.
     flows: usize,
+    /// The members one [`Self::advance`] call finished; empty between
+    /// calls, kept for its capacity.
+    finished: Vec<Member>,
     groups: Vec<Group>,
     /// Group id to its slot in `groups`.
     slot_of: IdMap<u64, u32>,
@@ -201,6 +206,7 @@ impl FairShare {
             sigs: Vec::new(),
             live: 0,
             flows: 0,
+            finished: Vec::new(),
             groups: Vec::new(),
             slot_of: IdMap::default(),
             last_update: SimTime::ZERO,
@@ -287,28 +293,29 @@ impl FairShare {
         member.id
     }
 
-    /// Advances all flows to `now` and returns the flows that completed,
-    /// in deterministic (FlowId) order.
+    /// Advances all flows to `now` and fills `done` (cleared first) with
+    /// the flows that completed, in deterministic (FlowId) order.
     ///
     /// # Panics
     ///
     /// Panics if `now` precedes the last update.
-    pub fn advance(&mut self, now: SimTime) -> Vec<FlowId> {
+    pub fn advance(&mut self, now: SimTime, done: &mut Vec<FlowId>) {
+        done.clear();
         self.progress_to(now);
         // Most calls finish nothing; look for a finished head first.
         let first = self.sigs[..self.live]
             .iter()
             .position(|sig| sig.head.remaining <= DONE_EPSILON_BYTES);
         let Some(mut i) = first else {
-            return Vec::new();
+            return;
         };
-        let mut done = Vec::new();
+        let finished = &mut self.finished;
         while i < self.live {
             let sig = &mut self.sigs[i];
-            let before = done.len();
+            let before = finished.len();
             let mut emptied = false;
             while sig.head.remaining <= DONE_EPSILON_BYTES {
-                done.push(sig.head);
+                finished.push(sig.head);
                 match sig.rest.pop() {
                     Some(next) => sig.head = next,
                     None => {
@@ -317,11 +324,11 @@ impl FairShare {
                     }
                 }
             }
-            let finished = done.len() - before;
-            if finished > 0 {
+            let count = finished.len() - before;
+            if count > 0 {
                 for &slot in sig.slots() {
                     let group = &mut self.groups[slot as usize];
-                    group.active -= finished;
+                    group.active -= count;
                     group.refresh();
                 }
             }
@@ -332,14 +339,12 @@ impl FairShare {
                 i += 1;
             }
         }
-        self.flows -= done.len();
-        done.sort_unstable_by_key(|m| m.id);
-        done.iter()
-            .map(|m| {
-                self.completed_bytes += 0.0f64.max(m.remaining); // residue is ~0
-                m.id
-            })
-            .collect()
+        self.flows -= finished.len();
+        finished.sort_unstable_by_key(|m| m.id);
+        for m in finished.drain(..) {
+            self.completed_bytes += 0.0f64.max(m.remaining); // residue is ~0
+            done.push(m.id);
+        }
     }
 
     /// The earliest instant at which some current flow completes, assuming
@@ -410,12 +415,19 @@ mod tests {
         SimTime::from_secs_f64(secs)
     }
 
+    /// The flows `pool.advance(now, ..)` finished.
+    fn advance(pool: &mut FairShare, now: SimTime) -> Vec<FlowId> {
+        let mut done = Vec::new();
+        pool.advance(now, &mut done);
+        done
+    }
+
     #[test]
     fn single_flow_runs_at_per_flow_cap() {
         let mut pool = FairShare::new(1000.0, 100.0);
         pool.start(t(0.0), 100, &[]);
         assert_eq!(pool.next_completion(), Some(t(1.0)));
-        let done = pool.advance(t(1.0));
+        let done = advance(&mut pool, t(1.0));
         assert_eq!(done.len(), 1);
         assert_eq!(pool.active(), 0);
     }
@@ -427,7 +439,7 @@ mod tests {
         pool.start(t(0.0), 100, &[]);
         pool.start(t(0.0), 100, &[]);
         assert_eq!(pool.next_completion(), Some(t(2.0)));
-        assert_eq!(pool.advance(t(2.0)).len(), 2);
+        assert_eq!(advance(&mut pool, t(2.0)).len(), 2);
     }
 
     #[test]
@@ -438,10 +450,10 @@ mod tests {
         pool.start(t(0.0), 150, &[]);
         // Both at 50 B/s; A finishes at t=1 with B holding 100 bytes.
         assert_eq!(pool.next_completion(), Some(t(1.0)));
-        assert_eq!(pool.advance(t(1.0)).len(), 1);
+        assert_eq!(advance(&mut pool, t(1.0)).len(), 1);
         // B alone now runs at 100 B/s: 100 bytes -> 1 more second.
         assert_eq!(pool.next_completion(), Some(t(2.0)));
-        assert_eq!(pool.advance(t(2.0)).len(), 1);
+        assert_eq!(advance(&mut pool, t(2.0)).len(), 1);
     }
 
     #[test]
@@ -464,7 +476,7 @@ mod tests {
     fn zero_byte_flow_completes_immediately() {
         let mut pool = FairShare::new(100.0, 100.0);
         pool.start(t(0.0), 0, &[]);
-        assert_eq!(pool.advance(t(0.0)).len(), 1);
+        assert_eq!(advance(&mut pool, t(0.0)).len(), 1);
     }
 
     #[test]
@@ -474,7 +486,7 @@ mod tests {
         pool.start(t(0.0), 1, &[]);
         let done_at = pool.next_completion().unwrap();
         assert!(done_at.as_micros() >= 333_334);
-        assert_eq!(pool.advance(done_at).len(), 1);
+        assert_eq!(advance(&mut pool, done_at).len(), 1);
     }
 
     #[test]

@@ -245,13 +245,15 @@ fn fair_share_conserves_bytes() {
         }
         let total: u64 = sizes.iter().sum();
         let mut done = 0;
+        let mut finished = Vec::new();
         let mut now = t0;
         let mut guard = 0;
         while pool.active() > 0 {
             let next = pool.next_completion().expect("active pool has a completion");
             assert!(next >= now, "seed {seed}");
             now = next;
-            done += pool.advance(now).len();
+            pool.advance(now, &mut finished);
+            done += finished.len();
             guard += 1;
             assert!(guard < 10_000, "pool failed to drain (seed {seed})");
         }
@@ -420,6 +422,8 @@ fn fair_share_matches_formula_model() {
         let per_flow = log_uniform(rng, 2.0, 9.0);
         let mut pool = FairShare::new(aggregate, per_flow);
         let mut model = FormulaPool::new(aggregate, per_flow);
+        // One buffer for every call: `advance` must clear it first.
+        let mut done = Vec::new();
         let mut declared: Vec<u64> = Vec::new();
         let mut now = SimTime::ZERO;
         for step in 0..rng.uniform_u64(1, 80) {
@@ -450,7 +454,8 @@ fn fair_share_matches_formula_model() {
                     now = pool
                         .next_completion()
                         .unwrap_or(now + SimDuration::from_micros(rng.uniform_u64(0, 1_000)));
-                    assert_eq!(pool.advance(now), model.advance(now), "{ctx}");
+                    pool.advance(now, &mut done);
+                    assert_eq!(done, model.advance(now), "{ctx}");
                 }
                 4 => {
                     let horizon = pool
@@ -462,11 +467,14 @@ fn fair_share_matches_formula_model() {
                         horizon.saturating_sub(rng.uniform_u64(1, 32))
                     };
                     now += SimDuration::from_micros(ahead);
-                    assert_eq!(pool.advance(now), model.advance(now), "{ctx}");
+                    pool.advance(now, &mut done);
+                    assert_eq!(done, model.advance(now), "{ctx}");
                 }
                 _ => {
-                    assert_eq!(pool.advance(now), model.advance(now), "{ctx}");
-                    assert_eq!(pool.advance(now), model.advance(now), "{ctx}");
+                    pool.advance(now, &mut done);
+                    assert_eq!(done, model.advance(now), "{ctx}");
+                    pool.advance(now, &mut done);
+                    assert_eq!(done, model.advance(now), "{ctx}");
                 }
             }
             assert_pool_matches(&pool, &model, &ctx);
@@ -481,6 +489,7 @@ fn fair_share_matches_formula_model() {
         let per_flow = log_uniform(rng, 6.0, 8.5);
         let mut pool = FairShare::new(aggregate, per_flow);
         let mut model = FormulaPool::new(aggregate, per_flow);
+        let mut done = Vec::new();
         for group in SHARED {
             let cap = log_uniform(rng, 7.0, 9.0);
             pool.set_group_cap(group, cap);
@@ -536,11 +545,13 @@ fn fair_share_matches_formula_model() {
                         .next_completion()
                         .map_or(1_000, |t| (t - now).as_micros());
                     now += SimDuration::from_micros(horizon.saturating_sub(rng.uniform_u64(1, 32)));
-                    assert_eq!(pool.advance(now), model.advance(now), "{ctx}");
+                    pool.advance(now, &mut done);
+                    assert_eq!(done, model.advance(now), "{ctx}");
                 }
                 _ => {
                     now = pool.next_completion().unwrap_or(now);
-                    assert_eq!(pool.advance(now), model.advance(now), "{ctx}");
+                    pool.advance(now, &mut done);
+                    assert_eq!(done, model.advance(now), "{ctx}");
                 }
             }
             assert_pool_matches(&pool, &model, &ctx);
