@@ -244,8 +244,8 @@ fn run_fleet(args: &[String]) {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--arrival-rate" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(r) if r > 0.0 => arrival_rate = Some(r),
-                _ => die("--arrival-rate needs a positive number (jobs/minute)"),
+                Some(r) if r.is_finite() && r > 0.0 => arrival_rate = Some(r),
+                _ => die("--arrival-rate needs a finite positive number (jobs/minute)"),
             },
             "--duration" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
                 Some(d) if d > 0.0 => duration = Some(d),

@@ -26,13 +26,22 @@ impl Arrival {
 /// inter-arrival gaps at the scenario rate, tenants picked by weight.
 /// The schedule is a pure function of `(scenario, seed)` — every policy
 /// cell of a run replays the identical traffic.
+///
+/// # Panics
+///
+/// Panics if `sc.arrival_rate_per_min` is not finite and positive: an
+/// infinite rate makes the mean gap zero.
 pub fn schedule(sc: &Scenario, seed: u64) -> Vec<Arrival> {
-    assert!(sc.arrival_rate_per_min > 0.0, "arrival rate must be positive");
+    let rate = sc.arrival_rate_per_min;
+    assert!(
+        rate.is_finite() && rate > 0.0,
+        "Scenario::arrival_rate_per_min must be finite and positive, got {rate}"
+    );
     // A fixed stream id keeps the arrival draw independent of any other
     // use of the seed (each policy cell's world forks its own streams).
     let mut rng = SimRng::seed_from(seed ^ 0xf1ee_7a11);
     let weights: Vec<f64> = sc.tenants.iter().map(|t| t.weight).collect();
-    let mean_gap_secs = 60.0 / sc.arrival_rate_per_min;
+    let mean_gap_secs = 60.0 / rate;
     let mut out = Vec::new();
     let mut seqs = vec![0usize; sc.tenants.len()];
     let mut t = 0.0f64;
@@ -83,6 +92,14 @@ mod tests {
         let light = arrivals.iter().filter(|a| a.tenant == 1).count();
         // Tenant 0 has 3x the weight of tenant 1.
         assert!(heavy > 2 * light, "heavy {heavy} light {light}");
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival_rate_per_min must be finite and positive")]
+    fn an_infinite_rate_is_rejected() {
+        let mut sc = Scenario::smoke();
+        sc.arrival_rate_per_min = f64::INFINITY;
+        schedule(&sc, 42);
     }
 
     #[test]

@@ -148,6 +148,14 @@ diff /tmp/fleet_b.txt /tmp/fleet_c.txt \
     || { echo "fleet report drifts across runs" >&2; exit 1; }
 grep -q "shared-pool" /tmp/fleet_a.txt \
     || { echo "fleet report missing the shared-pool policy" >&2; exit 1; }
+# A rate the arrival process cannot draw gaps from is a usage error
+# (exit 2), not a panic deep in the RNG.
+status=0
+./target/release/repro fleet smoke --arrival-rate inf > /dev/null 2> /tmp/fleet_inf.txt \
+    || status=$?
+[[ "$status" -eq 2 ]] && grep -q "^--arrival-rate needs a finite positive number" /tmp/fleet_inf.txt \
+    || { echo "repro fleet --arrival-rate inf: exit $status, not the usage error" >&2; \
+         cat /tmp/fleet_inf.txt >&2; exit 1; }
 
 echo "== provider registry + spot-market smoke =="
 # The region table must list every registered region, and the provider
