@@ -32,8 +32,8 @@ use metaspace::plan::StageBackend;
 use metaspace::runner::science_digest;
 use serverful::executor::MapOptions;
 use serverful::{
-    Backend, CloudEnv, Edge, EnvEvent, ExecError, ExecutionMode, ExecutorConfig,
-    FunctionExecutor, JobHandle, Payload, Readiness, ScriptTask,
+    Backend, CloudEnv, Edge, EnvEvent, ExecError, ExecutionMode, ExecutorConfig, FunctionExecutor,
+    JobHandle, Payload, Readiness, ScriptTask,
 };
 use simkernel::{IdMap, SimTime};
 
@@ -335,7 +335,10 @@ impl JobTemplate {
     fn new(tenant: &TenantSpec) -> JobTemplate {
         let w = tenant.workload();
         let ready = Readiness::new(w.stages.iter().zip(&w.edges).map(|(s, edges)| {
-            let deps = edges.iter().map(|e| Edge { from: e.from, fan_in: e.fan_in });
+            let deps = edges.iter().map(|e| Edge {
+                from: e.from,
+                fan_in: e.fan_in,
+            });
             (s.tasks, deps)
         }));
         JobTemplate {
@@ -928,7 +931,9 @@ fn stage_key(prefix: &str, dir: &str, task: usize, spread: usize) -> String {
 /// name the tenant submits: the tenant's name ends right before one of
 /// the label's `#`s. A byte scan for `#` instead of a substring search.
 fn bills_tenant(label: &str, tenant: &str) -> bool {
-    label.match_indices('#').any(|(at, _)| label[..at].ends_with(tenant))
+    label
+        .match_indices('#')
+        .any(|(at, _)| label[..at].ends_with(tenant))
 }
 
 #[cfg(test)]
@@ -937,9 +942,26 @@ mod tests {
 
     #[test]
     fn bills_tenant_is_a_substring_match_on_the_job_prefix() {
-        let labels = ["brain-lab#3:annotate", "xeno#12:vm", "a#b#1:x", "shared-pool-0", "#", ""];
+        let labels = [
+            "brain-lab#3:annotate",
+            "xeno#12:vm",
+            "a#b#1:x",
+            "shared-pool-0",
+            "#",
+            "",
+        ];
+        let tenants = [
+            "brain-lab",
+            "lab",
+            "xeno",
+            "a",
+            "a#b",
+            "b",
+            "shared-pool",
+            "",
+        ];
         for label in labels {
-            for tenant in ["brain-lab", "lab", "xeno", "a", "a#b", "b", "shared-pool", ""] {
+            for tenant in tenants {
                 assert_eq!(
                     bills_tenant(label, tenant),
                     label.contains(&format!("{tenant}#")),

@@ -67,8 +67,7 @@ pub mod task;
 pub use cloudobject::CloudObjectRef;
 pub use config::{ExecMode, ExecutorConfig, StandaloneConfig};
 pub use dag::{
-    fan_in_range, run_dag, Dag, DagNode, DagStats, Edge, ExecutionMode, FanIn, NodeStats,
-    Readiness,
+    fan_in_range, run_dag, Dag, DagNode, DagStats, Edge, ExecutionMode, FanIn, NodeStats, Readiness,
 };
 pub use env::{CloudEnv, EnvEvent};
 pub use error::ExecError;

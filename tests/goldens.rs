@@ -478,8 +478,7 @@ fn golden_drivers_full() {
             render_dag(&dag_comparison(&spec, GOLDEN_SEED, false).expect("dag runs"))
         })
         .collect();
-    let report =
-        run_scenario(&Scenario::mixed(), GOLDEN_SEED, 1).expect("fleet traffic completes");
+    let report = run_scenario(&Scenario::mixed(), GOLDEN_SEED, 1).expect("fleet traffic completes");
     text.push_str(&report::render(&report));
     check_golden("drivers_full", &text);
 }

@@ -601,8 +601,11 @@ fn readiness_matches_the_fan_in_rule() {
         let mut order: Vec<(usize, usize)> = (0..nodes)
             .flat_map(|v| (0..widths[v]).map(move |t| (v, t)))
             .collect();
-        let repeats: Vec<(usize, usize)> =
-            order.iter().copied().filter(|_| rng.uniform_u64(0, 8) == 0).collect();
+        let repeats: Vec<(usize, usize)> = order
+            .iter()
+            .copied()
+            .filter(|_| rng.uniform_u64(0, 8) == 0)
+            .collect();
         order.extend(repeats);
         rng.shuffle(&mut order);
         let mut next = 0;
@@ -617,7 +620,8 @@ fn readiness_matches_the_fan_in_rule() {
                             })
                     })
                     .collect();
-                let ctx = format!("seed {seed} batch {batch} node {v} widths {widths:?} deps {deps:?}");
+                let ctx =
+                    format!("seed {seed} batch {batch} node {v} widths {widths:?} deps {deps:?}");
                 let mut got: Vec<usize> = tracker.ready(v).collect();
                 got.sort_unstable();
                 assert_eq!(got, want, "{ctx}");
