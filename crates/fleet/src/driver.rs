@@ -666,12 +666,12 @@ impl CellState<'_> {
         progressed
     }
 
-    /// Feeds the tasks job `idx`'s running stages completed since the
+    /// Feeds the tasks job `idx`'s submitted stages completed since the
     /// last pass to the job's readiness tracker.
     fn observe_tasks(&mut self, idx: usize) {
         let job = &mut self.jobs[idx];
         for (s, run) in job.runs.iter_mut().enumerate() {
-            let Some(handle) = run.handle.filter(|_| !run.complete) else {
+            let Some(handle) = run.handle else {
                 continue;
             };
             let log = handle.completed_tasks(&self.env);
