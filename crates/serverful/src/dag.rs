@@ -142,7 +142,7 @@ pub fn fan_in_range(
 #[derive(Debug, Clone)]
 pub struct Readiness {
     /// Per node, per task: dependency units not met yet.
-    unmet: Vec<Vec<u32>>,
+    unmet: Vec<Vec<usize>>,
     /// Per node, per task: whether its completion was fed.
     done: Vec<Vec<bool>>,
     /// Per node: tasks with every unit met that were not taken yet.
@@ -187,7 +187,7 @@ impl Readiness {
             out: Vec::new(),
         };
         for (v, (m, deps)) in nodes.into_iter().enumerate() {
-            let mut unmet = vec![0u32; m];
+            let mut unmet = vec![0; m];
             for e in deps {
                 assert!(e.from < v, "edge {} -> {v} is not topological", e.from);
                 let n = r.unmet[e.from].len();
@@ -196,7 +196,7 @@ impl Readiness {
                         let mut readers = vec![0..0; n];
                         for (t, units) in unmet.iter_mut().enumerate() {
                             let block = fan_in_range(FanIn::OneToOne, n, m, t);
-                            *units += block.len() as u32;
+                            *units += block.len();
                             for u in block {
                                 // `end == 0`: no reader yet.
                                 let named_by = &mut readers[u];
@@ -275,7 +275,7 @@ impl Readiness {
 }
 
 /// Meets one dependency unit of downstream task `t`.
-fn meet(unmet: &mut [u32], ready: &mut BinaryHeap<Reverse<usize>>, t: usize) {
+fn meet(unmet: &mut [usize], ready: &mut BinaryHeap<Reverse<usize>>, t: usize) {
     unmet[t] -= 1;
     if unmet[t] == 0 {
         ready.push(Reverse(t));
