@@ -871,9 +871,10 @@ impl CellState<'_> {
         // Direct cost carries the job's `{tenant}#{seq}` billing label;
         // shared-pool VM time is a common good, split by job count. One
         // pass over the ledger adds each entry to every sum whose label
-        // names it, in entry order, from `Iterator::sum`'s `-0.0`.
-        let mut direct = vec![-0.0; self.sc.tenants.len()];
-        let mut pool_cost = -0.0;
+        // names it, in entry order. The sums start at `0.0`, not at
+        // `Iterator::sum`'s `-0.0`, so a tenant with no jobs costs `0.0`.
+        let mut direct = vec![0.0; self.sc.tenants.len()];
+        let mut pool_cost = 0.0;
         for e in ledger.entries() {
             if e.label.contains("shared-pool") {
                 pool_cost += e.amount;
