@@ -72,7 +72,7 @@ pub struct FunctionsPlan {
     pub execution: ExecutionMode,
     /// What happens if the serverful master VM dies mid-job:
     /// protected (the paper's assumption), checkpointed replay, or
-    /// decentralized continuation-passing with no master in the data
+    /// decentralized storage-backed dispatch with no master in the data
     /// path. Irrelevant for pure-FaaS plans.
     pub recovery: RecoveryMode,
     /// Provider region to deploy in, as a `{provider}-{region}` registry

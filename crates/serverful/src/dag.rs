@@ -115,7 +115,8 @@ pub fn fan_in_range(
 
 /// Which tasks of a task-level dependency graph may run, fed one
 /// completion at a time. Both pipelined drivers, [`run_dag`] and the
-/// fleet's, decide readiness through it.
+/// fleet's, decide readiness through it, and nothing else releases a
+/// gated task, whatever its backend or recovery mode.
 ///
 /// A task's *dependency units* are, per edge into its node, each
 /// upstream task of its [`fan_in_range`] block (one-to-one) or the
@@ -531,18 +532,6 @@ fn run_pipelined<C>(
                 .map(|e| dag.nodes[e.from].label.as_str())
                 .collect();
             env.annotate_job_span(handle.id, "deps", &deps.join(","));
-        }
-        // Publish the fan-in metadata so decentralized pools can fire
-        // continuations without the scheduler in the loop (no-op for
-        // other recovery modes).
-        for e in &node.deps {
-            env.register_continuation(
-                live[e.from].handle.id,
-                handle.id,
-                e.fan_in,
-                dag.nodes[e.from].tasks,
-                node.tasks,
-            );
         }
         live.push(Live {
             handle,

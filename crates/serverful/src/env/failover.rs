@@ -1,39 +1,18 @@
 //! Master fault tolerance: armed master kills, checkpointing,
-//! checkpointed re-adoption, and the decentralized continuation-passing
-//! protocol, plus registered recovery continuations.
+//! checkpointed re-adoption, and the decentralized protocol's
+//! storage-backed dispatch, claims and completion counters. Nothing here
+//! releases a gated task: the pipelined drivers' `Readiness` does that,
+//! whatever the pool's recovery mode.
 
 use super::*;
 
-/// A registered DAG continuation: when upstream tasks of `up_job` land
-/// their completion counters in storage, downstream tasks of `down_job`
-/// whose fan-in block is fully counted are released directly — no
-/// master (and no driver) in the path.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Continuation {
-    pub(super) up_job: usize,
-    pub(super) down_job: usize,
-    pub(super) fan_in: FanIn,
-    pub(super) up_tasks: usize,
-    pub(super) down_tasks: usize,
-}
-
-/// Decentralized-mode bookkeeping for one job.
-#[derive(Debug)]
-pub(super) struct DcJob {
-    /// Tasks whose bundle PUT has been issued (bundles persist in
-    /// storage, so a requeue after worker loss needs no re-upload).
-    pub(super) uploaded: Vec<bool>,
-    /// Tasks whose completion counter has landed in storage.
-    pub(super) counters: Vec<bool>,
-}
-
 /// Storage key of a decentralized task's input bundle.
-pub(super) fn dc_bundle_key(job: usize, task: usize) -> String {
+fn dc_bundle_key(job: usize, task: usize) -> String {
     format!("jobs/{job}/bundles/{task:05}")
 }
 
 /// Storage key of a decentralized task's completion counter.
-pub(super) fn dc_counter_key(job: usize, task: usize) -> String {
+fn dc_counter_key(job: usize, task: usize) -> String {
     format!("jobs/{job}/counters/{task:05}")
 }
 
@@ -52,28 +31,6 @@ impl CloudEnv {
     /// Armed chaos kills that have not fired yet.
     pub fn pending_master_kills(&self) -> usize {
         self.armed_kills.len()
-    }
-
-    /// Registers a decentralized continuation edge: completion counters
-    /// of `up_job` release the fan-in-satisfied tasks of `down_job`
-    /// directly from the environment (no master, no driver). Registered
-    /// unconditionally by the pipelined DAG drivers; consulted only for
-    /// jobs on [`RecoveryMode::Decentralized`] pools.
-    pub(crate) fn register_continuation(
-        &mut self,
-        up_job: usize,
-        down_job: usize,
-        fan_in: FanIn,
-        up_tasks: usize,
-        down_tasks: usize,
-    ) {
-        self.continuations.push(Continuation {
-            up_job,
-            down_job,
-            fan_in,
-            up_tasks,
-            down_tasks,
-        });
     }
 
     /// Fires every armed kill whose event index has passed, retrying
@@ -139,8 +96,8 @@ impl CloudEnv {
                     .instant(now, "master-lost", "recovery", "recovery");
             }
             RecoveryMode::Decentralized => {
-                // Nothing to do: dispatch and continuations live in
-                // object storage, and the client collects results.
+                // Nothing to do: dispatch and completion counters live
+                // in object storage, and the client collects results.
                 self.world.tracer_mut().instant(
                     now,
                     "master-lost-nonevent",
@@ -338,7 +295,7 @@ impl CloudEnv {
     }
 
     // ------------------------------------------------------------------
-    // Decentralized continuation passing (RecoveryMode::Decentralized)
+    // Decentralized dispatch (RecoveryMode::Decentralized)
     // ------------------------------------------------------------------
 
     /// Decentralized job start: the client uploads task bundles straight
@@ -347,20 +304,14 @@ impl CloudEnv {
     pub(super) fn dc_start_job(&mut self, pool: usize, job: usize) {
         self.jobs[job].monitor_host = self.world.client_host();
         let n = self.jobs[job].inputs.len();
-        self.dc_jobs.insert(
-            job,
-            DcJob {
-                uploaded: vec![false; n],
-                counters: vec![false; n],
-            },
-        );
+        self.dc_uploaded.insert(job, vec![false; n]);
         let ready: Vec<usize> = (0..n)
             .filter(|&t| !self.jobs[job].tasks[t].held)
             .collect();
         self.pools[pool].pushes_outstanding = ready.len();
         if ready.is_empty() {
-            // Fully gated job: workers spin up idle and wait for
-            // continuation-released bundles.
+            // Fully gated job: workers spin up idle and wait for the
+            // driver to release tasks.
             self.pool_pushes_complete(pool, job);
             return;
         }
@@ -376,11 +327,10 @@ impl CloudEnv {
         if self.jobs[job].is_finished() || self.pools[pool].active != Some(job) {
             return;
         }
-        let Some(dc) = self.dc_jobs.get_mut(&job) else {
+        let Some(uploaded) = self.dc_uploaded.get_mut(&job) else {
             return;
         };
-        let first = !dc.uploaded[task];
-        dc.uploaded[task] = true;
+        let first = !std::mem::replace(&mut uploaded[task], true);
         if !first {
             self.pools[pool].dc_ready.push_back(task);
             self.on_requeue_done(pool);
@@ -491,7 +441,8 @@ impl CloudEnv {
     }
 
     /// A finishing decentralized task writes its completion counter to
-    /// object storage before its process claims new work.
+    /// object storage before its process claims new work. The counter is
+    /// the protocol's per-task price; its landing only counts it.
     pub(super) fn dc_write_counter(&mut self, pool: usize, job: usize, task: usize, vm_idx: usize) {
         let Some(w) = self.pools[pool].workers.get(vm_idx) else {
             return;
@@ -509,45 +460,7 @@ impl CloudEnv {
                 body: ObjectBody::real(Payload::U64(task as u64).encode()),
             },
             1,
-            Route::DcCounter { pool, job, task },
+            Route::DcCounter { job },
         );
-    }
-
-    /// A completion counter landed: continuation passing. The finishing
-    /// task consults the registered DAG fan-in metadata and releases
-    /// every downstream task whose upstream counter block is complete —
-    /// directly from storage state, no master involved.
-    pub(super) fn on_dc_counter(&mut self, _pool: usize, job: usize, task: usize) {
-        self.recovery_stats.counters_written += 1;
-        let n = self.jobs[job].tasks.len();
-        let dc = self.dc_jobs.entry(job).or_insert_with(|| DcJob {
-            uploaded: vec![false; n],
-            counters: vec![false; n],
-        });
-        dc.counters[task] = true;
-        let counters = dc.counters.clone();
-        let conts: Vec<Continuation> = self
-            .continuations
-            .iter()
-            .filter(|c| c.up_job == job)
-            .copied()
-            .collect();
-        for c in conts {
-            if self.jobs[c.down_job].is_finished() {
-                continue;
-            }
-            let fire: Vec<usize> = (0..c.down_tasks)
-                .filter(|&t| {
-                    self.jobs[c.down_job].tasks[t].held && {
-                        let range = fan_in_range(c.fan_in, c.up_tasks, c.down_tasks, t);
-                        range.contains(&task) && range.clone().all(|u| counters[u])
-                    }
-                })
-                .collect();
-            for t in fire {
-                self.recovery_stats.continuations_fired += 1;
-                self.release_task(c.down_job, t);
-            }
-        }
     }
 }

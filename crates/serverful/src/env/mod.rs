@@ -39,7 +39,6 @@ use telemetry::trace::SpanId;
 use telemetry::{FleetTag, StageSpan, Timeline};
 
 use crate::config::{ExecMode, StandaloneConfig};
-use crate::dag::{fan_in_range, FanIn};
 use crate::error::ExecError;
 use crate::job::{JobBackend, JobState, PendingShape, TaskPhase, TaskRun};
 use crate::payload::Payload;
@@ -53,7 +52,6 @@ mod retrying;
 mod routes;
 mod tasks;
 
-use failover::*;
 use monitor::*;
 use pools::*;
 use retrying::*;
@@ -101,13 +99,13 @@ pub struct CloudEnv {
     /// High-water mark of concurrent same-generation monitor LISTs (the
     /// invariant says it never passes 1).
     max_list_overlap: u32,
-    /// Recovery activity counters (checkpoints, re-adoptions,
-    /// continuations); empty unless a non-default mode did work.
+    /// Recovery activity counters (checkpoints, re-adoptions, completion
+    /// counters); empty unless a non-default mode did work.
     recovery_stats: RecoveryStats,
-    /// Registered decentralized DAG continuations.
-    continuations: Vec<Continuation>,
-    /// Per-job decentralized dispatch/counter state.
-    dc_jobs: IdMap<usize, DcJob>,
+    /// Per decentralized job, per task: whether its bundle PUT was issued
+    /// (bundles persist in storage, so a requeue after worker loss needs
+    /// no re-upload).
+    dc_uploaded: IdMap<usize, Vec<bool>>,
     /// Armed chaos kills: `(pool, event index)`; fired once the routed
     /// event counter passes the index and the master VM is up.
     armed_kills: Vec<(usize, u64)>,
@@ -155,8 +153,7 @@ impl CloudEnv {
             pending_task_retries: IdMap::default(),
             max_list_overlap: 0,
             recovery_stats: RecoveryStats::new(),
-            continuations: Vec::new(),
-            dc_jobs: IdMap::default(),
+            dc_uploaded: IdMap::default(),
             armed_kills: Vec::new(),
             events_routed: 0,
         }
@@ -423,7 +420,7 @@ impl CloudEnv {
     // ------------------------------------------------------------------
 
     /// Recovery activity of this environment so far (checkpoints,
-    /// master replacements, continuations). Empty unless a pool with a
+    /// master replacements, completion counters). Empty unless a pool with a
     /// non-default [`RecoveryMode`] actually exercised it.
     pub fn recovery_stats(&self) -> &RecoveryStats {
         &self.recovery_stats

@@ -408,8 +408,8 @@ impl CloudEnv {
         }
         if let Some((vm_idx, proc)) = self.jobs[job].tasks[task].worker {
             if let JobBackend::Standalone { pool } = self.jobs[job].backend {
-                // Decentralized continuation passing: the completion
-                // counter goes to storage before the process moves on.
+                // Decentralized dispatch: the completion counter goes to
+                // storage before the process moves on.
                 if self.pools[pool].cfg.recovery == RecoveryMode::Decentralized {
                     self.dc_write_counter(pool, job, task, vm_idx);
                 }

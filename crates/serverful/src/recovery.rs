@@ -14,11 +14,13 @@
 //!   master loss a replacement boots, fetches the snapshot, re-adopts
 //!   every worker that is still ready and alive, and re-dispatches only
 //!   the tasks whose acknowledgement died with the old master.
-//! * [`RecoveryMode::Decentralized`] — continuation-passing in the
+//! * [`RecoveryMode::Decentralized`] — storage-backed dispatch in the
 //!   unum style: task bundles and per-task completion counters live in
-//!   object storage, and a completing task triggers its DAG successors
-//!   directly from the fan-in metadata. The master never enters the
-//!   data path, so losing it after submission is a non-event.
+//!   object storage, and workers claim their bundles from there. The
+//!   master never enters the data path, so losing it after submission
+//!   is a non-event. The counters are the protocol's per-task cost; a
+//!   DAG's gated successors are released by the driver's
+//!   [`Readiness`](crate::dag::Readiness), as in every mode.
 //!
 //! The executor/environment wiring lives in `crate::env`; recovery
 //! activity is counted in [`telemetry::RecoveryStats`].
@@ -40,8 +42,9 @@ pub enum RecoveryMode {
     /// Periodic master-state checkpoints to object storage; a
     /// replacement master replays the snapshot and re-adopts workers.
     Checkpointed,
-    /// No master in the data path: storage-backed dispatch and
-    /// completion counters, successors triggered by finishing tasks.
+    /// No master in the data path: storage-backed dispatch and a
+    /// completion counter per task. DAG successors are released by the
+    /// driver's [`Readiness`](crate::dag::Readiness), as in every mode.
     Decentralized,
 }
 

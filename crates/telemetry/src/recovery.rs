@@ -30,9 +30,6 @@ pub struct RecoveryStats {
     /// Task bundles re-dispatched because their acknowledgement was
     /// lost with the master.
     pub tasks_redispatched: u64,
-    /// Downstream task releases triggered directly by completing tasks
-    /// (decentralized continuation-passing).
-    pub continuations_fired: u64,
     /// Completion-counter objects written to storage by finishing
     /// tasks (decentralized mode).
     pub counters_written: u64,
@@ -59,13 +56,12 @@ impl RecoveryStats {
             return String::new();
         }
         let mut out = String::from("master recovery\n");
-        let rows: [(&str, u64); 7] = [
+        let rows: [(&str, u64); 6] = [
             ("checkpoints written", self.checkpoints_written),
             ("checkpoint bytes", self.checkpoint_bytes),
             ("masters replaced", self.masters_replaced),
             ("workers re-adopted", self.workers_readopted),
             ("tasks re-dispatched", self.tasks_redispatched),
-            ("continuations fired", self.continuations_fired),
             ("counters written", self.counters_written),
         ];
         for (name, n) in rows {

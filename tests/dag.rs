@@ -16,18 +16,59 @@ use serverful_repro::bench::dag_comparison;
 use serverful_repro::metaspace::jobs;
 use serverful_repro::serverful::{
     fan_in_range, run_dag, Backend, CloudEnv, Dag, DagNode, Edge, ExecutionMode,
-    ExecutorConfig, FanIn, FunctionExecutor, MapOptions, Payload, ScriptTask,
+    ExecutorConfig, FanIn, FunctionExecutor, MapOptions, Payload, RecoveryMode, ScriptTask,
 };
 use serverful_repro::simkernel::SimRng;
 
 struct Ctx {
-    exec: FunctionExecutor,
+    faas: FunctionExecutor,
+    vm: FunctionExecutor,
 }
 
-/// Builds a random topological DAG of FaaS map nodes: every node after
-/// the first depends on 1–2 random earlier nodes through a random
-/// fan-in shape, with per-node task counts and compute times drawn from
-/// the case rng.
+impl Ctx {
+    /// A FaaS executor and a VM pool on the decentralized recovery
+    /// protocol, whose tasks write a completion counter to storage as
+    /// they finish.
+    fn new(env: &mut CloudEnv) -> Ctx {
+        let faas = FunctionExecutor::new(env, Backend::faas(), ExecutorConfig::default());
+        let mut cfg = ExecutorConfig::default();
+        cfg.standalone.recovery = RecoveryMode::Decentralized;
+        let vm = FunctionExecutor::new(env, Backend::vm(), cfg);
+        Ctx { faas, vm }
+    }
+}
+
+/// A map node of `tasks` tasks that compute for `secs` each, on the VM
+/// pool or on FaaS.
+fn map_node(label: &str, tasks: usize, secs: f64, on_vm: bool, deps: Vec<Edge>) -> DagNode<Ctx> {
+    let name = label.to_owned();
+    DagNode {
+        label: label.into(),
+        group: None,
+        tasks,
+        deps,
+        launch: Box::new(move |ctx, env, gated| {
+            let mut opts = MapOptions::named(name.clone());
+            if gated {
+                opts = opts.gated();
+            }
+            let factory = Arc::new(move |_: &Payload| {
+                ScriptTask::new()
+                    .compute(secs)
+                    .finish_value(Payload::U64(0))
+                    .boxed()
+            });
+            let inputs = (0..tasks as u64).map(Payload::U64).collect();
+            let exec = if on_vm { &mut ctx.vm } else { &mut ctx.faas };
+            Ok(exec.map_with(env, factory, inputs, opts))
+        }),
+    }
+}
+
+/// Builds a random topological DAG of map nodes: every node after the
+/// first depends on 1–2 random earlier nodes through a random fan-in
+/// shape, with per-node task counts, compute times and executors drawn
+/// from the case rng.
 fn random_dag(rng: &mut SimRng) -> Dag<Ctx> {
     let mut dag: Dag<Ctx> = Dag::new();
     let nodes = rng.uniform_u64(3, 8) as usize;
@@ -51,27 +92,8 @@ fn random_dag(rng: &mut SimRng) -> Dag<Ctx> {
             }
         }
         let secs = 0.1 + rng.uniform_u64(0, 10) as f64 / 10.0;
-        let label = format!("n{v}");
-        dag.add_node(DagNode {
-            label: label.clone(),
-            group: None,
-            tasks,
-            deps,
-            launch: Box::new(move |ctx, env, gated| {
-                let mut opts = MapOptions::named(label.clone());
-                if gated {
-                    opts = opts.gated();
-                }
-                let factory = Arc::new(move |_: &Payload| {
-                    ScriptTask::new()
-                        .compute(secs)
-                        .finish_value(Payload::U64(0))
-                        .boxed()
-                });
-                let inputs = (0..tasks as u64).map(Payload::U64).collect();
-                Ok(ctx.exec.map_with(env, factory, inputs, opts))
-            }),
-        });
+        let on_vm = rng.uniform_u64(0, 2) == 0;
+        dag.add_node(map_node(&format!("n{v}"), tasks, secs, on_vm, deps));
     }
     dag
 }
@@ -92,31 +114,40 @@ fn pipelined_release_order_respects_random_dag_dependencies() {
         let dag = random_dag(&mut rng);
         let shape = shapes(&dag);
         let mut env = CloudEnv::new_default(seed);
-        let exec = FunctionExecutor::new(&mut env, Backend::faas(), ExecutorConfig::default());
-        let mut ctx = Ctx { exec };
+        let mut ctx = Ctx::new(&mut env);
         let stats = run_dag(&mut env, &mut ctx, dag, ExecutionMode::Pipelined)
             .unwrap_or_else(|e| panic!("case seed {seed:#x}: pipelined run failed: {e}"));
 
         for (v, (tasks, deps)) in shape.iter().enumerate() {
             let node = &stats.nodes[v];
             for t in 0..*tasks {
-                assert!(
-                    node.released_at[t] <= node.done_at[t],
-                    "case seed {seed:#x}: node {v} task {t} done before release"
-                );
                 // The topological-order property: a task is released
                 // only after every upstream partition its fan-in shape
-                // names was observed complete.
+                // names was observed complete, and so finishes after
+                // them too. `released_at` is the driver's stamp;
+                // `done_at` also catches a task started by anything else.
                 for e in deps {
                     for u in fan_in_range(e.fan_in, stats.nodes[e.from].tasks, *tasks, t) {
+                        let up = stats.nodes[e.from].done_at[u];
                         assert!(
-                            stats.nodes[e.from].done_at[u] <= node.released_at[t],
+                            node.done_at[t] >= up,
+                            "case seed {seed:#x}: node {v} task {t} finished at {:?}, \
+                             before upstream {} task {u} at {up:?}",
+                            node.done_at[t],
+                            e.from
+                        );
+                        assert!(
+                            up <= node.released_at[t],
                             "case seed {seed:#x}: node {v} task {t} released before \
                              upstream {} task {u} completed",
                             e.from
                         );
                     }
                 }
+                assert!(
+                    node.released_at[t] <= node.done_at[t],
+                    "case seed {seed:#x}: node {v} task {t} done before release"
+                );
             }
             assert!(
                 node.finished_at >= *node.done_at.iter().max().expect("non-empty node"),
@@ -133,8 +164,7 @@ fn barrier_mode_is_a_strict_stage_chain_on_random_dags() {
         let mut rng = SimRng::seed_from(seed);
         let dag = random_dag(&mut rng);
         let mut env = CloudEnv::new_default(seed);
-        let exec = FunctionExecutor::new(&mut env, Backend::faas(), ExecutorConfig::default());
-        let mut ctx = Ctx { exec };
+        let mut ctx = Ctx::new(&mut env);
         let stats = run_dag(&mut env, &mut ctx, dag, ExecutionMode::Barrier)
             .unwrap_or_else(|e| panic!("case seed {seed:#x}: barrier run failed: {e}"));
         // Each node launches only after the previous one fully drained

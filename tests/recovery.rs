@@ -158,12 +158,11 @@ fn assert_cell_survives(
     // Per-cell verdict for `scripts/ci.sh --full` (run with --nocapture).
     println!(
         "chaos cell OK: {ctx}: kill@{kill}/{span} digest={:#018x} cost {:.2}x \
-         (replaced {} redispatched {} continuations {})",
+         (replaced {} redispatched {})",
         killed_chaos.science_digest,
         ratio,
         killed_chaos.recovery.masters_replaced,
         killed_chaos.recovery.tasks_redispatched,
-        killed_chaos.recovery.continuations_fired,
     );
 }
 
