@@ -19,9 +19,7 @@
 //! cost, per-stage spans (Figure 2) and CPU-utilisation statistics
 //! (Table 3).
 
-use std::cell::Cell;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use cloudsim::{CloudConfig, InstanceType, ObjectBody, ObjectStore, World};
@@ -284,15 +282,15 @@ pub fn run_workload(
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// Recovery-machinery activity (checkpoints, re-adoptions,
-    /// redispatches, continuations, master data-path ops).
+    /// redispatches, completion counters, master data-path ops).
     pub recovery: RecoveryStats,
     /// Routed executor events over the whole run (the clock the kill
     /// indices count against).
     pub events_routed: u64,
     /// Deterministic digest of the science outputs in the workspace
-    /// bucket (recovery/continuation plumbing and warm-up keys
-    /// excluded). Equal digests mean the runs produced identical
-    /// outputs, however many re-executions it took.
+    /// bucket (recovery plumbing and warm-up keys excluded). Equal
+    /// digests mean the runs produced identical outputs, however many
+    /// re-executions it took.
     pub science_digest: u64,
     /// Injected faults, retries and waste over the whole run.
     pub faults: FaultLedger,
@@ -793,12 +791,9 @@ fn build_stage_dag(
                 StageBackend::Functions => {
                     let cfg = exchange_config(stage, exchange_gb, seed);
                     let tasks = stage.tasks;
-                    // The gather factory needs the effective scatter
-                    // worker count, known only once the scatter node
-                    // launches; launches run in node order, so the cell
-                    // is always set before the gather reads it.
-                    let scatter_workers = Rc::new(Cell::new(0usize));
-                    let sw = Rc::clone(&scatter_workers);
+                    // The gather reads one output per scatter worker that
+                    // got a chunk: `tasks` workers over `cfg.chunks`.
+                    let scatter_workers = tasks.min(cfg.chunks);
                     let cfg_s = cfg.clone();
                     let scatter = dag.add_node(DagNode {
                         label: format!("{}/scatter", stage.name),
@@ -817,7 +812,7 @@ fn build_stage_dag(
                                 tasks,
                                 gated,
                             );
-                            sw.set(workers);
+                            debug_assert_eq!(workers, scatter_workers);
                             Ok(handle)
                         }),
                     });
@@ -832,7 +827,7 @@ fn build_stage_dag(
                                 &mut ctx.faas,
                                 &cfg,
                                 Exchange::Storage,
-                                scatter_workers.get(),
+                                scatter_workers,
                                 tasks,
                                 gated,
                             ))

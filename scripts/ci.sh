@@ -35,8 +35,8 @@ echo "== structural gate (serverful env stays modular, one scheduler) =="
 # loops are world-timer routes, so env/ hosts no async kernel and no
 # command queue. The world's event queue is the workspace's only
 # scheduler: the DAG and fleet drivers are plain loops over
-# CloudEnv::pump, so no futures executor or shared Rc<RefCell> state
-# may come back anywhere.
+# CloudEnv::pump, so no futures executor or shared Rc<RefCell> or
+# Rc<Cell> state may come back anywhere.
 oversized=$(find crates/serverful/src -name '*.rs' \
     | xargs wc -l | awk '$2 != "total" && $1 > 1200 {print $2 " (" $1 " lines)"}')
 [[ -z "$oversized" ]] \
@@ -57,9 +57,17 @@ if grep -rnE "epoch_counter|recovery_episode|SshSetup|worker_epochs" crates/serv
     echo "hand-rolled pool VM versioning is back in serverful" >&2
     exit 1
 fi
-if grep -rnE "async fn|async move|\.await|AsyncExecutor|Rc<RefCell" \
+if grep -rnE "async fn|async move|\.await|AsyncExecutor|Rc<RefCell|Rc<Cell|Rc::new\(Cell" \
         crates/*/src tests examples src; then
-    echo "a second scheduler (futures or shared Rc<RefCell> state) is back" >&2
+    echo "a second scheduler (futures or shared Rc<RefCell> / Rc<Cell> state) is back" >&2
+    exit 1
+fi
+# A gated DAG task is released by one rule, the pipelined drivers'
+# Readiness. The environment's per-edge continuation scan released a
+# join's tasks once any one in-edge's counters landed, so it must not
+# come back.
+if grep -rnE "register_continuation|continuations_fired|struct Continuation" crates/*/src; then
+    echo "an env-side continuation release is back beside the drivers' Readiness" >&2
     exit 1
 fi
 # Every simulated event passes through the event queue and a few maps
@@ -182,8 +190,8 @@ cargo test -q --test recovery -- --nocapture 2>&1 \
 echo "== master-kill chaos matrix (paper scale, per-cell verdicts) =="
 # All three Table 2 workloads x {Barrier, Pipelined} x {Checkpointed,
 # Decentralized} in release, one verdict per cell: the paper-scale check
-# of master re-adoption and continuation passing. The test is ignored
-# only in debug builds, so no --ignored here.
+# of master re-adoption and of storage-backed decentralized dispatch.
+# The test is ignored only in debug builds, so no --ignored here.
 cargo test --release --test recovery full_matrix_paper_scale -- --nocapture 2>&1 \
     | tee /tmp/chaos_full.txt | grep "chaos cell OK"
 cells=$(grep -c "chaos cell OK" /tmp/chaos_full.txt)
