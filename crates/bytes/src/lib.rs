@@ -45,12 +45,6 @@ impl Bytes {
         }
     }
 
-    /// Creates a buffer from a static slice (copies; the real crate
-    /// borrows, but no caller here depends on zero-copy statics).
-    pub fn from_static(data: &'static [u8]) -> Bytes {
-        Bytes::copy_from_slice(data)
-    }
-
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.data.len()

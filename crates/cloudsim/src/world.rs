@@ -538,11 +538,6 @@ impl World {
         self.outbox.is_empty() && self.queue.peek_time().is_none()
     }
 
-    /// vCPUs of a host.
-    pub fn host_vcpus(&self, host: HostId) -> f64 {
-        self.hosts[host.index() as usize].vcpus
-    }
-
     /// Adjusts a host's busy-vCPU accounting by a *fraction* of one
     /// task's share. Frameworks use this to model the (de)serialisation
     /// CPU that user code burns while overlapping storage I/O ("reads
@@ -917,11 +912,6 @@ impl World {
     /// The host a VM provides.
     pub fn vm_host(&self, vm: VmId) -> HostId {
         self.vms[vm.index() as usize].host
-    }
-
-    /// The instance type a VM was provisioned as.
-    pub fn vm_instance_type(&self, vm: VmId) -> InstanceType {
-        self.vms[vm.index() as usize].itype
     }
 
     /// How a VM's capacity was bought.

@@ -59,13 +59,6 @@ pub struct Formula {
     pub decoy: bool,
 }
 
-impl Formula {
-    /// Absolute m/z positions of the pattern peaks.
-    pub fn peak_mzs(&self) -> impl Iterator<Item = f64> + '_ {
-        self.pattern.iter().map(move |(off, _)| self.base_mz + off)
-    }
-}
-
 /// The m/z window instruments cover, used by generators and
 /// segmentation.
 pub const MZ_MIN: f64 = 100.0;

@@ -389,13 +389,6 @@ impl<C> Dag<C> {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-
-    /// The upstream task indices task `t` of node `v` waits on through
-    /// `edge`, as a half-open range over the upstream node's tasks.
-    #[cfg(test)]
-    fn dep_range(&self, v: usize, t: usize, edge: &Edge) -> std::ops::Range<usize> {
-        fan_in_range(edge.fan_in, self.nodes[edge.from].tasks, self.nodes[v].tasks, t)
-    }
 }
 
 /// Per-node scheduling telemetry from a [`run_dag`] execution.
@@ -466,17 +459,7 @@ fn run_barrier<C>(env: &mut CloudEnv, ctx: &mut C, mut dag: Dag<C>) -> Result<Da
         let handle = (dag.nodes[v].launch)(ctx, env, false)?;
         let tasks = handle.total_tasks(env);
         // The barrier: pump until the node drains completely.
-        let result = loop {
-            if let Some(r) = env.try_job_result(handle.id) {
-                break r;
-            }
-            if matches!(env.pump(), EnvEvent::Drained) {
-                break Err(ExecError::Stalled(format!(
-                    "simulation drained with DAG node {} ({}) unfinished",
-                    v, dag.nodes[v].label
-                )));
-            }
-        };
+        let result = env.run_job(handle.id);
         env.set_job_parent(SpanId::NONE);
         maybe_end_group_span(env, &dag, v, &mut open);
         result?;
@@ -692,11 +675,7 @@ mod tests {
     #[test]
     fn one_to_one_block_mapping_covers_all_upstream_tasks() {
         // Upstream 8 tasks, downstream 3: blocks [0,2) [2,5) [5,8).
-        let mut dag: Dag<()> = Dag::new();
-        let up = dag.add_node(leaf("up", 8, vec![]));
-        let down = dag.add_node(leaf("down", 3, vec![Edge::one_to_one(up)]));
-        let e = Edge::one_to_one(up);
-        let ranges: Vec<_> = (0..3).map(|t| dag.dep_range(down, t, &e)).collect();
+        let ranges: Vec<_> = (0..3).map(|t| fan_in_range(FanIn::OneToOne, 8, 3, t)).collect();
         assert_eq!(ranges, vec![0..2, 2..5, 5..8]);
         // Every upstream task is covered.
         let covered: Vec<usize> = ranges.into_iter().flatten().collect();
@@ -707,24 +686,14 @@ mod tests {
     fn one_to_one_widening_maps_each_downstream_to_one_upstream() {
         // Upstream 2 tasks, downstream 6: each downstream task waits on
         // exactly one upstream partition.
-        let mut dag: Dag<()> = Dag::new();
-        let up = dag.add_node(leaf("up", 2, vec![]));
-        let down = dag.add_node(leaf("down", 6, vec![Edge::one_to_one(up)]));
-        let e = Edge::one_to_one(up);
-        let owners: Vec<_> = (0..6)
-            .map(|t| dag.dep_range(down, t, &e))
-            .collect();
+        let owners: Vec<_> = (0..6).map(|t| fan_in_range(FanIn::OneToOne, 2, 6, t)).collect();
         assert_eq!(owners, vec![0..1, 0..1, 0..1, 1..2, 1..2, 1..2]);
     }
 
     #[test]
     fn all_to_all_spans_the_whole_upstream() {
-        let mut dag: Dag<()> = Dag::new();
-        let up = dag.add_node(leaf("up", 5, vec![]));
-        let down = dag.add_node(leaf("down", 2, vec![Edge::all_to_all(up)]));
-        let e = Edge::all_to_all(up);
-        assert_eq!(dag.dep_range(down, 0, &e), 0..5);
-        assert_eq!(dag.dep_range(down, 1, &e), 0..5);
+        assert_eq!(fan_in_range(FanIn::AllToAll, 5, 2, 0), 0..5);
+        assert_eq!(fan_in_range(FanIn::AllToAll, 5, 2, 1), 0..5);
     }
 
     #[test]

@@ -130,15 +130,6 @@ fn wait_op(env: &mut CloudEnv, op: OpId) -> Result<OpOutcome, ExecError> {
     }
 }
 
-/// Convenience: the host-facing bucket/key pair of a ref, for building
-/// [`Action::Get`](crate::Action::Get)s inside task logic.
-pub fn action_get(cobj: &CloudObjectRef) -> crate::task::Action {
-    crate::task::Action::Get {
-        bucket: cobj.bucket.clone(),
-        key: cobj.key.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

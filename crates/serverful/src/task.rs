@@ -241,14 +241,6 @@ impl ScriptTask {
         })
     }
 
-    /// Appends a concurrent multi-PUT.
-    pub fn put_many(self, bucket: impl Into<String>, entries: Vec<(String, ObjectBody)>) -> Self {
-        self.action(Action::PutMany {
-            bucket: bucket.into(),
-            entries,
-        })
-    }
-
     /// Appends a sleep.
     pub fn sleep(self, secs: f64) -> Self {
         self.action(Action::Sleep { secs })

@@ -234,16 +234,6 @@ impl Tracer {
         });
     }
 
-    /// Looks up the value of a span attribute (first occurrence).
-    pub fn span_attr(&self, id: SpanId, key: &str) -> Option<&AttrValue> {
-        let i = id.index()?;
-        self.spans[i]
-            .attrs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v)
-    }
-
     /// Exports the trace as Chrome trace-event / Perfetto JSON.
     ///
     /// The output is canonical: tracks are numbered in first-use order
