@@ -133,11 +133,9 @@ pub enum OpOutcome {
 #[derive(Debug)]
 enum Ev {
     StorageStart { op: OpId },
-    StorageTick,
     VpcStart { op: OpId },
-    VpcTick,
     KvStart { op: OpId },
-    KvTick { kv: KvId },
+    LinkTick { link: LinkId },
     ComputeDone { host: HostId, op: OpId },
     SleepDone { op: OpId },
     SandboxUp { sandbox: SandboxId },
@@ -167,6 +165,33 @@ pub enum Tenancy {
     /// provider may reclaim the instance at any time — surfacing as
     /// [`Notify::VmFailed`] with [`FaultKind::SpotPreemption`].
     Spot,
+}
+
+/// One fair-share data plane: a bandwidth pool, the flows in flight
+/// over it and the event armed for its next completion.
+#[derive(Debug)]
+struct Link {
+    pool: FairShare,
+    tick: Option<EventToken>,
+    flows: IdMap<FlowId, FlowDone>,
+}
+
+impl Link {
+    fn new(pool: FairShare) -> Link {
+        Link {
+            pool,
+            tick: None,
+            flows: IdMap::default(),
+        }
+    }
+}
+
+/// Which [`Link`]: object storage, the VPC, or one KV server's NIC.
+#[derive(Debug, Clone, Copy)]
+enum LinkId {
+    Storage,
+    Vpc,
+    Kv(KvId),
 }
 
 /// What to do when a storage/KV flow completes.
@@ -253,9 +278,7 @@ struct Vm {
 #[derive(Debug)]
 struct Kv {
     host: HostId,
-    pool: FairShare,
-    tick: Option<EventToken>,
-    flows: IdMap<FlowId, FlowDone>,
+    link: Link,
     data: HashMap<String, ObjectBody>,
     queues: HashMap<String, VecDeque<ObjectBody>>,
     /// Set when the hosting VM was killed; every subsequent (or still
@@ -273,19 +296,15 @@ pub struct World {
 
     // Object storage.
     store: ObjectStore,
-    st_pool: FairShare,
-    st_tick: Option<EventToken>,
-    st_flows: IdMap<FlowId, FlowDone>,
+    storage_link: Link,
     st_get_rl: RateLimiter,
     st_put_rl: RateLimiter,
     prefix_groups: HashMap<String, u64>,
 
     // Direct host-to-host transfers (cluster shuffle traffic).
-    vpc_pool: FairShare,
-    vpc_tick: Option<EventToken>,
-    vpc_flows: IdMap<FlowId, FlowDone>,
-    /// The flows one `FairShare::advance` call finished, reused by the
-    /// storage, VPC and KV pools.
+    vpc_link: Link,
+    /// The flows one `FairShare::advance` call finished, reused by every
+    /// link.
     done_flows: Vec<FlowId>,
 
     // Hosts / sandboxes / VMs / KV.
@@ -333,12 +352,12 @@ pub struct World {
 impl World {
     /// Creates a region from a configuration and a deterministic seed.
     pub fn new(cfg: CloudConfig, seed: u64) -> World {
-        let mut st_pool = FairShare::new(cfg.storage.aggregate_bps, cfg.storage.per_conn_bps);
+        let mut storage = FairShare::new(cfg.storage.aggregate_bps, cfg.storage.per_conn_bps);
         let mut hosts = Vec::new();
         let client_host = Host::new(cfg.client.vcpus as f64, 1.0, cfg.client.net_bps, None);
-        st_pool.set_group_cap(0, client_host.nic_bps);
-        let mut vpc_pool = FairShare::new(f64::INFINITY, 1.25e9);
-        vpc_pool.set_group_cap(0, client_host.nic_bps);
+        storage.set_group_cap(0, client_host.nic_bps);
+        let mut vpc = FairShare::new(f64::INFINITY, 1.25e9);
+        vpc.set_group_cap(0, client_host.nic_bps);
         hosts.push(client_host);
         hosts[0].alive = true;
         let faas_bucket = TokenBucket::new(cfg.faas.burst as f64, cfg.faas.starts_per_sec);
@@ -350,15 +369,11 @@ impl World {
             rng: SimRng::seed_from(seed),
             outbox: VecDeque::new(),
             store: ObjectStore::new(),
-            st_pool,
-            st_tick: None,
-            st_flows: IdMap::default(),
+            storage_link: Link::new(storage),
             st_get_rl,
             st_put_rl,
             prefix_groups: HashMap::new(),
-            vpc_pool,
-            vpc_tick: None,
-            vpc_flows: IdMap::default(),
+            vpc_link: Link::new(vpc),
             done_flows: Vec::new(),
             hosts,
             client: HostId::from_index(0),
@@ -949,9 +964,7 @@ impl World {
         let kv = KvId::from_index(self.kvs.len() as u64);
         self.kvs.push(Kv {
             host,
-            pool,
-            tick: None,
-            flows: IdMap::default(),
+            link: Link::new(pool),
             data: HashMap::new(),
             queues: HashMap::new(),
             dead: false,
@@ -1104,8 +1117,8 @@ impl World {
 
     fn add_host(&mut self, host: Host) -> HostId {
         let id = HostId::from_index(self.hosts.len() as u64);
-        self.st_pool.set_group_cap(id.index(), host.nic_bps);
-        self.vpc_pool.set_group_cap(id.index(), host.nic_bps);
+        self.storage_link.pool.set_group_cap(id.index(), host.nic_bps);
+        self.vpc_link.pool.set_group_cap(id.index(), host.nic_bps);
         self.hosts.push(host);
         id
     }
@@ -1157,19 +1170,11 @@ impl World {
     fn handle(&mut self, ev: Ev, now: SimTime) {
         match ev {
             Ev::StorageStart { op } => self.on_storage_start(op, now),
-            Ev::StorageTick => {
-                self.st_collect(now);
-                self.st_reschedule(now);
-            }
             Ev::VpcStart { op } => self.on_vpc_start(op, now),
-            Ev::VpcTick => {
-                self.vpc_collect(now);
-                self.vpc_reschedule(now);
-            }
             Ev::KvStart { op } => self.on_kv_start(op, now),
-            Ev::KvTick { kv } => {
-                self.kv_collect(kv, now);
-                self.kv_reschedule(kv, now);
+            Ev::LinkTick { link } => {
+                self.link_collect(link, now);
+                self.link_reschedule(link, now);
             }
             Ev::ComputeDone { host, op } => self.on_compute_done(host, op, now),
             Ev::SleepDone { op } => {
@@ -1248,13 +1253,9 @@ impl World {
         key: &str,
         done: FlowDone,
     ) {
-        self.st_collect(now);
+        self.link_collect(LinkId::Storage, now);
         let prefix_group = self.prefix_group(key);
-        let flow = self
-            .st_pool
-            .start(now, bytes, &[from.index(), prefix_group]);
-        self.st_flows.insert(flow, done);
-        self.st_reschedule(now);
+        self.link_join(LinkId::Storage, now, bytes, &[from.index(), prefix_group], done);
     }
 
     /// The flow group for a key's top-level prefix. S3-like stores scale
@@ -1269,29 +1270,10 @@ impl World {
         }
         let id = PREFIX_GROUP_BASE + self.prefix_groups.len() as u64;
         self.prefix_groups.insert(prefix.to_owned(), id);
-        self.st_pool
+        self.storage_link
+            .pool
             .set_group_cap(id, self.cfg.storage.per_prefix_bps);
         id
-    }
-
-    fn st_collect(&mut self, now: SimTime) {
-        let mut flows = std::mem::take(&mut self.done_flows);
-        self.st_pool.advance(now, &mut flows);
-        for flow in &flows {
-            let done = self.st_flows.remove(flow).expect("unknown storage flow");
-            self.finish_flow(done);
-        }
-        self.done_flows = flows;
-    }
-
-    fn st_reschedule(&mut self, now: SimTime) {
-        if let Some(tok) = self.st_tick.take() {
-            self.queue.cancel(tok);
-        }
-        if let Some(at) = self.st_pool.next_completion() {
-            let at = at.max(now);
-            self.st_tick = Some(self.queue.schedule_at(at, Ev::StorageTick));
-        }
     }
 
     fn on_vpc_start(&mut self, op: OpId, now: SimTime) {
@@ -1299,29 +1281,49 @@ impl World {
         let OpKind::Transfer { from, to, bytes } = kind else {
             unreachable!("non-transfer op in vpc start")
         };
-        self.vpc_collect(now);
-        let flow = self.vpc_pool.start(now, bytes, &[from.index(), to.index()]);
-        self.vpc_flows.insert(flow, FlowDone::TransferDone { op });
-        self.vpc_reschedule(now);
+        self.link_collect(LinkId::Vpc, now);
+        let done = FlowDone::TransferDone { op };
+        self.link_join(LinkId::Vpc, now, bytes, &[from.index(), to.index()], done);
     }
 
-    fn vpc_collect(&mut self, now: SimTime) {
+    fn link(&mut self, id: LinkId) -> &mut Link {
+        match id {
+            LinkId::Storage => &mut self.storage_link,
+            LinkId::Vpc => &mut self.vpc_link,
+            LinkId::Kv(kv) => &mut self.kvs[kv.index() as usize].link,
+        }
+    }
+
+    /// Finishes every flow of the link that is done by `now`.
+    fn link_collect(&mut self, id: LinkId, now: SimTime) {
         let mut flows = std::mem::take(&mut self.done_flows);
-        self.vpc_pool.advance(now, &mut flows);
+        self.link(id).pool.advance(now, &mut flows);
         for flow in &flows {
-            let done = self.vpc_flows.remove(flow).expect("unknown vpc flow");
+            let done = self.link(id).flows.remove(flow).expect("unknown flow");
             self.finish_flow(done);
         }
         self.done_flows = flows;
     }
 
-    fn vpc_reschedule(&mut self, now: SimTime) {
-        if let Some(tok) = self.vpc_tick.take() {
+    /// Starts a flow of `bytes` through the link's `groups` and re-arms
+    /// its tick. A caller collects the link first, then sets any group
+    /// cap the flow needs.
+    fn link_join(&mut self, id: LinkId, now: SimTime, bytes: u64, groups: &[u64], done: FlowDone) {
+        let link = self.link(id);
+        let flow = link.pool.start(now, bytes, groups);
+        link.flows.insert(flow, done);
+        self.link_reschedule(id, now);
+    }
+
+    /// Re-arms the link's tick for its next flow completion, if any.
+    fn link_reschedule(&mut self, id: LinkId, now: SimTime) {
+        if let Some(tok) = self.link(id).tick.take() {
             self.queue.cancel(tok);
         }
-        if let Some(at) = self.vpc_pool.next_completion() {
+        if let Some(at) = self.link(id).pool.next_completion() {
             let at = at.max(now);
-            self.vpc_tick = Some(self.queue.schedule_at(at, Ev::VpcTick));
+            let tok = self.queue.schedule_at(at, Ev::LinkTick { link: id });
+            self.link(id).tick = Some(tok);
         }
     }
 
@@ -1444,7 +1446,7 @@ impl World {
         from: HostId,
         done: FlowDone,
     ) {
-        self.kv_collect(kv, now);
+        self.link_collect(LinkId::Kv(kv), now);
         let kv_host = self.kvs[kv.index() as usize].host;
         let local = kv_host == from;
         // Local (same-VM) exchanges move through shared memory: very fast
@@ -1458,11 +1460,9 @@ impl World {
             return;
         }
         let from_nic = self.hosts[from.index() as usize].nic_bps;
-        let state = &mut self.kvs[kv.index() as usize];
-        state.pool.set_group_cap(from.index(), from_nic);
-        let flow = state.pool.start(now, bytes, &[from.index()]);
-        state.flows.insert(flow, done);
-        self.kv_reschedule(kv, now);
+        let link = &mut self.kvs[kv.index() as usize].link;
+        link.pool.set_group_cap(from.index(), from_nic);
+        self.link_join(LinkId::Kv(kv), now, bytes, &[from.index()], done);
     }
 
     /// Finishes a flow after a fixed delay (host-local transfers).
@@ -1470,30 +1470,6 @@ impl World {
         let op = self.alloc_op(OpKind::Sleep);
         self.local_finishers.insert(op, done);
         self.queue.schedule_in(delay, Ev::SleepDone { op });
-    }
-
-    fn kv_collect(&mut self, kv: KvId, now: SimTime) {
-        let mut flows = std::mem::take(&mut self.done_flows);
-        self.kvs[kv.index() as usize].pool.advance(now, &mut flows);
-        for flow in &flows {
-            let done = self.kvs[kv.index() as usize]
-                .flows
-                .remove(flow)
-                .expect("unknown KV flow");
-            self.finish_flow(done);
-        }
-        self.done_flows = flows;
-    }
-
-    fn kv_reschedule(&mut self, kv: KvId, now: SimTime) {
-        let state = &mut self.kvs[kv.index() as usize];
-        if let Some(tok) = state.tick.take() {
-            self.queue.cancel(tok);
-        }
-        if let Some(at) = state.pool.next_completion() {
-            let at = at.max(now);
-            state.tick = Some(self.queue.schedule_at(at, Ev::KvTick { kv }));
-        }
     }
 
     // --- compute ---
@@ -1723,10 +1699,10 @@ impl World {
                 continue;
             }
             state.dead = true;
-            if let Some(tok) = state.tick.take() {
+            if let Some(tok) = state.link.tick.take() {
                 self.queue.cancel(tok);
             }
-            for (_, done) in state.flows.drain() {
+            for (_, done) in state.link.flows.drain() {
                 let (FlowDone::Get { op, .. }
                 | FlowDone::Put { op, .. }
                 | FlowDone::KvValue { op, .. }
