@@ -1117,7 +1117,9 @@ impl World {
 
     fn add_host(&mut self, host: Host) -> HostId {
         let id = HostId::from_index(self.hosts.len() as u64);
-        self.storage_link.pool.set_group_cap(id.index(), host.nic_bps);
+        self.storage_link
+            .pool
+            .set_group_cap(id.index(), host.nic_bps);
         self.vpc_link.pool.set_group_cap(id.index(), host.nic_bps);
         self.hosts.push(host);
         id
@@ -1255,7 +1257,13 @@ impl World {
     ) {
         self.link_collect(LinkId::Storage, now);
         let prefix_group = self.prefix_group(key);
-        self.link_join(LinkId::Storage, now, bytes, &[from.index(), prefix_group], done);
+        self.link_join(
+            LinkId::Storage,
+            now,
+            bytes,
+            &[from.index(), prefix_group],
+            done,
+        );
     }
 
     /// The flow group for a key's top-level prefix. S3-like stores scale

@@ -675,7 +675,9 @@ mod tests {
     #[test]
     fn one_to_one_block_mapping_covers_all_upstream_tasks() {
         // Upstream 8 tasks, downstream 3: blocks [0,2) [2,5) [5,8).
-        let ranges: Vec<_> = (0..3).map(|t| fan_in_range(FanIn::OneToOne, 8, 3, t)).collect();
+        let ranges: Vec<_> = (0..3)
+            .map(|t| fan_in_range(FanIn::OneToOne, 8, 3, t))
+            .collect();
         assert_eq!(ranges, vec![0..2, 2..5, 5..8]);
         // Every upstream task is covered.
         let covered: Vec<usize> = ranges.into_iter().flatten().collect();
@@ -686,7 +688,9 @@ mod tests {
     fn one_to_one_widening_maps_each_downstream_to_one_upstream() {
         // Upstream 2 tasks, downstream 6: each downstream task waits on
         // exactly one upstream partition.
-        let owners: Vec<_> = (0..6).map(|t| fan_in_range(FanIn::OneToOne, 2, 6, t)).collect();
+        let owners: Vec<_> = (0..6)
+            .map(|t| fan_in_range(FanIn::OneToOne, 2, 6, t))
+            .collect();
         assert_eq!(owners, vec![0..1, 0..1, 0..1, 1..2, 1..2, 1..2]);
     }
 

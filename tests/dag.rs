@@ -15,8 +15,8 @@ use serverful_repro::bench::render::render_dag;
 use serverful_repro::bench::dag_comparison;
 use serverful_repro::metaspace::jobs;
 use serverful_repro::serverful::{
-    fan_in_range, run_dag, Backend, CloudEnv, Dag, DagNode, Edge, ExecutionMode,
-    ExecutorConfig, FanIn, FunctionExecutor, MapOptions, Payload, RecoveryMode, ScriptTask,
+    fan_in_range, run_dag, Backend, CloudEnv, Dag, DagNode, Edge, ExecutionMode, ExecutorConfig,
+    FanIn, FunctionExecutor, MapOptions, Payload, RecoveryMode, ScriptTask,
 };
 use serverful_repro::simkernel::SimRng;
 
