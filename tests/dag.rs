@@ -38,33 +38,6 @@ impl Ctx {
     }
 }
 
-/// A map node of `tasks` tasks that compute for `secs` each, on the VM
-/// pool or on FaaS.
-fn map_node(label: &str, tasks: usize, secs: f64, on_vm: bool, deps: Vec<Edge>) -> DagNode<Ctx> {
-    let name = label.to_owned();
-    DagNode {
-        label: label.into(),
-        group: None,
-        tasks,
-        deps,
-        launch: Box::new(move |ctx, env, gated| {
-            let mut opts = MapOptions::named(name.clone());
-            if gated {
-                opts = opts.gated();
-            }
-            let factory = Arc::new(move |_: &Payload| {
-                ScriptTask::new()
-                    .compute(secs)
-                    .finish_value(Payload::U64(0))
-                    .boxed()
-            });
-            let inputs = (0..tasks as u64).map(Payload::U64).collect();
-            let exec = if on_vm { &mut ctx.vm } else { &mut ctx.faas };
-            Ok(exec.map_with(env, factory, inputs, opts))
-        }),
-    }
-}
-
 /// Builds a random topological DAG of map nodes: every node after the
 /// first depends on 1–2 random earlier nodes through a random fan-in
 /// shape, with per-node task counts, compute times and executors drawn
@@ -93,7 +66,28 @@ fn random_dag(rng: &mut SimRng) -> Dag<Ctx> {
         }
         let secs = 0.1 + rng.uniform_u64(0, 10) as f64 / 10.0;
         let on_vm = rng.uniform_u64(0, 2) == 0;
-        dag.add_node(map_node(&format!("n{v}"), tasks, secs, on_vm, deps));
+        let label = format!("n{v}");
+        dag.add_node(DagNode {
+            label: label.clone(),
+            group: None,
+            tasks,
+            deps,
+            launch: Box::new(move |ctx, env, gated| {
+                let mut opts = MapOptions::named(label.clone());
+                if gated {
+                    opts = opts.gated();
+                }
+                let factory = Arc::new(move |_: &Payload| {
+                    ScriptTask::new()
+                        .compute(secs)
+                        .finish_value(Payload::U64(0))
+                        .boxed()
+                });
+                let inputs = (0..tasks as u64).map(Payload::U64).collect();
+                let exec = if on_vm { &mut ctx.vm } else { &mut ctx.faas };
+                Ok(exec.map_with(env, factory, inputs, opts))
+            }),
+        });
     }
     dag
 }
