@@ -352,12 +352,12 @@ pub struct World {
 impl World {
     /// Creates a region from a configuration and a deterministic seed.
     pub fn new(cfg: CloudConfig, seed: u64) -> World {
-        let mut storage = FairShare::new(cfg.storage.aggregate_bps, cfg.storage.per_conn_bps);
+        let mut st_pool = FairShare::new(cfg.storage.aggregate_bps, cfg.storage.per_conn_bps);
         let mut hosts = Vec::new();
         let client_host = Host::new(cfg.client.vcpus as f64, 1.0, cfg.client.net_bps, None);
-        storage.set_group_cap(0, client_host.nic_bps);
-        let mut vpc = FairShare::new(f64::INFINITY, 1.25e9);
-        vpc.set_group_cap(0, client_host.nic_bps);
+        st_pool.set_group_cap(0, client_host.nic_bps);
+        let mut vpc_pool = FairShare::new(f64::INFINITY, 1.25e9);
+        vpc_pool.set_group_cap(0, client_host.nic_bps);
         hosts.push(client_host);
         hosts[0].alive = true;
         let faas_bucket = TokenBucket::new(cfg.faas.burst as f64, cfg.faas.starts_per_sec);
@@ -369,11 +369,11 @@ impl World {
             rng: SimRng::seed_from(seed),
             outbox: VecDeque::new(),
             store: ObjectStore::new(),
-            storage_link: Link::new(storage),
+            storage_link: Link::new(st_pool),
             st_get_rl,
             st_put_rl,
             prefix_groups: HashMap::new(),
-            vpc_link: Link::new(vpc),
+            vpc_link: Link::new(vpc_pool),
             done_flows: Vec::new(),
             hosts,
             client: HostId::from_index(0),

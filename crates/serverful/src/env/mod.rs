@@ -419,8 +419,8 @@ impl CloudEnv {
     // Master fault tolerance (see crate::recovery)
     // ------------------------------------------------------------------
 
-    /// Recovery activity of this environment so far (checkpoints,
-    /// master replacements, completion counters). Empty unless a pool with a
+    /// Recovery activity of this environment so far (checkpoints, master
+    /// replacements, completion counters). Empty unless a pool with a
     /// non-default [`RecoveryMode`] actually exercised it.
     pub fn recovery_stats(&self) -> &RecoveryStats {
         &self.recovery_stats
