@@ -2,7 +2,7 @@
 //! paper's evaluation and prints it next to the published numbers.
 //!
 //! ```text
-//! repro [table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|ablations|all] [seed]
+//! repro [table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|ablations|extension|all] [seed]
 //! repro trace <job> [--arch serverless|hybrid|spark] [--seed N]
 //! repro plan <job> [--objective cost|latency|pareto] [--threads N] [--seed N] [--smoke|--providers]
 //! repro fleet <scenario> [--arrival-rate R] [--duration S] [--seed N] [--threads N]
@@ -90,7 +90,15 @@ fn main() {
         run_providers();
         return;
     }
-    let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
+    if let Some(extra) = args.get(3) {
+        die(&format!("unexpected argument `{extra}`\n{USAGE}"));
+    }
+    let seed: u64 = match args.get(2) {
+        None => 1,
+        Some(s) => s
+            .parse()
+            .unwrap_or_else(|_| die(&format!("seed needs an integer, got `{s}`\n{USAGE}"))),
+    };
 
     match what {
         "table1" => print!("{}", render_table1(seed)),
@@ -119,24 +127,7 @@ fn main() {
             run_ablations(seed);
             run_extension(seed);
         }
-        other => {
-            eprintln!("unknown experiment `{other}`");
-            eprintln!(
-                "usage: repro [table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|ablations|extension|all] [seed]"
-            );
-            eprintln!("       repro trace <job> [--arch serverless|hybrid|spark] [--seed N]");
-            eprintln!(
-                "       repro plan <job> [--objective cost|latency|pareto] [--threads N] [--seed N] [--smoke]"
-            );
-            eprintln!(
-                "       repro fleet <scenario> [--arrival-rate R] [--duration S] [--seed N] [--threads N]"
-            );
-            eprintln!("       repro dag <job> [--seed N] [--smoke]");
-            eprintln!("       repro workload <name|all|path/to.wl> [--seed N] [--smoke] [--dsl]");
-            eprintln!("       repro workload --list");
-            eprintln!("       repro providers");
-            std::process::exit(2);
-        }
+        other => die(&format!("unknown experiment `{other}`\n{USAGE}")),
     }
 }
 
@@ -435,6 +426,17 @@ fn run_providers() {
     );
     println!(" `repro fleet spot-storm` / `repro fleet spillover` exercise the markets under traffic)");
 }
+
+/// The usage text a usage error prints.
+const USAGE: &str = "\
+usage: repro [table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|ablations|extension|all] [seed]
+       repro trace <job> [--arch serverless|hybrid|spark] [--seed N]
+       repro plan <job> [--objective cost|latency|pareto] [--threads N] [--seed N] [--smoke|--providers]
+       repro fleet <scenario> [--arrival-rate R] [--duration S] [--seed N] [--threads N]
+       repro dag <job> [--seed N] [--smoke]
+       repro workload <name|all|path/to.wl> [--seed N] [--smoke] [--dsl]
+       repro workload --list
+       repro providers";
 
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
