@@ -61,4 +61,4 @@ pub use provider::{
     SpotMarket,
 };
 pub use store::{ObjectBody, ObjectStore};
-pub use world::{Notify, OpOutcome, Tenancy, World};
+pub use world::{Notify, OpOutcome, StorageRequest, Tenancy, World};

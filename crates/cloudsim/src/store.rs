@@ -6,9 +6,14 @@
 //! can be verified to actually sort) or an *opaque* declared size (used by
 //! paper-scale benchmark runs, where materialising hundreds of GB would
 //! be pointless — timing depends only on the size).
+//!
+//! A timed PUT moves its key and body in: the world owns a request while
+//! it is in flight and hands both over when the transfer lands, so the
+//! store copies neither.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 
 use bytes::Bytes;
 
@@ -103,13 +108,18 @@ impl ObjectStore {
     }
 
     /// Inserts (or replaces) an object, returning the previous body if
-    /// any.
-    pub fn put(&mut self, bucket: &str, key: &str, body: ObjectBody) -> Option<ObjectBody> {
+    /// any. An owned key moves in without a copy.
+    pub fn put(
+        &mut self,
+        bucket: &str,
+        key: impl Into<String>,
+        body: ObjectBody,
+    ) -> Option<ObjectBody> {
         let objects = match self.buckets.get_mut(bucket) {
             Some(objects) => objects,
             None => self.buckets.entry(bucket.to_owned()).or_default(),
         };
-        objects.insert(key.to_owned(), body)
+        objects.insert(key.into(), body)
     }
 
     /// Reads an object.
@@ -127,7 +137,7 @@ impl ObjectStore {
         match self.buckets.get(bucket) {
             None => Vec::new(),
             Some(objs) => objs
-                .range(prefix.to_owned()..)
+                .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
                 .take_while(|(k, _)| k.starts_with(prefix))
                 .map(|(k, _)| k.clone())
                 .collect(),

@@ -11,8 +11,16 @@
 //!
 //! Billing flows into a [`telemetry::CostLedger`] and CPU occupancy into
 //! a [`telemetry::CpuMonitor`], both owned by the world.
+//!
+//! A storage request ([`StorageRequest`]) has one owner at a time. The
+//! caller moves it into [`World::storage`]; the world holds it while it
+//! is in flight and moves a PUT's key and body into the
+//! [`ObjectStore`] when the transfer lands, so nothing is copied. A
+//! request that faults comes back whole in [`OpOutcome::Faulted`], ready
+//! to re-issue.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use simkernel::fair_share::FlowId;
 use simkernel::{
@@ -121,11 +129,51 @@ pub enum OpOutcome {
     /// before the operation completed. Not retryable against the same
     /// server; recovery must re-route to a replacement.
     KvUnreachable,
-    /// The operation failed with an injected transient fault; the
-    /// caller may retry it.
+    /// A storage request failed with an injected transient fault; the
+    /// caller may re-issue the request it gets back.
     Faulted {
         /// The injected fault class.
         fault: FaultKind,
+        /// The host that issued the request.
+        from: HostId,
+        /// The request, handed back unchanged.
+        request: StorageRequest,
+    },
+}
+
+/// An object-storage request, issued with [`World::storage`]. The world
+/// owns it while it is in flight (see the [module docs](self)).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StorageRequest {
+    /// Fetch an object.
+    Get {
+        /// The bucket.
+        bucket: String,
+        /// The object's key.
+        key: String,
+    },
+    /// Store (or replace) an object.
+    Put {
+        /// The bucket.
+        bucket: String,
+        /// The object's key.
+        key: String,
+        /// The object's contents.
+        body: ObjectBody,
+    },
+    /// List the keys under a prefix.
+    List {
+        /// The bucket.
+        bucket: String,
+        /// The key prefix.
+        prefix: String,
+    },
+    /// Delete an object.
+    Delete {
+        /// The bucket.
+        bucket: String,
+        /// The object's key.
+        key: String,
     },
 }
 
@@ -213,10 +261,7 @@ enum FlowDone {
 /// Pending operation state between issue and completion.
 #[derive(Debug)]
 enum OpKind {
-    Get { from: HostId, bucket: String, key: String },
-    Put { from: HostId, bucket: String, key: String, body: ObjectBody },
-    List { bucket: String, prefix: String },
-    Delete { bucket: String, key: String },
+    Storage { from: HostId, req: StorageRequest },
     Compute,
     Sleep,
     KvPut { from: HostId, kv: KvId, key: String, body: ObjectBody },
@@ -224,6 +269,29 @@ enum OpKind {
     KvPush { from: HostId, kv: KvId, queue: String, body: ObjectBody },
     KvPop { from: HostId, kv: KvId, queue: String },
     Transfer { from: HostId, to: HostId, bytes: u64 },
+}
+
+impl OpKind {
+    /// A traced op's span name and track, and the key and byte count
+    /// its span records.
+    fn trace_label(&self) -> (&'static str, &'static str, Option<&str>, Option<u64>) {
+        match self {
+            OpKind::Storage { req, .. } => match req {
+                StorageRequest::Get { key, .. } => ("GET", "storage", Some(key), None),
+                StorageRequest::Put { key, body, .. } => {
+                    ("PUT", "storage", Some(key), Some(body.len()))
+                }
+                StorageRequest::List { prefix, .. } => ("LIST", "storage", Some(prefix), None),
+                StorageRequest::Delete { key, .. } => ("DELETE", "storage", Some(key), None),
+            },
+            OpKind::KvPut { key, body, .. } => ("KV PUT", "kv", Some(key), Some(body.len())),
+            OpKind::KvGet { key, .. } => ("KV GET", "kv", Some(key), None),
+            OpKind::KvPush { queue, body, .. } => ("KV PUSH", "kv", Some(queue), Some(body.len())),
+            OpKind::KvPop { queue, .. } => ("KV POP", "kv", Some(queue), None),
+            OpKind::Transfer { bytes, .. } => ("TRANSFER", "vpc", None, Some(*bytes)),
+            OpKind::Compute | OpKind::Sleep => unreachable!("compute and sleep ops are not traced"),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -236,7 +304,7 @@ struct Sandbox {
     /// Bill label captured at invoke time, so the charge lands on the
     /// job that created the sandbox even if another job's label is
     /// current when it retires (concurrent multi-job worlds).
-    bill_label: String,
+    bill_label: Arc<str>,
     /// Injected crash scheduled to fire this long after user code
     /// starts (decided at invoke time).
     planned_crash: Option<SimDuration>,
@@ -256,7 +324,7 @@ struct Vm {
     terminated: bool,
     fleet: FleetTag,
     /// Bill label captured at provision time (see [`Sandbox::bill_label`]).
-    bill_label: String,
+    bill_label: Arc<str>,
     /// Injected loss scheduled to fire this long after the VM comes up
     /// (decided at provision time).
     planned_loss: Option<SimDuration>,
@@ -333,7 +401,9 @@ pub struct World {
     cpu: CpuMonitor,
     fault_ledger: FaultLedger,
     fleets: HashMap<String, FleetTag>,
-    bill_label: String,
+    /// Shared with every charge made under it, so a charge clones a
+    /// pointer, not the string.
+    bill_label: Arc<str>,
 
     // Region-quota usage (the counters the fleet admission controller
     // reads; enforcement policy lives above this crate).
@@ -391,7 +461,7 @@ impl World {
             cpu: CpuMonitor::new(),
             fault_ledger: FaultLedger::new(),
             fleets: HashMap::new(),
-            bill_label: String::new(),
+            bill_label: Arc::from(""),
             active_sandboxes: 0,
             active_vm_vcpus: 0.0,
             tracer: Tracer::new(),
@@ -531,7 +601,7 @@ impl World {
 
     /// Sets the label attached to subsequent billing entries (typically
     /// the current job/stage name).
-    pub fn set_bill_label(&mut self, label: impl Into<String>) {
+    pub fn set_bill_label(&mut self, label: impl Into<Arc<str>>) {
         self.bill_label = label.into();
     }
 
@@ -571,90 +641,84 @@ impl World {
     // Object storage operations
     // ------------------------------------------------------------------
 
-    /// Starts an asynchronous GET from `from`'s vantage point.
-    pub fn get_object(&mut self, from: HostId, bucket: &str, key: &str) -> OpId {
+    /// Starts an asynchronous object-storage request from `from`'s
+    /// vantage point. The world owns the request until it completes; if
+    /// it faults, [`OpOutcome::Faulted`] hands it back.
+    pub fn storage(&mut self, from: HostId, req: StorageRequest) -> OpId {
         self.assert_alive(from);
-        let op = self.alloc_op(OpKind::Get {
-            from,
-            bucket: bucket.to_owned(),
-            key: key.to_owned(),
-        });
-        self.trace_op_begin(op, "GET", "storage", Some(key), None);
-        let at = self.st_get_rl.admit(self.queue.now());
-        let lat = self.lat(self.cfg.storage.get_latency);
-        if let Some(fault) = self.faults.storage_fault(self.queue.now()) {
+        let cfg = &self.cfg.storage;
+        let (put_rate, latency, fee) = match &req {
+            StorageRequest::Get { .. } => (false, cfg.get_latency, Some(cfg.tariff.usd_per_get)),
+            StorageRequest::Put { .. } => (true, cfg.put_latency, Some(cfg.tariff.usd_per_put)),
+            StorageRequest::List { .. } => (false, cfg.list_latency, Some(cfg.tariff.usd_per_list)),
+            // DELETE requests are free.
+            StorageRequest::Delete { .. } => (true, cfg.put_latency, None),
+        };
+        let op = self.alloc_op(OpKind::Storage { from, req });
+        self.trace_op_begin(op);
+        let now = self.queue.now();
+        let at = if put_rate {
+            self.st_put_rl.admit(now)
+        } else {
+            self.st_get_rl.admit(now)
+        };
+        let lat = self.lat(latency);
+        if let Some(fault) = self.faults.storage_fault(now) {
             // Failed requests (5xx / SlowDown) are not billed.
-            self.queue.schedule_at(at + lat, Ev::StorageFault { op, fault });
+            self.queue
+                .schedule_at(at + lat, Ev::StorageFault { op, fault });
             return op;
         }
-        self.charge(CostCategory::StorageRequests, self.cfg.storage.tariff.usd_per_get);
+        if let Some(fee) = fee {
+            self.charge(CostCategory::StorageRequests, fee);
+        }
         self.queue.schedule_at(at + lat, Ev::StorageStart { op });
         op
+    }
+
+    /// Starts an asynchronous GET.
+    pub fn get_object(
+        &mut self,
+        from: HostId,
+        bucket: impl Into<String>,
+        key: impl Into<String>,
+    ) -> OpId {
+        let (bucket, key) = (bucket.into(), key.into());
+        self.storage(from, StorageRequest::Get { bucket, key })
     }
 
     /// Starts an asynchronous PUT.
     pub fn put_object(
         &mut self,
         from: HostId,
-        bucket: &str,
-        key: &str,
+        bucket: impl Into<String>,
+        key: impl Into<String>,
         body: ObjectBody,
     ) -> OpId {
-        self.assert_alive(from);
-        let bytes = body.len();
-        let op = self.alloc_op(OpKind::Put {
-            from,
-            bucket: bucket.to_owned(),
-            key: key.to_owned(),
-            body,
-        });
-        self.trace_op_begin(op, "PUT", "storage", Some(key), Some(bytes));
-        let at = self.st_put_rl.admit(self.queue.now());
-        let lat = self.lat(self.cfg.storage.put_latency);
-        if let Some(fault) = self.faults.storage_fault(self.queue.now()) {
-            self.queue.schedule_at(at + lat, Ev::StorageFault { op, fault });
-            return op;
-        }
-        self.charge(CostCategory::StorageRequests, self.cfg.storage.tariff.usd_per_put);
-        self.queue.schedule_at(at + lat, Ev::StorageStart { op });
-        op
+        let (bucket, key) = (bucket.into(), key.into());
+        self.storage(from, StorageRequest::Put { bucket, key, body })
     }
 
     /// Starts an asynchronous LIST of keys under `prefix`.
-    pub fn list_objects(&mut self, from: HostId, bucket: &str, prefix: &str) -> OpId {
-        self.assert_alive(from);
-        let op = self.alloc_op(OpKind::List {
-            bucket: bucket.to_owned(),
-            prefix: prefix.to_owned(),
-        });
-        self.trace_op_begin(op, "LIST", "storage", Some(prefix), None);
-        let at = self.st_get_rl.admit(self.queue.now());
-        let lat = self.lat(self.cfg.storage.list_latency);
-        if let Some(fault) = self.faults.storage_fault(self.queue.now()) {
-            self.queue.schedule_at(at + lat, Ev::StorageFault { op, fault });
-            return op;
-        }
-        self.charge(CostCategory::StorageRequests, self.cfg.storage.tariff.usd_per_list);
-        self.queue.schedule_at(at + lat, Ev::StorageStart { op });
-        op
+    pub fn list_objects(
+        &mut self,
+        from: HostId,
+        bucket: impl Into<String>,
+        prefix: impl Into<String>,
+    ) -> OpId {
+        let (bucket, prefix) = (bucket.into(), prefix.into());
+        self.storage(from, StorageRequest::List { bucket, prefix })
     }
 
     /// Starts an asynchronous DELETE.
-    pub fn delete_object(&mut self, from: HostId, bucket: &str, key: &str) -> OpId {
-        self.assert_alive(from);
-        let op = self.alloc_op(OpKind::Delete {
-            bucket: bucket.to_owned(),
-            key: key.to_owned(),
-        });
-        self.trace_op_begin(op, "DELETE", "storage", Some(key), None);
-        let at = self.st_put_rl.admit(self.queue.now());
-        let lat = self.lat(self.cfg.storage.put_latency);
-        if let Some(fault) = self.faults.storage_fault(self.queue.now()) {
-            self.queue.schedule_at(at + lat, Ev::StorageFault { op, fault });
-            return op;
-        }
-        self.queue.schedule_at(at + lat, Ev::StorageStart { op });
-        op
+    pub fn delete_object(
+        &mut self,
+        from: HostId,
+        bucket: impl Into<String>,
+        key: impl Into<String>,
+    ) -> OpId {
+        let (bucket, key) = (bucket.into(), key.into());
+        self.storage(from, StorageRequest::Delete { bucket, key })
     }
 
     // ------------------------------------------------------------------
@@ -702,7 +766,7 @@ impl World {
         self.assert_alive(from);
         self.assert_alive(to);
         let op = self.alloc_op(OpKind::Transfer { from, to, bytes });
-        self.trace_op_begin(op, "TRANSFER", "vpc", None, Some(bytes));
+        self.trace_op_begin(op);
         // TCP setup / first-byte latency within a VPC.
         let lat = self.lat((0.0008, 0.0002));
         self.queue.schedule_in(lat, Ev::VpcStart { op });
@@ -979,75 +1043,61 @@ impl World {
     }
 
     /// Asynchronously stores `body` under `key` in a KV server.
-    pub fn kv_put(&mut self, from: HostId, kv: KvId, key: &str, body: ObjectBody) -> OpId {
+    pub fn kv_put(
+        &mut self,
+        from: HostId,
+        kv: KvId,
+        key: impl Into<String>,
+        body: ObjectBody,
+    ) -> OpId {
+        let key = key.into();
         self.kv_op(
             from,
             OpKind::KvPut {
                 from,
                 kv,
-                key: key.to_owned(),
+                key,
                 body,
             },
         )
     }
 
     /// Asynchronously fetches `key` from a KV server.
-    pub fn kv_get(&mut self, from: HostId, kv: KvId, key: &str) -> OpId {
-        self.kv_op(
-            from,
-            OpKind::KvGet {
-                from,
-                kv,
-                key: key.to_owned(),
-            },
-        )
+    pub fn kv_get(&mut self, from: HostId, kv: KvId, key: impl Into<String>) -> OpId {
+        let key = key.into();
+        self.kv_op(from, OpKind::KvGet { from, kv, key })
     }
 
     /// Asynchronously appends `body` to a KV queue.
-    pub fn kv_push(&mut self, from: HostId, kv: KvId, queue: &str, body: ObjectBody) -> OpId {
+    pub fn kv_push(
+        &mut self,
+        from: HostId,
+        kv: KvId,
+        queue: impl Into<String>,
+        body: ObjectBody,
+    ) -> OpId {
+        let queue = queue.into();
         self.kv_op(
             from,
             OpKind::KvPush {
                 from,
                 kv,
-                queue: queue.to_owned(),
+                queue,
                 body,
             },
         )
     }
 
     /// Asynchronously pops the head of a KV queue (`None` if empty).
-    pub fn kv_pop(&mut self, from: HostId, kv: KvId, queue: &str) -> OpId {
-        self.kv_op(
-            from,
-            OpKind::KvPop {
-                from,
-                kv,
-                queue: queue.to_owned(),
-            },
-        )
+    pub fn kv_pop(&mut self, from: HostId, kv: KvId, queue: impl Into<String>) -> OpId {
+        let queue = queue.into();
+        self.kv_op(from, OpKind::KvPop { from, kv, queue })
     }
 
     fn kv_op(&mut self, from: HostId, kind: OpKind) -> OpId {
         self.assert_alive(from);
-        let label: Option<(&'static str, String, Option<u64>)> =
-            if self.tracer.is_enabled() {
-                Some(match &kind {
-                    OpKind::KvPut { key, body, .. } => ("KV PUT", key.clone(), Some(body.len())),
-                    OpKind::KvGet { key, .. } => ("KV GET", key.clone(), None),
-                    OpKind::KvPush { queue, body, .. } => {
-                        ("KV PUSH", queue.clone(), Some(body.len()))
-                    }
-                    OpKind::KvPop { queue, .. } => ("KV POP", queue.clone(), None),
-                    other => unreachable!("non-KV op kind: {other:?}"),
-                })
-            } else {
-                None
-            };
         let op = self.alloc_op(kind);
-        if let Some((name, key, bytes)) = label {
-            self.trace_op_begin(op, name, "kv", Some(&key), bytes);
-        }
+        self.trace_op_begin(op);
         let lat = self.lat(self.cfg.kv.op_latency);
         self.queue.schedule_in(lat, Ev::KvStart { op });
         op
@@ -1086,19 +1136,13 @@ impl World {
     }
 
     /// Opens a span for an in-flight operation (no-op while tracing is
-    /// off). `key` attributes object/KV keys; storage keys also get
-    /// their top-level prefix, the unit of bandwidth contention.
-    fn trace_op_begin(
-        &mut self,
-        op: OpId,
-        name: &'static str,
-        track: &'static str,
-        key: Option<&str>,
-        bytes: Option<u64>,
-    ) {
+    /// off). Object/KV keys are attributed; storage keys also get their
+    /// top-level prefix, the unit of bandwidth contention.
+    fn trace_op_begin(&mut self, op: OpId) {
         if !self.tracer.is_enabled() {
             return;
         }
+        let (name, track, key, bytes) = self.ops[&op].trace_label();
         let span = self
             .tracer
             .begin(self.queue.now(), name, "storage", track, self.trace_parent);
@@ -1141,14 +1185,14 @@ impl World {
     }
 
     fn charge(&mut self, category: CostCategory, amount: f64) {
-        let label = self.bill_label.clone();
+        let label = Arc::clone(&self.bill_label);
         self.charge_as(category, amount, label);
     }
 
     /// Charges under an explicit label; used by sandbox/VM retirement,
     /// which must bill the job that *created* the resource rather than
     /// whichever label is current at teardown time.
-    fn charge_as(&mut self, category: CostCategory, amount: f64, label: String) {
+    fn charge_as(&mut self, category: CostCategory, amount: f64, label: Arc<str>) {
         self.ledger.charge(self.queue.now(), category, amount, label);
     }
 
@@ -1161,7 +1205,9 @@ impl World {
                     self.tracer.attr_u64(span, "bytes", body.len())
                 }
                 OpOutcome::GetMissing => self.tracer.attr_str(span, "result", "missing"),
-                OpOutcome::Faulted { fault } => self.tracer.attr_str(span, "fault", fault.name()),
+                OpOutcome::Faulted { fault, .. } => {
+                    self.tracer.attr_str(span, "fault", fault.name())
+                }
                 _ => {}
             }
             self.tracer.end(span, self.queue.now());
@@ -1196,7 +1242,15 @@ impl World {
             Ev::StorageFault { op, fault } => {
                 self.fault_ledger.record_fault(fault);
                 self.tracer.instant(now, fault.name(), "fault", "faults");
-                self.notify_op(op, OpOutcome::Faulted { fault });
+                let Some(OpKind::Storage { from, req }) = self.ops.remove(&op) else {
+                    unreachable!("fault on a non-storage op")
+                };
+                let outcome = OpOutcome::Faulted {
+                    fault,
+                    from,
+                    request: req,
+                };
+                self.notify_op(op, outcome);
             }
             Ev::SandboxInvokeFail { sandbox } => self.on_sandbox_invoke_fail(sandbox),
             Ev::SandboxCrash { sandbox } => self.on_sandbox_crash(sandbox, now),
@@ -1209,61 +1263,47 @@ impl World {
     // --- storage flow plumbing ---
 
     fn on_storage_start(&mut self, op: OpId, now: SimTime) {
-        let kind = self.ops.remove(&op).expect("unknown storage op");
-        match kind {
-            OpKind::Get { from, bucket, key } => match self.store.get(&bucket, &key) {
+        let Some(OpKind::Storage { from, req }) = self.ops.remove(&op) else {
+            unreachable!("unknown storage op")
+        };
+        match req {
+            StorageRequest::Get { bucket, key } => match self.store.get(&bucket, &key) {
                 None => self.notify_op(op, OpOutcome::GetMissing),
                 Some(body) => {
                     let body = body.clone();
                     let len = body.len();
-                    self.st_begin_flow(now, len, from, &key, FlowDone::Get { op, body });
+                    let groups = self.st_flow_groups(now, from, &key);
+                    let done = FlowDone::Get { op, body };
+                    self.link_join(LinkId::Storage, now, len, &groups, done);
                 }
             },
-            OpKind::Put {
-                from,
-                bucket,
-                key,
-                body,
-            } => {
+            StorageRequest::Put { bucket, key, body } => {
                 let len = body.len();
-                let prefix_key = key.clone();
-                self.st_begin_flow(
-                    now,
-                    len,
-                    from,
-                    &prefix_key,
-                    FlowDone::Put { op, bucket, key, body },
-                );
+                let groups = self.st_flow_groups(now, from, &key);
+                let done = FlowDone::Put {
+                    op,
+                    bucket,
+                    key,
+                    body,
+                };
+                self.link_join(LinkId::Storage, now, len, &groups, done);
             }
-            OpKind::List { bucket, prefix } => {
+            StorageRequest::List { bucket, prefix } => {
                 let keys = self.store.list_prefix(&bucket, &prefix);
                 self.notify_op(op, OpOutcome::ListOk { keys });
             }
-            OpKind::Delete { bucket, key } => {
+            StorageRequest::Delete { bucket, key } => {
                 self.store.delete(&bucket, &key);
                 self.notify_op(op, OpOutcome::DeleteOk);
             }
-            other => unreachable!("non-storage op in storage start: {other:?}"),
         }
     }
 
-    fn st_begin_flow(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        from: HostId,
-        key: &str,
-        done: FlowDone,
-    ) {
+    /// Collects the storage link, then names the groups a flow from
+    /// `from` under `key` joins: the host's NIC and the key's prefix.
+    fn st_flow_groups(&mut self, now: SimTime, from: HostId, key: &str) -> [u64; 2] {
         self.link_collect(LinkId::Storage, now);
-        let prefix_group = self.prefix_group(key);
-        self.link_join(
-            LinkId::Storage,
-            now,
-            bytes,
-            &[from.index(), prefix_group],
-            done,
-        );
+        [from.index(), self.prefix_group(key)]
     }
 
     /// The flow group for a key's top-level prefix. S3-like stores scale
@@ -1344,7 +1384,7 @@ impl World {
                 key,
                 body,
             } => {
-                self.store.put(&bucket, &key, body);
+                self.store.put(&bucket, key, body);
                 self.notify_op(op, OpOutcome::PutOk);
             }
             FlowDone::KvValue { op, kv, body } => {

@@ -43,7 +43,7 @@ fn storage_request_rate_limits_admission() {
     let mut w = World::new(cfg, 33);
     let client = w.client_host();
     let ops: Vec<OpId> = (0..200)
-        .map(|i| w.put_object(client, "b", &format!("k{i}"), ObjectBody::opaque(1)))
+        .map(|i| w.put_object(client, "b", format!("k{i}"), ObjectBody::opaque(1)))
         .collect();
     let mut remaining: std::collections::HashSet<OpId> = ops.into_iter().collect();
     let mut last = SimTime::ZERO;

@@ -184,7 +184,7 @@ impl ClusterEngine {
                 *in_flight += 1;
                 let host = self.hosts[vm_slot];
                 let op = if stage.read_bytes_per_task > 0 {
-                    world.get_object(host, "cluster-data", &stage_input_key(stage, task))
+                    world.get_object(host, "cluster-data", stage_input_key(stage, task))
                 } else {
                     world.compute(host, stage.cpu_secs_per_task + self.cfg.task_overhead_secs)
                 };
@@ -237,7 +237,7 @@ impl ClusterEngine {
                         let op = world.put_object(
                             host,
                             "cluster-data",
-                            &key,
+                            key,
                             ObjectBody::opaque(stage.write_bytes_per_task),
                         );
                         running.insert(

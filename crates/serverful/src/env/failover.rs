@@ -177,16 +177,12 @@ impl CloudEnv {
             .tracer_mut()
             .instant(now, "checkpoint", "recovery", "recovery");
         let bucket = self.jobs[job].bucket.clone();
-        self.issue_storage(
-            StorageSpec::Put {
-                host,
-                bucket,
-                key: checkpoint_key(pool),
-                body: ObjectBody::real(bytes),
-            },
-            1,
-            Route::Checkpoint { pool, job },
-        );
+        let request = StorageRequest::Put {
+            bucket,
+            key: checkpoint_key(pool),
+            body: ObjectBody::real(bytes),
+        };
+        self.issue_storage(host, request, 1, Route::Checkpoint { pool, job });
     }
 
     /// The replacement master finished SSH setup: fetch the checkpoint
@@ -209,15 +205,11 @@ impl CloudEnv {
         }
         let (host, vm) = (master.host, master.vm);
         let bucket = self.jobs[job].bucket.clone();
-        self.issue_storage(
-            StorageSpec::Get {
-                host,
-                bucket,
-                key: checkpoint_key(pool),
-            },
-            1,
-            Route::Readopt { pool, job, vm },
-        );
+        let request = StorageRequest::Get {
+            bucket,
+            key: checkpoint_key(pool),
+        };
+        self.issue_storage(host, request, 1, Route::Readopt { pool, job, vm });
     }
 
     /// Checkpoint fetched: replay it. Every worker that is ready and
@@ -338,16 +330,12 @@ impl CloudEnv {
         }
         let host = self.world.client_host();
         let bucket = self.jobs[job].bucket.clone();
-        self.issue_storage(
-            StorageSpec::Put {
-                host,
-                bucket,
-                key: dc_bundle_key(job, task),
-                body: self.task_bundle(job, task),
-            },
-            1,
-            Route::DcBundle { pool, job, task },
-        );
+        let request = StorageRequest::Put {
+            bucket,
+            key: dc_bundle_key(job, task),
+            body: self.task_bundle(job, task),
+        };
+        self.issue_storage(host, request, 1, Route::DcBundle { pool, job, task });
     }
 
     /// A bundle PUT landed: the task is claimable. During the initial
@@ -391,15 +379,19 @@ impl CloudEnv {
             // Stale entry (task got owned or finished meanwhile): skip.
         };
         let bucket = self.jobs[job].bucket.clone();
-        self.issue_storage(
-            StorageSpec::Get {
-                host,
-                bucket,
-                key: dc_bundle_key(job, task),
-            },
-            1,
-            Route::DcClaim { pool, job, vm_idx, proc, vm, task },
-        );
+        let request = StorageRequest::Get {
+            bucket,
+            key: dc_bundle_key(job, task),
+        };
+        let route = Route::DcClaim {
+            pool,
+            job,
+            vm_idx,
+            proc,
+            vm,
+            task,
+        };
+        self.issue_storage(host, request, 1, route);
     }
 
     /// A claimed bundle arrived: run the task on the claiming process —
@@ -452,15 +444,11 @@ impl CloudEnv {
             return;
         }
         let bucket = self.jobs[job].bucket.clone();
-        self.issue_storage(
-            StorageSpec::Put {
-                host,
-                bucket,
-                key: dc_counter_key(job, task),
-                body: ObjectBody::real(Payload::U64(task as u64).encode()),
-            },
-            1,
-            Route::DcCounter { job },
-        );
+        let request = StorageRequest::Put {
+            bucket,
+            key: dc_counter_key(job, task),
+            body: ObjectBody::real(Payload::U64(task as u64).encode()),
+        };
+        self.issue_storage(host, request, 1, Route::DcCounter { job });
     }
 }

@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 
 use cloudsim::{
     CloudConfig, FaultKind, HostId, KvId, Notify, ObjectBody, OpId, OpOutcome, SandboxId,
-    Tenancy, VmId, World,
+    StorageRequest, Tenancy, VmId, World,
 };
 use simkernel::{IdMap, IdSet, SimDuration, SimTime};
 use telemetry::trace::SpanId;
@@ -77,8 +77,9 @@ pub struct CloudEnv {
     jobs: Vec<JobState>,
     pools: Vec<StandalonePool>,
     op_routes: IdMap<OpId, Route>,
-    /// Replay specs for in-flight storage ops (fault retries).
-    op_specs: IdMap<OpId, (StorageSpec, u32)>,
+    /// Attempts made by re-issued storage ops still in flight; an op
+    /// missing here is on its first attempt.
+    op_attempts: IdMap<OpId, u32>,
     sandbox_routes: IdMap<SandboxId, Route>,
     vm_routes: IdMap<VmId, Route>,
     timer_routes: IdMap<u64, Route>,
@@ -140,7 +141,7 @@ impl CloudEnv {
             jobs: Vec::new(),
             pools: Vec::new(),
             op_routes: IdMap::default(),
-            op_specs: IdMap::default(),
+            op_attempts: IdMap::default(),
             sandbox_routes: IdMap::default(),
             vm_routes: IdMap::default(),
             timer_routes: IdMap::default(),
@@ -486,17 +487,16 @@ impl CloudEnv {
     fn dispatch(&mut self, _t: SimTime, n: Notify) {
         match n {
             Notify::Op { op, outcome } => {
+                let attempts = self.op_attempts.remove(&op).unwrap_or(1);
                 let Some(route) = self.op_routes.remove(&op) else {
-                    self.op_specs.remove(&op);
                     return; // op of an already-failed job or torn-down attempt
                 };
-                if let OpOutcome::Faulted { .. } = outcome {
-                    let spec = self.op_specs.remove(&op);
-                    self.on_storage_faulted(op, route, spec);
-                    return;
+                match outcome {
+                    OpOutcome::Faulted { from, request, .. } => {
+                        self.on_storage_faulted(op, route, from, request, attempts)
+                    }
+                    outcome => self.on_op(route, op, outcome),
                 }
-                self.op_specs.remove(&op);
-                self.on_op(route, op, outcome);
             }
             Notify::SandboxUp { sandbox } => {
                 // The route stays registered until the sandbox is

@@ -87,11 +87,8 @@ impl CloudEnv {
         let bucket = self.jobs[job].bucket.clone();
         let prefix = self.jobs[job].result_prefix();
         self.issue_storage(
-            StorageSpec::List {
-                host,
-                bucket,
-                prefix,
-            },
+            host,
+            StorageRequest::List { bucket, prefix },
             1,
             Route::List { job, generation },
         );
@@ -179,18 +176,16 @@ impl CloudEnv {
         }
         // All results present: collect them; no further tick is armed.
         let host = self.jobs[job].monitor_host;
-        let bucket = self.jobs[job].bucket.clone();
+        let prefix = self.jobs[job].result_prefix();
         let mut outstanding = 0;
         for key in keys {
-            let Some(task) = self.jobs[job].task_of_result_key(&key) else {
+            let Some(task) = key.strip_prefix(&prefix).and_then(|t| t.parse().ok()) else {
                 continue;
             };
+            let bucket = self.jobs[job].bucket.clone();
             self.issue_storage(
-                StorageSpec::Get {
-                    host,
-                    bucket: bucket.clone(),
-                    key,
-                },
+                host,
+                StorageRequest::Get { bucket, key },
                 1,
                 Route::Collect {
                     job,
@@ -295,7 +290,7 @@ impl CloudEnv {
         self.job_activity(-1);
         let j = &self.jobs[job];
         self.timeline.record(StageSpan {
-            name: j.name.clone(),
+            name: j.name.to_string(),
             start: j.first_release_at.unwrap_or(j.submitted_at),
             end: now,
             tasks: j.tasks.len(),

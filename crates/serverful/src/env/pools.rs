@@ -211,7 +211,7 @@ impl CloudEnv {
         // Pool VMs outlive individual jobs (reuse, keep-alive), so their
         // uptime bills under the pool's fleet label, not whichever job
         // happens to be current when they terminate.
-        self.world.set_bill_label(fleet_name.clone());
+        self.world.set_bill_label(fleet_name.as_str());
         let is_master_vm = slot == self.pools[pool].master_slot();
         let tenancy = match self.pools[pool].cfg.bid {
             crate::sizing::BidPolicy::Spot { max_preemptions }
@@ -515,7 +515,7 @@ impl CloudEnv {
         let master = self.pools[pool].master_host();
         let queue = format!("job-{job}");
         self.world.set_trace_parent(self.jobs[job].span);
-        let op = self.world.kv_push(master, kv, &queue, body);
+        let op = self.world.kv_push(master, kv, queue, body);
         self.world.set_trace_parent(SpanId::NONE);
         self.op_routes.insert(op, route);
     }
@@ -652,7 +652,7 @@ impl CloudEnv {
         }
         let queue = format!("job-{job}");
         self.world.set_trace_parent(self.jobs[job].span);
-        let op = self.world.kv_pop(host, kv, &queue);
+        let op = self.world.kv_pop(host, kv, queue);
         self.world.set_trace_parent(SpanId::NONE);
         self.op_routes.insert(op, Route::Pop { pool, job, vm_idx, proc, vm });
     }

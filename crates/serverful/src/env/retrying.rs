@@ -1,35 +1,20 @@
 //! Failure handling and re-arming: storage op retries with
 //! exponential backoff and task attempt retries, both re-armed as
-//! world timers ([`Route::RetryStorage`], [`Route::RetryTask`]).
+//! world timers ([`Route::RetryStorage`], [`Route::RetryTask`]). A
+//! faulted storage request comes back from the world whole
+//! ([`OpOutcome::Faulted`]), so the env keeps no copy of an op in
+//! flight.
 
 use super::*;
-
-/// A retryable storage request, kept verbatim so a faulted op can be
-/// re-issued after backoff.
-#[derive(Debug, Clone)]
-pub(super) enum StorageSpec {
-    Get { host: HostId, bucket: String, key: String },
-    Put { host: HostId, bucket: String, key: String, body: ObjectBody },
-    List { host: HostId, bucket: String, prefix: String },
-    Delete { host: HostId, bucket: String, key: String },
-}
-
-impl StorageSpec {
-    pub(super) fn host(&self) -> HostId {
-        match self {
-            StorageSpec::Get { host, .. }
-            | StorageSpec::Put { host, .. }
-            | StorageSpec::List { host, .. }
-            | StorageSpec::Delete { host, .. } => *host,
-        }
-    }
-}
 
 /// A faulted storage request waiting out its backoff
 /// ([`Route::RetryStorage`]).
 #[derive(Debug, Clone)]
 pub(super) struct StorageRetry {
-    pub(super) spec: StorageSpec,
+    /// The host that issued the request.
+    pub(super) host: HostId,
+    /// The request, as the world handed it back.
+    pub(super) request: StorageRequest,
     /// Attempts made so far (the faulted one included).
     pub(super) attempts: u32,
     /// Where the re-issued op's completion goes.
@@ -58,10 +43,16 @@ pub(super) enum AttemptFailure {
 }
 
 impl CloudEnv {
-    /// Issues a storage request from its spec, remembering it so a fault
-    /// can re-issue it after backoff. All env storage traffic flows
-    /// through here.
-    pub(super) fn issue_storage(&mut self, spec: StorageSpec, attempts: u32, route: Route) -> OpId {
+    /// Moves a storage request from `host` into the world; `attempts`
+    /// counts this one, and a re-issued op's count is kept until it
+    /// lands. All env storage traffic flows through here.
+    pub(super) fn issue_storage(
+        &mut self,
+        host: HostId,
+        request: StorageRequest,
+        attempts: u32,
+        route: Route,
+    ) -> OpId {
         // Track the in-flight LIST window of the current monitor
         // generation (see [`Self::monitor_list_overlap`]).
         if let Route::List { job, generation } = &route {
@@ -78,7 +69,7 @@ impl CloudEnv {
         let from_dc_master = self.pools.iter().any(|p| {
             p.cfg.recovery == RecoveryMode::Decentralized
                 && !p.consolidated()
-                && p.master.as_ref().is_some_and(|m| m.host == spec.host())
+                && p.master.as_ref().is_some_and(|m| m.host == host)
         });
         if from_dc_master {
             self.recovery_stats.master_data_ops += 1;
@@ -91,39 +82,28 @@ impl CloudEnv {
         }
         let parent = self.route_span(&route);
         self.world.set_trace_parent(parent);
-        let op = match &spec {
-            StorageSpec::Get { host, bucket, key } => {
-                self.world.get_object(*host, bucket, key)
-            }
-            StorageSpec::Put {
-                host,
-                bucket,
-                key,
-                body,
-            } => self.world.put_object(*host, bucket, key, body.clone()),
-            StorageSpec::List {
-                host,
-                bucket,
-                prefix,
-            } => self.world.list_objects(*host, bucket, prefix),
-            StorageSpec::Delete { host, bucket, key } => {
-                self.world.delete_object(*host, bucket, key)
-            }
-        };
+        let op = self.world.storage(host, request);
         self.world.set_trace_parent(SpanId::NONE);
-        self.op_specs.insert(op, (spec, attempts));
+        if attempts > 1 {
+            self.op_attempts.insert(op, attempts);
+        }
         self.op_routes.insert(op, route);
         op
     }
 
     /// A storage op came back with an injected fault (transient 5xx or
-    /// SlowDown). Monitor ops retry indefinitely — a polling loop just
-    /// polls again; everything else obeys the job's retry budget and
-    /// escalates to a task-level retry when exhausted.
-    pub(super) fn on_storage_faulted(&mut self, op: OpId, route: Route, spec: Option<(StorageSpec, u32)>) {
-        let Some((spec, attempts)) = spec else {
-            unreachable!("faulted op without a stored spec")
-        };
+    /// SlowDown), handing back `request` from `host` after `attempts`
+    /// tries. Monitor ops retry indefinitely — a polling loop just polls
+    /// again; everything else obeys the job's retry budget and escalates
+    /// to a task-level retry when exhausted.
+    pub(super) fn on_storage_faulted(
+        &mut self,
+        op: OpId,
+        route: Route,
+        host: HostId,
+        request: StorageRequest,
+        attempts: u32,
+    ) {
         // A faulted LIST leaves the in-flight window now; its retry
         // re-enters through `issue_storage` after the backoff.
         if let Route::List { job, generation } = &route {
@@ -183,7 +163,8 @@ impl CloudEnv {
         let backoff = policy
             .jittered_backoff_secs(attempts.min(policy.max_attempts.max(1)), op.index());
         let retry = StorageRetry {
-            spec,
+            host,
+            request,
             attempts,
             route,
             pending_slot,
@@ -250,7 +231,7 @@ impl CloudEnv {
         if let Some(mut run) = self.jobs[job].tasks[task].run.take() {
             for op in run.pending.keys() {
                 self.op_routes.remove(op);
-                self.op_specs.remove(op);
+                self.op_attempts.remove(op);
             }
             self.end_io_busy(&mut run);
         }
@@ -310,7 +291,8 @@ impl CloudEnv {
     /// attempt it belonged to was torn down meanwhile.
     pub(super) fn on_retry_storage(&mut self, retry: StorageRetry) {
         let StorageRetry {
-            spec,
+            host,
+            request,
             attempts,
             route,
             pending_slot,
@@ -327,7 +309,7 @@ impl CloudEnv {
                 return; // the whole attempt was retried; drop the op
             }
         }
-        if !self.world.host_alive(spec.host()) {
+        if !self.world.host_alive(host) {
             // Issuing host died; task-level recovery owns this — except
             // an in-flight decentralized claim, whose task would
             // otherwise be stranded (it has no worker assigned yet).
@@ -337,7 +319,7 @@ impl CloudEnv {
             }
             return;
         }
-        let op = self.issue_storage(spec, attempts + 1, route.clone());
+        let op = self.issue_storage(host, request, attempts + 1, route.clone());
         if let Route::Task { job: j, task } = route {
             if let (Some((stale, idx)), Some(run)) =
                 (pending_slot, self.jobs[j].tasks[task].run.as_mut())

@@ -34,12 +34,8 @@ impl CloudEnv {
             let client = self.world.client_host();
             let bucket = self.jobs[job].bucket.clone();
             self.issue_storage(
-                StorageSpec::Put {
-                    host: client,
-                    bucket,
-                    key,
-                    body,
-                },
+                client,
+                StorageRequest::Put { bucket, key, body },
                 1,
                 Route::InputPut { job, task },
             );
@@ -88,7 +84,8 @@ impl CloudEnv {
             let bucket = self.jobs[job].bucket.clone();
             let key = self.jobs[job].input_key(task);
             let op = self.issue_storage(
-                StorageSpec::Get { host, bucket, key },
+                host,
+                StorageRequest::Get { bucket, key },
                 1,
                 Route::Task { job, task },
             );
@@ -173,44 +170,22 @@ impl CloudEnv {
                 self.op_routes.insert(op, route);
             }
             Action::Get { bucket, key } => {
-                let op = self.issue_storage(
-                    StorageSpec::Get { host, bucket, key },
-                    1,
-                    route,
-                );
+                let op = self.issue_storage(host, StorageRequest::Get { bucket, key }, 1, route);
                 run.pending.insert(op, 0);
             }
             Action::Put { bucket, key, body } => {
-                let op = self.issue_storage(
-                    StorageSpec::Put {
-                        host,
-                        bucket,
-                        key,
-                        body,
-                    },
-                    1,
-                    route,
-                );
+                let request = StorageRequest::Put { bucket, key, body };
+                let op = self.issue_storage(host, request, 1, route);
                 run.pending.insert(op, 0);
             }
             Action::Delete { bucket, key } => {
-                let op = self.issue_storage(
-                    StorageSpec::Delete { host, bucket, key },
-                    1,
-                    route,
-                );
+                let request = StorageRequest::Delete { bucket, key };
+                let op = self.issue_storage(host, request, 1, route);
                 run.pending.insert(op, 0);
             }
             Action::List { bucket, prefix } => {
-                let op = self.issue_storage(
-                    StorageSpec::List {
-                        host,
-                        bucket,
-                        prefix,
-                    },
-                    1,
-                    route,
-                );
+                let request = StorageRequest::List { bucket, prefix };
+                let op = self.issue_storage(host, request, 1, route);
                 run.pending.insert(op, 0);
             }
             Action::GetMany { bucket, keys } => {
@@ -220,15 +195,11 @@ impl CloudEnv {
                     puts: false,
                 };
                 for (i, key) in keys.into_iter().enumerate() {
-                    let op = self.issue_storage(
-                        StorageSpec::Get {
-                            host,
-                            bucket: bucket.clone(),
-                            key,
-                        },
-                        1,
-                        route.clone(),
-                    );
+                    let request = StorageRequest::Get {
+                        bucket: bucket.clone(),
+                        key,
+                    };
+                    let op = self.issue_storage(host, request, 1, route.clone());
                     run.pending.insert(op, i);
                 }
             }
@@ -239,16 +210,12 @@ impl CloudEnv {
                     puts: true,
                 };
                 for (i, (key, body)) in entries.into_iter().enumerate() {
-                    let op = self.issue_storage(
-                        StorageSpec::Put {
-                            host,
-                            bucket: bucket.clone(),
-                            key,
-                            body,
-                        },
-                        1,
-                        route.clone(),
-                    );
+                    let request = StorageRequest::Put {
+                        bucket: bucket.clone(),
+                        key,
+                        body,
+                    };
+                    let op = self.issue_storage(host, request, 1, route.clone());
                     run.pending.insert(op, i);
                 }
             }
@@ -257,7 +224,7 @@ impl CloudEnv {
                     ExecError::Unsupported("KV access outside the serverful backend".into())
                 })?;
                 self.world.set_trace_parent(self.task_span(job, task));
-                let op = self.world.kv_get(host, kv, &key);
+                let op = self.world.kv_get(host, kv, key);
                 self.world.set_trace_parent(SpanId::NONE);
                 run.pending.insert(op, 0);
                 self.op_routes.insert(op, route);
@@ -267,7 +234,7 @@ impl CloudEnv {
                     ExecError::Unsupported("KV access outside the serverful backend".into())
                 })?;
                 self.world.set_trace_parent(self.task_span(job, task));
-                let op = self.world.kv_put(host, kv, &key, body);
+                let op = self.world.kv_put(host, kv, key, body);
                 self.world.set_trace_parent(SpanId::NONE);
                 run.pending.insert(op, 0);
                 self.op_routes.insert(op, route);
@@ -379,12 +346,8 @@ impl CloudEnv {
         let key = self.jobs[job].result_key(task);
         let body = ObjectBody::real(payload.encode());
         let op = self.issue_storage(
-            StorageSpec::Put {
-                host,
-                bucket,
-                key,
-                body,
-            },
+            host,
+            StorageRequest::Put { bucket, key, body },
             1,
             Route::Task { job, task },
         );

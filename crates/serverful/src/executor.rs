@@ -243,7 +243,7 @@ impl FunctionExecutor {
         let n = inputs.len();
         let job = JobState {
             id,
-            name: opts.name,
+            name: opts.name.into(),
             stateful: opts.stateful,
             backend,
             bucket: self.config.bucket.clone(),

@@ -174,7 +174,8 @@ impl TaskState {
 /// One `map` invocation.
 pub(crate) struct JobState {
     pub id: usize,
-    pub name: String,
+    /// Shared with the bill label of every charge the job makes.
+    pub name: Arc<str>,
     pub stateful: bool,
     pub backend: JobBackend,
     pub bucket: String,
@@ -248,11 +249,6 @@ impl JobState {
         format!("jobs/{}/results/", self.id)
     }
 
-    /// Parses the task index out of a result key.
-    pub(crate) fn task_of_result_key(&self, key: &str) -> Option<usize> {
-        key.strip_prefix(&self.result_prefix())?.parse().ok()
-    }
-
     pub(crate) fn is_finished(&self) -> bool {
         self.finished_at.is_some()
     }
@@ -296,12 +292,10 @@ mod tests {
     }
 
     #[test]
-    fn keys_are_stable_and_parseable() {
+    fn result_keys_are_stable_and_under_the_prefix() {
         let job = dummy_job();
         assert_eq!(job.result_key(7), "jobs/3/results/00007");
-        assert_eq!(job.task_of_result_key("jobs/3/results/00007"), Some(7));
-        assert_eq!(job.task_of_result_key("jobs/3/results/xyz"), None);
-        assert_eq!(job.task_of_result_key("other/3/results/1"), None);
+        assert!(job.result_key(7).starts_with(&job.result_prefix()));
     }
 
     #[test]

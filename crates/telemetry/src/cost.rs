@@ -8,6 +8,7 @@
 //! functions is charged at $0.75" (Figure 5 discussion).
 
 use std::fmt;
+use std::sync::Arc;
 
 use simkernel::SimTime;
 
@@ -50,8 +51,9 @@ pub struct CostEntry {
     pub category: CostCategory,
     /// Dollars.
     pub amount: f64,
-    /// Free-form attribution, e.g. a stage or job name.
-    pub label: String,
+    /// Free-form attribution, e.g. a stage or job name. Shared, so
+    /// charging many entries under one label copies no string.
+    pub label: Arc<str>,
 }
 
 /// An append-only ledger of simulated charges, in dollars.
@@ -89,7 +91,7 @@ impl CostLedger {
         at: SimTime,
         category: CostCategory,
         amount: f64,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
     ) {
         assert!(
             amount.is_finite() && amount >= 0.0,

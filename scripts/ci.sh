@@ -70,6 +70,14 @@ if grep -rnE "register_continuation|continuations_fired|struct Continuation" cra
     echo "an env-side continuation release is back beside the drivers' Readiness" >&2
     exit 1
 fi
+# A storage request has one owner at a time: the world hands a faulted
+# request back (OpOutcome::Faulted), so the env keeps no second copy of
+# every op in flight, and the monitor strips the result prefix once per
+# LIST reply instead of formatting it once per key.
+if grep -rnE "op_specs|StorageSpec|task_of_result_key" crates/serverful/src; then
+    echo "the env keeps a replay copy of its storage requests again" >&2
+    exit 1
+fi
 # Every simulated event passes through the event queue and a few maps
 # keyed by ids the program issues itself. The queue is a slot-indexed
 # heap, and those maps are simkernel::IdMap / IdSet (an unkeyed hash);
@@ -143,6 +151,12 @@ done | diff tests/goldens/workloads.txt - \
     ./target/release/repro fleet mixed --seed 42 --threads 1
 } | diff tests/goldens/drivers_full.txt - \
     || { echo "repro dag/fleet drifted from tests/goldens/drivers_full.txt" >&2; exit 1; }
+# A seed the experiments cannot parse is a usage error (exit 2), not a
+# silent run at the default seed.
+status=0
+./target/release/repro table1 4e2 > /dev/null 2>&1 || status=$?
+[[ "$status" -eq 2 ]] \
+    || { echo "repro table1 4e2: exit $status, not the usage error" >&2; exit 1; }
 
 echo "== fleet smoke determinism (threads 1 vs 8, repeat runs) =="
 # The multi-tenant traffic report must be byte-identical for any worker

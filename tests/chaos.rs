@@ -7,7 +7,9 @@
 
 use std::sync::Arc;
 
-use serverful_repro::cloudsim::{CloudConfig, FaultConfig};
+use serverful_repro::cloudsim::{
+    CloudConfig, FaultConfig, Notify, ObjectBody, OpId, OpOutcome, StorageRequest, World,
+};
 use serverful_repro::metaspace::{jobs, run_annotation_with, Architecture};
 use serverful_repro::serverful::executor::MapOptions;
 use serverful_repro::serverful::{
@@ -270,6 +272,107 @@ fn zero_probabilities_match_the_default_config() {
     assert_eq!(t1, t2, "a zero-rate fault layer must not perturb timing");
     assert_eq!(bill1, bill2);
     assert!(faults1.is_empty() && faults2.is_empty());
+}
+
+/// Pumps the world until `op` completes.
+fn outcome_of(world: &mut World, op: OpId) -> OpOutcome {
+    loop {
+        match world
+            .step()
+            .expect("the op completes before the world drains")
+        {
+            (_, Notify::Op { op: done, outcome }) if done == op => return outcome,
+            _ => {}
+        }
+    }
+}
+
+/// The world owns a storage request while it is in flight, so a faulted
+/// one must come back whole: the issuing host and the exact request
+/// (bucket, key or prefix, body). Re-issuing what comes back until it
+/// succeeds must act as if the request had never faulted.
+#[test]
+fn faulted_storage_requests_come_back_whole() {
+    let cloud = CloudConfig {
+        faults: FaultConfig {
+            storage_error_prob: 0.5,
+            ..FaultConfig::disabled()
+        },
+        ..CloudConfig::default()
+    };
+    let mut world = World::new(cloud, 10);
+    let client = world.client_host();
+    let body = ObjectBody::real(vec![7u8; 4096]);
+    let (bucket, key) = ("chaos", "shards/00042");
+    let requests = [
+        StorageRequest::Put {
+            bucket: bucket.into(),
+            key: key.into(),
+            body: body.clone(),
+        },
+        StorageRequest::Get {
+            bucket: bucket.into(),
+            key: key.into(),
+        },
+        StorageRequest::List {
+            bucket: bucket.into(),
+            prefix: "shards/".into(),
+        },
+        StorageRequest::Delete {
+            bucket: bucket.into(),
+            key: key.into(),
+        },
+    ];
+    let mut faulted = Vec::new();
+    let mut outcomes = Vec::new();
+    for issued in requests {
+        let mut request = issued.clone();
+        let mut faults = 0;
+        let outcome = loop {
+            let op = world.storage(client, request);
+            match outcome_of(&mut world, op) {
+                OpOutcome::Faulted {
+                    from,
+                    request: back,
+                    ..
+                } => {
+                    assert_eq!(from, client, "a faulted {issued:?} names another host");
+                    assert_eq!(back, issued, "a faulted request came back changed");
+                    faults += 1;
+                    request = back;
+                }
+                done => break done,
+            }
+        };
+        faulted.push(faults);
+        outcomes.push(outcome);
+        if matches!(issued, StorageRequest::Put { .. }) {
+            assert_eq!(
+                world.store().get(bucket, key),
+                Some(&body),
+                "the PUT landed under another key"
+            );
+        }
+    }
+    assert!(
+        faulted.iter().all(|&n| n > 0),
+        "seed 10 should fault every request at least once: {faulted:?}"
+    );
+    let [put, get, list, delete] = <[OpOutcome; 4]>::try_from(outcomes).expect("four outcomes");
+    assert!(matches!(put, OpOutcome::PutOk), "{put:?}");
+    let OpOutcome::GetOk { body: got } = get else {
+        panic!("the GET after the PUT yielded {get:?}");
+    };
+    assert_eq!(got, body, "the GET returned another body");
+    let OpOutcome::ListOk { keys } = list else {
+        panic!("the LIST yielded {list:?}");
+    };
+    assert_eq!(keys, [key]);
+    assert!(matches!(delete, OpOutcome::DeleteOk), "{delete:?}");
+    assert!(
+        world.store().get(bucket, key).is_none(),
+        "the DELETE left the object"
+    );
 }
 
 /// Figure 6's ordering under failures: the hybrid architecture still
