@@ -618,11 +618,6 @@ impl World {
         }
     }
 
-    /// True when no events or notifications are pending.
-    pub fn is_idle(&mut self) -> bool {
-        self.outbox.is_empty() && self.queue.peek_time().is_none()
-    }
-
     /// Adjusts a host's busy-vCPU accounting by a *fraction* of one
     /// task's share. Frameworks use this to model the (de)serialisation
     /// CPU that user code burns while overlapping storage I/O ("reads

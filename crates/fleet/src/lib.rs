@@ -22,8 +22,8 @@
 //!   count;
 //! * [`report`] — plain-text rendering over [`telemetry`]'s fleet
 //!   tables;
-//! * [`whatif`] — deployment-plan search *under load*, reusing
-//!   [`planner::search_with`].
+//! * [`whatif`] — deployment-plan evaluation *under load*: one
+//!   scenario's traffic with every stage placed by an explicit plan.
 //!
 //! The headline experiment (`repro fleet mixed`, EXPERIMENTS.md): at
 //! high arrival rates the warm shared pool beats per-job fleets *and*

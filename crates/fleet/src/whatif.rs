@@ -1,17 +1,15 @@
-//! What-if planning *under load*: evaluates deployment plans against a
+//! What-if planning *under load*: evaluates a deployment plan against a
 //! traffic scenario instead of a single idle-region job.
 //!
 //! The planner's [`planner::Evaluator`] measures one job alone in a
 //! fresh region; a plan that looks cheap there can throttle or queue
 //! once dozens of jobs share the regional quotas. [`plan_under_load`]
 //! re-uses the fleet driver to run a whole scenario with every stage
-//! placed by an explicit [`metaspace::plan::DeploymentPlan`];
-//! [`search_under_load`] plugs that evaluation into
-//! [`planner::search_with`], so the existing beam/grid machinery
-//! searches for the plan that is cheapest *under traffic*.
+//! placed by an explicit [`metaspace::plan::DeploymentPlan`], and
+//! reports the fleet outcome (bill, job latencies, throttles) of that
+//! one plan.
 
 use metaspace::plan::{DeploymentPlan, PlanKind};
-use planner::{PlanOutcome, SearchConfig, SearchReport, SearchSpace};
 use serverful::ExecError;
 
 use crate::driver::{run_cell, Placement, PolicyOutcome};
@@ -46,47 +44,6 @@ pub fn plan_under_load(
         )));
     }
     run_cell(sc, Placement::Plan(&f.backends, f.execution), plan.name.clone(), seed)
-}
-
-/// Evaluates `plan` under load and folds the fleet outcome into the
-/// planner's objective shape: cost = the whole run's bill, makespan =
-/// the p99 job latency (tail under contention, not a lone job's wall
-/// clock), waste = throttled submissions.
-///
-/// # Errors
-///
-/// Same conditions as [`plan_under_load`].
-pub fn evaluate_under_load(
-    sc: &Scenario,
-    plan: &DeploymentPlan,
-    seed: u64,
-) -> Result<PlanOutcome, ExecError> {
-    let outcome = plan_under_load(sc, plan, seed)?;
-    Ok(PlanOutcome {
-        plan: plan.clone(),
-        cost_usd: outcome.cost_usd,
-        makespan_secs: outcome.latency_percentile(99.0),
-        waste: outcome.throttled as f64,
-    })
-}
-
-/// Searches the plan space for the deployment that wins *under this
-/// scenario's traffic*. Cluster candidates are skipped (counted as
-/// failed evaluations in the report), exactly like invalid plans in the
-/// idle-region search.
-pub fn search_under_load(
-    sc: &Scenario,
-    seed: u64,
-    space: &SearchSpace,
-    cfg: &SearchConfig,
-) -> SearchReport {
-    let stages = sc.tenants[0].stages();
-    planner::search_with(
-        &stages,
-        &|plan| evaluate_under_load(sc, plan, seed),
-        space,
-        cfg,
-    )
 }
 
 #[cfg(test)]

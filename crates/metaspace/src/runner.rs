@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use cloudsim::{CloudConfig, InstanceType, ObjectBody, ObjectStore, World};
 use clustersim::{ClusterConfig, ClusterEngine, StageDef};
+use serverful::config::WORKSPACE_BUCKET;
 use serverful::executor::MapOptions;
 use serverful::{
     run_dag, Backend, CloudEnv, Dag, DagNode, Edge, ExecError, ExecMode, ExecutorConfig,
@@ -559,7 +560,7 @@ fn run_functions_plan(
             label: "warmup".to_owned(),
             ..SortConfig::default()
         };
-        warm.bucket = "lithops-workspace".to_owned();
+        warm.bucket = WORKSPACE_BUCKET.to_owned();
         let refs = shuffle::seed_input(&mut env, &warm);
         shuffle::run_fused_exchange(&mut env, vm_exec, &warm, &refs, vm_workers, exchange, false)?;
         env.world_mut().ledger_mut().reset();
@@ -614,7 +615,7 @@ fn run_functions_plan(
     let chaos = ChaosReport {
         recovery: env.recovery_stats().clone(),
         events_routed: env.events_routed() - event_base,
-        science_digest: science_digest(env.world().store(), "lithops-workspace"),
+        science_digest: science_digest(env.world().store(), WORKSPACE_BUCKET),
         faults: env.world().fault_ledger().clone(),
         monitor_list_overlap: env.monitor_list_overlap(),
     };
@@ -851,7 +852,7 @@ fn submit_stateless(
     write_spread: usize,
     gated: bool,
 ) -> serverful::JobHandle {
-    let bucket = "lithops-workspace";
+    let bucket = WORKSPACE_BUCKET;
     let read_bytes = (stage.read_mb_per_task * 1e6) as u64;
     let write_bytes = (stage.write_mb_per_task * 1e6) as u64;
     if read_bytes > 0 {
@@ -909,7 +910,7 @@ fn exchange_config(stage: &Stage, exchange_gb: f64, seed: u64) -> SortConfig {
     let total_cpu = stage.total_cpu_secs() * (exchange_gb / full_gb);
     let per_reducer = (bytes / stage.tasks.max(1) as u64 / 8).max(2) as f64;
     SortConfig {
-        bucket: "lithops-workspace".to_owned(),
+        bucket: WORKSPACE_BUCKET.to_owned(),
         chunks: stage.tasks,
         reducers: stage.tasks,
         total_bytes: bytes,

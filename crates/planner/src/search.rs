@@ -195,12 +195,11 @@ pub fn search(evaluator: &Evaluator, space: &SearchSpace, cfg: &SearchConfig) ->
 }
 
 /// [`search`] over an arbitrary evaluation function: the same grid/beam
-/// engine, with the objective measured however the caller likes. The
-/// `fleet` crate uses this to evaluate a plan *under load* — the
-/// outcome of one plan measured inside a multi-tenant traffic scenario
-/// rather than an isolated single-job world. `eval` must be a pure
-/// function of the plan (plus captured constants) for the determinism
-/// argument in the module docs to hold.
+/// engine, with the objective measured however the caller likes. It
+/// serves callers that need their own evaluation function, such as the
+/// benchmark's planner cell. `eval` must be a pure function of the plan
+/// (plus captured constants) for the determinism argument in the module
+/// docs to hold.
 pub fn search_with(
     stages: &[metaspace::Stage],
     eval: &(dyn Fn(&DeploymentPlan) -> Result<PlanOutcome, serverful::ExecError> + Sync),

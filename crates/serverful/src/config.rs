@@ -4,6 +4,33 @@ use crate::recovery::RecoveryMode;
 use crate::retry::RetryPolicy;
 use crate::sizing::{BidPolicy, SizingPolicy};
 
+/// The workspace bucket: [`ExecutorConfig::bucket`]'s default, where
+/// jobs keep their metadata, inputs and results and where the pipelines
+/// write their science outputs.
+pub const WORKSPACE_BUCKET: &str = "lithops-workspace";
+
+/// Client's storage-polling interval while monitoring a FaaS job,
+/// seconds (the period of the job's monitor ticks).
+pub const FAAS_POLL_INTERVAL_SECS: f64 = 2.0;
+
+/// Client-side seconds spent per `map` call on the FaaS backend
+/// serialising the function and its dependencies and uploading them
+/// before dispatch.
+pub const FAAS_MAP_SETUP_SECS: f64 = 2.5;
+
+/// Client-side setup per `map` on the serverful backend, seconds —
+/// small, because the runtime and modules already live on the VMs.
+pub const VM_MAP_SETUP_SECS: f64 = 0.5;
+
+/// Mean/std of the SSH connect + worker bootstrap performed on each
+/// fresh VM, seconds.
+pub const VM_SSH_SETUP_SECS: (f64, f64) = (2.0, 0.4);
+
+/// Fraction of a vCPU a logical function burns while waiting on
+/// storage/KV I/O ((de)serialisation overlapped with transfers).
+/// Accounting only; affects the Table 3 utilisation statistics.
+pub const IO_COMPUTE_OVERLAP: f64 = 0.35;
+
 /// How the serverful (VM) backend lays out compute.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecMode {
@@ -37,15 +64,9 @@ pub struct StandaloneConfig {
     /// previously configured VMs"); `false` tears everything down after
     /// each job.
     pub reuse_instances: bool,
-    /// Mean/std of the SSH connect + worker bootstrap performed on each
-    /// fresh VM, seconds.
-    pub ssh_setup: (f64, f64),
     /// Master's storage-polling interval while monitoring a job,
     /// seconds (the period of the job's monitor ticks).
     pub poll_interval: f64,
-    /// Client-side setup per `map` on this backend — small, because the
-    /// runtime and modules already live on the VMs.
-    pub map_setup_secs: f64,
     /// Attempts per VM slot before a provisioning failure is surfaced
     /// to the job (replacement VMs after boot failures or losses).
     pub max_provision_attempts: u32,
@@ -83,9 +104,7 @@ impl Default for StandaloneConfig {
             instance_override: None,
             sizing: SizingPolicy::default(),
             reuse_instances: true,
-            ssh_setup: (2.0, 0.4),
             poll_interval: 1.0,
-            map_setup_secs: 0.5,
             max_provision_attempts: 5,
             idle_timeout_secs: None,
             fleet_label: None,
@@ -103,25 +122,9 @@ pub struct ExecutorConfig {
     pub bucket: String,
     /// Sandbox memory for the FaaS backend, MB (1769 MB = 1 vCPU).
     pub runtime_memory_mb: u32,
-    /// Client's storage-polling interval while monitoring a FaaS job,
-    /// seconds (the period of the job's monitor ticks).
-    pub poll_interval: f64,
-    /// Whether each sandbox fetches its input bundle from object storage
-    /// before running (Lithops ships function + data through storage).
-    pub fetch_input: bool,
-    /// Client-side seconds spent per `map` call serialising the function
-    /// and its dependencies and uploading them before dispatch.
-    pub map_setup_secs: f64,
-    /// Fraction of a vCPU a logical function burns while waiting on
-    /// storage/KV I/O ((de)serialisation overlapped with transfers).
-    /// Accounting only; affects the Table 3 utilisation statistics.
-    pub io_compute_overlap: f64,
     /// Retry/backoff/straggler policy applied to every job of this
     /// executor (task re-dispatch, storage re-issue, worker requeue).
     pub retry: RetryPolicy,
-    /// Record a span trace of every job on virtual time (exported as
-    /// Chrome trace-event JSON). Costs nothing when off.
-    pub tracing: bool,
     /// Serverful-backend options.
     pub standalone: StandaloneConfig,
 }
@@ -129,14 +132,9 @@ pub struct ExecutorConfig {
 impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
-            bucket: "lithops-workspace".to_owned(),
+            bucket: WORKSPACE_BUCKET.to_owned(),
             runtime_memory_mb: 1769,
-            poll_interval: 2.0,
-            fetch_input: true,
-            map_setup_secs: 2.5,
-            io_compute_overlap: 0.35,
             retry: RetryPolicy::default(),
-            tracing: false,
             standalone: StandaloneConfig::default(),
         }
     }

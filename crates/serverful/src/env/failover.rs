@@ -272,7 +272,7 @@ impl CloudEnv {
                 !t.held
                     && t.worker.is_none()
                     && !retry_pending.contains(i)
-                    && !matches!(t.phase, TaskPhase::Done | TaskPhase::Failed(_))
+                    && !matches!(t.phase, TaskPhase::Done | TaskPhase::Failed)
             })
             .map(|(i, _)| i)
             .collect();

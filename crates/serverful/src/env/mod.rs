@@ -38,7 +38,10 @@ use simkernel::{IdMap, IdSet, SimDuration, SimTime};
 use telemetry::trace::SpanId;
 use telemetry::{FleetTag, StageSpan, Timeline};
 
-use crate::config::{ExecMode, StandaloneConfig};
+use crate::config::{
+    ExecMode, StandaloneConfig, FAAS_MAP_SETUP_SECS, IO_COMPUTE_OVERLAP, VM_MAP_SETUP_SECS,
+    VM_SSH_SETUP_SECS,
+};
 use crate::error::ExecError;
 use crate::job::{JobBackend, JobState, PendingShape, TaskPhase, TaskRun};
 use crate::payload::Payload;
@@ -56,6 +59,9 @@ use monitor::*;
 use pools::*;
 use retrying::*;
 use routes::*;
+
+/// The fleet every FaaS sandbox is invoked, billed and traced under.
+const FAAS_FLEET: &str = "lambda";
 
 /// What one [`CloudEnv::pump`] call produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,7 +260,10 @@ impl CloudEnv {
         // Client-side setup: serialise the function and its modules and
         // upload them, before any dispatch happens (Lithops does this on
         // every map).
-        let setup = job.setup_secs.max(1e-3);
+        let setup = match job.backend {
+            JobBackend::Faas { .. } => FAAS_MAP_SETUP_SECS,
+            JobBackend::Standalone { .. } => VM_MAP_SETUP_SECS,
+        };
         self.jobs.push(job);
         let client = self.world.client_host();
         let op = self.world.compute(client, setup);
@@ -263,14 +272,10 @@ impl CloudEnv {
     }
 
     fn on_job_setup(&mut self, id: usize) {
-        match self.jobs[id].backend.clone() {
-            JobBackend::Faas {
-                memory_mb,
-                fetch_input,
-                fleet,
-            } => {
+        match self.jobs[id].backend {
+            JobBackend::Faas { .. } => {
                 self.jobs[id].monitor_host = self.world.client_host();
-                self.dispatch_faas(id, memory_mb, fetch_input, &fleet);
+                self.dispatch_faas(id);
                 self.jobs[id].dispatch_ready = true;
                 self.maybe_start_monitor(id);
             }
@@ -296,16 +301,12 @@ impl CloudEnv {
         }
         self.jobs[job].tasks[task].held = false;
         self.jobs[job].held_tasks -= 1;
-        match self.jobs[job].backend.clone() {
-            JobBackend::Faas {
-                memory_mb,
-                fetch_input,
-                fleet,
-            } => {
+        match self.jobs[job].backend {
+            JobBackend::Faas { .. } => {
                 // Before setup completes, clearing `held` is enough:
                 // `dispatch_faas` picks the task up with the rest.
                 if self.jobs[job].dispatch_ready {
-                    self.dispatch_faas_task(job, task, memory_mb, fetch_input, &fleet);
+                    self.dispatch_faas_task(job, task);
                 }
             }
             JobBackend::Standalone { pool } => {

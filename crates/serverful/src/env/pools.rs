@@ -338,8 +338,7 @@ impl CloudEnv {
             unreachable!("vm route is always a pool vm")
         };
         self.routed_vm(pool, slot, vm);
-        let ssh = self.pools[pool].cfg.ssh_setup;
-        let delay = world_latency(&mut self.world, ssh);
+        let delay = world_latency(&mut self.world, VM_SSH_SETUP_SECS);
         self.set_timer(delay, route);
     }
 

@@ -275,15 +275,9 @@ impl CloudEnv {
         if self.jobs[job].tasks[task].attempts != attempt {
             return; // a newer attempt superseded this timer
         }
-        match self.jobs[job].backend.clone() {
-            JobBackend::Faas {
-                memory_mb,
-                fetch_input,
-                fleet,
-            } => self.dispatch_faas_task(job, task, memory_mb, fetch_input, &fleet),
-            JobBackend::Standalone { pool } => {
-                self.requeue_task(pool, job, task);
-            }
+        match self.jobs[job].backend {
+            JobBackend::Faas { .. } => self.dispatch_faas_task(job, task),
+            JobBackend::Standalone { pool } => self.requeue_task(pool, job, task),
         }
     }
 

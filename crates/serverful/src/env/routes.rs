@@ -99,16 +99,9 @@ impl CloudEnv {
         match route {
             Route::Task { job, task } => self.on_task_op(job, task, op, outcome),
             Route::InputPut { job, task } => {
-                if self.jobs[job].is_finished() {
-                    return;
+                if !self.jobs[job].is_finished() {
+                    self.invoke_task(job, task);
                 }
-                let JobBackend::Faas {
-                    memory_mb, fleet, ..
-                } = self.jobs[job].backend.clone()
-                else {
-                    unreachable!("input put on a non-FaaS job")
-                };
-                self.invoke_task(job, task, memory_mb, &fleet);
             }
             Route::JobSetup { job } => self.on_job_setup(job),
             Route::List { job, generation } => self.on_list(job, generation, outcome),

@@ -5,53 +5,45 @@
 use super::*;
 
 impl CloudEnv {
-    pub(super) fn dispatch_faas(&mut self, job: usize, memory_mb: u32, fetch_input: bool, fleet: &str) {
+    pub(super) fn dispatch_faas(&mut self, job: usize) {
         let n = self.jobs[job].inputs.len();
         for task in 0..n {
             if self.jobs[job].tasks[task].held {
                 continue; // gated; dispatched on release
             }
-            self.dispatch_faas_task(job, task, memory_mb, fetch_input, fleet);
+            self.dispatch_faas_task(job, task);
         }
     }
 
-    /// Dispatches (or re-dispatches) one FaaS task. Re-uploading the
-    /// input bundle on retries is idempotent and covers the case where
-    /// the original upload itself was lost.
-    pub(super) fn dispatch_faas_task(
-        &mut self,
-        job: usize,
-        task: usize,
-        memory_mb: u32,
-        fetch_input: bool,
-        fleet: &str,
-    ) {
-        if fetch_input {
-            // Upload the input bundle first; invoke on completion so
-            // the sandbox never races its own input.
-            let key = self.jobs[job].input_key(task);
-            let body = ObjectBody::real(self.jobs[job].inputs[task].encode());
-            let client = self.world.client_host();
-            let bucket = self.jobs[job].bucket.clone();
-            self.issue_storage(
-                client,
-                StorageRequest::Put { bucket, key, body },
-                1,
-                Route::InputPut { job, task },
-            );
-        } else {
-            self.invoke_task(job, task, memory_mb, fleet);
-        }
+    /// Dispatches (or re-dispatches) one FaaS task: uploads its input
+    /// bundle, and invokes the sandbox once the upload lands, so the
+    /// sandbox never races its own input. Re-uploading the bundle on
+    /// retries is idempotent and covers the case where the original
+    /// upload itself was lost.
+    pub(super) fn dispatch_faas_task(&mut self, job: usize, task: usize) {
+        let key = self.jobs[job].input_key(task);
+        let body = ObjectBody::real(self.jobs[job].inputs[task].encode());
+        let client = self.world.client_host();
+        let bucket = self.jobs[job].bucket.clone();
+        self.issue_storage(
+            client,
+            StorageRequest::Put { bucket, key, body },
+            1,
+            Route::InputPut { job, task },
+        );
     }
 
-    pub(super) fn invoke_task(&mut self, job: usize, task: usize, memory_mb: u32, fleet: &str) {
-        let span = self.begin_attempt_span(job, task, fleet);
+    pub(super) fn invoke_task(&mut self, job: usize, task: usize) {
+        let JobBackend::Faas { memory_mb } = self.jobs[job].backend else {
+            unreachable!("sandbox invoke for a non-FaaS job")
+        };
+        let span = self.begin_attempt_span(job, task, FAAS_FLEET);
         // The sandbox captures the label at invoke time and bills its
         // whole execution to this job, however late it retires.
         let label = self.jobs[job].name.clone();
         self.world.set_bill_label(label);
         self.world.set_trace_parent(span);
-        let sandbox = self.world.faas_invoke(memory_mb, fleet);
+        let sandbox = self.world.faas_invoke(memory_mb, FAAS_FLEET);
         self.world.set_trace_parent(SpanId::NONE);
         let now = self.world.now();
         let t = &mut self.jobs[job].tasks[task];
@@ -75,35 +67,26 @@ impl CloudEnv {
             return;
         }
         let host = self.world.sandbox_host(sandbox);
-        let fetch = matches!(
-            self.jobs[job].backend,
-            JobBackend::Faas { fetch_input: true, .. }
+        self.jobs[job].tasks[task].phase = TaskPhase::FetchingInput;
+        let bucket = self.jobs[job].bucket.clone();
+        let key = self.jobs[job].input_key(task);
+        let op = self.issue_storage(
+            host,
+            StorageRequest::Get { bucket, key },
+            1,
+            Route::Task { job, task },
         );
-        if fetch {
-            self.jobs[job].tasks[task].phase = TaskPhase::FetchingInput;
-            let bucket = self.jobs[job].bucket.clone();
-            let key = self.jobs[job].input_key(task);
-            let op = self.issue_storage(
-                host,
-                StorageRequest::Get { bucket, key },
-                1,
-                Route::Task { job, task },
-            );
-            // Remember the host for when the input arrives; track the
-            // GET so an attempt teardown cleans its route up.
-            let mut run = TaskRun::new(
-                // Placeholder logic; replaced at start. Using the factory
-                // here would double-construct.
-                crate::task::ScriptTask::new().boxed(),
-                host,
-                None,
-            );
-            run.pending.insert(op, 0);
-            self.jobs[job].tasks[task].run = Some(run);
-        } else {
-            let input = self.jobs[job].inputs[task].clone();
-            self.start_task(job, task, host, None, &input);
-        }
+        // Remember the host for when the input arrives; track the GET so
+        // an attempt teardown cleans its route up.
+        let mut run = TaskRun::new(
+            // Placeholder logic; replaced at start. Using the factory here
+            // would double-construct.
+            crate::task::ScriptTask::new().boxed(),
+            host,
+            None,
+        );
+        run.pending.insert(op, 0);
+        self.jobs[job].tasks[task].run = Some(run);
     }
 
     pub(super) fn start_task(
@@ -152,11 +135,8 @@ impl CloudEnv {
         // the transfer is in flight (accounting only).
         let overlapped = !matches!(action, Action::Compute { .. } | Action::Sleep { .. });
         if overlapped {
-            let frac = self.jobs[job].io_overlap;
-            if frac > 0.0 {
-                self.world.task_io_busy(host, frac);
-                run.io_busy = frac;
-            }
+            self.world.task_io_busy(host, IO_COMPUTE_OVERLAP);
+            run.io_busy = IO_COMPUTE_OVERLAP;
         }
         match action {
             Action::Compute { cpu_secs } => {
@@ -260,34 +240,27 @@ impl CloudEnv {
         }
         match &self.jobs[job].tasks[task].phase {
             TaskPhase::FetchingInput => {
+                let run = self.jobs[job].tasks[task]
+                    .run
+                    .take()
+                    .expect("an input fetch is tracked by its placeholder run");
                 let body = match outcome {
                     OpOutcome::GetOk { body } => body,
                     OpOutcome::GetMissing => {
-                        let run = self.jobs[job].tasks[task].run.take().unwrap();
                         self.fail_task(job, task, run, "input bundle missing".into());
                         return;
                     }
                     other => unreachable!("input fetch yielded {other:?}"),
                 };
-                let run = self.jobs[job].tasks[task].run.take().unwrap();
-                let host = run.host;
-                let input = match body.bytes() {
-                    Some(bytes) => match Payload::decode(bytes) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            let run2 = TaskRun::new(crate::task::ScriptTask::new().boxed(), host, None);
-                            self.fail_task(job, task, run2, e.to_string());
-                            return;
-                        }
-                    },
-                    None => {
-                        // Opaque input bundle: fall back to the in-memory
-                        // input (used by paper-scale profile runs).
-                        self.jobs[job].inputs[task].clone()
+                let bytes = body.bytes().expect("input bundles are always real bytes");
+                let input = match Payload::decode(bytes) {
+                    Ok(input) => input,
+                    Err(e) => {
+                        self.fail_task(job, task, run, e.to_string());
+                        return;
                     }
                 };
-                drop(run);
-                self.start_task(job, task, host, None, &input);
+                self.start_task(job, task, run.host, None, &input);
             }
             TaskPhase::Running => {
                 let mut run = self.jobs[job].tasks[task].run.take().unwrap();
@@ -398,7 +371,7 @@ impl CloudEnv {
         let tracer = self.world.tracer_mut();
         tracer.attr_str(span, "failed", &msg);
         tracer.end(span, now);
-        self.jobs[job].tasks[task].phase = TaskPhase::Failed(msg.clone());
+        self.jobs[job].tasks[task].phase = TaskPhase::Failed;
         if let Some(sandbox) = self.jobs[job].tasks[task].sandbox {
             self.sandbox_routes.remove(&sandbox);
             self.world.faas_release(sandbox);

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::config::ExecutorConfig;
+use crate::config::{ExecutorConfig, FAAS_POLL_INTERVAL_SECS};
 use crate::env::CloudEnv;
 use crate::error::ExecError;
 use crate::job::{JobBackend, JobState, TaskFactory, TaskState};
@@ -180,9 +180,6 @@ impl fmt::Debug for FunctionExecutor {
 impl FunctionExecutor {
     /// Creates an executor for a backend.
     pub fn new(env: &mut CloudEnv, backend: Backend, config: ExecutorConfig) -> Self {
-        if config.tracing {
-            env.enable_tracing();
-        }
         let pool = match backend {
             Backend::Vm => Some(env.create_pool(config.standalone.clone())),
             Backend::Faas => None,
@@ -223,22 +220,18 @@ impl FunctionExecutor {
     ) -> JobHandle {
         assert!(!inputs.is_empty(), "map over no inputs");
         let id = env.next_job_id();
-        let backend = match (&self.backend, self.pool) {
-            (Backend::Faas, _) => JobBackend::Faas {
-                memory_mb: self.config.runtime_memory_mb,
-                fetch_input: self.config.fetch_input,
-                fleet: "lambda".to_owned(),
-            },
-            (Backend::Vm, Some(pool)) => JobBackend::Standalone { pool },
+        let (backend, poll_interval) = match (&self.backend, self.pool) {
+            (Backend::Faas, _) => (
+                JobBackend::Faas {
+                    memory_mb: self.config.runtime_memory_mb,
+                },
+                FAAS_POLL_INTERVAL_SECS,
+            ),
+            (Backend::Vm, Some(pool)) => (
+                JobBackend::Standalone { pool },
+                self.config.standalone.poll_interval,
+            ),
             (Backend::Vm, None) => unreachable!("vm backend without a pool"),
-        };
-        let poll_interval = match self.backend {
-            Backend::Faas => self.config.poll_interval,
-            Backend::Vm => self.config.standalone.poll_interval,
-        };
-        let setup_secs = match self.backend {
-            Backend::Faas => self.config.map_setup_secs,
-            Backend::Vm => self.config.standalone.map_setup_secs,
         };
         let n = inputs.len();
         let job = JobState {
@@ -249,8 +242,6 @@ impl FunctionExecutor {
             bucket: self.config.bucket.clone(),
             poll_interval,
             factory,
-            setup_secs,
-            io_overlap: self.config.io_compute_overlap,
             retry: self.config.retry.clone(),
             inputs,
             tasks: (0..n)

@@ -21,16 +21,10 @@ use crate::task::{ActionOutcome, TaskLogic};
 pub type TaskFactory = Arc<dyn Fn(&Payload) -> Box<dyn TaskLogic> + Send + Sync>;
 
 /// Which backend executes a job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum JobBackend {
-    Faas {
-        memory_mb: u32,
-        fetch_input: bool,
-        fleet: String,
-    },
-    Standalone {
-        pool: usize,
-    },
+    Faas { memory_mb: u32 },
+    Standalone { pool: usize },
 }
 
 /// The in-flight I/O shape of a task's current action.
@@ -130,9 +124,9 @@ pub(crate) enum TaskPhase {
     WritingResult,
     /// Finished successfully.
     Done,
-    /// Finished with an error (message kept for debugging).
-    #[allow(dead_code)]
-    Failed(String),
+    /// Finished with an error (the job's [`ExecError`] holds the
+    /// message).
+    Failed,
 }
 
 /// One task of a job.
@@ -181,8 +175,6 @@ pub(crate) struct JobState {
     pub bucket: String,
     pub poll_interval: f64,
     pub factory: TaskFactory,
-    pub setup_secs: f64,
-    pub io_overlap: f64,
     pub retry: RetryPolicy,
     pub inputs: Vec<Payload>,
     pub tasks: Vec<TaskState>,
@@ -264,16 +256,10 @@ mod tests {
             id: 3,
             name: "stage".into(),
             stateful: false,
-            backend: JobBackend::Faas {
-                memory_mb: 1769,
-                fetch_input: true,
-                fleet: "lambda".into(),
-            },
+            backend: JobBackend::Faas { memory_mb: 1769 },
             bucket: "b".into(),
             poll_interval: 1.0,
             factory: Arc::new(|_| ScriptTask::new().boxed()),
-            setup_secs: 0.0,
-            io_overlap: 0.0,
             retry: RetryPolicy::default(),
             inputs: vec![Payload::U64(1), Payload::Opaque { size: 100 }],
             tasks: vec![TaskState::new(), TaskState::new()],

@@ -78,6 +78,15 @@ if grep -rnE "op_specs|StorageSpec|task_of_result_key" crates/serverful/src; the
     echo "the env keeps a replay copy of its storage requests again" >&2
     exit 1
 fi
+# No caller ever set the executor's input-fetch switch, second tracing
+# switch, setup times, SSH setup or I/O overlap, nor searched plans under
+# load: the constants in serverful::config hold those values, and the
+# FaaS path always ships each task's input through object storage.
+if grep -rnE "fetch_input|io_compute_overlap|ssh_setup|map_setup_secs|search_under_load|evaluate_under_load|config\.tracing" \
+        crates/*/src; then
+    echo "an executor setting no caller sets (or its dead path) is back" >&2
+    exit 1
+fi
 # Every simulated event passes through the event queue and a few maps
 # keyed by ids the program issues itself. The queue is a slot-indexed
 # heap, and those maps are simkernel::IdMap / IdSet (an unkeyed hash);
