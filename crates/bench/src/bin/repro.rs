@@ -71,7 +71,7 @@ fn main() {
         return;
     }
     if what == "plan" {
-        run_plan(&args[2..]);
+        run_plan_cmd(&args[2..]);
         return;
     }
     if what == "fleet" {
@@ -167,7 +167,7 @@ fn run_trace(args: &[String]) {
 /// `repro plan <job> [--objective O] [--threads N] [--seed N]
 /// [--smoke|--providers]`: searches the deployment space and prints the
 /// Pareto frontier.
-fn run_plan(args: &[String]) {
+fn run_plan_cmd(args: &[String]) {
     let mut job = None;
     let mut objective = Objective::Pareto;
     let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -239,8 +239,11 @@ fn run_fleet(args: &[String]) {
                 _ => die("--arrival-rate needs a finite positive number (jobs/minute)"),
             },
             "--duration" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(d) if d > 0.0 => duration = Some(d),
-                _ => die("--duration needs a positive number (seconds)"),
+                Some(d) if d > 0.0 && d <= fleet::arrivals::MAX_DURATION_SECS => duration = Some(d),
+                _ => die(&format!(
+                    "--duration needs a positive number of seconds, at most {:e}",
+                    fleet::arrivals::MAX_DURATION_SECS
+                )),
             },
             "--seed" => match it.next().and_then(|s| s.parse().ok()) {
                 Some(s) => seed = s,

@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use metaspace::plan::{DeploymentPlan, FunctionsPlan, PlanKind};
 use metaspace::{jobs, run_annotation, AnnotationReport, Architecture, JobSpec};
 
 pub mod render;
@@ -201,40 +202,35 @@ pub fn dag_comparison(
     seed: u64,
     smoke: bool,
 ) -> Result<DagComparison, serverful::ExecError> {
-    use metaspace::plan::{DeploymentPlan, PlanKind};
-
-    let stages = if smoke {
-        metaspace::pipeline::scaled_stages(spec, 0.02)
-    } else {
-        metaspace::pipeline::stages(spec)
-    };
-    let barrier_plan = DeploymentPlan::hybrid(&stages);
-    let PlanKind::Functions(f) = &barrier_plan.kind else {
-        unreachable!("hybrid is a functions plan")
-    };
-    let pipelined_plan = DeploymentPlan::functions(
-        "hybrid-pipelined",
-        metaspace::plan::FunctionsPlan {
-            execution: serverful::ExecutionMode::Pipelined,
-            ..f.clone()
-        },
-    );
+    let w = metaspace::pipeline::job_workload(spec);
+    let w = if smoke { w.scaled(0.02) } else { w };
+    let (barrier_plan, pipelined_plan) = hybrid_plans(&w.stages);
     let cloud = cloudsim::CloudConfig::default;
-    let (barrier, _) =
-        metaspace::run_plan_stages(spec.name, &stages, &barrier_plan, seed, cloud(), false)?;
-    let (pipelined, _) =
-        metaspace::run_plan_stages(spec.name, &stages, &pipelined_plan, seed, cloud(), false)?;
-    let edges = metaspace::pipeline::edges(&stages)
-        .iter()
-        .enumerate()
-        .flat_map(|(to, deps)| deps.iter().map(move |e| (e.from, to)))
-        .collect();
+    let (barrier, _) = metaspace::run_workload(&w, &barrier_plan, seed, cloud(), false)?;
+    let (pipelined, _) = metaspace::run_workload(&w, &pipelined_plan, seed, cloud(), false)?;
     Ok(DagComparison {
         job: spec.name.to_owned(),
         barrier,
         pipelined,
-        edges,
+        edges: w.edge_pairs(),
     })
+}
+
+/// The hybrid plan for `stages` under stage barriers, and the same plan
+/// scheduled dependency-driven.
+fn hybrid_plans(stages: &[metaspace::Stage]) -> (DeploymentPlan, DeploymentPlan) {
+    let barrier = DeploymentPlan::hybrid(stages);
+    let PlanKind::Functions(f) = &barrier.kind else {
+        unreachable!("hybrid is a functions plan")
+    };
+    let pipelined = DeploymentPlan::functions(
+        "hybrid-pipelined",
+        FunctionsPlan {
+            execution: serverful::ExecutionMode::Pipelined,
+            ..f.clone()
+        },
+    );
+    (barrier, pipelined)
 }
 
 /// A three-plan run of one workload description — the `repro workload`
@@ -269,30 +265,8 @@ pub fn workload_comparison(
     seed: u64,
     smoke: bool,
 ) -> Result<WorkloadComparison, serverful::ExecError> {
-    use metaspace::plan::{DeploymentPlan, PlanKind};
-
-    let w = if smoke {
-        w.scaled_with(
-            0.02,
-            &workload::ScaleOptions {
-                min_tasks: 2,
-                ..workload::ScaleOptions::default()
-            },
-        )
-    } else {
-        w.clone()
-    };
-    let hybrid = DeploymentPlan::hybrid(&w.stages);
-    let PlanKind::Functions(f) = &hybrid.kind else {
-        unreachable!("hybrid is a functions plan")
-    };
-    let pipelined_plan = DeploymentPlan::functions(
-        "hybrid-pipelined",
-        metaspace::plan::FunctionsPlan {
-            execution: serverful::ExecutionMode::Pipelined,
-            ..f.clone()
-        },
-    );
+    let w = if smoke { w.scaled(0.02) } else { w.clone() };
+    let (hybrid, pipelined_plan) = hybrid_plans(&w.stages);
     let serverless_plan = DeploymentPlan::serverless(&w.stages);
     let cloud = cloudsim::CloudConfig::default;
     let (hybrid_barrier, _) = metaspace::run_workload(&w, &hybrid, seed, cloud(), false)?;

@@ -4,7 +4,7 @@
 //! Each `render_*` function returns exactly what `repro <what>` prints
 //! (heading included), so goldens snapshot the user-visible output.
 
-use metaspace::{jobs, run_annotation_traced, Architecture, TraceOutput};
+use metaspace::{jobs, pipeline, run_workload, Architecture, DeploymentPlan, TraceOutput};
 use planner::{Objective, SearchReport};
 use telemetry::report::bar_chart;
 use telemetry::{
@@ -601,8 +601,9 @@ pub fn render_trace(job: &str, arch: &str, seed: u64) -> Result<TraceOutput, Str
         "spark" | "cluster" => Architecture::Cluster,
         other => return Err(format!("unknown architecture `{other}`")),
     };
-    let (_, trace) =
-        run_annotation_traced(&spec, arch, seed, cloudsim::CloudConfig::default())
-            .map_err(|e| format!("traced run failed: {e}"))?;
-    Ok(trace)
+    let w = pipeline::job_workload(&spec);
+    let plan = DeploymentPlan::for_architecture(arch, &w.stages);
+    let (_, trace) = run_workload(&w, &plan, seed, cloudsim::CloudConfig::default(), true)
+        .map_err(|e| format!("traced run failed: {e}"))?;
+    Ok(trace.expect("traced run returns a trace"))
 }

@@ -4,6 +4,12 @@ use simkernel::{SimRng, SimTime};
 
 use crate::scenario::Scenario;
 
+/// The longest arrival window [`schedule`] accepts, seconds (about 32
+/// years). Virtual time counts `u64` microseconds, so [`SimTime`] ends
+/// near 1.8e13 s; a window of at most 1e9 s leaves over 1.8e13 s for the
+/// jobs that arrive at its end to run.
+pub const MAX_DURATION_SECS: f64 = 1e9;
+
 /// One scheduled job arrival.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Arrival {
@@ -30,12 +36,19 @@ impl Arrival {
 /// # Panics
 ///
 /// Panics if `sc.arrival_rate_per_min` is not finite and positive: an
-/// infinite rate makes the mean gap zero.
+/// infinite rate makes the mean gap zero. Panics if `sc.duration_secs`
+/// is not finite or exceeds [`MAX_DURATION_SECS`]: an arrival that late
+/// would overflow virtual time.
 pub fn schedule(sc: &Scenario, seed: u64) -> Vec<Arrival> {
     let rate = sc.arrival_rate_per_min;
     assert!(
         rate.is_finite() && rate > 0.0,
         "Scenario::arrival_rate_per_min must be finite and positive, got {rate}"
+    );
+    let duration = sc.duration_secs;
+    assert!(
+        duration.is_finite() && duration <= MAX_DURATION_SECS,
+        "Scenario::duration_secs must be finite and at most {MAX_DURATION_SECS:e}, got {duration}"
     );
     // A fixed stream id keeps the arrival draw independent of any other
     // use of the seed (each policy cell's world forks its own streams).
@@ -100,6 +113,22 @@ mod tests {
         let mut sc = Scenario::smoke();
         sc.arrival_rate_per_min = f64::INFINITY;
         schedule(&sc, 42);
+    }
+
+    #[test]
+    #[should_panic(expected = "duration_secs must be finite and at most 1e9")]
+    fn a_window_past_the_bound_is_rejected() {
+        let mut sc = Scenario::smoke();
+        sc.duration_secs = 1e300;
+        schedule(&sc, 42);
+    }
+
+    #[test]
+    fn the_window_bound_leaves_virtual_time_for_late_jobs() {
+        // A job arriving at the very end of the longest window can still
+        // run for 10,000 times the window without overflowing the clock.
+        let end = SimTime::from_secs_f64(MAX_DURATION_SECS * 1e4);
+        assert!(end > SimTime::from_secs_f64(MAX_DURATION_SECS));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use cloudsim::{RegionQuotas, SpotMarket};
 use metaspace::pipeline::Stage;
 use metaspace::workloads;
-use workload::{ScaleOptions, Workload};
+use workload::Workload;
 
 /// One tenant of the simulated region: a lab or team repeatedly
 /// submitting replicas of a bundled workload.
@@ -19,7 +19,7 @@ pub struct TenantSpec {
     /// Relative arrival weight in the traffic mix.
     pub weight: f64,
     /// Stage-graph scale factor in `(0, 1]`; see
-    /// [`workload::Workload::scaled_with`].
+    /// [`workload::Workload::scaled`].
     pub scale: f64,
 }
 
@@ -32,15 +32,7 @@ impl TenantSpec {
     pub fn workload(&self) -> Workload {
         workloads::named(&self.job)
             .unwrap_or_else(|| panic!("tenant `{}`: unknown workload `{}`", self.name, self.job))
-            .scaled_with(
-                self.scale,
-                // Floor of 2 tasks per stage: the historical
-                // `scaled_stages` behaviour the fleet goldens bake in.
-                &ScaleOptions {
-                    min_tasks: 2,
-                    ..ScaleOptions::default()
-                },
-            )
+            .scaled(self.scale)
     }
 
     /// The tenant's (scaled) stage graph.
@@ -153,7 +145,7 @@ pub struct Scenario {
     /// Mean job arrivals per minute across all tenants (Poisson).
     pub arrival_rate_per_min: f64,
     /// Arrival window, seconds; jobs arriving inside it always run to
-    /// completion.
+    /// completion. At most [`crate::arrivals::MAX_DURATION_SECS`].
     pub duration_secs: f64,
     /// Shared regional service quotas.
     pub quotas: RegionQuotas,
@@ -423,9 +415,8 @@ mod tests {
         w.validate().expect("scaled family stays valid");
         assert_eq!(w.stages.len(), 3);
         assert!(w.stages.iter().all(|s| s.tasks >= 2));
-        // validate -> sort is one-to-one, which the METASPACE
-        // name-match fallback (linear all-to-all) would get wrong: the
-        // declared edges must survive into the fleet.
+        // validate -> sort is one-to-one: the declared edges must
+        // survive into the fleet.
         assert!(w
             .edges
             .iter()

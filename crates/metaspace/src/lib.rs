@@ -38,7 +38,6 @@ pub use jobs::JobSpec;
 pub use pipeline::{Stage, StageEdge, StageKind, Workload};
 pub use plan::{ClusterPlan, DeploymentPlan, FunctionsPlan, PlanKind, StageBackend};
 pub use runner::{
-    run_annotation, run_annotation_traced, run_annotation_with, run_plan, run_plan_graph,
-    run_plan_stages, run_plan_stages_chaos, run_plan_with, run_workload, AnnotationReport,
+    run_annotation, run_plan_graph, run_workload, run_workload_chaos, AnnotationReport,
     Architecture, ChaosReport, TraceOutput,
 };

@@ -2,21 +2,31 @@
 //!
 //! Figure 2 of the paper shows the Xenograft annotation as a sequence of
 //! stages whose parallelism swings from tens (stateful sorts, red bars)
-//! to thousands (the Cartesian comparison, grey bars). [`stages`]
-//! synthesises that graph for any Table 2 job:
+//! to thousands (the Cartesian comparison, grey bars). [`job_workload`]
+//! builds that graph for any Table 2 job as a [`Workload`]: nine stages
+//! plus their dataflow edges, from the
+//! [`workload::families::metaspace`] family.
 //!
 //! 1. `load-dataset` — parse/chunk the imzML input (stateless).
-//! 2. `formula-gen` — generate database formulas ("a maximum of a few
-//!    hundred parallel tasks", stateless).
-//! 3. `db-segment` — sort & segment the database (**stateful**, the
+//! 2. `parse-spectra` — parse the spectra, partition-wise after
+//!    `load-dataset` (stateless).
+//! 3. `formula-gen` — generate database formulas ("a maximum of a few
+//!    hundred parallel tasks", stateless); the second root.
+//! 4. `db-segment` — sort & segment the database (**stateful**, the
 //!    paper's "32 tasks in database partitioning").
-//! 4. `ds-segment` — sort & partition the dataset (**stateful**, the
+//! 5. `ds-segment` — sort & partition the dataset (**stateful**, the
 //!    dominant all-to-all; for Xenograft this is the §4.2 sort
 //!    experiment's ~25 GB / 64 GB-of-memory operation).
-//! 5. `annotate` — compare dataset segments against database segments
-//!    (Cartesian, massively parallel).
-//! 6. `fdr` — decoy scoring (stateless).
-//! 7. `collect` — group and publish results (**stateful**, small).
+//! 6. `annotate` — compare dataset segments against database segments
+//!    (Cartesian, massively parallel): partition-wise after
+//!    `ds-segment`, all-to-all after `db-segment`.
+//! 7. `metrics` and 8. `fdr` — image metrics and decoy scoring,
+//!    partition-wise (stateless).
+//! 9. `collect` — group and publish results (**stateful**, small).
+//!
+//! That workload is the one description of the graph: the runner, the
+//! planner and the fleet all take it (or [`Workload::scaled`] replicas
+//! of it) whole, edges included.
 //!
 //! Task counts and volumes derive from the Table 2 columns; CPU
 //! densities are profile parameters standing in for the real datasets
@@ -63,94 +73,9 @@ pub fn job_workload(job: &JobSpec) -> Workload {
     })
 }
 
-/// Builds the stage graph for a job.
+/// Builds the stage graph for a job: the stages of [`job_workload`].
 pub fn stages(job: &JobSpec) -> Vec<Stage> {
     job_workload(job).stages
-}
-
-/// The dependency edges of a stage list, one `Vec<StageEdge>` per
-/// stage, aligned index-for-index.
-///
-/// For the canonical METASPACE stage list (the nine names [`stages`]
-/// produces, in order) this is the real annotation dataflow of the
-/// paper's Figure 2: the dataset branch (`load-dataset` →
-/// `parse-spectra` → `ds-segment`) and the database branch
-/// (`formula-gen` → `db-segment`) proceed independently until
-/// `annotate` joins them — partition-wise against the dataset segments,
-/// all-to-all against the (replicated) database segments — and the
-/// scoring tail (`metrics` → `fdr`) chains partition-wise into the
-/// final `collect` shuffle.
-///
-/// Any other stage list (scaled replicas keep the canonical names; toy
-/// graphs in tests do not) degrades to the conservative linear chain of
-/// all-to-all edges — exactly the barrier order, so dataflow scheduling
-/// stays correct for arbitrary pipelines, just without overlap.
-pub fn edges(stages: &[Stage]) -> Vec<Vec<StageEdge>> {
-    const CANON: [&str; 9] = [
-        "load-dataset",
-        "parse-spectra",
-        "formula-gen",
-        "db-segment",
-        "ds-segment",
-        "annotate",
-        "metrics",
-        "fdr",
-        "collect",
-    ];
-    let canonical = stages.len() == CANON.len()
-        && stages.iter().zip(CANON).all(|(s, n)| s.name == n);
-    if canonical {
-        return vec![
-            vec![],                                                       // load-dataset
-            vec![StageEdge::one_to_one(0)],                               // parse-spectra
-            vec![],                                                       // formula-gen
-            vec![StageEdge::all_to_all(2)],                               // db-segment
-            vec![StageEdge::all_to_all(1)],                               // ds-segment
-            vec![StageEdge::one_to_one(4), StageEdge::all_to_all(3)],     // annotate
-            vec![StageEdge::one_to_one(5)],                               // metrics
-            vec![StageEdge::one_to_one(6)],                               // fdr
-            vec![StageEdge::all_to_all(7)],                               // collect
-        ];
-    }
-    (0..stages.len())
-        .map(|i| {
-            if i == 0 {
-                vec![]
-            } else {
-                vec![StageEdge::all_to_all(i - 1)]
-            }
-        })
-        .collect()
-}
-
-/// Builds a down-scaled stage graph for a job: task counts and exchange
-/// volumes multiplied by `scale` (per-task work unchanged), with a
-/// two-task floor so every stage still exercises parallel dispatch.
-///
-/// Fleet-scale traffic simulations run dozens of concurrent jobs; at
-/// `scale = 1.0` a single Xenograft already spawns thousands of tasks,
-/// so tenants submit scaled replicas that keep the stage *shape*
-/// (elasticity swings, stateful windows) at a tractable task volume.
-///
-/// # Panics
-///
-/// Panics unless `0 < scale <= 1`.
-pub fn scaled_stages(job: &JobSpec, scale: f64) -> Vec<Stage> {
-    scaled_workload(job, scale).stages
-}
-
-/// [`scaled_stages`] with the dataflow edges attached: the down-scaled
-/// job as a full workload description. Uses the generic workload scaler
-/// with this pipeline's historical floors (two tasks, 0.005 GB).
-///
-/// # Panics
-///
-/// Panics unless `0 < scale <= 1`.
-pub fn scaled_workload(job: &JobSpec, scale: f64) -> Workload {
-    job_workload(job).scaled_with(
-        scale,
-        &workload::ScaleOptions { min_tasks: 2, min_exchange_gb: 0.005 },
-    )
 }
 
 #[cfg(test)]
@@ -203,86 +128,32 @@ mod tests {
     }
 
     #[test]
-    fn scaled_stages_keep_shape_at_lower_volume() {
-        let full = stages(&jobs::xenograft());
-        let scaled = scaled_stages(&jobs::xenograft(), 0.05);
-        assert_eq!(full.len(), scaled.len());
-        for (f, s) in full.iter().zip(&scaled) {
+    fn scaled_jobs_keep_shape_and_edges_at_lower_volume() {
+        let full = job_workload(&jobs::xenograft());
+        let scaled = full.scaled(0.05);
+        scaled.validate().expect("scaled workloads stay valid");
+        assert_eq!(scaled.edges, full.edges);
+        assert_eq!(full.stages.len(), scaled.stages.len());
+        for (f, s) in full.stages.iter().zip(&scaled.stages) {
             assert_eq!(f.name, s.name);
             assert!(s.tasks >= 2);
             assert!(s.tasks <= f.tasks);
             assert_eq!(f.is_stateful(), s.is_stateful());
         }
-        let tasks = |st: &[Stage]| st.iter().map(|s| s.tasks).sum::<usize>();
+        let tasks = |w: &Workload| w.stages.iter().map(|s| s.tasks).sum::<usize>();
         assert!(tasks(&scaled) * 10 < tasks(&full));
     }
 
     #[test]
-    fn canonical_edges_form_a_dag_joining_at_annotate() {
-        let st = stages(&jobs::brain());
-        let deps = edges(&st);
-        assert_eq!(deps.len(), st.len());
-        // Every edge is topological.
-        for (i, es) in deps.iter().enumerate() {
-            for e in es {
-                assert!(e.from < i, "edge {} -> {i}", e.from);
-            }
-        }
-        // Two independent roots: the dataset and database branches.
-        let roots: Vec<usize> = deps
-            .iter()
-            .enumerate()
-            .filter(|(_, es)| es.is_empty())
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(roots, vec![0, 2], "load-dataset and formula-gen");
-        // annotate (index 5) joins both branches.
-        assert_eq!(deps[5].len(), 2);
-        // Shuffles are all-to-all; map chains are one-to-one.
-        assert_eq!(deps[4], vec![StageEdge::all_to_all(1)]);
-        assert_eq!(deps[6], vec![StageEdge::one_to_one(5)]);
-    }
-
-    #[test]
-    fn scaled_stages_keep_the_canonical_dataflow() {
-        // Scaled replicas preserve stage names, so the fleet's pipelined
-        // jobs get the real DAG, not the linear fallback.
-        let st = scaled_stages(&jobs::xenograft(), 0.05);
-        let deps = edges(&st);
-        assert_eq!(deps[5].len(), 2, "annotate still joins two branches");
-    }
-
-    #[test]
-    fn unknown_stage_lists_fall_back_to_a_linear_chain() {
-        let mut st = stages(&jobs::brain());
-        st.truncate(3);
-        let deps = edges(&st);
-        assert_eq!(deps[0], vec![]);
-        assert_eq!(deps[1], vec![StageEdge::all_to_all(0)]);
-        assert_eq!(deps[2], vec![StageEdge::all_to_all(1)]);
-    }
-
-    #[test]
-    fn workload_description_matches_the_canonical_graph() {
-        // The migration gate: the DSL-expressible workload description
-        // must carry exactly the dataflow `edges` hard-coded for the
-        // canonical stage list, for every Table 2 job, and survive a
-        // text round-trip unchanged.
+    fn job_workloads_validate_and_round_trip() {
+        // Every run validates its workload first, and the description
+        // must survive a text round trip unchanged.
         for job in jobs::all() {
             let w = job_workload(&job);
             w.validate().expect("job workloads validate");
-            assert_eq!(w.edges, edges(&w.stages), "{}", job.name);
             let back = workload::parse(&workload::emit(&w)).expect("round-trip parses");
             assert_eq!(back, w, "{} drifts through the DSL", job.name);
         }
-    }
-
-    #[test]
-    fn scaled_workload_keeps_edges_aligned() {
-        let w = scaled_workload(&jobs::xenograft(), 0.05);
-        w.validate().expect("scaled workloads stay valid");
-        assert_eq!(w.stages, scaled_stages(&jobs::xenograft(), 0.05));
-        assert_eq!(w.edges, edges(&w.stages));
     }
 
     #[test]

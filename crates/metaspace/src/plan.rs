@@ -14,9 +14,9 @@
 //! * sizing factor (memory demand per input byte → sequential rounds);
 //! * retry budget.
 //!
-//! [`crate::runner::run_plan`] executes any plan in a fresh simulated
-//! region; [`DeploymentPlan::for_architecture`] reproduces the paper's
-//! three deployments exactly.
+//! [`crate::runner::run_workload`] executes any plan on a workload in a
+//! fresh simulated region; [`DeploymentPlan::for_architecture`]
+//! reproduces the paper's three deployments exactly.
 
 use std::fmt;
 
@@ -169,7 +169,7 @@ pub enum PlanKind {
     Cluster(ClusterPlan),
 }
 
-/// One fully specified deployment: everything `run_plan` needs to
+/// One fully specified deployment: everything `run_workload` needs to
 /// execute a job, and everything the planner searches over.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentPlan {

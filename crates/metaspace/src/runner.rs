@@ -1,5 +1,5 @@
 //! Runs the annotation pipeline on the three studied architectures —
-//! and, more generally, on any [`DeploymentPlan`].
+//! and, more generally, any [`Workload`] on any [`DeploymentPlan`].
 //!
 //! * [`Architecture::Serverless`] — every stage on cloud functions
 //!   (the deployment METASPACE migrated to first);
@@ -10,10 +10,18 @@
 //!   (4 × c5.4xlarge).
 //!
 //! The three architectures are *named plans*
-//! ([`DeploymentPlan::for_architecture`]): [`run_annotation`] builds the
-//! corresponding plan and hands it to [`run_plan_stages`], the single
-//! execution path every deployment — hand-picked or planner-found —
-//! flows through.
+//! ([`DeploymentPlan::for_architecture`]). Four entry points share one
+//! execution path, which every deployment — hand-picked or
+//! planner-found — flows through:
+//!
+//! * [`run_annotation`] runs a Table 2 job's workload
+//!   ([`pipeline::job_workload`]) under a named architecture;
+//! * [`run_workload`] validates any workload description and runs it
+//!   under a plan, optionally traced;
+//! * [`run_workload_chaos`] does the same with master kills armed and
+//!   returns the recovery observability;
+//! * [`run_plan_graph`] takes the stage list and its edges apart, the
+//!   form the planner's evaluator holds.
 //!
 //! Each run happens in a fresh simulated region and reports wall time,
 //! cost, per-stage spans (Figure 2) and CPU-utilisation statistics
@@ -122,7 +130,8 @@ pub struct TraceOutput {
     pub summary: String,
 }
 
-/// Runs one job on one architecture in a fresh simulated region.
+/// Runs one job's workload on one architecture in a fresh,
+/// default-configured simulated region.
 ///
 /// # Errors
 ///
@@ -133,107 +142,17 @@ pub fn run_annotation(
     arch: Architecture,
     seed: u64,
 ) -> Result<AnnotationReport, ExecError> {
-    run_annotation_with(job, arch, seed, CloudConfig::default())
+    let w = pipeline::job_workload(job);
+    let plan = DeploymentPlan::for_architecture(arch, &w.stages);
+    run_workload(&w, &plan, seed, CloudConfig::default(), false).map(|(r, _)| r)
 }
 
-/// Like [`run_annotation`], but over an explicit cloud configuration —
-/// chaos experiments inject faults by enabling `cloud.faults`.
-///
-/// # Errors
-///
-/// Propagates executor failures, including exhausted retry budgets
-/// under fault injection.
-pub fn run_annotation_with(
-    job: &JobSpec,
-    arch: Architecture,
-    seed: u64,
-    cloud: CloudConfig,
-) -> Result<AnnotationReport, ExecError> {
-    let stages = pipeline::stages(job);
-    let plan = DeploymentPlan::for_architecture(arch, &stages);
-    run_plan_stages(job.name, &stages, &plan, seed, cloud, false).map(|(r, _)| r)
-}
-
-/// Like [`run_annotation`], but with span tracing on: also returns the
-/// run's deterministic Chrome trace JSON and a text summary.
-///
-/// The trace covers the measured window (pipeline stage spans, job and
-/// task-attempt spans, cold starts, VM lifecycles, storage transfers and
-/// fault/retry instants). The cluster architecture records the coarser
-/// world-level spans only.
-///
-/// # Errors
-///
-/// Propagates executor failures, like [`run_annotation`].
-pub fn run_annotation_traced(
-    job: &JobSpec,
-    arch: Architecture,
-    seed: u64,
-    cloud: CloudConfig,
-) -> Result<(AnnotationReport, TraceOutput), ExecError> {
-    let stages = pipeline::stages(job);
-    let plan = DeploymentPlan::for_architecture(arch, &stages);
-    let (r, t) = run_plan_stages(job.name, &stages, &plan, seed, cloud, true)?;
-    Ok((r, t.expect("traced run returns a trace")))
-}
-
-/// Runs one Table 2 job under an arbitrary [`DeploymentPlan`] in a
-/// fresh, default-configured simulated region.
-///
-/// # Errors
-///
-/// Propagates executor failures and rejects malformed plans (backend
-/// list not matching the stage graph, unknown instance types).
-pub fn run_plan(
-    job: &JobSpec,
-    plan: &DeploymentPlan,
-    seed: u64,
-) -> Result<AnnotationReport, ExecError> {
-    run_plan_with(job, plan, seed, CloudConfig::default())
-}
-
-/// Like [`run_plan`], but over an explicit cloud configuration.
-///
-/// # Errors
-///
-/// Propagates executor failures and rejects malformed plans.
-pub fn run_plan_with(
-    job: &JobSpec,
-    plan: &DeploymentPlan,
-    seed: u64,
-    cloud: CloudConfig,
-) -> Result<AnnotationReport, ExecError> {
-    let stages = pipeline::stages(job);
-    run_plan_stages(job.name, &stages, plan, seed, cloud, false).map(|(r, _)| r)
-}
-
-/// The general entry point: runs an arbitrary stage graph under an
-/// arbitrary plan. `label` names the run in the report; `trace` also
-/// records a span trace (returned as the second element).
-///
-/// This is the one execution path for every deployment: the three named
-/// architectures, planner candidates, and toy stage graphs
-/// (`examples/plan_search.rs`) all flow through here.
-///
-/// # Errors
-///
-/// Propagates executor failures and rejects malformed plans.
-pub fn run_plan_stages(
-    label: &str,
-    stages: &[Stage],
-    plan: &DeploymentPlan,
-    seed: u64,
-    cloud: CloudConfig,
-    trace: bool,
-) -> Result<(AnnotationReport, Option<TraceOutput>), ExecError> {
-    run_plan_graph(label, stages, &pipeline::edges(stages), plan, seed, cloud, trace)
-}
-
-/// [`run_plan_stages`] with explicit dataflow edges instead of the
-/// METASPACE name-matched ones — the compilation target every workload
-/// description lowers to. `edges` must align index-for-index with
-/// `stages` and point only at earlier stages. Cluster plans execute the
-/// stage list as a barrier chain and ignore the edges.
+/// Runs a stage list with explicit dataflow edges under a plan: the
+/// compilation target every workload lowers to. `label` names the run in
+/// the report; `trace` also records a span trace (returned as the
+/// second element). `edges` must align index-for-index with `stages`
+/// and point only at earlier stages. Cluster plans execute the stage
+/// list as a barrier chain and ignore the edges.
 ///
 /// # Errors
 ///
@@ -261,7 +180,13 @@ pub fn run_plan_graph(
 
 /// Runs a full [`Workload`] description — validated, then compiled to
 /// the stage DAG with the workload's own dataflow edges — under a plan.
-/// The workload's name labels the report.
+/// The workload's name labels the report; `trace` also records a span
+/// trace (returned as the second element).
+///
+/// The trace covers the measured window (pipeline stage spans, job and
+/// task-attempt spans, cold starts, VM lifecycles, storage transfers and
+/// fault/retry instants). Cluster plans record the coarser world-level
+/// spans only.
 ///
 /// # Errors
 ///
@@ -300,7 +225,7 @@ pub struct ChaosReport {
     pub monitor_list_overlap: u32,
 }
 
-/// [`run_plan_stages`] plus master-kill chaos injection:
+/// [`run_workload`] plus master-kill chaos injection:
 /// the serverful pool's master VM is killed when the executor's
 /// routed-event counter passes each offset in `kills` (offsets are
 /// relative to the start of the measured window, after warm-up). What
@@ -314,21 +239,21 @@ pub struct ChaosReport {
 /// # Errors
 ///
 /// Propagates executor failures — including the stall a protected-mode
-/// master kill is expected to cause — and rejects malformed or cluster
-/// plans.
-pub fn run_plan_stages_chaos(
-    label: &str,
-    stages: &[Stage],
+/// master kill is expected to cause — and rejects invalid workloads and
+/// malformed or cluster plans.
+pub fn run_workload_chaos(
+    w: &Workload,
     plan: &DeploymentPlan,
     seed: u64,
     cloud: CloudConfig,
     kills: &[u64],
 ) -> Result<(AnnotationReport, ChaosReport), ExecError> {
-    validate_plan(stages, plan)?;
-    let edges = pipeline::edges(stages);
+    w.validate()
+        .map_err(|e| ExecError::Unsupported(e.to_string()))?;
+    validate_plan(&w.stages, plan)?;
     match &plan.kind {
         PlanKind::Functions(f) => {
-            run_functions_plan(label, stages, &edges, f, seed, cloud, false, kills)
+            run_functions_plan(&w.name, &w.stages, &w.edges, f, seed, cloud, false, kills)
                 .map(|(r, _, c)| (r, c))
         }
         PlanKind::Cluster(_) => Err(ExecError::Unsupported(

@@ -64,27 +64,14 @@ impl Evaluator {
         Evaluator::for_workload(&pipeline::job_workload(job), seed)
     }
 
-    /// An evaluator for any workload description — the planner's entry
-    /// point for the DSL families; the candidate space it searches
-    /// ([`crate::SearchSpace`]) is derived from the same stage list.
+    /// An evaluator for any workload description, edges included; the
+    /// candidate space it searches ([`crate::SearchSpace`]) is derived
+    /// from the same stage list.
     pub fn for_workload(w: &Workload, seed: u64) -> Evaluator {
         Evaluator {
             label: w.name.clone(),
             stages: w.stages.clone(),
             edges: w.edges.clone(),
-            cloud: CloudConfig::default(),
-            seed,
-        }
-    }
-
-    /// An evaluator for a bare stage list, with edges recovered by the
-    /// METASPACE name match (linear all-to-all chain otherwise).
-    pub fn new(label: impl Into<String>, stages: Vec<Stage>, seed: u64) -> Evaluator {
-        let edges = pipeline::edges(&stages);
-        Evaluator {
-            label: label.into(),
-            stages,
-            edges,
             cloud: CloudConfig::default(),
             seed,
         }
@@ -120,34 +107,43 @@ impl Evaluator {
 mod tests {
     use super::*;
     use metaspace::plan::{FunctionsPlan, StageBackend};
+    use serverful::FanIn;
 
-    fn tiny_stages() -> Vec<Stage> {
-        vec![
-            Stage {
-                name: "load".into(),
-                tasks: 4,
-                cpu_secs_per_task: 1.0,
-                read_mb_per_task: 1.0,
-                write_mb_per_task: 1.0,
-                kind: metaspace::StageKind::Stateless {
-                    read_spread: 2,
-                    write_spread: 2,
+    /// A two-stage toy graph: a stateless load shuffled into a sort.
+    fn tiny_workload() -> Workload {
+        Workload::builder("toy")
+            .stage(
+                Stage {
+                    name: "load".into(),
+                    tasks: 4,
+                    cpu_secs_per_task: 1.0,
+                    read_mb_per_task: 1.0,
+                    write_mb_per_task: 1.0,
+                    kind: metaspace::StageKind::Stateless {
+                        read_spread: 2,
+                        write_spread: 2,
+                    },
                 },
-            },
-            Stage {
-                name: "sort".into(),
-                tasks: 4,
-                cpu_secs_per_task: 1.0,
-                read_mb_per_task: 0.0,
-                write_mb_per_task: 0.0,
-                kind: metaspace::StageKind::Stateful { exchange_gb: 0.01 },
-            },
-        ]
+                &[],
+            )
+            .stage(
+                Stage {
+                    name: "sort".into(),
+                    tasks: 4,
+                    cpu_secs_per_task: 1.0,
+                    read_mb_per_task: 0.0,
+                    write_mb_per_task: 0.0,
+                    kind: metaspace::StageKind::Stateful { exchange_gb: 0.01 },
+                },
+                &[("load", FanIn::AllToAll)],
+            )
+            .build()
+            .expect("toy graph is valid")
     }
 
     #[test]
     fn outcome_is_deterministic_across_repeated_evaluations() {
-        let ev = Evaluator::new("toy", tiny_stages(), 7);
+        let ev = Evaluator::for_workload(&tiny_workload(), 7);
         let plan = DeploymentPlan::hybrid(&ev.stages);
         let a = ev.evaluate(&plan).unwrap();
         let b = ev.evaluate(&plan).unwrap();
@@ -157,7 +153,7 @@ mod tests {
 
     #[test]
     fn malformed_plans_are_rejected_not_run() {
-        let ev = Evaluator::new("toy", tiny_stages(), 7);
+        let ev = Evaluator::for_workload(&tiny_workload(), 7);
         let bad = DeploymentPlan::functions(
             "bad",
             FunctionsPlan {
@@ -173,9 +169,8 @@ mod tests {
 
     #[test]
     fn workload_evaluators_deploy_the_declared_edges() {
-        // A DSL family whose graph the METASPACE name match does not
-        // know: the evaluator must run the declared diamond, not the
-        // linear fallback, and stay deterministic.
+        // A DSL family with a diamond: the evaluator must run the
+        // declared edges and stay deterministic.
         let w = metaspace::workloads::named("montage")
             .expect("bundled family")
             .scaled(0.05);
@@ -190,7 +185,7 @@ mod tests {
 
     #[test]
     fn dominance_requires_a_strict_edge() {
-        let ev = Evaluator::new("toy", tiny_stages(), 7);
+        let ev = Evaluator::for_workload(&tiny_workload(), 7);
         let out = ev.evaluate(&DeploymentPlan::hybrid(&ev.stages)).unwrap();
         assert!(!out.dominates(&out), "a point never dominates itself");
         let mut cheaper = out.clone();

@@ -13,8 +13,9 @@
 //! * [`SearchSpace`] — generates candidate plans from the instance
 //!   catalog and the stage model (backend masks, hosts, fleets, Lambda
 //!   memory, sizing factors, cluster shapes);
-//! * [`Evaluator`] — runs one candidate through a fresh simulated world
-//!   and returns `(cost_usd, makespan, waste)` from the telemetry
+//! * [`Evaluator`] — holds one workload description (its stages and
+//!   their dataflow edges), runs a candidate through a fresh simulated
+//!   world and returns `(cost_usd, makespan, waste)` from the telemetry
 //!   ledgers;
 //! * [`search()`] — exhaustive grid for small spaces, seeded beam/local
 //!   search for large ones, fanned out over [`parallel_map`]'s
@@ -35,10 +36,11 @@
 //! use metaspace::{jobs, pipeline};
 //! use planner::{search, Evaluator, SearchConfig, SearchSpace};
 //!
-//! let stages = pipeline::stages(&jobs::brain());
-//! let ev = Evaluator::new("brain-toy", stages, 42);
+//! // Brain's pipeline at 2% of its task volume, edges included.
+//! let w = pipeline::job_workload(&jobs::brain()).scaled(0.02);
+//! let ev = Evaluator::for_workload(&w, 42);
 //! let space = SearchSpace::smoke(&ev.stages);
-//! # // Paper-scale runs are slow in debug; doctests only build this.
+//! # // Every candidate is a whole simulation; doctests only build this.
 //! # if false {
 //! let report = search(&ev, &space, &SearchConfig::default());
 //! for p in report.frontier.points() {

@@ -289,46 +289,44 @@ pub fn search_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaspace::{jobs, pipeline, Stage, StageKind};
+    use metaspace::{jobs, Stage, StageKind, Workload};
+    use serverful::FanIn;
 
-    fn toy_stages() -> Vec<Stage> {
-        vec![
-            Stage {
-                name: "map".into(),
-                tasks: 8,
-                cpu_secs_per_task: 0.5,
-                read_mb_per_task: 2.0,
-                write_mb_per_task: 2.0,
-                kind: StageKind::Stateless {
-                    read_spread: 2,
-                    write_spread: 2,
+    /// A three-stage toy chain: map, shuffle, reduce, each all-to-all
+    /// after the one before.
+    fn toy_workload() -> Workload {
+        let stateless = |name: &str, tasks, mb| Stage {
+            name: name.into(),
+            tasks,
+            cpu_secs_per_task: 0.5,
+            read_mb_per_task: mb,
+            write_mb_per_task: mb,
+            kind: StageKind::Stateless {
+                read_spread: 2,
+                write_spread: 2,
+            },
+        };
+        Workload::builder("toy")
+            .stage(stateless("map", 8, 2.0), &[])
+            .stage(
+                Stage {
+                    name: "shuffle".into(),
+                    tasks: 8,
+                    cpu_secs_per_task: 0.5,
+                    read_mb_per_task: 0.0,
+                    write_mb_per_task: 0.0,
+                    kind: StageKind::Stateful { exchange_gb: 0.05 },
                 },
-            },
-            Stage {
-                name: "shuffle".into(),
-                tasks: 8,
-                cpu_secs_per_task: 0.5,
-                read_mb_per_task: 0.0,
-                write_mb_per_task: 0.0,
-                kind: StageKind::Stateful { exchange_gb: 0.05 },
-            },
-            Stage {
-                name: "reduce".into(),
-                tasks: 4,
-                cpu_secs_per_task: 0.5,
-                read_mb_per_task: 1.0,
-                write_mb_per_task: 1.0,
-                kind: StageKind::Stateless {
-                    read_spread: 2,
-                    write_spread: 2,
-                },
-            },
-        ]
+                &[("map", FanIn::AllToAll)],
+            )
+            .stage(stateless("reduce", 4, 1.0), &[("shuffle", FanIn::AllToAll)])
+            .build()
+            .expect("toy graph is valid")
     }
 
     #[test]
     fn smoke_grid_finds_all_three_named_plans() {
-        let ev = Evaluator::new("toy", toy_stages(), 42);
+        let ev = Evaluator::for_workload(&toy_workload(), 42);
         let space = SearchSpace::smoke(&ev.stages);
         let report = search(&ev, &space, &SearchConfig::default());
         assert!(report.exhaustive);
@@ -340,7 +338,7 @@ mod tests {
 
     #[test]
     fn frontier_has_no_dominated_point() {
-        let ev = Evaluator::new("toy", toy_stages(), 42);
+        let ev = Evaluator::for_workload(&toy_workload(), 42);
         let report = search(&ev, &SearchSpace::smoke(&ev.stages), &SearchConfig::default());
         let pts = report.frontier.points();
         for a in pts {
@@ -357,7 +355,7 @@ mod tests {
 
     #[test]
     fn thread_count_never_changes_the_frontier() {
-        let ev = Evaluator::new("toy", toy_stages(), 42);
+        let ev = Evaluator::for_workload(&toy_workload(), 42);
         let space = SearchSpace::standard(&ev.stages);
         let digest_of = |threads: usize| {
             let cfg = SearchConfig {
@@ -374,7 +372,7 @@ mod tests {
 
     #[test]
     fn repeated_same_seed_runs_are_identical() {
-        let ev = Evaluator::new("toy", toy_stages(), 7);
+        let ev = Evaluator::for_workload(&toy_workload(), 7);
         let space = SearchSpace::smoke(&ev.stages);
         let cfg = SearchConfig {
             threads: 4,
@@ -388,7 +386,7 @@ mod tests {
 
     #[test]
     fn beam_search_is_deterministic_and_visits_fewer_candidates() {
-        let ev = Evaluator::new("toy", toy_stages(), 42);
+        let ev = Evaluator::for_workload(&toy_workload(), 42);
         let space = SearchSpace::standard(&ev.stages);
         let cfg = SearchConfig {
             grid_limit: 4, // force the beam path
@@ -415,7 +413,7 @@ mod tests {
 
     #[test]
     fn objectives_rank_differently() {
-        let ev = Evaluator::new("toy", toy_stages(), 42);
+        let ev = Evaluator::for_workload(&toy_workload(), 42);
         let space = SearchSpace::smoke(&ev.stages);
         let by = |objective| {
             search(
@@ -460,6 +458,5 @@ mod tests {
         assert!(hybrid.dominates(serverless), "hybrid beats serverless");
         assert!(spark.makespan_secs <= hybrid.makespan_secs, "spark fastest");
         assert!(report.frontier.by_name("spark").is_some());
-        let _ = pipeline::stages(&jobs::brain());
     }
 }

@@ -132,6 +132,43 @@ pub fn run_fused_exchange(
     })
 }
 
+/// Assigns the chunk `refs` to `workers` round-robin and encodes each
+/// worker's input as `[index, refs]`, so a task factory rebuilds the
+/// task whatever order tasks start in, and the sizing policy sees the
+/// data volume through the refs. With `keep_idle` false, workers that
+/// got no chunk are dropped (and the rest renumbered in order).
+fn worker_inputs(refs: &[CloudObjectRef], workers: usize, keep_idle: bool) -> Vec<Payload> {
+    let mut assignment: Vec<Vec<CloudObjectRef>> = vec![Vec::new(); workers];
+    for (i, r) in refs.iter().enumerate() {
+        assignment[i % workers].push(r.clone());
+    }
+    assignment
+        .into_iter()
+        .filter(|refs| keep_idle || !refs.is_empty())
+        .enumerate()
+        .map(|(w, refs)| {
+            Payload::List(vec![
+                Payload::U64(w as u64),
+                Payload::List(refs.into_iter().map(Payload::CloudObject).collect()),
+            ])
+        })
+        .collect()
+}
+
+/// Decodes a [`worker_inputs`] payload into the worker's index and its
+/// chunk refs.
+fn decode_worker_input(input: &Payload) -> (usize, Vec<CloudObjectRef>) {
+    let items = input.as_list().expect("worker input is a list");
+    let w = items[0].as_u64().expect("worker index") as usize;
+    let refs = items[1]
+        .as_list()
+        .expect("chunk refs")
+        .iter()
+        .map(|p| p.as_cloudobject().expect("chunk ref").clone())
+        .collect();
+    (w, refs)
+}
+
 /// Submits the fused exchange as a single (optionally gated) job
 /// without blocking on it — the non-blocking building block DAG
 /// schedulers compose. [`run_fused_exchange`] is this plus a blocking
@@ -145,36 +182,12 @@ pub fn submit_fused_exchange(
     exchange: Exchange,
     gated: bool,
 ) -> serverful::JobHandle {
-    let mut assignment: Vec<Vec<CloudObjectRef>> = vec![Vec::new(); workers];
-    for (i, r) in refs.iter().enumerate() {
-        assignment[i % workers].push(r.clone());
-    }
     // Every worker participates (an empty chunk list is fine — its range
     // must still be gathered).
-    let inputs: Vec<Payload> = assignment
-        .iter()
-        .enumerate()
-        .map(|(w, refs)| {
-            Payload::List(vec![
-                Payload::U64(w as u64),
-                Payload::List(
-                    refs.iter()
-                        .map(|r| Payload::CloudObject(r.clone()))
-                        .collect(),
-                ),
-            ])
-        })
-        .collect();
+    let inputs = worker_inputs(refs, workers, true);
     let fused_cfg = cfg.clone();
     let factory: serverful::job::TaskFactory = Arc::new(move |input: &Payload| {
-        let items = input.as_list().expect("fused input is a list");
-        let w = items[0].as_u64().expect("worker index") as usize;
-        let refs: Vec<CloudObjectRef> = items[1]
-            .as_list()
-            .expect("chunk refs")
-            .iter()
-            .map(|p| p.as_cloudobject().expect("chunk ref").clone())
-            .collect();
+        let (w, refs) = decode_worker_input(input);
         Box::new(FusedExchangeTask::new(
             fused_cfg.clone(),
             w,
@@ -204,43 +217,12 @@ pub fn submit_scatter(
     ranges: usize,
     gated: bool,
 ) -> (serverful::JobHandle, usize) {
-    // Assign chunks to scatter workers round-robin; each worker's input
-    // payload carries its refs so the sizing policy sees the data volume.
-    let mut assignment: Vec<Vec<CloudObjectRef>> = vec![Vec::new(); workers];
-    for (i, r) in refs.iter().enumerate() {
-        assignment[i % workers].push(r.clone());
-    }
-    let assignment: Vec<Vec<CloudObjectRef>> =
-        assignment.into_iter().filter(|a| !a.is_empty()).collect();
-    let scatter_workers = assignment.len();
-
-    // Each worker's input carries its index and its chunk refs, so the
-    // factory reconstructs the task regardless of start order (and the
-    // sizing policy sees the data volume through the refs).
-    let scatter_inputs: Vec<Payload> = assignment
-        .iter()
-        .enumerate()
-        .map(|(w, refs)| {
-            Payload::List(vec![
-                Payload::U64(w as u64),
-                Payload::List(
-                    refs.iter()
-                        .map(|r| Payload::CloudObject(r.clone()))
-                        .collect(),
-                ),
-            ])
-        })
-        .collect();
+    // Workers with no chunks are dropped: only the rest scatter.
+    let scatter_inputs = worker_inputs(refs, workers, false);
+    let scatter_workers = scatter_inputs.len();
     let scatter_cfg = cfg.clone();
     let factory: serverful::job::TaskFactory = Arc::new(move |input: &Payload| {
-        let items = input.as_list().expect("scatter input is a list");
-        let w = items[0].as_u64().expect("worker index") as usize;
-        let refs: Vec<CloudObjectRef> = items[1]
-            .as_list()
-            .expect("chunk refs")
-            .iter()
-            .map(|p| p.as_cloudobject().expect("chunk ref").clone())
-            .collect();
+        let (w, refs) = decode_worker_input(input);
         Box::new(ScatterTask::new(
             scatter_cfg.clone(),
             w,

@@ -306,6 +306,7 @@ pub fn terasort(name: &str, sort_gb: f64) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::StageEdge;
 
     fn brain_params() -> MetaspaceParams {
         // The Table 2 Brain row as metaspace::jobs computes it.
@@ -337,6 +338,9 @@ mod tests {
             .collect();
         assert_eq!(roots, vec![0, 2]);
         assert_eq!(w.edges[5].len(), 2);
+        // Shuffles are all-to-all; map chains are one-to-one.
+        assert_eq!(w.edges[4], vec![StageEdge::all_to_all(1)], "ds-segment");
+        assert_eq!(w.edges[6], vec![StageEdge::one_to_one(5)], "metrics");
     }
 
     #[test]

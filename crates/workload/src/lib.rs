@@ -14,8 +14,9 @@
 //!   upstream range stays in bounds), and resource sanity (no zero-task
 //!   stages, finite non-negative volumes, positive exchanges).
 //! - Deterministic scaling ([`Workload::scaled`]): task counts and
-//!   exchange volumes multiplied down with explicit floors, so smoke
-//!   tests and fleet tenants run the same *shape* at tractable volume.
+//!   exchange volumes multiplied down with fixed floors (two tasks,
+//!   0.005 GB), so smoke tests and fleet tenants run the same *shape*
+//!   at tractable volume.
 //! - A line-oriented text DSL ([`dsl::parse`] / [`dsl::emit`]) whose
 //!   canonical form round-trips exactly, plus a [`WorkloadBuilder`] for
 //!   programmatic construction.
@@ -39,7 +40,6 @@ mod spec;
 
 pub use dsl::{emit, parse, DslError};
 pub use spec::{
-    ScaleOptions, Stage, StageEdge, StageKind, ValidateError, Workload, WorkloadBuilder,
-    MAX_CPU_SECS_PER_TASK, MAX_EXCHANGE_GB_PER_STAGE, MAX_READ_MB_PER_TASK, MAX_TASKS_PER_STAGE,
-    MAX_WRITE_MB_PER_TASK,
+    Stage, StageEdge, StageKind, ValidateError, Workload, WorkloadBuilder, MAX_CPU_SECS_PER_TASK,
+    MAX_EXCHANGE_GB_PER_STAGE, MAX_READ_MB_PER_TASK, MAX_TASKS_PER_STAGE, MAX_WRITE_MB_PER_TASK,
 };

@@ -129,23 +129,14 @@ impl fmt::Display for ValidateError {
 
 impl std::error::Error for ValidateError {}
 
-/// Floors applied by [`Workload::scaled_with`] so a down-scaled
-/// workload stays schedulable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScaleOptions {
-    /// Minimum tasks any scaled stage keeps (clamped to at least 1 —
-    /// a zero-task stage can never be released, so no scale may produce
-    /// one).
-    pub min_tasks: usize,
-    /// Minimum exchange volume (GB) any scaled stateful stage keeps.
-    pub min_exchange_gb: f64,
-}
+/// Fewest tasks a stage keeps under [`Workload::scaled`]: two, so every
+/// scaled stage still exercises parallel dispatch (and none rounds to a
+/// zero-task stage, which could never be released).
+const MIN_SCALED_TASKS: usize = 2;
 
-impl Default for ScaleOptions {
-    fn default() -> Self {
-        ScaleOptions { min_tasks: 1, min_exchange_gb: 0.005 }
-    }
-}
+/// Smallest exchange (GB) a stateful stage keeps under
+/// [`Workload::scaled`].
+const MIN_SCALED_EXCHANGE_GB: f64 = 0.005;
 
 /// A named stage-DAG workload description: the stage list plus one
 /// dependency list per stage, aligned index-for-index.
@@ -289,38 +280,28 @@ impl Workload {
         Ok(())
     }
 
-    /// Down-scales the workload with default floors (see
-    /// [`ScaleOptions::default`]): task counts and exchange volumes
-    /// multiplied by `scale`, per-task work unchanged, and no stage
-    /// ever rounding below one task.
+    /// Down-scales the workload: task counts and exchange volumes
+    /// multiplied by `scale`, per-task work unchanged. Every stage keeps
+    /// at least two tasks and every exchange at least 0.005 GB, so smoke
+    /// tests and fleet tenants run the same *shape* at tractable volume.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < scale <= 1`.
     pub fn scaled(&self, scale: f64) -> Workload {
-        self.scaled_with(scale, &ScaleOptions::default())
-    }
-
-    /// Down-scales the workload with explicit floors.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < scale <= 1`.
-    pub fn scaled_with(&self, scale: f64, opts: &ScaleOptions) -> Workload {
         assert!(
             scale > 0.0 && scale <= 1.0,
             "scale must be in (0, 1], got {scale}"
         );
-        let min_tasks = opts.min_tasks.max(1);
         let stages = self
             .stages
             .iter()
             .cloned()
             .map(|mut s| {
-                s.tasks = ((s.tasks as f64 * scale).round() as usize).max(min_tasks);
+                s.tasks = ((s.tasks as f64 * scale).round() as usize).max(MIN_SCALED_TASKS);
                 if let StageKind::Stateful { exchange_gb } = s.kind {
                     s.kind = StageKind::Stateful {
-                        exchange_gb: (exchange_gb * scale).max(opts.min_exchange_gb),
+                        exchange_gb: (exchange_gb * scale).max(MIN_SCALED_EXCHANGE_GB),
                     };
                 }
                 s
@@ -522,31 +503,19 @@ mod tests {
 
     #[test]
     fn tiny_scales_never_drop_to_zero_tasks() {
-        // The regression the scaler floor exists for: rounding a small
-        // stage at a tiny scale used to be able to produce zero tasks.
+        // A small stage at a tiny scale rounds to zero tasks; the scaler
+        // keeps two so the stage still runs in parallel (and a zero-task
+        // stage could never be released).
         let mut w = chain(3);
         w.stages[0].tasks = 1;
         w.stages[1].kind = StageKind::Stateful { exchange_gb: 1.0 };
         let s = w.scaled(0.001);
-        assert!(s.stages.iter().all(|s| s.tasks >= 1), "{s:?}");
+        assert!(s.stages.iter().all(|s| s.tasks == 2), "{s:?}");
         s.validate().expect("scaled workload stays valid");
         match s.stages[1].kind {
-            StageKind::Stateful { exchange_gb } => assert!(exchange_gb >= 0.005),
+            StageKind::Stateful { exchange_gb } => assert_eq!(exchange_gb, 0.005),
             _ => unreachable!(),
         }
-    }
-
-    #[test]
-    fn scaling_respects_explicit_floors() {
-        let w = chain(2);
-        let s = w.scaled_with(
-            0.01,
-            &ScaleOptions { min_tasks: 2, min_exchange_gb: 0.5 },
-        );
-        assert!(s.stages.iter().all(|s| s.tasks >= 2));
-        // min_tasks = 0 still floors at 1.
-        let s1 = w.scaled_with(0.01, &ScaleOptions { min_tasks: 0, min_exchange_gb: 0.005 });
-        assert!(s1.stages.iter().all(|s| s.tasks >= 1));
     }
 
     #[test]

@@ -12,51 +12,63 @@
 //! cargo run --release --example plan_search
 //! ```
 
-use serverful_repro::metaspace::{Stage, StageKind};
+use serverful_repro::metaspace::{Stage, StageKind, Workload};
 use serverful_repro::planner::{search, Evaluator, Objective, SearchConfig, SearchSpace};
+use serverful_repro::serverful::FanIn;
 
 /// A small ETL-ish pipeline: a wide stateless ingest, a stateful
 /// exchange that must fit somewhere, and a cheap stateless scoring
-/// pass over the sorted output.
-fn toy_stages() -> Vec<Stage> {
-    vec![
-        Stage {
-            name: "ingest".into(),
-            tasks: 64,
-            cpu_secs_per_task: 2.0,
-            read_mb_per_task: 48.0,
-            write_mb_per_task: 24.0,
-            kind: StageKind::Stateless {
-                read_spread: 4,
-                write_spread: 4,
+/// pass over the sorted output, each stage all-to-all after the one
+/// before.
+fn toy_workload() -> Workload {
+    Workload::builder("toy-etl")
+        .stage(
+            Stage {
+                name: "ingest".into(),
+                tasks: 64,
+                cpu_secs_per_task: 2.0,
+                read_mb_per_task: 48.0,
+                write_mb_per_task: 24.0,
+                kind: StageKind::Stateless {
+                    read_spread: 4,
+                    write_spread: 4,
+                },
             },
-        },
-        Stage {
-            name: "shuffle-sort".into(),
-            tasks: 32,
-            cpu_secs_per_task: 3.0,
-            read_mb_per_task: 0.0,
-            write_mb_per_task: 0.0,
-            kind: StageKind::Stateful { exchange_gb: 1.5 },
-        },
-        Stage {
-            name: "score".into(),
-            tasks: 64,
-            cpu_secs_per_task: 1.0,
-            read_mb_per_task: 24.0,
-            write_mb_per_task: 4.0,
-            kind: StageKind::Stateless {
-                read_spread: 4,
-                write_spread: 1,
+            &[],
+        )
+        .stage(
+            Stage {
+                name: "shuffle-sort".into(),
+                tasks: 32,
+                cpu_secs_per_task: 3.0,
+                read_mb_per_task: 0.0,
+                write_mb_per_task: 0.0,
+                kind: StageKind::Stateful { exchange_gb: 1.5 },
             },
-        },
-    ]
+            &[("ingest", FanIn::AllToAll)],
+        )
+        .stage(
+            Stage {
+                name: "score".into(),
+                tasks: 64,
+                cpu_secs_per_task: 1.0,
+                read_mb_per_task: 24.0,
+                write_mb_per_task: 4.0,
+                kind: StageKind::Stateless {
+                    read_spread: 4,
+                    write_spread: 1,
+                },
+            },
+            &[("shuffle-sort", FanIn::AllToAll)],
+        )
+        .build()
+        .expect("the toy pipeline is valid")
 }
 
 fn main() {
-    let stages = toy_stages();
-    let evaluator = Evaluator::new("toy-etl", stages.clone(), 42);
-    let space = SearchSpace::standard(&stages);
+    let w = toy_workload();
+    let evaluator = Evaluator::for_workload(&w, 42);
+    let space = SearchSpace::standard(&w.stages);
 
     let cfg = SearchConfig {
         objective: Objective::Pareto,

@@ -87,6 +87,17 @@ if grep -rnE "fetch_input|io_compute_overlap|ssh_setup|map_setup_secs|search_und
     echo "an executor setting no caller sets (or its dead path) is back" >&2
     exit 1
 fi
+# A stage graph has one description, its workload::Workload: the runner,
+# the planner, the fleet and the bench take its edges as declared and
+# scale it with one set of floors. The name-matched METASPACE edge table
+# with its linear-chain fallback, the runner wrappers and evaluator that
+# fed it a bare stage list, and per-caller scaling floors must not come
+# back.
+if grep -rnE '\bpipeline::edges\b|\bCANON\b|\bscaled_stages\b|\bscaled_workload\b|\brun_plan_stages|\brun_plan\b|\brun_plan_with\b|\brun_annotation_with\b|\brun_annotation_traced\b|\bEvaluator::new\b|\bScaleOptions\b|\bscaled_with\b' \
+        crates/*/src; then
+    echo "a second stage-graph description (name-matched edges, bare-stage runners or scale options) is back" >&2
+    exit 1
+fi
 # Every simulated event passes through the event queue and a few maps
 # keyed by ids the program issues itself. The queue is a slot-indexed
 # heap, and those maps are simkernel::IdMap / IdSet (an unkeyed hash);
@@ -187,6 +198,17 @@ status=0
 [[ "$status" -eq 2 ]] && grep -q "^--arrival-rate needs a finite positive number" /tmp/fleet_inf.txt \
     || { echo "repro fleet --arrival-rate inf: exit $status, not the usage error" >&2; \
          cat /tmp/fleet_inf.txt >&2; exit 1; }
+# So is an arrival window that is infinite or too long for virtual time
+# to hold, not an overflow panic in simkernel.
+for window in "--arrival-rate 1e-280 --duration 1e300" "--duration inf"; do
+    status=0
+    # shellcheck disable=SC2086 # the flags split into words on purpose
+    ./target/release/repro fleet smoke $window > /dev/null 2> /tmp/fleet_window.txt \
+        || status=$?
+    [[ "$status" -eq 2 ]] && grep -q "^--duration needs a positive number of seconds" /tmp/fleet_window.txt \
+        || { echo "repro fleet smoke $window: exit $status, not the usage error" >&2; \
+             cat /tmp/fleet_window.txt >&2; exit 1; }
+done
 
 echo "== provider registry + spot-market smoke =="
 # The region table must list every registered region, and the provider

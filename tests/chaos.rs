@@ -10,7 +10,7 @@ use std::sync::Arc;
 use serverful_repro::cloudsim::{
     CloudConfig, FaultConfig, Notify, ObjectBody, OpId, OpOutcome, StorageRequest, World,
 };
-use serverful_repro::metaspace::{jobs, run_annotation_with, Architecture};
+use serverful_repro::metaspace::{jobs, pipeline, run_workload, Architecture, DeploymentPlan};
 use serverful_repro::serverful::executor::MapOptions;
 use serverful_repro::serverful::{
     Backend, CloudEnv, ExecMode, ExecutorConfig, FunctionExecutor, Payload, RetryPolicy,
@@ -385,11 +385,13 @@ fn hybrid_still_beats_serverless_under_chaos() {
         faults: FaultConfig::at_rate(0.02),
         ..CloudConfig::default()
     };
-    let job = jobs::xenograft();
-    let cf = run_annotation_with(&job, Architecture::Serverless, 1, cloud.clone())
-        .expect("serverless under chaos");
-    let hy = run_annotation_with(&job, Architecture::Hybrid, 1, cloud)
-        .expect("hybrid under chaos");
+    let w = pipeline::job_workload(&jobs::xenograft());
+    let run = |arch| {
+        let plan = DeploymentPlan::for_architecture(arch, &w.stages);
+        run_workload(&w, &plan, 1, cloud.clone(), false).map(|(report, _)| report)
+    };
+    let cf = run(Architecture::Serverless).expect("serverless under chaos");
+    let hy = run(Architecture::Hybrid).expect("hybrid under chaos");
     assert!(
         hy.cost_performance() > cf.cost_performance(),
         "hybrid {} vs serverless {} under faults",

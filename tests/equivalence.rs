@@ -11,7 +11,7 @@
 
 use serverful_repro::cloudsim::CloudConfig;
 use serverful_repro::metaspace::{
-    self, jobs::JobSpec, plan::PlanKind, workloads, DeploymentPlan, FunctionsPlan,
+    self, jobs::JobSpec, pipeline, plan::PlanKind, workloads, DeploymentPlan, FunctionsPlan,
 };
 use serverful_repro::serverful::ExecutionMode;
 
@@ -33,14 +33,11 @@ fn with_mode(base: DeploymentPlan, mode: ExecutionMode) -> DeploymentPlan {
 /// Runs one (spec, mode) hybrid cell twice with tracing on and asserts
 /// the two runs match byte for byte.
 fn assert_repeat_identical(spec: &JobSpec, mode: ExecutionMode, smoke: bool, seed: u64) {
-    let stages = if smoke {
-        metaspace::pipeline::scaled_stages(spec, 0.02)
-    } else {
-        metaspace::pipeline::stages(spec)
-    };
-    let plan = with_mode(DeploymentPlan::hybrid(&stages), mode);
+    let w = pipeline::job_workload(spec);
+    let w = if smoke { w.scaled(0.02) } else { w };
+    let plan = with_mode(DeploymentPlan::hybrid(&w.stages), mode);
     let run = || {
-        metaspace::run_plan_stages(spec.name, &stages, &plan, seed, CloudConfig::default(), true)
+        metaspace::run_workload(&w, &plan, seed, CloudConfig::default(), true)
             .unwrap_or_else(|e| panic!("{} {mode}: {e}", spec.name))
     };
     let (first_report, first_trace) = run();
@@ -106,19 +103,11 @@ fn repeat_runs_match_smoke_x089_pipelined() {
 #[test]
 fn repeat_runs_match_smoke_serverless_plans_and_seeds() {
     for mode in [ExecutionMode::Barrier, ExecutionMode::Pipelined] {
-        let spec = metaspace::jobs::brain();
-        let stages = metaspace::pipeline::scaled_stages(&spec, 0.02);
-        let plan = with_mode(DeploymentPlan::serverless(&stages), mode);
+        let w = pipeline::job_workload(&metaspace::jobs::brain()).scaled(0.02);
+        let plan = with_mode(DeploymentPlan::serverless(&w.stages), mode);
         let run = |seed: u64| {
-            metaspace::run_plan_stages(
-                spec.name,
-                &stages,
-                &plan,
-                seed,
-                CloudConfig::default(),
-                true,
-            )
-            .expect("serverless smoke run completes")
+            metaspace::run_workload(&w, &plan, seed, CloudConfig::default(), true)
+                .expect("serverless smoke run completes")
         };
         let mut traces = Vec::new();
         for seed in [1, 42] {

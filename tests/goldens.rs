@@ -39,8 +39,8 @@ use serverful_repro::fleet::{
     self, report, run_scenario, FleetReport, PolicyOutcome, Scenario, TenantSpec,
 };
 use serverful_repro::metaspace::{
-    self, jobs, plan::PlanKind, run_annotation_traced, workloads, Architecture, DeploymentPlan,
-    FunctionsPlan, TraceOutput,
+    self, jobs, pipeline, plan::PlanKind, workloads, Architecture, DeploymentPlan, FunctionsPlan,
+    TraceOutput,
 };
 use serverful_repro::serverful::executor::MapOptions;
 use serverful_repro::serverful::{
@@ -147,9 +147,11 @@ fn traced(job: &str, arch: Architecture, seed: u64) -> TraceOutput {
         .into_iter()
         .find(|j| j.name == job)
         .expect("job in Table 2");
+    let w = pipeline::job_workload(&spec);
+    let plan = DeploymentPlan::for_architecture(arch, &w.stages);
     let (_, trace) =
-        run_annotation_traced(&spec, arch, seed, CloudConfig::default()).expect("traced run");
-    trace
+        metaspace::run_workload(&w, &plan, seed, CloudConfig::default(), true).expect("traced run");
+    trace.expect("traced run returns a trace")
 }
 
 /// The tracer is deterministic: two runs of the same seeded job emit
@@ -291,9 +293,8 @@ fn vm_fleet_path() -> String {
 /// measured window.
 fn brain_kill_path(recovery: RecoveryMode, execution: ExecutionMode) -> String {
     const KILL_AT: u64 = 300;
-    let spec = jobs::brain();
-    let stages = metaspace::pipeline::scaled_stages(&spec, 0.02);
-    let base = DeploymentPlan::hybrid(&stages);
+    let w = pipeline::job_workload(&jobs::brain()).scaled(0.02);
+    let base = DeploymentPlan::hybrid(&w.stages);
     let PlanKind::Functions(f) = &base.kind else {
         unreachable!("hybrid is a functions plan")
     };
@@ -306,15 +307,9 @@ fn brain_kill_path(recovery: RecoveryMode, execution: ExecutionMode) -> String {
             ..f.clone()
         },
     );
-    let (report, chaos) = metaspace::run_plan_stages_chaos(
-        spec.name,
-        &stages,
-        &plan,
-        GOLDEN_SEED,
-        CloudConfig::default(),
-        &[KILL_AT],
-    )
-    .expect("a recoverable master kill");
+    let (report, chaos) =
+        metaspace::run_workload_chaos(&w, &plan, GOLDEN_SEED, CloudConfig::default(), &[KILL_AT])
+            .expect("a recoverable master kill");
     format!(
         "brain-kill@{KILL_AT}-{}: wall={:#018x} events={} billed={:#018x} lists={} \
          science={:#018x}\n  faults={:?}\n  recovery={:?}\n",
@@ -414,24 +409,17 @@ fn whatif_pipelined() -> String {
 /// The smoke-scaled Brain hybrid, run Pipelined with tracing on: wall
 /// and billing bits plus a digest of the whole Chrome trace.
 fn brain_pipelined_trace() -> String {
-    let spec = jobs::brain();
-    let stages = metaspace::pipeline::scaled_stages(&spec, 0.02);
+    let w = pipeline::job_workload(&jobs::brain()).scaled(0.02);
     let plan = DeploymentPlan::functions(
         "hybrid-pipelined",
         FunctionsPlan {
             execution: ExecutionMode::Pipelined,
-            ..FunctionsPlan::hybrid(&stages)
+            ..FunctionsPlan::hybrid(&w.stages)
         },
     );
-    let (report, trace) = metaspace::run_plan_stages(
-        spec.name,
-        &stages,
-        &plan,
-        GOLDEN_SEED,
-        CloudConfig::default(),
-        true,
-    )
-    .expect("traced pipelined run");
+    let (report, trace) =
+        metaspace::run_workload(&w, &plan, GOLDEN_SEED, CloudConfig::default(), true)
+            .expect("traced pipelined run");
     let trace = trace.expect("traced run returns a trace");
     format!(
         "brain-pipelined-trace: wall={:#018x} billed={:#018x} chrome={:#018x}\n",

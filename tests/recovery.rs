@@ -21,7 +21,8 @@
 
 use serverful_repro::cloudsim::CloudConfig;
 use serverful_repro::metaspace::{
-    self, jobs::JobSpec, plan::PlanKind, ChaosReport, DeploymentPlan, FunctionsPlan, Stage,
+    self, jobs::JobSpec, pipeline, plan::PlanKind, ChaosReport, DeploymentPlan, FunctionsPlan,
+    Stage, Workload,
 };
 use serverful_repro::serverful::{ExecError, ExecutionMode, RecoveryMode};
 use serverful_repro::simkernel::SimRng;
@@ -52,12 +53,16 @@ fn cell_plan(
 }
 
 fn run_cell(
-    spec: &JobSpec,
-    stages: &[Stage],
+    w: &Workload,
     plan: &DeploymentPlan,
     kills: &[u64],
 ) -> Result<(metaspace::AnnotationReport, ChaosReport), ExecError> {
-    metaspace::run_plan_stages_chaos(spec.name, stages, plan, SEED, CloudConfig::default(), kills)
+    metaspace::run_workload_chaos(w, plan, SEED, CloudConfig::default(), kills)
+}
+
+/// Brain's workload at the smoke scale (same shape, ~2% volume).
+fn smoke_brain() -> Workload {
+    pipeline::job_workload(&metaspace::jobs::brain()).scaled(0.02)
 }
 
 /// Runs one matrix cell: fault-free baseline, then a seeded master
@@ -75,16 +80,13 @@ fn assert_cell_survives(
     vm_count: usize,
     case: u64,
 ) {
-    let stages = if scale < 1.0 {
-        metaspace::pipeline::scaled_stages(spec, scale)
-    } else {
-        metaspace::pipeline::stages(spec)
-    };
-    let plan = cell_plan(&stages, execution, recovery, vm_count);
+    let w = pipeline::job_workload(spec);
+    let w = if scale < 1.0 { w.scaled(scale) } else { w };
+    let plan = cell_plan(&w.stages, execution, recovery, vm_count);
     let ctx = format!("{} {}", spec.name, plan.name);
 
     let (base_report, base_chaos) =
-        run_cell(spec, &stages, &plan, &[]).unwrap_or_else(|e| panic!("{ctx}: fault-free: {e}"));
+        run_cell(&w, &plan, &[]).unwrap_or_else(|e| panic!("{ctx}: fault-free: {e}"));
     assert!(
         base_chaos.events_routed > 100,
         "{ctx}: suspiciously quiet baseline ({} events)",
@@ -108,7 +110,7 @@ fn assert_cell_survives(
     let kill = rng.uniform_u64(span / 8, span / 2 + 1);
     let kills = [kill];
 
-    let (killed_report, killed_chaos) = run_cell(spec, &stages, &plan, &kills)
+    let (killed_report, killed_chaos) = run_cell(&w, &plan, &kills)
         .unwrap_or_else(|e| panic!("{ctx}: killed at event {kill}/{span}: {e}"));
     assert_eq!(
         killed_chaos.science_digest, base_chaos.science_digest,
@@ -135,8 +137,8 @@ fn assert_cell_survives(
     }
 
     // Same cell, same kill schedule: byte-identical replay.
-    let (rep_report, rep_chaos) = run_cell(spec, &stages, &plan, &kills)
-        .unwrap_or_else(|e| panic!("{ctx}: repeat killed run: {e}"));
+    let (rep_report, rep_chaos) =
+        run_cell(&w, &plan, &kills).unwrap_or_else(|e| panic!("{ctx}: repeat killed run: {e}"));
     assert_eq!(
         rep_chaos.science_digest, killed_chaos.science_digest,
         "{ctx}: repeat diverged in outputs"
@@ -260,18 +262,17 @@ fn smoke_matrix_consolidated_host() {
 /// repeated losses within one run.
 #[test]
 fn smoke_double_kill_checkpointed() {
-    let spec = metaspace::jobs::brain();
-    let stages = metaspace::pipeline::scaled_stages(&spec, 0.02);
+    let w = smoke_brain();
     let plan = cell_plan(
-        &stages,
+        &w.stages,
         ExecutionMode::Barrier,
         RecoveryMode::Checkpointed,
         SMOKE_FLEET,
     );
-    let (_, base) = run_cell(&spec, &stages, &plan, &[]).expect("fault-free baseline");
+    let (_, base) = run_cell(&w, &plan, &[]).expect("fault-free baseline");
     let span = base.events_routed;
     let kills = [span / 4, span / 2];
-    let (_, killed) = run_cell(&spec, &stages, &plan, &kills)
+    let (_, killed) = run_cell(&w, &plan, &kills)
         .unwrap_or_else(|e| panic!("double kill at {kills:?}/{span}: {e}"));
     assert_eq!(
         killed.science_digest, base.science_digest,
@@ -288,15 +289,14 @@ fn smoke_double_kill_checkpointed() {
 /// under the smoke job's serverful phase).
 #[test]
 fn checkpoints_are_written_fault_free() {
-    let spec = metaspace::jobs::brain();
-    let stages = metaspace::pipeline::scaled_stages(&spec, 0.02);
+    let w = smoke_brain();
     let plan = cell_plan(
-        &stages,
+        &w.stages,
         ExecutionMode::Barrier,
         RecoveryMode::Checkpointed,
         SMOKE_FLEET,
     );
-    let (_, chaos) = run_cell(&spec, &stages, &plan, &[]).expect("fault-free run");
+    let (_, chaos) = run_cell(&w, &plan, &[]).expect("fault-free run");
     assert!(
         chaos.recovery.checkpoints_written >= 1,
         "checkpointed mode never wrote a snapshot ({:?})",
@@ -315,22 +315,19 @@ fn checkpoints_are_written_fault_free() {
 /// chaos matrix above is vacuous.
 #[test]
 fn protected_master_kill_fails_the_run() {
-    let spec = metaspace::jobs::brain();
-    let stages = metaspace::pipeline::scaled_stages(&spec, 0.02);
+    let w = smoke_brain();
     for vm_count in [1, SMOKE_FLEET] {
         let plan = cell_plan(
-            &stages,
+            &w.stages,
             ExecutionMode::Barrier,
             RecoveryMode::Protected,
             vm_count,
         );
-        let (_, base) = run_cell(&spec, &stages, &plan, &[]).expect("fault-free baseline");
+        let (_, base) = run_cell(&w, &plan, &[]).expect("fault-free baseline");
         let kill = base.events_routed / 4;
-        let err = run_cell(&spec, &stages, &plan, &[kill])
-            .err()
-            .unwrap_or_else(|| {
-                panic!("protected vm{vm_count}: run survived a master kill at {kill}")
-            });
+        let err = run_cell(&w, &plan, &[kill]).err().unwrap_or_else(|| {
+            panic!("protected vm{vm_count}: run survived a master kill at {kill}")
+        });
         assert!(
             matches!(
                 err,
