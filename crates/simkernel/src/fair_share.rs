@@ -22,58 +22,75 @@
 //!
 //! Flows that name the same group slots in the same order form a
 //! *signature*, e.g. one host's NIC plus one key prefix. Every member of
-//! a signature has the same rate at every instant, so each interval
-//! takes the same `rate * dt` off all of them and their order by
-//! remaining bytes never changes. Each signature keeps its members in
-//! that order: the one with the fewest remaining bytes inline, the rest
-//! in a buffer sorted most-first, so the next to finish is popped from
-//! its back. Signatures live in one vector; an emptied one moves past
-//! the live ones and is reused, buffer included, by the next new
-//! signature. Groups live in a vector indexed by the slot
+//! a signature has the same rate at every instant, so the signature
+//! keeps one service counter, `served`: the bytes it has served to each
+//! member since it opened. An interval `dt` adds `rate * dt` to the
+//! counter and touches no member. A member keeps the finish tag
+//! `served + bytes` taken when it starts and never changed after, so its
+//! remaining bytes are `(tag - served).max(0.0)` and the member with the
+//! smallest tag is the next to finish. Each signature keeps that member
+//! inline and the others in a buffer sorted by tag, largest first, so
+//! the next to finish is popped from its back.
+//!
+//! Each signature also caches its rate. A start, a finish or a cap
+//! change marks every cached rate stale, and the next call that needs
+//! rates computes them again, once per signature. Signatures live in one
+//! vector; an emptied one moves past the live ones and is reused, buffer
+//! included, by the next new signature, with its counter back at zero.
+//! Groups live in a vector indexed by the slot
 //! [`FairShare::set_group_cap`] assigned, each caching its per-member
 //! share `cap / members`.
 //!
-//! So the cost of a call is O(signatures), not O(flows), for the rates
-//! (one per signature), for [`FairShare::next_completion`] (a
-//! signature's next completion is its smallest member's) and for finding
-//! the finished flows in [`FairShare::advance`] (a prefix of each
-//! signature). What stays O(flows) is bringing progress up to date, one
-//! contiguous `(remaining - served).max(0.0)` loop per signature, and
-//! placing a started flow among its signature's members. Only
-//! `set_group_cap` and `start` map a group id to its slot. `start` finds
-//! a flow's signature by comparing slots, with no hashing, and skips the
-//! search when one of its groups had no members: then no signature names
-//! that group. A signature of one flow holds it inline and allocates
-//! nothing.
+//! So bringing progress up to date, [`FairShare::next_completion`] and
+//! finding the finished flows in [`FairShare::advance`] each touch every
+//! live signature once and no member: a call costs O(signatures), not
+//! O(flows). Per member there is only placing a started flow among its
+//! signature's members and popping a finished one. Only `set_group_cap`
+//! and `start` map a group id to its slot. `start` finds a flow's
+//! signature by comparing slots, with no hashing, and skips the search
+//! when one of its groups had no members: then no signature names that
+//! group. A signature of one flow holds it inline and allocates nothing.
+//!
+//! A counter grows for as long as its signature has members, and
+//! `tag - served` loses resolution as it grows: at 2^40 bytes the float
+//! spacing is 2^-12 B, 24 µs at 10 B/s. So once a counter passes 2^32
+//! bytes the signature is *rebased*: the counter is subtracted from each
+//! member's tag and set to zero. Below 2^32 the spacing is at most
+//! 2^-20 B (~1e-6 B), that of a few-GB per-flow value.
 //!
 //! # Exactness
 //!
-//! Simulated outputs depend bit for bit on these float operations, which
-//! are those of the per-flow formula, with the same operands in the same
-//! order:
+//! Simulated outputs depend bit for bit on these float operations:
 //!
 //! * rate is `per_flow.min(aggregate / n)`, then `.min(share)` for each
 //!   of the flow's groups in the order given to `start`. `min` is exact,
 //!   so one rate per signature is every member's rate;
-//! * over an interval `dt`, remaining becomes
-//!   `(remaining - rate * dt).max(0.0)`, with `rate * dt` rounded once
-//!   per signature. Rounding is monotone, so the step keeps a
-//!   signature's members in order;
-//! * the next completion is `ceil(min(remaining.max(0) / rate) * 1e6)` µs
-//!   after the last update. Dividing by a positive rate is monotone, so a
-//!   signature's minimum is its smallest member's, and `min` over the
+//! * over an interval `dt`, a signature's counter becomes
+//!   `served + rate * dt`. If that exceeds 2^32 bytes, every member's tag
+//!   becomes `tag - served` and the counter zero;
+//! * a flow of `bytes` started into a signature takes the tag
+//!   `served + bytes`, after progress is brought up to the start. A
+//!   signature that opens, or opens again after it emptied, starts its
+//!   counter at zero;
+//! * a member is done once `tag - served` is at most 1e-3 B. Rounding is
+//!   monotone, so sorting by tag sorts by remaining bytes, and the done
+//!   members are a prefix;
+//! * the next completion is `ceil(min((tag - served).max(0) / rate) * 1e6)`
+//!   µs after the last update. Dividing by a positive rate is monotone,
+//!   so a signature's minimum is its smallest tag's, and `min` over the
 //!   signatures is order-free;
-//! * finished flows are reported, and their residue added to
-//!   [`FairShare::completed_bytes`], in [`FlowId`] order: they are
-//!   gathered from the signatures into a buffer the pool keeps, and
-//!   sorted by id first. The ids go into a vector the caller owns, so a
-//!   call allocates nothing once both buffers have grown.
+//! * finished flows are reported, and their residue
+//!   `(tag - served).max(0)` added to [`FairShare::finished_residue_bytes`],
+//!   in [`FlowId`] order: they are gathered from the signatures into a
+//!   buffer the pool keeps, and sorted by id first. The ids go into a
+//!   vector the caller owns, so a call allocates nothing once both
+//!   buffers have grown.
 //!
-//! The pool is deliberately not a virtual-time design, a cumulative
-//! service counter per signature and a heap of finish tags, which would
-//! drop the O(flows) step and make each call O(log n): that design
-//! subtracts service in a different association order, which moves
-//! completions by a microsecond.
+//! In exact arithmetic this is the per-flow formula, each flow's
+//! remaining bytes falling by `rate * dt` over every interval. In floats
+//! the counter sums the services in another association order, so a
+//! completion may come a microsecond apart from that formula's, with the
+//! same flows in flight at every step.
 
 use crate::idmap::IdMap;
 use crate::time::{SimDuration, SimTime};
@@ -86,6 +103,10 @@ pub struct FlowId(u64);
 /// float residue when progress is integrated in pieces.
 const DONE_EPSILON_BYTES: f64 = 1e-3;
 
+/// A signature whose counter passes this many bytes is rebased, so that
+/// `tag - served` keeps a resolution of 2^-20 B.
+const REBASE_BYTES: f64 = (1u64 << 32) as f64;
+
 /// The most groups one flow may belong to: the world constrains a flow by
 /// the requester's NIC and the key prefix, or by both endpoints' NICs.
 const MAX_GROUPS: usize = 2;
@@ -97,7 +118,8 @@ const NO_SLOT: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy)]
 struct Member {
     id: FlowId,
-    remaining: f64,
+    /// Its signature's counter at which the flow is done.
+    tag: f64,
 }
 
 /// The in-flight flows that name the same group slots in the same order.
@@ -105,9 +127,14 @@ struct Member {
 struct Signature {
     /// Slots of the groups in [`FairShare::groups`], then [`NO_SLOT`].
     slots: [u32; MAX_GROUPS],
-    /// The member with the fewest remaining bytes: the next to finish.
+    /// Bytes served to each member since the signature opened or was
+    /// last rebased.
+    served: f64,
+    /// Every member's rate, unless [`FairShare::rates_stale`] is set.
+    rate: f64,
+    /// The member with the smallest tag: the next to finish.
     head: Member,
-    /// The other members, most remaining bytes first.
+    /// The other members, largest tag first.
     rest: Vec<Member>,
 }
 
@@ -116,21 +143,31 @@ impl Signature {
         self.slots.iter().take_while(|&&slot| slot != NO_SLOT)
     }
 
-    /// Every member's rate: `base` capped by each of the groups' shares.
-    fn rate(&self, base: f64, groups: &[Group]) -> f64 {
-        self.slots()
-            .fold(base, |rate, &slot| rate.min(groups[slot as usize].share))
+    /// The head's remaining bytes, negative once it overshot.
+    fn head_left(&self) -> f64 {
+        self.head.tag - self.served
     }
 
-    /// Adds a member in its place by remaining bytes.
+    /// Adds a member in its place by tag.
     fn insert(&mut self, member: Member) {
-        if member.remaining < self.head.remaining {
+        if member.tag < self.head.tag {
             self.rest.push(std::mem::replace(&mut self.head, member));
         } else {
-            let at = self
-                .rest
-                .partition_point(|m| m.remaining > member.remaining);
+            let at = self.rest.partition_point(|m| m.tag > member.tag);
             self.rest.insert(at, member);
+        }
+    }
+
+    /// Serves `bytes` to every member, rebasing the signature once its
+    /// counter passes [`REBASE_BYTES`].
+    fn serve(&mut self, bytes: f64) {
+        self.served += bytes;
+        if self.served > REBASE_BYTES {
+            let served = std::mem::take(&mut self.served);
+            self.head.tag -= served;
+            for m in &mut self.rest {
+                m.tag -= served;
+            }
         }
     }
 }
@@ -173,16 +210,19 @@ pub struct FairShare {
     live: usize,
     /// In-flight flows, over all signatures.
     flows: usize,
-    /// The members one [`Self::advance`] call finished; empty between
-    /// calls, kept for its capacity.
-    finished: Vec<Member>,
+    /// Set when a start, a finish or a cap change may have moved the
+    /// live signatures' rates since they were last computed.
+    rates_stale: bool,
+    /// The flows one [`Self::advance`] call finished, each with its
+    /// `tag - served`; empty between calls, kept for its capacity.
+    finished: Vec<(FlowId, f64)>,
     groups: Vec<Group>,
     /// Group id to its slot in `groups`.
     slot_of: IdMap<u64, u32>,
     last_update: SimTime,
     next_id: u64,
-    /// Total bytes that have finished transferring through this pool.
-    completed_bytes: f64,
+    /// See [`Self::finished_residue_bytes`].
+    finished_residue: f64,
 }
 
 impl FairShare {
@@ -206,12 +246,13 @@ impl FairShare {
             sigs: Vec::new(),
             live: 0,
             flows: 0,
+            rates_stale: false,
             finished: Vec::new(),
             groups: Vec::new(),
             slot_of: IdMap::default(),
             last_update: SimTime::ZERO,
             next_id: 0,
-            completed_bytes: 0.0,
+            finished_residue: 0.0,
         }
     }
 
@@ -232,6 +273,7 @@ impl FairShare {
         let group = &mut groups[slot as usize];
         group.cap_bps = cap_bps;
         group.refresh();
+        self.rates_stale = true;
     }
 
     /// Starts a transfer of `bytes` at time `now`, constrained by zero,
@@ -265,12 +307,10 @@ impl FairShare {
             group.active += 1;
             group.refresh();
         }
-        let member = Member {
-            id: FlowId(self.next_id),
-            remaining: bytes as f64,
-        };
+        let id = FlowId(self.next_id);
         self.next_id += 1;
         self.flows += 1;
+        self.rates_stale = true;
         let live = &mut self.sigs[..self.live];
         let found = if fresh {
             None
@@ -278,19 +318,28 @@ impl FairShare {
             live.iter_mut().find(|sig| sig.slots == slots)
         };
         if let Some(sig) = found {
-            sig.insert(member);
-        } else if let Some(sig) = self.sigs.get_mut(self.live) {
-            (sig.slots, sig.head) = (slots, member);
-            self.live += 1;
+            let tag = sig.served + bytes as f64;
+            sig.insert(Member { id, tag });
+            return id;
+        }
+        // A new signature's counter starts at zero.
+        let head = Member {
+            id,
+            tag: bytes as f64,
+        };
+        if let Some(sig) = self.sigs.get_mut(self.live) {
+            (sig.slots, sig.served, sig.head) = (slots, 0.0, head);
         } else {
             self.sigs.push(Signature {
                 slots,
-                head: member,
+                served: 0.0,
+                rate: 0.0,
+                head,
                 rest: Vec::new(),
             });
-            self.live += 1;
         }
-        member.id
+        self.live += 1;
+        id
     }
 
     /// Advances all flows to `now` and fills `done` (cleared first) with
@@ -305,17 +354,18 @@ impl FairShare {
         // Most calls finish nothing; look for a finished head first.
         let first = self.sigs[..self.live]
             .iter()
-            .position(|sig| sig.head.remaining <= DONE_EPSILON_BYTES);
+            .position(|sig| sig.head_left() <= DONE_EPSILON_BYTES);
         let Some(mut i) = first else {
             return;
         };
+        self.rates_stale = true;
         let finished = &mut self.finished;
         while i < self.live {
             let sig = &mut self.sigs[i];
             let before = finished.len();
             let mut emptied = false;
-            while sig.head.remaining <= DONE_EPSILON_BYTES {
-                finished.push(sig.head);
+            while sig.head_left() <= DONE_EPSILON_BYTES {
+                finished.push((sig.head.id, sig.head_left()));
                 match sig.rest.pop() {
                     Some(next) => sig.head = next,
                     None => {
@@ -340,20 +390,20 @@ impl FairShare {
             }
         }
         self.flows -= finished.len();
-        finished.sort_unstable_by_key(|m| m.id);
-        for m in finished.drain(..) {
-            self.completed_bytes += 0.0f64.max(m.remaining); // residue is ~0
-            done.push(m.id);
+        finished.sort_unstable_by_key(|&(id, _)| id);
+        for (id, left) in finished.drain(..) {
+            self.finished_residue += 0.0f64.max(left);
+            done.push(id);
         }
     }
 
     /// The earliest instant at which some current flow completes, assuming
     /// membership does not change. `None` when the pool is idle.
-    pub fn next_completion(&self) -> Option<SimTime> {
-        let base = self.base_rate();
+    pub fn next_completion(&mut self) -> Option<SimTime> {
+        self.refresh_rates();
         let min_secs = self.sigs[..self.live]
             .iter()
-            .map(|sig| sig.head.remaining.max(0.0) / sig.rate(base, &self.groups))
+            .map(|sig| sig.head_left().max(0.0) / sig.rate)
             .fold(f64::INFINITY, f64::min);
         if min_secs.is_finite() {
             // Round up to the next whole microsecond so the driver's tick
@@ -370,16 +420,32 @@ impl FairShare {
         self.flows
     }
 
-    /// Total bytes fully transferred through this pool so far.
-    pub fn completed_bytes(&self) -> f64 {
-        self.completed_bytes
+    /// The bytes that finished flows had left when [`Self::advance`]
+    /// reported them, clamped at zero and summed in [`FlowId`] order.
+    ///
+    /// A flow is done once fewer than 1e-3 bytes are left, so this is
+    /// float residue, about zero, not a count of bytes transferred. Its
+    /// bits expose any change in the pool's float operations.
+    pub fn finished_residue_bytes(&self) -> f64 {
+        self.finished_residue
     }
 
-    /// The cap every flow is under before its groups':
-    /// `per_flow.min(aggregate / n)`.
-    fn base_rate(&self) -> f64 {
+    /// Computes every live signature's rate again if a start, a finish or
+    /// a cap change may have moved it: `per_flow.min(aggregate / n)`,
+    /// then each group's share in order.
+    fn refresh_rates(&mut self) {
+        if !self.rates_stale {
+            return;
+        }
+        self.rates_stale = false;
         let n = self.flows.max(1) as f64;
-        self.per_flow_bps.min(self.aggregate_bps / n)
+        let base = self.per_flow_bps.min(self.aggregate_bps / n);
+        let groups = &self.groups;
+        for sig in &mut self.sigs[..self.live] {
+            sig.rate = sig
+                .slots()
+                .fold(base, |rate, &slot| rate.min(groups[slot as usize].share));
+        }
     }
 
     fn progress_to(&mut self, now: SimTime) {
@@ -396,113 +462,9 @@ impl FairShare {
         }
         // Rates depend only on membership, which is constant over the
         // interval, so a single linear step is exact.
-        let base = self.base_rate();
+        self.refresh_rates();
         for sig in &mut self.sigs[..self.live] {
-            let served = sig.rate(base, &self.groups) * dt;
-            sig.head.remaining = (sig.head.remaining - served).max(0.0);
-            for m in &mut sig.rest {
-                m.remaining = (m.remaining - served).max(0.0);
-            }
+            sig.serve(sig.rate * dt);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn t(secs: f64) -> SimTime {
-        SimTime::from_secs_f64(secs)
-    }
-
-    /// The flows `pool.advance(now, ..)` finished.
-    fn advance(pool: &mut FairShare, now: SimTime) -> Vec<FlowId> {
-        let mut done = Vec::new();
-        pool.advance(now, &mut done);
-        done
-    }
-
-    #[test]
-    fn single_flow_runs_at_per_flow_cap() {
-        let mut pool = FairShare::new(1000.0, 100.0);
-        pool.start(t(0.0), 100, &[]);
-        assert_eq!(pool.next_completion(), Some(t(1.0)));
-        let done = advance(&mut pool, t(1.0));
-        assert_eq!(done.len(), 1);
-        assert_eq!(pool.active(), 0);
-    }
-
-    #[test]
-    fn aggregate_cap_splits_between_flows() {
-        // Aggregate 100 B/s, per-flow 100 B/s: two flows run at 50 each.
-        let mut pool = FairShare::new(100.0, 100.0);
-        pool.start(t(0.0), 100, &[]);
-        pool.start(t(0.0), 100, &[]);
-        assert_eq!(pool.next_completion(), Some(t(2.0)));
-        assert_eq!(advance(&mut pool, t(2.0)).len(), 2);
-    }
-
-    #[test]
-    fn departure_speeds_up_survivors() {
-        // Flow A: 50 bytes, flow B: 150 bytes, aggregate 100 B/s.
-        let mut pool = FairShare::new(100.0, 100.0);
-        pool.start(t(0.0), 50, &[]);
-        pool.start(t(0.0), 150, &[]);
-        // Both at 50 B/s; A finishes at t=1 with B holding 100 bytes.
-        assert_eq!(pool.next_completion(), Some(t(1.0)));
-        assert_eq!(advance(&mut pool, t(1.0)).len(), 1);
-        // B alone now runs at 100 B/s: 100 bytes -> 1 more second.
-        assert_eq!(pool.next_completion(), Some(t(2.0)));
-        assert_eq!(advance(&mut pool, t(2.0)).len(), 1);
-    }
-
-    #[test]
-    fn group_cap_limits_colocated_flows() {
-        // Huge aggregate, per-flow 100, but the two flows share a 100 B/s
-        // NIC -> 50 each.
-        let mut pool = FairShare::new(f64::INFINITY, 100.0);
-        pool.set_group_cap(7, 100.0);
-        pool.start(t(0.0), 100, &[7]);
-        pool.start(t(0.0), 100, &[7]);
-        assert_eq!(pool.next_completion(), Some(t(2.0)));
-        // A flow on another group is unaffected.
-        pool.set_group_cap(8, 1000.0);
-        pool.start(t(0.0), 100, &[8]);
-        // Third flow runs at min(100, inf/3, 1000/1) = 100 B/s -> 1s.
-        assert_eq!(pool.next_completion(), Some(t(1.0)));
-    }
-
-    #[test]
-    fn zero_byte_flow_completes_immediately() {
-        let mut pool = FairShare::new(100.0, 100.0);
-        pool.start(t(0.0), 0, &[]);
-        assert_eq!(advance(&mut pool, t(0.0)).len(), 1);
-    }
-
-    #[test]
-    fn completion_time_rounds_up() {
-        // 1 byte at 3 B/s = 333333.33 micros; must round *up*.
-        let mut pool = FairShare::new(100.0, 3.0);
-        pool.start(t(0.0), 1, &[]);
-        let done_at = pool.next_completion().unwrap();
-        assert!(done_at.as_micros() >= 333_334);
-        assert_eq!(advance(&mut pool, done_at).len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "declared before use")]
-    fn undeclared_group_panics() {
-        let mut pool = FairShare::new(100.0, 100.0);
-        pool.start(t(0.0), 10, &[99]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 2 groups")]
-    fn third_group_panics() {
-        let mut pool = FairShare::new(100.0, 100.0);
-        for g in 0..3 {
-            pool.set_group_cap(g, 100.0);
-        }
-        pool.start(t(0.0), 10, &[0, 1, 2]);
     }
 }

@@ -111,6 +111,14 @@ if grep -n "BTreeMap" crates/simkernel/src/engine.rs; then
     echo "the event queue's ordered map is back in simkernel::engine" >&2
     exit 1
 fi
+# A fair-share signature advances one service counter per interval and
+# its members keep fixed finish tags, so no call steps every member's
+# remaining bytes. Comment lines may still name the per-flow formula.
+if grep -nE '\bremaining\b *(-|[-+*/]?=[^=]|: *f64)' crates/simkernel/src/fair_share.rs \
+        | grep -vE '^[0-9]+: *//'; then
+    echo "a per-member step on remaining bytes is back in simkernel::fair_share" >&2
+    exit 1
+fi
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

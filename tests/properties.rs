@@ -264,29 +264,52 @@ fn fair_share_conserves_bytes() {
     });
 }
 
+/// How a [`ModelPool`] brings progress up to date.
+#[derive(Clone, Copy)]
+enum Arithmetic {
+    /// The pool's documented arithmetic, done naively: one service
+    /// counter per group tuple that in-flight flows name, zero whenever
+    /// the tuple has no flows, growing by `rate * dt` over an interval and
+    /// rebased past 2^32 bytes; a flow keeps the tag `counter + bytes`
+    /// taken at its start, and has `tag - counter` bytes left.
+    Counter,
+    /// The per-flow formula the counter re-associates: over an interval
+    /// each flow's remaining bytes become `(remaining - rate * dt).max(0)`.
+    PerFlow,
+}
+
+/// Counters past this many bytes are rebased, as in the pool.
+const REBASE_BYTES: f64 = 4_294_967_296.0;
+
 /// A naive fair-share pool: every call recomputes every rate from the
 /// formula in the `fair_share` module docs, with each group's membership
 /// counted by scanning every flow.
-struct FormulaPool {
+struct ModelPool {
+    arithmetic: Arithmetic,
     aggregate_bps: f64,
     per_flow_bps: f64,
     caps: Vec<(u64, f64)>,
-    /// In-flight flows in start order: the real pool's id, remaining
-    /// bytes and groups.
+    /// In-flight flows in start order: the real pool's id, the flow's tag
+    /// (counter) or remaining bytes (per-flow), and its groups.
     flows: Vec<(FlowId, f64, Vec<u64>)>,
+    /// The counter of each group tuple that in-flight flows name.
+    counters: Vec<(Vec<u64>, f64)>,
     last_update: SimTime,
-    completed_bytes: f64,
+    /// The residue of finished flows, as `FairShare::finished_residue_bytes`.
+    residue: f64,
 }
 
-impl FormulaPool {
-    fn new(aggregate_bps: f64, per_flow_bps: f64) -> Self {
-        FormulaPool {
+impl ModelPool {
+    fn new(arithmetic: Arithmetic, aggregate_bps: f64, per_flow_bps: f64) -> Self {
+        ModelPool {
+            arithmetic,
             aggregate_bps,
             per_flow_bps,
             caps: Vec::new(),
             flows: Vec::new(),
+            counters: Vec::new(),
             last_update: SimTime::ZERO,
-            completed_bytes: 0.0,
+            residue: 0.0,
         }
     }
 
@@ -325,92 +348,200 @@ impl FormulaPool {
             .collect()
     }
 
+    /// The counter of the tuple `groups`: zero while no flow names it.
+    fn counter(&self, groups: &[u64]) -> f64 {
+        self.counters
+            .iter()
+            .find(|(tuple, _)| tuple == groups)
+            .map_or(0.0, |&(_, served)| served)
+    }
+
+    /// The bytes each in-flight flow has left, in start order; negative
+    /// once a counter flow overshot.
+    fn left(&self) -> Vec<f64> {
+        self.flows
+            .iter()
+            .map(|(_, value, groups)| match self.arithmetic {
+                Arithmetic::Counter => value - self.counter(groups),
+                Arithmetic::PerFlow => *value,
+            })
+            .collect()
+    }
+
     fn progress_to(&mut self, now: SimTime) {
         let dt = (now - self.last_update).as_secs_f64();
         self.last_update = now;
         let rates = self.rates();
-        for (flow, rate) in self.flows.iter_mut().zip(rates) {
-            flow.1 = (flow.1 - rate * dt).max(0.0);
+        match self.arithmetic {
+            Arithmetic::PerFlow => {
+                for (flow, rate) in self.flows.iter_mut().zip(rates) {
+                    flow.1 = (flow.1 - rate * dt).max(0.0);
+                }
+            }
+            Arithmetic::Counter => {
+                for (tuple, served) in &mut self.counters {
+                    // Every flow of the tuple has the same rate.
+                    let first = self
+                        .flows
+                        .iter()
+                        .position(|(_, _, groups)| groups == tuple)
+                        .expect("a counted tuple has flows");
+                    *served += rates[first] * dt;
+                    if *served > REBASE_BYTES {
+                        for flow in self.flows.iter_mut().filter(|f| f.2 == *tuple) {
+                            flow.1 -= *served;
+                        }
+                        *served = 0.0;
+                    }
+                }
+            }
         }
     }
 
     fn start(&mut self, now: SimTime, id: FlowId, bytes: u64, groups: &[u64]) {
         self.progress_to(now);
-        self.flows.push((id, bytes as f64, groups.to_vec()));
+        let value = match self.arithmetic {
+            Arithmetic::Counter => {
+                if !self.counters.iter().any(|(tuple, _)| tuple == groups) {
+                    self.counters.push((groups.to_vec(), 0.0));
+                }
+                self.counter(groups) + bytes as f64
+            }
+            Arithmetic::PerFlow => bytes as f64,
+        };
+        self.flows.push((id, value, groups.to_vec()));
     }
 
     /// Flows with at most 1e-3 bytes left are done.
     fn advance(&mut self, now: SimTime) -> Vec<FlowId> {
         self.progress_to(now);
         let mut done = Vec::new();
-        for &(id, remaining, _) in &self.flows {
-            if remaining <= 1e-3 {
+        for (&(id, ..), left) in self.flows.iter().zip(self.left()) {
+            if left <= 1e-3 {
                 done.push(id);
-                self.completed_bytes += 0.0f64.max(remaining);
+                self.residue += 0.0f64.max(left);
             }
         }
         self.flows.retain(|(id, ..)| !done.contains(id));
+        let flows = &self.flows;
+        self.counters
+            .retain(|(tuple, _)| flows.iter().any(|(_, _, groups)| groups == tuple));
         done
     }
 
     fn next_completion(&self) -> Option<SimTime> {
         let secs = self
-            .flows
-            .iter()
+            .left()
+            .into_iter()
             .zip(self.rates())
-            .map(|((_, remaining, _), rate)| remaining.max(0.0) / rate)
+            .map(|(left, rate)| left.max(0.0) / rate)
             .fold(f64::INFINITY, f64::min);
         secs.is_finite()
             .then(|| self.last_update + SimDuration::from_micros((secs * 1e6).ceil() as u64))
     }
 }
 
-/// Asserts that `pool` and `model` agree on everything observable: the
-/// flows in flight, the next completion and the completed bytes, bit
-/// for bit.
-fn assert_pool_matches(pool: &FairShare, model: &FormulaPool, ctx: &str) {
-    assert_eq!(pool.active(), model.flows.len(), "{ctx}");
-    assert_eq!(pool.next_completion(), model.next_completion(), "{ctx}");
-    assert_eq!(
-        pool.completed_bytes().to_bits(),
-        model.completed_bytes.to_bits(),
-        "{ctx}"
-    );
+/// A pool and its two models, driven with the same calls.
+struct Harness {
+    pool: FairShare,
+    /// The pool's own arithmetic: it must match bit for bit.
+    counter: ModelPool,
+    /// The per-flow formula: it must finish the same flows at every step
+    /// and complete within a microsecond.
+    per_flow: ModelPool,
+    /// One buffer for every advance: `advance` must clear it first.
+    done: Vec<FlowId>,
 }
 
-/// Starts the same flow in `pool` and `model`.
-fn start_both(
-    pool: &mut FairShare,
-    model: &mut FormulaPool,
-    now: SimTime,
-    bytes: u64,
-    groups: &[u64],
-) {
-    let id = pool.start(now, bytes, groups);
-    model.start(now, id, bytes, groups);
+impl Harness {
+    fn new(aggregate: f64, per_flow: f64) -> Self {
+        Harness {
+            pool: FairShare::new(aggregate, per_flow),
+            counter: ModelPool::new(Arithmetic::Counter, aggregate, per_flow),
+            per_flow: ModelPool::new(Arithmetic::PerFlow, aggregate, per_flow),
+            done: Vec::new(),
+        }
+    }
+
+    fn set_group_cap(&mut self, group: u64, cap: f64) {
+        self.pool.set_group_cap(group, cap);
+        self.counter.set_group_cap(group, cap);
+        self.per_flow.set_group_cap(group, cap);
+    }
+
+    fn start(&mut self, now: SimTime, bytes: u64, groups: &[u64]) {
+        let id = self.pool.start(now, bytes, groups);
+        self.counter.start(now, id, bytes, groups);
+        self.per_flow.start(now, id, bytes, groups);
+    }
+
+    /// Advances all three to `now`; they must finish the same flows.
+    fn advance(&mut self, now: SimTime, ctx: &str) -> usize {
+        self.pool.advance(now, &mut self.done);
+        assert_eq!(self.done, self.counter.advance(now), "{ctx}: counter model");
+        assert_eq!(
+            self.done,
+            self.per_flow.advance(now),
+            "{ctx}: per-flow model"
+        );
+        self.done.len()
+    }
+
+    fn next_completion(&mut self) -> Option<SimTime> {
+        self.pool.next_completion()
+    }
+
+    /// Asserts that the pool and the counter model agree on everything
+    /// observable, bit for bit: the flows in flight, the next completion
+    /// and the finished flows' residue. The per-flow model must have the
+    /// same flows in flight and a next completion within 1 µs.
+    fn check(&mut self, ctx: &str) {
+        let next = self.pool.next_completion();
+        assert_eq!(self.pool.active(), self.counter.flows.len(), "{ctx}");
+        assert_eq!(next, self.counter.next_completion(), "{ctx}");
+        assert_eq!(
+            self.pool.finished_residue_bytes().to_bits(),
+            self.counter.residue.to_bits(),
+            "{ctx}"
+        );
+        let ids = |model: &ModelPool| model.flows.iter().map(|f| f.0).collect::<Vec<_>>();
+        assert_eq!(
+            ids(&self.per_flow),
+            ids(&self.counter),
+            "{ctx}: flows in flight"
+        );
+        let micros = |t: Option<SimTime>| t.map(|t| t.as_micros() as i64);
+        match (micros(next), micros(self.per_flow.next_completion())) {
+            (Some(a), Some(b)) => assert!((a - b).abs() <= 1, "{ctx}: {a} vs per-flow {b} us"),
+            (a, b) => assert_eq!(a, b, "{ctx}"),
+        }
+    }
 }
 
 fn log_uniform(rng: &mut SimRng, lo: f64, hi: f64) -> f64 {
     10f64.powf(rng.uniform(lo, hi))
 }
 
-/// The pool computes exactly what its documented formula says: the same
-/// completions, the same completion instants and bit-identical completed
-/// bytes, in two regimes.
+/// The pool computes exactly what its documented arithmetic says: the
+/// same completions, the same completion instants and bit-identical
+/// residue as a naive model of it. A naive model of the per-flow formula,
+/// which the counter arithmetic re-associates, finishes the same flows at
+/// every step and completes within a microsecond. Two regimes:
 ///
 /// Small random pools: random group caps (changed while flows are in
 /// flight), zero-byte and simultaneous completions, and advances at,
 /// before and again at the same instant. Rates reach down to 10 B/s and
 /// some advances land a few microseconds before a completion, so flows
 /// finish with a sub-epsilon residue whose bits expose any reordered
-/// float operation through `completed_bytes`.
+/// float operation through `finished_residue_bytes`.
 ///
 /// Pools sized like the world's storage pool: a few hundred flows in a
 /// handful of shared signatures (flows naming the same groups), filled
-/// and drained in phases so that signatures empty and refill. Flows
-/// start in bursts of equal sizes (ties), some at the instant another
-/// completes; one-flow signatures, flows naming the same group twice,
-/// zero-byte flows and in-flight cap changes are mixed in.
+/// and drained in phases so that signatures empty and refill, which
+/// resets their counters. Flows start in bursts of equal sizes (ties),
+/// some at the instant another completes; one-flow signatures, flows
+/// naming the same group twice, zero-byte flows and in-flight cap changes
+/// are mixed in.
 #[test]
 fn fair_share_matches_formula_model() {
     forall_cases(128, |seed, rng| {
@@ -420,10 +551,7 @@ fn fair_share_matches_formula_model() {
             log_uniform(rng, 3.0, 10.0)
         };
         let per_flow = log_uniform(rng, 2.0, 9.0);
-        let mut pool = FairShare::new(aggregate, per_flow);
-        let mut model = FormulaPool::new(aggregate, per_flow);
-        // One buffer for every call: `advance` must clear it first.
-        let mut done = Vec::new();
+        let mut pools = Harness::new(aggregate, per_flow);
         let mut declared: Vec<u64> = Vec::new();
         let mut now = SimTime::ZERO;
         for step in 0..rng.uniform_u64(1, 80) {
@@ -432,8 +560,7 @@ fn fair_share_matches_formula_model() {
                 0 => {
                     let group = rng.uniform_u64(0, 4);
                     let cap = log_uniform(rng, 1.0, 9.0);
-                    pool.set_group_cap(group, cap);
-                    model.set_group_cap(group, cap);
+                    pools.set_group_cap(group, cap);
                     if !declared.contains(&group) {
                         declared.push(group);
                     }
@@ -448,17 +575,16 @@ fn fair_share_matches_formula_model() {
                         1 => rng.uniform_u64(1, 1_000),
                         _ => rng.uniform_u64(0, 1_000_000_001),
                     };
-                    start_both(&mut pool, &mut model, now, bytes, &groups);
+                    pools.start(now, bytes, &groups);
                 }
                 3 => {
-                    now = pool
+                    now = pools
                         .next_completion()
                         .unwrap_or(now + SimDuration::from_micros(rng.uniform_u64(0, 1_000)));
-                    pool.advance(now, &mut done);
-                    assert_eq!(done, model.advance(now), "{ctx}");
+                    pools.advance(now, &ctx);
                 }
                 4 => {
-                    let horizon = pool
+                    let horizon = pools
                         .next_completion()
                         .map_or(1_000, |t| (t - now).as_micros());
                     let ahead = if rng.uniform_u64(0, 2) == 0 {
@@ -467,17 +593,14 @@ fn fair_share_matches_formula_model() {
                         horizon.saturating_sub(rng.uniform_u64(1, 32))
                     };
                     now += SimDuration::from_micros(ahead);
-                    pool.advance(now, &mut done);
-                    assert_eq!(done, model.advance(now), "{ctx}");
+                    pools.advance(now, &ctx);
                 }
                 _ => {
-                    pool.advance(now, &mut done);
-                    assert_eq!(done, model.advance(now), "{ctx}");
-                    pool.advance(now, &mut done);
-                    assert_eq!(done, model.advance(now), "{ctx}");
+                    pools.advance(now, &ctx);
+                    pools.advance(now, &ctx);
                 }
             }
-            assert_pool_matches(&pool, &model, &ctx);
+            pools.check(&ctx);
         }
     });
 
@@ -487,13 +610,9 @@ fn fair_share_matches_formula_model() {
     forall_cases(4, |seed, rng| {
         let aggregate = log_uniform(rng, 8.0, 10.0);
         let per_flow = log_uniform(rng, 6.0, 8.5);
-        let mut pool = FairShare::new(aggregate, per_flow);
-        let mut model = FormulaPool::new(aggregate, per_flow);
-        let mut done = Vec::new();
+        let mut pools = Harness::new(aggregate, per_flow);
         for group in SHARED {
-            let cap = log_uniform(rng, 7.0, 9.0);
-            pool.set_group_cap(group, cap);
-            model.set_group_cap(group, cap);
+            pools.set_group_cap(group, log_uniform(rng, 7.0, 9.0));
         }
         let mut lone = 1_000;
         let mut now = SimTime::ZERO;
@@ -505,7 +624,7 @@ fn fair_share_matches_formula_model() {
                     if rng.uniform_u64(0, 3) == 0 {
                         // Start at the instant of the next completion,
                         // before the advance that reports it.
-                        now = pool.next_completion().unwrap_or(now);
+                        now = pools.next_completion().unwrap_or(now);
                     }
                     let host = rng.uniform_u64(0, 4);
                     let groups = match rng.uniform_u64(0, 6) {
@@ -522,40 +641,99 @@ fn fair_share_matches_formula_model() {
                             0 => rng.uniform_u64(0, 64_000_001),
                             _ => bytes,
                         };
-                        start_both(&mut pool, &mut model, now, bytes, &groups);
+                        pools.start(now, bytes, &groups);
                     }
                 }
                 0 | 1 => {
-                    let cap = log_uniform(rng, 6.0, 8.0);
-                    pool.set_group_cap(lone, cap);
-                    model.set_group_cap(lone, cap);
+                    pools.set_group_cap(lone, log_uniform(rng, 6.0, 8.0));
                     let bytes = rng.uniform_u64(0, 64_000_001);
                     let groups = [lone, 100 + rng.uniform_u64(0, 2)];
-                    start_both(&mut pool, &mut model, now, bytes, &groups);
+                    pools.start(now, bytes, &groups);
                     lone += 1;
                 }
                 2 => {
                     let group = SHARED[rng.uniform_u64(0, 6) as usize];
-                    let cap = log_uniform(rng, 7.0, 9.0);
-                    pool.set_group_cap(group, cap);
-                    model.set_group_cap(group, cap);
+                    pools.set_group_cap(group, log_uniform(rng, 7.0, 9.0));
                 }
                 3 => {
-                    let horizon = pool
+                    let horizon = pools
                         .next_completion()
                         .map_or(1_000, |t| (t - now).as_micros());
                     now += SimDuration::from_micros(horizon.saturating_sub(rng.uniform_u64(1, 32)));
-                    pool.advance(now, &mut done);
-                    assert_eq!(done, model.advance(now), "{ctx}");
+                    pools.advance(now, &ctx);
                 }
                 _ => {
-                    now = pool.next_completion().unwrap_or(now);
-                    pool.advance(now, &mut done);
-                    assert_eq!(done, model.advance(now), "{ctx}");
+                    now = pools.next_completion().unwrap_or(now);
+                    pools.advance(now, &ctx);
                 }
             }
-            assert_pool_matches(&pool, &model, &ctx);
+            pools.check(&ctx);
         }
+    });
+}
+
+/// A signature that stays open while it serves more than 2^40 bytes to
+/// each member keeps the resolution of a new one, because the pool
+/// rebases its counter past 2^32 bytes: at 2^40 a counter's float
+/// spacing is 2^-12 B, 24 µs at 10 B/s. Two lanes of 1–16 GB flows at
+/// 4 GB/s each keep one signature open for over 2^40 bytes; then its cap
+/// drops so that a new member of a few hundred bytes runs at ~10 B/s,
+/// with advances at random instants before its completion. Every flow
+/// finishes, the pool matches the counter model bit for bit, and the
+/// slow member completes within 1 µs of the per-flow model.
+#[test]
+fn fair_share_long_lived_signature_keeps_its_resolution() {
+    forall_cases(4, |seed, rng| {
+        let mut pools = Harness::new(f64::INFINITY, 4e9);
+        pools.set_group_cap(0, 8e9);
+        let mut started = 0;
+        let mut finished = 0;
+        let mut served = 0.0;
+        let mut now = SimTime::ZERO;
+        for _ in 0..2 {
+            pools.start(now, rng.uniform_u64(1_000_000_000, 16_000_000_001), &[0]);
+            started += 1;
+        }
+        let mut step = 0;
+        while served <= 2f64.powi(40) {
+            let ctx = format!("seed {seed} step {step}: filling");
+            let next = pools.next_completion().expect("two flows in flight");
+            served += 4e9 * (next - now).as_secs_f64();
+            now = next;
+            let done = pools.advance(now, &ctx);
+            finished += done;
+            for _ in 0..done {
+                pools.start(now, rng.uniform_u64(1_000_000_000, 16_000_000_001), &[0]);
+                started += 1;
+            }
+            pools.check(&ctx);
+            step += 1;
+        }
+        // Three members at cap / 3 each: ~10 B/s.
+        pools.set_group_cap(0, log_uniform(rng, 1.45, 1.5));
+        pools.start(now, rng.uniform_u64(100, 1_000), &[0]);
+        started += 1;
+        pools.check(&format!("seed {seed}: slow member started"));
+        while finished < started - 2 {
+            let ctx = format!("seed {seed} step {step}: slow");
+            let horizon = (pools.next_completion().expect("in flight") - now).as_micros();
+            now += SimDuration::from_micros(match rng.uniform_u64(0, 3) {
+                0 => horizon,
+                _ => rng.uniform_u64(0, horizon),
+            });
+            finished += pools.advance(now, &ctx);
+            pools.check(&ctx);
+            step += 1;
+        }
+        pools.set_group_cap(0, 8e9);
+        while let Some(next) = pools.next_completion() {
+            let ctx = format!("seed {seed} step {step}: draining");
+            now = next;
+            finished += pools.advance(now, &ctx);
+            pools.check(&ctx);
+            step += 1;
+        }
+        assert_eq!(finished, started, "seed {seed}");
     });
 }
 
