@@ -263,29 +263,57 @@ fn faas_straggler_path() -> String {
     env_line("faas-stragglers", &env, &results)
 }
 
-/// A three-worker VM fleet taking boot failures and mid-job worker loss.
-fn vm_fleet_path() -> String {
+/// 18 tasks of 6 s on three c5.large workers, without instance reuse,
+/// under `faults` and the pool's `recovery` mode.
+fn vm_fleet_run(name: &str, seed: u64, faults: FaultConfig, recovery: RecoveryMode) -> String {
     let cloud = CloudConfig {
-        faults: FaultConfig {
-            vm_boot_failure_prob: 0.25,
-            vm_loss_prob: 0.6,
-            vm_loss_after: (5.0, 40.0),
-            storage_error_prob: 0.05,
-            ..FaultConfig::disabled()
-        },
+        faults,
         ..CloudConfig::default()
     };
-    let mut env = CloudEnv::new(cloud, 1);
+    let mut env = CloudEnv::new(cloud, seed);
     let mut cfg = ExecutorConfig::default();
     cfg.standalone.exec_mode = ExecMode::Fleet {
         instance_type: "c5.large".into(),
         count: 3,
     };
     cfg.standalone.reuse_instances = false;
+    cfg.standalone.recovery = recovery;
     let mut exec = FunctionExecutor::new(&mut env, Backend::vm(), cfg);
     let results = square_map(&mut env, &mut exec, 18, 6.0);
     exec.shutdown(&mut env);
-    env_line("vm-fleet-losses", &env, &results)
+    env_line(name, &env, &results)
+}
+
+/// A three-worker VM fleet taking boot failures and mid-job worker loss.
+fn vm_fleet_path() -> String {
+    let faults = FaultConfig {
+        vm_boot_failure_prob: 0.25,
+        vm_loss_prob: 0.6,
+        vm_loss_after: (5.0, 40.0),
+        storage_error_prob: 0.05,
+        ..FaultConfig::disabled()
+    };
+    vm_fleet_run("vm-fleet-losses", 1, faults, RecoveryMode::Protected)
+}
+
+/// The same fleet under heavier worker loss and storage faults, with
+/// its task queue in `recovery`'s medium, at a seed where workers die
+/// holding claims that never started. Under `Decentralized` (seed 208)
+/// the queue is bundles in object storage: one worker dies with a claim
+/// GET in flight and another during a claim's storage backoff, and both
+/// claims go back on the ready list. Under `Checkpointed` (seed 1411)
+/// it is the master's KV list, whose host is spared: a worker dies with
+/// a pop in flight, and the popped bundle is pushed back.
+fn vm_fleet_queue_path(recovery: RecoveryMode, seed: u64) -> String {
+    let faults = FaultConfig {
+        vm_boot_failure_prob: 0.25,
+        vm_loss_prob: 0.9,
+        vm_loss_after: (5.0, 40.0),
+        storage_error_prob: 0.35,
+        ..FaultConfig::disabled()
+    };
+    let name = format!("vm-fleet-queue-{}", recovery.name());
+    vm_fleet_run(&name, seed, faults, recovery)
 }
 
 /// The smoke-scaled Brain hybrid on a four-VM fleet, run in `execution`
@@ -325,9 +353,9 @@ fn brain_kill_path(recovery: RecoveryMode, execution: ExecutionMode) -> String {
 }
 
 /// Pins the numbers of the fault-handling control paths — retries,
-/// straggler speculation, VM replacement, master recovery — that the
-/// table goldens (faults off) never exercise and the chaos and recovery
-/// suites only compare against their own repeat.
+/// straggler speculation, VM replacement, master recovery, task-queue
+/// hand-backs — that the table goldens (faults off) never exercise and
+/// the chaos and recovery suites only compare against their own repeat.
 #[test]
 fn golden_control_paths() {
     let text = [
@@ -336,6 +364,8 @@ fn golden_control_paths() {
         vm_fleet_path(),
         brain_kill_path(RecoveryMode::Decentralized, ExecutionMode::Barrier),
         brain_kill_path(RecoveryMode::Checkpointed, ExecutionMode::Barrier),
+        vm_fleet_queue_path(RecoveryMode::Decentralized, 208),
+        vm_fleet_queue_path(RecoveryMode::Checkpointed, 1411),
     ]
     .concat();
     check_golden("control_paths", &text);
