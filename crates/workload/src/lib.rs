@@ -42,4 +42,5 @@ pub use dsl::{emit, parse, DslError};
 pub use spec::{
     Stage, StageEdge, StageKind, ValidateError, Workload, WorkloadBuilder, MAX_CPU_SECS_PER_TASK,
     MAX_EXCHANGE_GB_PER_STAGE, MAX_READ_MB_PER_TASK, MAX_TASKS_PER_STAGE, MAX_WRITE_MB_PER_TASK,
+    MIN_EXCHANGE_GB_PER_STAGE,
 };

@@ -117,6 +117,17 @@ pub const MAX_WRITE_MB_PER_TASK: f64 = 2e3;
 /// full scale in about 8 s on a 2-vCPU box.
 pub const MAX_EXCHANGE_GB_PER_STAGE: f64 = 200.0;
 
+/// The fewest gigabytes one stateful stage may exchange, and the floor
+/// [`Workload::scaled`] keeps an exchange at: 5 MB, 40× below the
+/// smallest bundled value (0.2 GB). The stage's CPU budget is charged
+/// per exchanged byte, so a tiny exchange packs it into a few bytes.
+/// On a 2-vCPU box, terasort-small at full scale with `exchange_gb=1e-6`
+/// on its `sort` stage (40 B per task) runs in 0.15 s and with `1e-7`
+/// in 3.6 s; `1e-9` ran past 15 s, and `1e-12` panicked on a negative
+/// compute time. At [`MAX_TASKS_PER_STAGE`] tasks the floor still
+/// leaves 500 B per task.
+pub const MIN_EXCHANGE_GB_PER_STAGE: f64 = 0.005;
+
 /// A validation failure: why a [`Workload`] is not schedulable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidateError(pub String);
@@ -133,10 +144,6 @@ impl std::error::Error for ValidateError {}
 /// scaled stage still exercises parallel dispatch (and none rounds to a
 /// zero-task stage, which could never be released).
 const MIN_SCALED_TASKS: usize = 2;
-
-/// Smallest exchange (GB) a stateful stage keeps under
-/// [`Workload::scaled`].
-const MIN_SCALED_EXCHANGE_GB: f64 = 0.005;
 
 /// A named stage-DAG workload description: the stage list plus one
 /// dependency list per stage, aligned index-for-index.
@@ -175,8 +182,9 @@ impl Workload {
     /// unique token-safe names, and sane resource numbers (at most
     /// [`MAX_TASKS_PER_STAGE`] tasks per stage, [`MAX_CPU_SECS_PER_TASK`]
     /// CPU-seconds, [`MAX_READ_MB_PER_TASK`] MB read and
-    /// [`MAX_WRITE_MB_PER_TASK`] MB written per task, and
-    /// [`MAX_EXCHANGE_GB_PER_STAGE`] GB exchanged per stage).
+    /// [`MAX_WRITE_MB_PER_TASK`] MB written per task, and from
+    /// [`MIN_EXCHANGE_GB_PER_STAGE`] to [`MAX_EXCHANGE_GB_PER_STAGE`] GB
+    /// exchanged per stage).
     pub fn validate(&self) -> Result<(), ValidateError> {
         let err = |m: String| Err(ValidateError(m));
         if !token_ok(&self.name) {
@@ -233,9 +241,10 @@ impl Workload {
                     }
                 }
                 StageKind::Stateful { exchange_gb } => {
-                    if !exchange_gb.is_finite() || exchange_gb <= 0.0 {
+                    if !exchange_gb.is_finite() || exchange_gb < MIN_EXCHANGE_GB_PER_STAGE {
                         return err(format!(
-                            "stage {:?} exchange_gb = {exchange_gb} (must be finite and > 0)",
+                            "stage {:?} exchange_gb = {exchange_gb:e} (must be finite and at \
+                             least {MIN_EXCHANGE_GB_PER_STAGE:e})",
                             s.name
                         ));
                     }
@@ -282,8 +291,9 @@ impl Workload {
 
     /// Down-scales the workload: task counts and exchange volumes
     /// multiplied by `scale`, per-task work unchanged. Every stage keeps
-    /// at least two tasks and every exchange at least 0.005 GB, so smoke
-    /// tests and fleet tenants run the same *shape* at tractable volume.
+    /// at least two tasks and every exchange at least
+    /// [`MIN_EXCHANGE_GB_PER_STAGE`], so smoke tests and fleet tenants
+    /// run the same *shape* at tractable volume.
     ///
     /// # Panics
     ///
@@ -301,7 +311,7 @@ impl Workload {
                 s.tasks = ((s.tasks as f64 * scale).round() as usize).max(MIN_SCALED_TASKS);
                 if let StageKind::Stateful { exchange_gb } = s.kind {
                     s.kind = StageKind::Stateful {
-                        exchange_gb: (exchange_gb * scale).max(MIN_SCALED_EXCHANGE_GB),
+                        exchange_gb: (exchange_gb * scale).max(MIN_EXCHANGE_GB_PER_STAGE),
                     };
                 }
                 s

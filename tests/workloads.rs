@@ -18,6 +18,7 @@ use serverful_repro::simkernel::SimRng;
 use serverful_repro::workload::{
     emit, parse, Stage, StageEdge, StageKind, Workload, MAX_CPU_SECS_PER_TASK,
     MAX_EXCHANGE_GB_PER_STAGE, MAX_READ_MB_PER_TASK, MAX_TASKS_PER_STAGE, MAX_WRITE_MB_PER_TASK,
+    MIN_EXCHANGE_GB_PER_STAGE,
 };
 
 /// Every bundled workload — the METASPACE Table 2 jobs and the DSL
@@ -35,15 +36,17 @@ fn every_bundled_workload_round_trips_through_the_dsl() {
     }
 }
 
-/// A stage field too large for the simulator is rejected when the text
+/// A stage field out of the simulator's range is rejected when the text
 /// is loaded, naming the stage and the field, instead of failing deep
 /// in a run: a per-task `cpu_secs` past the clock's range would panic
 /// with a virtual-time overflow, a huge `tasks` count would abort on
 /// allocation, and a huge CPU time or data volume would keep the run
-/// going for minutes or forever.
-/// Every bundled workload stays under every ceiling.
+/// going for minutes or forever. So would an exchange below its floor,
+/// which packs the stage's CPU budget into a few bytes: at `1e-12` GB a
+/// compute time came out negative and the run panicked.
+/// Every bundled workload stays within every bound.
 #[test]
-fn oversized_stage_fields_are_rejected_at_validation() {
+fn out_of_range_stage_fields_are_rejected_at_validation() {
     let text = emit(&workloads::named("terasort-small").expect("bundled name resolves"));
     for (stage, field, value) in [
         ("gen", "cpu_secs", "1e308"),
@@ -52,6 +55,8 @@ fn oversized_stage_fields_are_rejected_at_validation() {
         ("validate", "read_mb", "1e308"),
         ("gen", "write_mb", "1e308"),
         ("sort", "exchange_gb", "1e308"),
+        ("sort", "exchange_gb", "1e-12"),
+        ("sort", "exchange_gb", "1e-9"),
     ] {
         let edit = format!("{field}={value}");
         let edited: String = text
@@ -68,7 +73,9 @@ fn oversized_stage_fields_are_rejected_at_validation() {
             })
             .collect();
         assert!(edited.contains(&edit), "the edit must land:\n{edited}");
-        let err = parse(&edited).expect_err("an oversized field must not validate").to_string();
+        let err = parse(&edited)
+            .expect_err("an out-of-range field must not validate")
+            .to_string();
         assert!(
             err.contains(field) && err.contains(&format!("{stage:?}")),
             "{stage} {edit}: unhelpful error: {err}"
@@ -85,7 +92,10 @@ fn oversized_stage_fields_are_rejected_at_validation() {
             assert!(s.read_mb_per_task <= MAX_READ_MB_PER_TASK, "{ctx}: read ceiling");
             assert!(s.write_mb_per_task <= MAX_WRITE_MB_PER_TASK, "{ctx}: write ceiling");
             if let StageKind::Stateful { exchange_gb } = s.kind {
-                assert!(exchange_gb <= MAX_EXCHANGE_GB_PER_STAGE, "{ctx}: exchange ceiling");
+                assert!(
+                    (MIN_EXCHANGE_GB_PER_STAGE..=MAX_EXCHANGE_GB_PER_STAGE).contains(&exchange_gb),
+                    "{ctx}: exchange bounds"
+                );
             }
         }
     }
