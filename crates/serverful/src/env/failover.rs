@@ -1,20 +1,10 @@
-//! Master fault tolerance: armed master kills, checkpointing,
-//! checkpointed re-adoption, and the decentralized protocol's
-//! storage-backed dispatch, claims and completion counters. Nothing here
-//! releases a gated task: the pipelined drivers' `Readiness` does that,
-//! whatever the pool's recovery mode.
+//! Master fault tolerance: armed master kills, checkpointing and
+//! checkpointed re-adoption. A decentralized pool needs none of it: its
+//! task queue is in object storage (see `pools`). Nothing here releases a
+//! gated task: the pipelined drivers' `Readiness` does that, whatever
+//! the pool's recovery mode.
 
 use super::*;
-
-/// Storage key of a decentralized task's input bundle.
-fn dc_bundle_key(job: usize, task: usize) -> String {
-    format!("jobs/{job}/bundles/{task:05}")
-}
-
-/// Storage key of a decentralized task's completion counter.
-fn dc_counter_key(job: usize, task: usize) -> String {
-    format!("jobs/{job}/counters/{task:05}")
-}
 
 impl CloudEnv {
     /// Arms a forced chaos kill of `pool`'s master VM: once the routed
@@ -71,9 +61,9 @@ impl CloudEnv {
     /// The pool's acting master VM (and with it the KV store and the
     /// job monitor) was lost mid-run. What happens next is the whole
     /// point of [`crate::recovery`].
-    pub(super) fn on_master_lost(&mut self, pool: usize, mode: RecoveryMode) {
+    pub(super) fn on_master_lost(&mut self, pool: usize) {
         let now = self.world.now();
-        match mode {
+        match self.pools[pool].cfg.recovery {
             RecoveryMode::Protected => {
                 // The paper's stance has no answer: queued bundles died
                 // with the KV store and the monitor stops listing. The
@@ -96,8 +86,9 @@ impl CloudEnv {
                     .instant(now, "master-lost", "recovery", "recovery");
             }
             RecoveryMode::Decentralized => {
-                // Nothing to do: dispatch and completion counters live
-                // in object storage, and the client collects results.
+                // Nothing to do: the task queue and completion counters
+                // live in object storage, and the client collects
+                // results.
                 self.world.tracer_mut().instant(
                     now,
                     "master-lost-nonevent",
@@ -128,9 +119,7 @@ impl CloudEnv {
     /// Skipped while the master is down or mid-replacement; the PUT pays
     /// state-proportional I/O and bills to the active job.
     pub(super) fn write_checkpoint(&mut self, pool: usize) {
-        if self.pools[pool].cfg.recovery != RecoveryMode::Checkpointed
-            || self.pools[pool].recovering
-        {
+        if self.pools[pool].recovering {
             return;
         }
         let Some(job) = self.pools[pool].active else {
@@ -282,173 +271,7 @@ impl CloudEnv {
             .instant(now, "master-readopted", "recovery", "recovery");
         for task in redispatch {
             self.recovery_stats.tasks_redispatched += 1;
-            self.requeue_task(pool, job, task);
+            self.queue_put(pool, job, task, false);
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Decentralized dispatch (RecoveryMode::Decentralized)
-    // ------------------------------------------------------------------
-
-    /// Decentralized job start: the client uploads task bundles straight
-    /// to object storage and collects results itself. The master VM (if
-    /// the pool even has a dedicated one) never touches the data path.
-    pub(super) fn dc_start_job(&mut self, pool: usize, job: usize) {
-        self.jobs[job].monitor_host = self.world.client_host();
-        let n = self.jobs[job].inputs.len();
-        self.dc_uploaded.insert(job, vec![false; n]);
-        let ready: Vec<usize> = (0..n)
-            .filter(|&t| !self.jobs[job].tasks[t].held)
-            .collect();
-        self.pools[pool].pushes_outstanding = ready.len();
-        if ready.is_empty() {
-            // Fully gated job: workers spin up idle and wait for the
-            // driver to release tasks.
-            self.pool_pushes_complete(pool, job);
-            return;
-        }
-        for task in ready {
-            self.dc_dispatch_task(pool, job, task);
-        }
-    }
-
-    /// Makes a task claimable in decentralized mode: first dispatch
-    /// uploads the bundle; a requeue (worker loss, retry) reuses the
-    /// durable bundle already in storage.
-    pub(super) fn dc_dispatch_task(&mut self, pool: usize, job: usize, task: usize) {
-        if self.jobs[job].is_finished() || self.pools[pool].active != Some(job) {
-            return;
-        }
-        let Some(uploaded) = self.dc_uploaded.get_mut(&job) else {
-            return;
-        };
-        let first = !std::mem::replace(&mut uploaded[task], true);
-        if !first {
-            self.pools[pool].dc_ready.push_back(task);
-            self.on_requeue_done(pool);
-            return;
-        }
-        let host = self.world.client_host();
-        let bucket = self.jobs[job].bucket.clone();
-        let request = StorageRequest::Put {
-            bucket,
-            key: dc_bundle_key(job, task),
-            body: self.task_bundle(job, task),
-        };
-        self.issue_storage(host, request, 1, Route::DcBundle { pool, job, task });
-    }
-
-    /// A bundle PUT landed: the task is claimable. During the initial
-    /// upload wave this also advances the pushes-outstanding gate that
-    /// starts the worker processes.
-    pub(super) fn on_dc_bundle(&mut self, pool: usize, job: usize, task: usize) {
-        if self.jobs[job].is_finished() || self.pools[pool].active != Some(job) {
-            return;
-        }
-        self.pools[pool].dc_ready.push_back(task);
-        if self.pools[pool].pushes_outstanding > 0 {
-            self.on_push_done(pool, job);
-        } else {
-            self.on_requeue_done(pool);
-        }
-    }
-
-    /// A worker process claims the next ready task from storage (the
-    /// conditional-put claim of a real implementation) and fetches its
-    /// bundle. An empty ready list idles the process.
-    pub(super) fn worker_claim(&mut self, pool: usize, job: usize, vm_idx: usize, proc: usize) {
-        let Some(w) = self.pools[pool].workers.get(vm_idx) else {
-            return;
-        };
-        if w.phase != VmPhase::Ready {
-            return;
-        }
-        let (host, vm) = (w.host, w.vm);
-        if !self.world.host_alive(host) {
-            return; // VM just died; its VmFailed notification is queued
-        }
-        let task = loop {
-            let Some(t) = self.pools[pool].dc_ready.pop_front() else {
-                self.pools[pool].idle_procs.push((job, vm_idx, proc, vm));
-                return;
-            };
-            let ts = &self.jobs[job].tasks[t];
-            if matches!(ts.phase, TaskPhase::Queued) && ts.worker.is_none() && !ts.held {
-                break t;
-            }
-            // Stale entry (task got owned or finished meanwhile): skip.
-        };
-        let bucket = self.jobs[job].bucket.clone();
-        let request = StorageRequest::Get {
-            bucket,
-            key: dc_bundle_key(job, task),
-        };
-        let route = Route::DcClaim {
-            pool,
-            job,
-            vm_idx,
-            proc,
-            vm,
-            task,
-        };
-        self.issue_storage(host, request, 1, route);
-    }
-
-    /// A claimed bundle arrived: run the task on the claiming process —
-    /// unless the claimer died in flight (the task goes back to the
-    /// ready list) or the task got owned meanwhile (the process claims
-    /// something else).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_dc_claim(
-        &mut self,
-        pool: usize,
-        job: usize,
-        vm_idx: usize,
-        proc: usize,
-        vm: VmId,
-        task: usize,
-        outcome: OpOutcome,
-    ) {
-        if self.pools[pool].active != Some(job) || self.jobs[job].is_finished() {
-            return;
-        }
-        if !self.vm_live(pool, PoolSlot::Worker(vm_idx), vm) {
-            // The bundle is durable in storage: hand the claim back.
-            self.pools[pool].dc_ready.push_back(task);
-            self.on_requeue_done(pool);
-            return;
-        }
-        let ts = &self.jobs[job].tasks[task];
-        if !(matches!(ts.phase, TaskPhase::Queued) && ts.worker.is_none() && !ts.held) {
-            self.worker_pop(pool, vm_idx, proc);
-            return;
-        }
-        let OpOutcome::GetOk { body } = outcome else {
-            // Claims are queued only after the bundle PUT acks, so a
-            // miss means an injected fault path; just claim again.
-            self.worker_pop(pool, vm_idx, proc);
-            return;
-        };
-        self.start_bundle(pool, job, vm_idx, proc, &body);
-    }
-
-    /// A finishing decentralized task writes its completion counter to
-    /// object storage before its process claims new work. The counter is
-    /// the protocol's per-task price; its landing only counts it.
-    pub(super) fn dc_write_counter(&mut self, pool: usize, job: usize, task: usize, vm_idx: usize) {
-        let Some(w) = self.pools[pool].workers.get(vm_idx) else {
-            return;
-        };
-        let host = w.host;
-        if !self.world.host_alive(host) {
-            return;
-        }
-        let bucket = self.jobs[job].bucket.clone();
-        let request = StorageRequest::Put {
-            bucket,
-            key: dc_counter_key(job, task),
-            body: ObjectBody::real(Payload::U64(task as u64).encode()),
-        };
-        self.issue_storage(host, request, 1, Route::DcCounter { job });
     }
 }

@@ -43,7 +43,7 @@ use crate::config::{
     VM_SSH_SETUP_SECS,
 };
 use crate::error::ExecError;
-use crate::job::{JobBackend, JobState, PendingShape, TaskPhase, TaskRun};
+use crate::job::{JobBackend, JobState, PendingShape, TaskPhase, TaskRun, TaskState};
 use crate::payload::Payload;
 use crate::recovery::{checkpoint_key, JobCheckpoint, MasterCheckpoint, RecoveryMode, RecoveryStats};
 use crate::task::{Action, ActionOutcome, TaskStep};
@@ -109,10 +109,6 @@ pub struct CloudEnv {
     /// Recovery activity counters (checkpoints, re-adoptions, completion
     /// counters); empty unless a non-default mode did work.
     recovery_stats: RecoveryStats,
-    /// Per decentralized job, per task: whether its bundle PUT was issued
-    /// (bundles persist in storage, so a requeue after worker loss needs
-    /// no re-upload).
-    dc_uploaded: IdMap<usize, Vec<bool>>,
     /// Armed chaos kills: `(pool, event index)`; fired once the routed
     /// event counter passes the index and the master VM is up.
     armed_kills: Vec<(usize, u64)>,
@@ -160,7 +156,6 @@ impl CloudEnv {
             pending_task_retries: IdMap::default(),
             max_list_overlap: 0,
             recovery_stats: RecoveryStats::new(),
-            dc_uploaded: IdMap::default(),
             armed_kills: Vec::new(),
             events_routed: 0,
         }
@@ -309,13 +304,7 @@ impl CloudEnv {
                     self.dispatch_faas_task(job, task);
                 }
             }
-            JobBackend::Standalone { pool } => {
-                // Only once the job owns the pool does its queue exist;
-                // a queued job's `pool_start_job` reads `held` later.
-                if self.pools[pool].active == Some(job) {
-                    self.requeue_task(pool, job, task);
-                }
-            }
+            JobBackend::Standalone { pool } => self.queue_put(pool, job, task, false),
         }
         self.maybe_start_monitor(job);
     }

@@ -251,20 +251,13 @@ impl CloudEnv {
             return;
         }
         match self.jobs[job].backend {
-            JobBackend::Faas { .. } => self.complete_job(job, None),
-            JobBackend::Standalone { pool } => {
-                if self.pools[pool].cfg.recovery == RecoveryMode::Decentralized {
-                    // The client collected its own results; there is
-                    // no master to hear from.
-                    self.complete_job(job, None);
-                } else {
-                    // Master -> client SSH notification latency.
-                    self.set_timer(
-                        SimDuration::from_millis(60),
-                        Route::MasterNotify { job },
-                    );
-                }
+            JobBackend::Standalone { pool } if self.pools[pool].task_queue.on_master() => {
+                // Master -> client SSH notification latency.
+                self.set_timer(SimDuration::from_millis(60), Route::MasterNotify { job });
             }
+            // The client collected its own results (FaaS, or a pool whose
+            // queue is in storage): there is no master to hear from.
+            _ => self.complete_job(job, None),
         }
     }
 

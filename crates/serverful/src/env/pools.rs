@@ -1,7 +1,80 @@
 //! Serverful (standalone) pools: VM provisioning, master/worker
-//! lifecycle, the KV work queue, and pool idle/teardown.
+//! lifecycle, the task queue in either medium, and pool idle/teardown.
 
 use super::*;
+
+/// Storage key of a task's bundle in a storage-held queue.
+fn bundle_key(job: usize, task: usize) -> String {
+    format!("jobs/{job}/bundles/{task:05}")
+}
+
+/// Storage key of a finished task's completion counter.
+fn counter_key(job: usize, task: usize) -> String {
+    format!("jobs/{job}/counters/{task:05}")
+}
+
+/// A task's queue bundle, decoded: its index and input.
+fn decode_bundle(body: &ObjectBody) -> (usize, Payload) {
+    let bytes = body.bytes().expect("task bundles are always real bytes");
+    let Ok(Payload::List(mut items)) = Payload::decode(bytes) else {
+        panic!("a task bundle decodes to a list");
+    };
+    let input = items.pop().expect("bundle[1] is the input");
+    let task = items[0].as_u64().expect("bundle[0] is the index") as usize;
+    (task, input)
+}
+
+/// True while a task waits for a worker: released, queued and unowned.
+fn claimable(t: &TaskState) -> bool {
+    matches!(t.phase, TaskPhase::Queued) && t.worker.is_none() && !t.held
+}
+
+/// The medium a pool's task queue lives in. [`RecoveryMode`] picks it
+/// once, in `create_pool`; it decides whether the master VM is in the
+/// data path at all.
+pub(super) enum TaskQueue {
+    /// The paper's queue: one list per job in the KV server on the
+    /// master VM. The master pushes bundles and workers pop them. `None`
+    /// until the master's server starts, and after the pool's VMs are
+    /// torn down.
+    Kv(Option<KvId>),
+    /// Bundles in object storage, in the unum style: the client PUTs
+    /// them and workers claim them with a GET, so the master never
+    /// enters the data path. Both fields describe the active job.
+    Storage {
+        /// Tasks whose bundles are claimable, in the order they became
+        /// so.
+        ready: VecDeque<usize>,
+        /// Per task: whether its bundle was PUT. Bundles persist in
+        /// storage, so a task put again goes straight back on `ready`.
+        uploaded: Vec<bool>,
+    },
+}
+
+impl TaskQueue {
+    /// True when the master VM holds the queue, and with it the job's
+    /// monitor; false when object storage holds it and the client
+    /// monitors.
+    pub(super) fn on_master(&self) -> bool {
+        matches!(self, TaskQueue::Kv(_))
+    }
+}
+
+/// A worker process's claim on its pool's task queue
+/// ([`Route::QueueClaim`]).
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Claim {
+    pub(super) pool: usize,
+    pub(super) job: usize,
+    /// The claiming process: process `proc` of worker slot `vm_idx`,
+    /// whose VM is `vm`.
+    pub(super) vm_idx: usize,
+    pub(super) proc: usize,
+    pub(super) vm: VmId,
+    /// The task a storage claim picked before its GET; a KV pop learns
+    /// its task from the bundle. A `u32` keeps [`Route`] at 56 bytes.
+    pub(super) task: Option<u32>,
+}
 
 /// Which pool VM a lifecycle notification concerns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,22 +117,22 @@ pub(crate) struct StandalonePool {
     /// Dedicated master VM (fleet mode). In consolidated mode the single
     /// worker VM doubles as the master.
     pub(super) master: Option<PoolVm>,
-    pub(super) kv: Option<KvId>,
     pub(super) workers: Vec<PoolVm>,
+    /// Jobs waiting for the pool, in arrival order.
     pub(super) queue: VecDeque<usize>,
     pub(super) active: Option<usize>,
-    /// Pushes still outstanding before workers may start popping.
+    /// Where the active job's task bundles wait for workers.
+    pub(super) task_queue: TaskQueue,
+    /// Puts of the active job's first wave still in flight; workers
+    /// start claiming once they all land.
     pub(super) pushes_outstanding: usize,
-    /// Worker processes `(job, slot, proc, vm)` that popped `job`'s
-    /// empty queue and went idle; woken when a requeued bundle lands.
+    /// Worker processes `(job, slot, proc, vm)` that found `job`'s queue
+    /// empty and went idle; woken when a later put lands.
     pub(super) idle_procs: Vec<(usize, usize, usize, VmId)>,
     /// Idle-window generation for the keep-alive timer (see
     /// [`Route::PoolIdle`]).
     pub(super) idle_epoch: u64,
     pub(super) fleet_name: String,
-    /// Decentralized mode: tasks whose bundles sit in storage awaiting
-    /// a worker claim, in dispatch order.
-    pub(super) dc_ready: VecDeque<usize>,
     /// True between a master loss and the replacement's checkpoint
     /// replay (Checkpointed mode); dispatch defers to the re-adoption.
     pub(super) recovering: bool,
@@ -119,18 +192,25 @@ impl CloudEnv {
             .fleet_label
             .clone()
             .unwrap_or_else(|| format!("standalone-{idx}"));
+        let task_queue = if cfg.recovery == RecoveryMode::Decentralized {
+            TaskQueue::Storage {
+                ready: VecDeque::new(),
+                uploaded: Vec::new(),
+            }
+        } else {
+            TaskQueue::Kv(None)
+        };
         self.pools.push(StandalonePool {
             cfg,
             master: None,
-            kv: None,
             workers: Vec::new(),
             queue: VecDeque::new(),
             active: None,
+            task_queue,
             pushes_outstanding: 0,
             idle_procs: Vec::new(),
             idle_epoch: 0,
             fleet_name,
-            dc_ready: VecDeque::new(),
             recovering: false,
             ckpt_seq: 0,
         });
@@ -165,7 +245,9 @@ impl CloudEnv {
                 terminate.push(m.vm);
             }
         }
-        p.kv = None;
+        if let TaskQueue::Kv(kv) = &mut p.task_queue {
+            *kv = None;
+        }
         for vm in terminate {
             self.world.vm_terminate(vm);
         }
@@ -299,7 +381,9 @@ impl CloudEnv {
                 let old = self.pools[pool].workers.remove(0);
                 self.vm_routes.remove(&old.vm);
                 self.world.vm_terminate(old.vm);
-                self.pools[pool].kv = None;
+                if let TaskQueue::Kv(kv) = &mut self.pools[pool].task_queue {
+                    *kv = None;
+                }
                 return self.pool_ensure_infra(pool, job);
             }
             return self.pools[pool].all_ready();
@@ -347,17 +431,13 @@ impl CloudEnv {
             return; // stale SSH timer of a replaced or lost VM, or a shut pool
         }
         self.routed_vm(pool, slot, vm).phase = VmPhase::Ready;
-        // The master's KV server starts as soon as its VM is ready.
+        // A KV-held queue's server starts as soon as the master's VM is
+        // ready.
         let is_master_vm = slot == self.pools[pool].master_slot();
-        let kv_dead = self.pools[pool]
-            .kv
-            .is_some_and(|kv| !self.world.kv_alive(kv));
-        if is_master_vm
-            && self.pools[pool].cfg.recovery != RecoveryMode::Decentralized
-            && (self.pools[pool].kv.is_none() || kv_dead)
-        {
-            let kv = self.world.kv_create(vm);
-            self.pools[pool].kv = Some(kv);
+        if let (true, TaskQueue::Kv(kv)) = (is_master_vm, &mut self.pools[pool].task_queue) {
+            if kv.is_none_or(|kv| !self.world.kv_alive(kv)) {
+                *kv = Some(self.world.kv_create(vm));
+            }
         }
         // A replacement worker joining mid-job starts its processes
         // immediately; a job starting now starts them itself, once its
@@ -368,7 +448,7 @@ impl CloudEnv {
             if mid_job && self.pools[pool].pushes_outstanding == 0 {
                 let vcpus = self.pools[pool].workers[i].itype.vcpus as usize;
                 for proc in 0..vcpus {
-                    self.worker_pop(pool, i, proc);
+                    self.worker_claim(pool, i, proc);
                 }
             }
         }
@@ -381,8 +461,8 @@ impl CloudEnv {
 
     /// A pool VM failed: boot failure, mid-job loss or spot preemption.
     /// Replacement VMs are provisioned into the same slot while the
-    /// budget lasts; a lost worker's in-flight tasks are requeued on the
-    /// master's KV queue. A preempted slot's reclaim history advances,
+    /// budget lasts; a lost worker's in-flight tasks go back on the
+    /// pool's task queue. A preempted slot's reclaim history advances,
     /// and the replacement falls back to on-demand once the bid policy's
     /// budget is spent (ledgered as a spot fallback).
     pub(super) fn on_pool_vm_failed(&mut self, route: Route, fault: FaultKind) {
@@ -415,11 +495,10 @@ impl CloudEnv {
             }
         }
         if slot == self.pools[pool].master_slot() && was_ready {
-            let mode = self.pools[pool].cfg.recovery;
-            self.on_master_lost(pool, mode);
-            if mode == RecoveryMode::Decentralized && matches!(slot, PoolSlot::Master) {
-                // A dedicated decentralized master is pure overhead once
-                // the job is submitted: don't even replace it.
+            self.on_master_lost(pool);
+            if slot == PoolSlot::Master && !self.pools[pool].task_queue.on_master() {
+                // A dedicated master holding no queue is pure overhead
+                // once the job is submitted: don't even replace it.
                 return;
             }
         }
@@ -470,65 +549,105 @@ impl CloudEnv {
                 return;
             }
             // Tear the attempt down without touching the (dead) worker's
-            // process bookkeeping, then push the bundle back.
+            // process bookkeeping, then put the task back.
             self.jobs[job].tasks[task].worker = None;
             self.clear_task_attempt(job, task, AttemptFailure::SandboxDead);
             self.world.fault_ledger_mut().task_retries += 1;
-            self.requeue_task(pool, job, task);
+            self.queue_put(pool, job, task, false);
         }
-    }
-
-    /// Pushes a task's bundle back onto the master's KV queue (worker
-    /// loss or a storage-exhausted VM attempt).
-    pub(super) fn requeue_task(&mut self, pool: usize, job: usize, task: usize) {
-        if self.pools[pool].cfg.recovery == RecoveryMode::Decentralized {
-            self.dc_dispatch_task(pool, job, task);
-            return;
-        }
-        if self.pools[pool].recovering {
-            // The replacement master's checkpoint replay re-dispatches
-            // everything unacknowledged; queueing now would race it.
-            return;
-        }
-        let Some(kv) = self.pools[pool].kv else {
-            return; // pool torn down meanwhile
-        };
-        if !self.world.kv_alive(kv) {
-            // Master (and queue) gone without a recovery mode: the
-            // bundle has nowhere to go — the job stalls (Protected).
-            return;
-        }
-        let body = self.task_bundle(job, task);
-        self.master_push(pool, kv, job, body, Route::Requeue { pool });
     }
 
     /// A task's queue bundle: its index and input, as
-    /// [`Self::start_bundle`] decodes it.
+    /// [`decode_bundle`] reads it.
     pub(super) fn task_bundle(&self, job: usize, task: usize) -> ObjectBody {
         let input = self.jobs[job].inputs[task].clone();
         ObjectBody::real(Payload::List(vec![Payload::U64(task as u64), input]).encode())
     }
 
-    /// The master pushes a bundle onto `job`'s queue in its KV store.
-    fn master_push(&mut self, pool: usize, kv: KvId, job: usize, body: ObjectBody, route: Route) {
-        let master = self.pools[pool].master_host();
-        let queue = format!("job-{job}");
-        self.world.set_trace_parent(self.jobs[job].span);
-        let op = self.world.kv_push(master, kv, queue, body);
-        self.world.set_trace_parent(SpanId::NONE);
-        self.op_routes.insert(op, route);
+    /// Puts `task` of `job` on the pool's task queue: the master pushes
+    /// its bundle onto the job's KV list, or the client PUTs it to
+    /// object storage. `initial` puts are the job's first wave; the rest
+    /// come from a release, a retry, a lost worker or a claimer that
+    /// died before starting the task. A bundle already in storage needs
+    /// no second PUT: its task goes straight back on the ready list.
+    pub(super) fn queue_put(&mut self, pool: usize, job: usize, task: usize, initial: bool) {
+        let p = &mut self.pools[pool];
+        // Only the job that owns the pool has a queue; a waiting job's
+        // `pool_start_job` reads `held` later. A replacement master's
+        // checkpoint replay re-puts everything unacknowledged, so a
+        // later put now would race it.
+        if p.active != Some(job) || (p.recovering && !initial) {
+            return;
+        }
+        let route = Route::QueuePut {
+            pool,
+            job,
+            task,
+            initial,
+        };
+        match &mut p.task_queue {
+            TaskQueue::Kv(kv) => {
+                let Some(kv) = *kv else {
+                    return; // pool torn down meanwhile
+                };
+                if !initial && !self.world.kv_alive(kv) {
+                    // Master (and queue) gone without a recovery mode:
+                    // the bundle has nowhere to go — the job stalls.
+                    return;
+                }
+                let master = self.pools[pool].master_host();
+                let body = self.task_bundle(job, task);
+                self.world.set_trace_parent(self.jobs[job].span);
+                let op = self.world.kv_push(master, kv, format!("job-{job}"), body);
+                self.world.set_trace_parent(SpanId::NONE);
+                self.op_routes.insert(op, route);
+            }
+            TaskQueue::Storage { ready, uploaded } => {
+                if std::mem::replace(&mut uploaded[task], true) {
+                    ready.push_back(task);
+                    self.wake_idle_procs(pool);
+                    return;
+                }
+                let request = StorageRequest::Put {
+                    bucket: self.jobs[job].bucket.clone(),
+                    key: bundle_key(job, task),
+                    body: self.task_bundle(job, task),
+                };
+                let client = self.world.client_host();
+                self.issue_storage(client, request, 1, route);
+            }
+        }
     }
 
-    /// A requeued bundle landed: wake idle worker processes so one of
-    /// them picks it up.
-    pub(super) fn on_requeue_done(&mut self, pool: usize) {
+    /// A put landed. A bundle in storage becomes claimable while its job
+    /// still owns the pool. A put of the first wave then advances the
+    /// gate that starts the worker processes; any other put wakes the
+    /// idle ones.
+    pub(super) fn on_queue_put(&mut self, pool: usize, job: usize, task: usize, initial: bool) {
+        let p = &mut self.pools[pool];
+        if let TaskQueue::Storage { ready, .. } = &mut p.task_queue {
+            if p.active != Some(job) {
+                return;
+            }
+            ready.push_back(task);
+        }
+        if initial {
+            self.on_push_done(pool, job);
+        } else {
+            self.wake_idle_procs(pool);
+        }
+    }
+
+    /// Wakes the worker processes that found the queue empty, so one of
+    /// them claims the task just put.
+    fn wake_idle_procs(&mut self, pool: usize) {
         let idle = std::mem::take(&mut self.pools[pool].idle_procs);
         for (job, vm_idx, proc, vm) in idle {
             // A finished job's processes were restarted for the next job.
             if self.pools[pool].active == Some(job)
                 && self.vm_live(pool, PoolSlot::Worker(vm_idx), vm)
             {
-                self.worker_pop(pool, vm_idx, proc);
+                self.worker_claim(pool, vm_idx, proc);
             }
         }
     }
@@ -544,7 +663,7 @@ impl CloudEnv {
     }
 
     /// The one staleness rule for notifications that name a pool VM (SSH
-    /// timers, pops, claims, idle processes, re-adoption fetches): one is
+    /// timers, queue claims, idle processes, re-adoption fetches): one is
     /// live only while `slot` still holds `vm` and its host is up.
     pub(super) fn vm_live(&self, pool: usize, slot: PoolSlot, vm: VmId) -> bool {
         self.pools[pool]
@@ -564,32 +683,35 @@ impl CloudEnv {
         pv.filter(|pv| pv.vm == vm).expect("a routed VM is still in its slot")
     }
 
-    /// Infra ready: master pushes every task bundle into its KV queue.
-    /// Gated tasks are skipped — their bundles arrive one by one through
-    /// `release_task` as upstream partitions complete.
+    /// Infra ready: puts every task of `job` on the pool's queue. Gated
+    /// tasks are skipped — they arrive one by one through `release_task`
+    /// as upstream partitions complete. A KV-held queue leaves the job's
+    /// monitor on the master. With the queue in storage the client
+    /// monitors, and the master (if the pool even has a dedicated one)
+    /// never touches the data path.
     pub(super) fn pool_start_job(&mut self, pool: usize, job: usize) {
-        match self.pools[pool].cfg.recovery {
-            RecoveryMode::Decentralized => {
-                self.dc_start_job(pool, job);
-                return;
-            }
-            RecoveryMode::Checkpointed => self.on_checkpoint_tick(pool, job),
-            RecoveryMode::Protected => {}
+        if self.pools[pool].cfg.recovery == RecoveryMode::Checkpointed {
+            self.on_checkpoint_tick(pool, job);
         }
-        let kv = self.pools[pool].kv.expect("pool started without KV");
-        self.jobs[job].monitor_host = self.pools[pool].master_host();
+        self.jobs[job].monitor_host = if self.pools[pool].task_queue.on_master() {
+            self.pools[pool].master_host()
+        } else {
+            self.world.client_host()
+        };
         let n = self.jobs[job].inputs.len();
+        if let TaskQueue::Storage { uploaded, .. } = &mut self.pools[pool].task_queue {
+            *uploaded = vec![false; n];
+        }
         let ready: Vec<usize> = (0..n)
             .filter(|&t| !self.jobs[job].tasks[t].held)
             .collect();
         self.pools[pool].pushes_outstanding = ready.len();
         for task in ready {
-            let body = self.task_bundle(job, task);
-            self.master_push(pool, kv, job, body, Route::Push { pool, job });
+            self.queue_put(pool, job, task, true);
         }
         if self.pools[pool].pushes_outstanding == 0 {
             // Fully gated job: workers spin up idle and wait for
-            // released bundles.
+            // released tasks.
             self.pool_pushes_complete(pool, job);
         }
     }
@@ -616,7 +738,7 @@ impl CloudEnv {
             })
             .collect();
         for (vm_idx, proc) in worker_specs {
-            self.worker_pop(pool, vm_idx, proc);
+            self.worker_claim(pool, vm_idx, proc);
         }
         // The master begins monitoring result objects (once every gated
         // task has been released).
@@ -624,73 +746,114 @@ impl CloudEnv {
         self.maybe_start_monitor(job);
     }
 
-    pub(super) fn worker_pop(&mut self, pool: usize, vm_idx: usize, proc: usize) {
-        let Some(job) = self.pools[pool].active else {
+    /// Process `proc` of worker slot `vm_idx` claims the next task of the
+    /// pool's active job: a pop from the master's KV list, or a GET of
+    /// the next ready task's bundle from storage (the conditional-put
+    /// claim of a real implementation). An empty queue idles the
+    /// process until a put wakes it.
+    pub(super) fn worker_claim(&mut self, pool: usize, vm_idx: usize, proc: usize) {
+        let p = &mut self.pools[pool];
+        let Some(job) = p.active else {
             return;
         };
-        if self.pools[pool].cfg.recovery == RecoveryMode::Decentralized {
-            self.worker_claim(pool, job, vm_idx, proc);
-            return;
-        }
-        let Some(kv) = self.pools[pool].kv else {
+        let Some(w) = p.workers.get(vm_idx).filter(|w| w.phase == VmPhase::Ready) else {
             return;
         };
-        let w = &self.pools[pool].workers[vm_idx];
-        if w.phase != VmPhase::Ready {
-            return;
-        }
         let (host, vm) = (w.host, w.vm);
         if !self.world.host_alive(host) {
             return; // VM just died; its VmFailed notification is queued
         }
-        if !self.world.kv_alive(kv) {
-            // Queue died with the master; idle until recovery (or the
-            // stall, under Protected) resolves the run.
-            self.pools[pool].idle_procs.push((job, vm_idx, proc, vm));
-            return;
+        let mut claim = Claim {
+            pool,
+            job,
+            vm_idx,
+            proc,
+            vm,
+            task: None,
+        };
+        match &mut p.task_queue {
+            TaskQueue::Kv(None) => {}
+            TaskQueue::Kv(Some(kv)) => {
+                let kv = *kv;
+                if !self.world.kv_alive(kv) {
+                    // Queue died with the master; idle until recovery (or
+                    // the stall, under Protected) resolves the run.
+                    p.idle_procs.push((job, vm_idx, proc, vm));
+                    return;
+                }
+                self.world.set_trace_parent(self.jobs[job].span);
+                let op = self.world.kv_pop(host, kv, format!("job-{job}"));
+                self.world.set_trace_parent(SpanId::NONE);
+                self.op_routes.insert(op, Route::QueueClaim(claim));
+            }
+            TaskQueue::Storage { ready, .. } => {
+                // Entries whose task got owned or finished meanwhile are
+                // stale: skip them.
+                let tasks = &self.jobs[job].tasks;
+                let Some(task) = std::iter::from_fn(|| ready.pop_front())
+                    .find(|&t| claimable(&tasks[t]))
+                else {
+                    p.idle_procs.push((job, vm_idx, proc, vm));
+                    return;
+                };
+                claim.task = Some(u32::try_from(task).expect("a job has fewer than 2^32 tasks"));
+                let request = StorageRequest::Get {
+                    bucket: self.jobs[job].bucket.clone(),
+                    key: bundle_key(job, task),
+                };
+                self.issue_storage(host, request, 1, Route::QueueClaim(claim));
+            }
         }
-        let queue = format!("job-{job}");
-        self.world.set_trace_parent(self.jobs[job].span);
-        let op = self.world.kv_pop(host, kv, queue);
-        self.world.set_trace_parent(SpanId::NONE);
-        self.op_routes.insert(op, Route::Pop { pool, job, vm_idx, proc, vm });
     }
 
-    pub(super) fn on_pop(
-        &mut self,
-        pool: usize,
-        job: usize,
-        vm_idx: usize,
-        proc: usize,
-        vm: VmId,
-        outcome: OpOutcome,
-    ) {
+    /// A claim came back. A KV pop yields its task's bundle, or nothing
+    /// once the list is drained (the process idles until a put wakes
+    /// it). A storage claim picked its task before the GET: if another
+    /// process took the task meanwhile, or the bundle is missing (an
+    /// injected fault), the process claims again. Either way, a claimer
+    /// that died in flight puts its task back for the others.
+    pub(super) fn on_queue_claim(&mut self, claim: Claim, outcome: OpOutcome) {
+        let Claim {
+            pool,
+            job,
+            vm_idx,
+            proc,
+            vm,
+            task,
+        } = claim;
         if self.pools[pool].active != Some(job) {
             return; // the job finished; its processes restart for the next
         }
-        let OpOutcome::KvValue { body } = outcome else {
-            unreachable!("pop yielded a non-KV outcome")
+        let picked = task.map(|t| t as usize);
+        let bundle = match outcome {
+            OpOutcome::KvValue { body } => body,
+            OpOutcome::GetOk { body } => Some(body),
+            _ => None,
         };
         if !self.vm_live(pool, PoolSlot::Worker(vm_idx), vm) {
-            // Pop issued by a since-lost worker VM (or one whose crash
-            // notification is still queued): the popped bundle must not
-            // vanish with it — push it back for the others.
-            if let (Some(body), Some(kv)) = (body, self.pools[pool].kv) {
-                self.master_push(pool, kv, job, body, Route::Requeue { pool });
+            // Claim issued by a since-lost worker VM (or one whose crash
+            // notification is still queued): its task must not vanish
+            // with it.
+            if let Some(task) = picked.or_else(|| bundle.as_ref().map(|b| decode_bundle(b).0)) {
+                self.queue_put(pool, job, task, false);
             }
             return;
         }
-        let Some(body) = body else {
-            // Queue drained; the worker process idles until a requeued
-            // bundle wakes it.
+        if let Some(task) = picked {
+            if !claimable(&self.jobs[job].tasks[task]) || bundle.is_none() {
+                self.worker_claim(pool, vm_idx, proc);
+                return;
+            }
+        }
+        let Some(body) = bundle else {
             self.pools[pool].idle_procs.push((job, vm_idx, proc, vm));
             return;
         };
         self.start_bundle(pool, job, vm_idx, proc, &body);
     }
 
-    /// Runs the task a fetched bundle carries on worker process
-    /// `(vm_idx, proc)`. Decentralized pools run no KV server, so their
+    /// Runs the task a claimed bundle carries on worker process
+    /// `(vm_idx, proc)`. A storage-held queue runs no KV server, so its
     /// tasks get no handle: they have no master to exchange through
     /// (stage tasks only touch object storage).
     pub(super) fn start_bundle(
@@ -701,10 +864,7 @@ impl CloudEnv {
         proc: usize,
         body: &ObjectBody,
     ) {
-        let bytes = body.bytes().expect("task bundles are always real bytes");
-        let bundle = Payload::decode(bytes).expect("task bundle decodes");
-        let items = bundle.as_list().expect("bundle is a list");
-        let task = items[0].as_u64().expect("bundle[0] is the index") as usize;
+        let (task, input) = decode_bundle(body);
         debug_assert!(
             !self.jobs[job].tasks.iter().enumerate().any(|(i, t)| i != task
                 && t.worker == Some((vm_idx, proc))
@@ -712,7 +872,10 @@ impl CloudEnv {
             "worker process {proc} of slot {vm_idx} already runs a task of job {job}"
         );
         let host = self.pools[pool].workers[vm_idx].host;
-        let kv = self.pools[pool].kv;
+        let kv = match self.pools[pool].task_queue {
+            TaskQueue::Kv(kv) => kv,
+            TaskQueue::Storage { .. } => None,
+        };
         let fleet = self.pools[pool].fleet_name.clone();
         let span = self.begin_attempt_span(job, task, &fleet);
         let now = self.world.now();
@@ -721,7 +884,27 @@ impl CloudEnv {
         t.attempts += 1;
         t.started_at = Some(now);
         t.span = span;
-        self.start_task(job, task, host, kv, &items[1]);
+        self.start_task(job, task, host, kv, &input);
+    }
+
+    /// A task finished on a pool whose queue is in storage: its worker
+    /// writes the completion counter before claiming new work. The
+    /// counter is the storage queue's per-task price; its landing only
+    /// counts it.
+    pub(super) fn write_counter(&mut self, pool: usize, job: usize, task: usize, vm_idx: usize) {
+        let Some(w) = self.pools[pool].workers.get(vm_idx) else {
+            return;
+        };
+        let host = w.host;
+        if !self.world.host_alive(host) {
+            return;
+        }
+        let request = StorageRequest::Put {
+            bucket: self.jobs[job].bucket.clone(),
+            key: counter_key(job, task),
+            body: ObjectBody::real(Payload::U64(task as u64).encode()),
+        };
+        self.issue_storage(host, request, 1, Route::Counter { job });
     }
 
     // ------------------------------------------------------------------
@@ -732,7 +915,10 @@ impl CloudEnv {
         // Clearing `active` also ends the job's checkpoint cadence.
         self.pools[pool].active = None;
         self.pools[pool].recovering = false;
-        self.pools[pool].dc_ready.clear();
+        if let TaskQueue::Storage { ready, uploaded } = &mut self.pools[pool].task_queue {
+            ready.clear();
+            uploaded.clear();
+        }
         // "Once all logical functions have been completed, all resources
         // are automatically stopped" — unless reuse is configured and
         // more work may come.

@@ -63,15 +63,13 @@ impl CloudEnv {
                 }
             }
         }
-        // A decentralized pool's dedicated master must stay out of the
-        // data path entirely; any op issued from its host is counted so
-        // the chaos suite can assert the count stays zero.
-        let from_dc_master = self.pools.iter().any(|p| {
-            p.cfg.recovery == RecoveryMode::Decentralized
-                && !p.consolidated()
-                && p.master.as_ref().is_some_and(|m| m.host == host)
+        // A dedicated master holding no queue must stay out of the data
+        // path entirely; any op issued from its host is counted so the
+        // chaos suite can assert the count stays zero.
+        let from_idle_master = self.pools.iter().any(|p| {
+            !p.task_queue.on_master() && p.master.as_ref().is_some_and(|m| m.host == host)
         });
-        if from_dc_master {
+        if from_idle_master {
             self.recovery_stats.master_data_ops += 1;
         }
         // Storage is charged synchronously at issue time; bill it to the
@@ -120,18 +118,19 @@ impl CloudEnv {
             return;
         }
         let policy = self.jobs[job].retry.clone();
-        // Recovery control traffic (checkpoints, re-adoption fetches,
-        // completion counters) retries indefinitely like the monitor:
-        // losing one to a transient must not fail a task attempt.
+        // Recovery and queue control traffic (checkpoints, re-adoption
+        // fetches, bundle puts and claims, completion counters) retries
+        // indefinitely like the monitor: losing one to a transient must
+        // not fail a task attempt.
         let monitor = matches!(
             route,
             Route::List { .. }
                 | Route::Collect { .. }
                 | Route::Checkpoint { .. }
                 | Route::Readopt { .. }
-                | Route::DcBundle { .. }
-                | Route::DcClaim { .. }
-                | Route::DcCounter { .. }
+                | Route::QueuePut { .. }
+                | Route::QueueClaim(_)
+                | Route::Counter { .. }
         );
         if !monitor && !policy.allows_retry(attempts) {
             self.world.fault_ledger_mut().attempts_exhausted += 1;
@@ -244,10 +243,10 @@ impl CloudEnv {
             }
         }
         if let Some((vm_idx, proc)) = self.jobs[job].tasks[task].worker.take() {
-            // The freed worker process fetches its next bundle (this
-            // task's own requeued bundle arrives only after backoff).
+            // The freed worker process claims its next task (this task
+            // goes back on the queue only after backoff).
             if let JobBackend::Standalone { pool } = self.jobs[job].backend {
-                self.worker_pop(pool, vm_idx, proc);
+                self.worker_claim(pool, vm_idx, proc);
             }
         }
         let now = self.world.now();
@@ -277,7 +276,7 @@ impl CloudEnv {
         }
         match self.jobs[job].backend {
             JobBackend::Faas { .. } => self.dispatch_faas_task(job, task),
-            JobBackend::Standalone { pool } => self.requeue_task(pool, job, task),
+            JobBackend::Standalone { pool } => self.queue_put(pool, job, task, false),
         }
     }
 
@@ -305,11 +304,16 @@ impl CloudEnv {
         }
         if !self.world.host_alive(host) {
             // Issuing host died; task-level recovery owns this — except
-            // an in-flight decentralized claim, whose task would
-            // otherwise be stranded (it has no worker assigned yet).
-            if let Route::DcClaim { pool, task, .. } = route {
-                self.pools[pool].dc_ready.push_back(task);
-                self.on_requeue_done(pool);
+            // a storage claim, whose task would otherwise be stranded (it
+            // has no worker assigned yet): it goes back on the queue.
+            if let Route::QueueClaim(Claim {
+                pool,
+                job,
+                task: Some(task),
+                ..
+            }) = route
+            {
+                self.queue_put(pool, job, task as usize, false);
             }
             return;
         }

@@ -38,15 +38,14 @@ pub(super) enum Route {
     /// pool VM, it is dropped once `slot` no longer holds `vm` (see
     /// `CloudEnv::vm_live`).
     PoolVm { pool: usize, slot: PoolSlot, vm: VmId },
-    /// Master pushed one task bundle into the KV queue.
-    Push { pool: usize, job: usize },
-    /// A worker process's KV pop from `job`'s queue, issued by worker VM
-    /// `vm`.
-    Pop { pool: usize, job: usize, vm_idx: usize, proc: usize, vm: VmId },
+    /// A task put on its pool's queue: the master's KV push, or the
+    /// client's bundle PUT. `initial` marks the job's first wave.
+    QueuePut { pool: usize, job: usize, task: usize, initial: bool },
+    /// A worker process's claim on its pool's queue: a KV pop, or a GET
+    /// of the bundle of the task it picked.
+    QueueClaim(Claim),
     /// The master's SSH notification reaching the client.
     MasterNotify { job: usize },
-    /// Master re-pushing a requeued task bundle after a worker loss.
-    Requeue { pool: usize },
     /// A caller-owned timer registered via [`CloudEnv::external_timer`];
     /// surfaced from [`CloudEnv::pump`] instead of being handled here.
     External { token: u64 },
@@ -61,15 +60,13 @@ pub(super) enum Route {
     /// The checkpoint GET of replacement master `vm` during
     /// re-adoption; a twice-replaced master drops the first one's fetch.
     Readopt { pool: usize, job: usize, vm: VmId },
-    /// Client PUT of a task bundle to object storage
-    /// ([`RecoveryMode::Decentralized`] dispatch).
-    DcBundle { pool: usize, job: usize, task: usize },
-    /// Worker GET of a claimed task bundle (decentralized dispatch).
-    DcClaim { pool: usize, job: usize, vm_idx: usize, proc: usize, vm: VmId, task: usize },
-    /// Worker PUT of a per-task completion counter (decentralized
-    /// dispatch).
-    DcCounter { job: usize },
+    /// Worker PUT of a finished task's completion counter (a pool whose
+    /// queue is in storage).
+    Counter { job: usize },
 }
+
+// Every in-flight op keeps its route in `op_routes`: don't let it grow.
+const _: () = assert!(std::mem::size_of::<Route>() <= 56);
 
 impl CloudEnv {
     /// The job a route belongs to, if any.
@@ -80,13 +77,12 @@ impl CloudEnv {
             | Route::JobSetup { job }
             | Route::List { job, .. }
             | Route::Collect { job, .. }
-            | Route::Push { job, .. }
+            | Route::QueuePut { job, .. }
+            | Route::QueueClaim(Claim { job, .. })
             | Route::MasterNotify { job }
             | Route::Checkpoint { job, .. }
             | Route::Readopt { job, .. }
-            | Route::DcBundle { job, .. }
-            | Route::DcClaim { job, .. }
-            | Route::DcCounter { job } => Some(*job),
+            | Route::Counter { job } => Some(*job),
             _ => None,
         }
     }
@@ -110,22 +106,16 @@ impl CloudEnv {
                 task,
                 generation,
             } => self.on_collect(job, task, generation, outcome),
-            Route::Push { pool, job } => self.on_push_done(pool, job),
-            Route::Pop { pool, job, vm_idx, proc, vm } => {
-                self.on_pop(pool, job, vm_idx, proc, vm, outcome)
-            }
-            Route::Requeue { pool } => self.on_requeue_done(pool),
-            Route::Checkpoint { pool, .. } => {
-                if self.pools[pool].cfg.recovery == RecoveryMode::Checkpointed {
-                    self.recovery_stats.checkpoints_written += 1;
-                }
-            }
+            Route::QueuePut {
+                pool,
+                job,
+                task,
+                initial,
+            } => self.on_queue_put(pool, job, task, initial),
+            Route::QueueClaim(claim) => self.on_queue_claim(claim, outcome),
+            Route::Checkpoint { .. } => self.recovery_stats.checkpoints_written += 1,
             Route::Readopt { pool, job, vm } => self.on_readopt(pool, job, vm, outcome),
-            Route::DcBundle { pool, job, task } => self.on_dc_bundle(pool, job, task),
-            Route::DcClaim { pool, job, vm_idx, proc, vm, task } => {
-                self.on_dc_claim(pool, job, vm_idx, proc, vm, task, outcome)
-            }
-            Route::DcCounter { .. } => self.recovery_stats.counters_written += 1,
+            Route::Counter { .. } => self.recovery_stats.counters_written += 1,
             other => unreachable!("op completion routed to {other:?}"),
         }
     }
@@ -137,15 +127,25 @@ impl CloudEnv {
     pub(super) fn on_kv_unreachable(&mut self, route: Route) {
         match route {
             // The worker process survives the master: it idles until
-            // recovery requeues work (or forever).
-            Route::Pop { pool, job, vm_idx, proc, vm }
-                if self.vm_live(pool, PoolSlot::Worker(vm_idx), vm) =>
-            {
+            // recovery puts work back (or forever).
+            Route::QueueClaim(Claim {
+                pool,
+                job,
+                vm_idx,
+                proc,
+                vm,
+                ..
+            }) if self.vm_live(pool, PoolSlot::Worker(vm_idx), vm) => {
                 self.pools[pool].idle_procs.push((job, vm_idx, proc, vm));
             }
-            Route::Push { pool, job } => {
-                // Keep the outstanding-push bookkeeping moving so the
-                // job reaches its (stalled or recovered) steady state.
+            Route::QueuePut {
+                pool,
+                job,
+                initial: true,
+                ..
+            } => {
+                // Keep the first wave's gate moving so the job reaches
+                // its (stalled or recovered) steady state.
                 self.on_push_done(pool, job);
             }
             Route::Task { job, task } => {
@@ -154,9 +154,8 @@ impl CloudEnv {
                 // through the normal task budget.
                 self.task_attempt_failed(job, task, AttemptFailure::StorageExhausted);
             }
-            // A requeue push that died with the queue: the checkpoint
-            // replay (or the stall) owns the task now.
-            Route::Requeue { .. } => {}
+            // A later put that died with the queue: the checkpoint replay
+            // (or the stall) owns the task now.
             _ => {}
         }
     }

@@ -344,13 +344,13 @@ impl CloudEnv {
         }
         if let Some((vm_idx, proc)) = self.jobs[job].tasks[task].worker {
             if let JobBackend::Standalone { pool } = self.jobs[job].backend {
-                // Decentralized dispatch: the completion counter goes to
-                // storage before the process moves on.
-                if self.pools[pool].cfg.recovery == RecoveryMode::Decentralized {
-                    self.dc_write_counter(pool, job, task, vm_idx);
+                // With the queue in storage, the completion counter goes
+                // to storage before the process moves on.
+                if !self.pools[pool].task_queue.on_master() {
+                    self.write_counter(pool, job, task, vm_idx);
                 }
-                // The worker process fetches its next logical function.
-                self.worker_pop(pool, vm_idx, proc);
+                // The worker process claims its next logical function.
+                self.worker_claim(pool, vm_idx, proc);
             }
         }
     }

@@ -14,14 +14,17 @@
 //!   master loss a replacement boots, fetches the snapshot, re-adopts
 //!   every worker that is still ready and alive, and re-dispatches only
 //!   the tasks whose acknowledgement died with the old master.
-//! * [`RecoveryMode::Decentralized`] — storage-backed dispatch in the
-//!   unum style: task bundles and per-task completion counters live in
-//!   object storage, and workers claim their bundles from there. The
+//! * [`RecoveryMode::Decentralized`] — the pool's task queue moves from
+//!   the master's KV server into object storage, in the unum style: the
+//!   client PUTs each task's bundle there, workers claim bundles with a
+//!   GET, and each finished task writes a completion counter. The
 //!   master never enters the data path, so losing it after submission
-//!   is a non-event. The counters are the protocol's per-task cost; a
-//!   DAG's gated successors are released by the driver's
+//!   is a non-event. The counters are the mode's per-task cost; a DAG's
+//!   gated successors are released by the driver's
 //!   [`Readiness`](crate::dag::Readiness), as in every mode.
 //!
+//! The pool puts and claims tasks through one queue API in either
+//! medium; the mode picks the medium once, when the pool is created.
 //! The executor/environment wiring lives in `crate::env`; recovery
 //! activity is counted in [`telemetry::RecoveryStats`].
 
@@ -42,9 +45,10 @@ pub enum RecoveryMode {
     /// Periodic master-state checkpoints to object storage; a
     /// replacement master replays the snapshot and re-adopts workers.
     Checkpointed,
-    /// No master in the data path: storage-backed dispatch and a
-    /// completion counter per task. DAG successors are released by the
-    /// driver's [`Readiness`](crate::dag::Readiness), as in every mode.
+    /// No master in the data path: the task queue lives in object
+    /// storage, and each task writes a completion counter. DAG
+    /// successors are released by the driver's
+    /// [`Readiness`](crate::dag::Readiness), as in every mode.
     Decentralized,
 }
 
