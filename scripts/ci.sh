@@ -62,6 +62,17 @@ if grep -rnE "async fn|async move|\.await|AsyncExecutor|Rc<RefCell|Rc<Cell|Rc::n
     echo "a second scheduler (futures or shared Rc<RefCell> / Rc<Cell> state) is back" >&2
     exit 1
 fi
+# A pool has one task queue: TaskQueue keeps it in the master's KV
+# server or in object storage, behind one put and one claim. The
+# decentralized mode's second queue (its bundle, claim and counter
+# routes, its ready list and upload flags, and its dispatch functions)
+# must not come back beside it.
+queue_twins='Route::(Push|Pop|Requeue|DcBundle|DcClaim|DcCounter)\b|dc_ready|dc_uploaded'
+queue_twins+='|dc_start_job|dc_dispatch_task|on_dc_bundle|on_dc_claim|master_push'
+if grep -rnE "$queue_twins" crates/serverful/src; then
+    echo "a second serverful task queue is back beside TaskQueue" >&2
+    exit 1
+fi
 # A gated DAG task is released by one rule, the pipelined drivers'
 # Readiness. The environment's per-edge continuation scan released a
 # join's tasks once any one in-edge's counters landed, so it must not
