@@ -306,13 +306,7 @@ impl CloudEnv {
             // Issuing host died; task-level recovery owns this — except
             // a storage claim, whose task would otherwise be stranded (it
             // has no worker assigned yet): it goes back on the queue.
-            if let Route::QueueClaim(Claim {
-                pool,
-                job,
-                task: Some(task),
-                ..
-            }) = route
-            {
+            if let Route::QueueClaim(Claim { pool, job, task: Some(task), .. }) = route {
                 self.queue_put(pool, job, task as usize, false);
             }
             return;

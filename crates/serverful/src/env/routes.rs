@@ -128,26 +128,12 @@ impl CloudEnv {
         match route {
             // The worker process survives the master: it idles until
             // recovery puts work back (or forever).
-            Route::QueueClaim(Claim {
-                pool,
-                job,
-                vm_idx,
-                proc,
-                vm,
-                ..
-            }) if self.vm_live(pool, PoolSlot::Worker(vm_idx), vm) => {
-                self.pools[pool].idle_procs.push((job, vm_idx, proc, vm));
+            Route::QueueClaim(c) if self.vm_live(c.pool, PoolSlot::Worker(c.vm_idx), c.vm) => {
+                self.pools[c.pool].idle_procs.push((c.job, c.vm_idx, c.proc, c.vm));
             }
-            Route::QueuePut {
-                pool,
-                job,
-                initial: true,
-                ..
-            } => {
-                // Keep the first wave's gate moving so the job reaches
-                // its (stalled or recovered) steady state.
-                self.on_push_done(pool, job);
-            }
+            // Keep the first wave's gate moving so the job reaches its
+            // (stalled or recovered) steady state.
+            Route::QueuePut { pool, job, initial: true, .. } => self.on_push_done(pool, job),
             Route::Task { job, task } => {
                 // A task's KV action (shuffle exchange) lost the server
                 // mid-transfer: the attempt is torn down and retried
