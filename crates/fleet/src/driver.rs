@@ -354,6 +354,9 @@ struct StageRun {
     /// The submitted job, once launched (pipelined FaaS stages launch
     /// gated at arrival; every other stage launches when admitted).
     handle: Option<JobHandle>,
+    /// Whether the stage launched gated. An ungated stage dispatched
+    /// every task at launch, so it takes no part in task release.
+    gated: bool,
     /// Whole stage finished and its result taken.
     complete: bool,
     /// Entries of the stage job's completion log fed to the job's
@@ -488,6 +491,7 @@ impl CellState<'_> {
                 .iter()
                 .map(|_| StageRun {
                     handle: None,
+                    gated: false,
                     complete: false,
                     seen: 0,
                     throttle_noted: false,
@@ -658,7 +662,9 @@ impl CellState<'_> {
                     } else {
                         self.note_stage_throttle(idx, s);
                     }
-                } else if self.release_ready_tasks(idx, s, &mut released_now) {
+                } else if self.jobs[idx].runs[s].gated
+                    && self.release_ready_tasks(idx, s, &mut released_now)
+                {
                     progressed = true;
                 }
             }
@@ -682,11 +688,10 @@ impl CellState<'_> {
         }
     }
 
-    /// Releases the ready tasks of stage `s` in task order, stopping at
-    /// the first that the Lambda quota cannot admit; it stays ready for
-    /// the next pass. A stage launched ungated after its upstream
-    /// drained has every task ready, and passes them through the same
-    /// admission. Returns whether any task was released.
+    /// Releases the ready tasks of gated stage `s` in task order,
+    /// stopping at the first that the Lambda quota cannot admit; it
+    /// stays ready for the next pass. Returns whether any task was
+    /// released.
     fn release_ready_tasks(&mut self, idx: usize, s: usize, released_now: &mut usize) -> bool {
         let handle = self.jobs[idx].runs[s].handle.expect("caller checked submission");
         let mut any = false;
@@ -852,6 +857,7 @@ impl CellState<'_> {
         let (exec, env) = self.executor(idx, slot);
         let handle = exec.map_with(env, factory, inputs, opts);
         self.jobs[idx].runs[stage_idx].handle = Some(handle);
+        self.jobs[idx].runs[stage_idx].gated = gated;
         let at = self.in_flight.partition_point(|f| (f.job, f.stage) < (idx, stage_idx));
         self.in_flight.insert(at, InFlight { job: idx, stage: stage_idx, handle, slot });
     }

@@ -71,6 +71,10 @@ fn dsl_family_tenants_share_the_region_deterministically() {
         a.policies[0].jobs.iter().any(|j| j.name.starts_with("sorters#")),
         "the terasort tenant never submitted a job"
     );
+    // A pipelined shared-pool cell leases or degrades whole stages and
+    // launches none gated, so no task release can wait on the quota.
+    let pool = a.policy("shared-pool").expect("shared-pool cell");
+    assert_eq!(pool.throttled, 0, "{pool:?}");
 }
 
 /// The smoke scenario's quota is sized so pure serverless actually
