@@ -10,30 +10,31 @@
 //!
 //! Inside a cell, one loop pumps [`serverful::CloudEnv`] an event at a
 //! time. Arrivals are [`serverful::CloudEnv::external_timer`]s: an
-//! arriving job submits its first stage (barrier) or its gated
-//! always-FaaS stages (pipelined). A stage can only drain when one of
-//! the env's jobs finishes, so after any other event the loop looks at
-//! [`serverful::CloudEnv::finished_jobs`] and, only when that count has
-//! moved since its last look, polls each in-flight stage through exactly
-//! one [`serverful::FunctionExecutor::try_result`] dispatch
-//! (`CellState::scan_completions`), jobs in arrival order and stages in
-//! pipeline order, then advances the jobs whose stages drained, in job
-//! order. A pipelined cell then releases gated tasks from each job's
-//! [`Readiness`] tracker, fed from the stages' completion logs. That
-//! fixed scan order is what keeps a cell deterministic. Every stage
+//! arriving job clones its tenant's [`DagRun`], the same per-job state
+//! machine [`serverful::run_dag`] steps, and submits its first stage
+//! (barrier) or its gated always-FaaS stages (pipelined). A stage can
+//! only drain when one of the env's jobs finishes, so after any other
+//! event the loop looks at [`serverful::CloudEnv::finished_jobs`] and,
+//! only when that count has moved since its last look, observes each
+//! in-flight stage (`CellState::scan_completions`), jobs in arrival order
+//! and stages in pipeline order, then advances the jobs whose stages
+//! drained, in job order. A pipelined cell then observes each job's
+//! launched stages and releases their ready gated tasks, each admitted
+//! against the Lambda quota; a stage launched ungated is admitted whole.
+//! That fixed scan order is what keeps a cell deterministic. Every stage
 //! submission passes the [`Admission`] controller.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use cloudsim::{CloudConfig, ObjectBody};
-use metaspace::pipeline::{Stage, StageEdge, StageKind};
+use metaspace::pipeline::{Stage, StageKind};
 use metaspace::plan::StageBackend;
 use metaspace::runner::science_digest;
 use serverful::executor::MapOptions;
 use serverful::{
-    Backend, CloudEnv, Edge, EnvEvent, ExecError, ExecutionMode, ExecutorConfig, FunctionExecutor,
-    JobHandle, Payload, Readiness, ScriptTask,
+    Backend, CloudEnv, DagRun, Edge, EnvEvent, ExecError, ExecutionMode, ExecutorConfig,
+    FunctionExecutor, Payload, ScriptTask,
 };
 use simkernel::{IdMap, SimTime};
 
@@ -323,18 +324,17 @@ enum ExecSlot {
     Pool(usize),
 }
 
-/// One tenant's job, built once per cell and cloned per arrival.
+/// One tenant's job, built once per cell; each arrival clones its DAG.
 struct JobTemplate {
     stages: Vec<Stage>,
-    edges: Vec<Vec<StageEdge>>,
-    /// A fresh job's task readiness.
-    ready: Readiness,
+    /// A fresh job's stage DAG, nothing launched.
+    dag: DagRun,
 }
 
 impl JobTemplate {
     fn new(tenant: &TenantSpec) -> JobTemplate {
         let w = tenant.workload();
-        let ready = Readiness::new(w.stages.iter().zip(&w.edges).map(|(s, edges)| {
+        let dag = DagRun::new(w.stages.iter().zip(&w.edges).map(|(s, edges)| {
             let deps = edges.iter().map(|e| Edge {
                 from: e.from,
                 fan_in: e.fan_in,
@@ -343,55 +343,25 @@ impl JobTemplate {
         }));
         JobTemplate {
             stages: w.stages,
-            edges: w.edges,
-            ready,
+            dag,
         }
     }
-}
-
-/// One stage's scheduling state inside a job.
-struct StageRun {
-    /// The submitted job, once launched (pipelined FaaS stages launch
-    /// gated at arrival; every other stage launches when admitted).
-    handle: Option<JobHandle>,
-    /// Whether the stage launched gated. An ungated stage dispatched
-    /// every task at launch, so it takes no part in task release.
-    gated: bool,
-    /// Whole stage finished and its result taken.
-    complete: bool,
-    /// Entries of the stage job's completion log fed to the job's
-    /// readiness tracker (pipelined cells).
-    seen: usize,
-    /// Whether this stage already counted one quota throttle.
-    throttle_noted: bool,
 }
 
 /// One in-flight (or finished) job inside a cell.
 struct JobRun {
     tenant: usize,
     name: String,
-    stages: Vec<Stage>,
-    /// Stage-level dataflow edges from the tenant's workload
-    /// description (pipelined cells schedule on them).
-    edges: Vec<Vec<StageEdge>>,
-    /// Per-stage scheduling state, aligned with `stages`.
-    runs: Vec<StageRun>,
-    /// Which tasks may be released, stage by stage: pipelined cells
-    /// feed it every completed task and every drained stage, and hand
-    /// its ready tasks out in task order.
-    ready: Readiness,
+    /// The job's stages in flight: launches, completions and which
+    /// gated tasks may be released (pipelined FaaS stages launch gated
+    /// at arrival; every other stage launches ungated when admitted).
+    dag: DagRun,
+    /// Per stage: whether it already counted one quota throttle.
+    throttle_noted: Vec<bool>,
     arrived: SimTime,
     finished: Option<SimTime>,
     /// The per-job fleet executor ([`Policy::PerJobFleet`] only).
     own: Option<FunctionExecutor>,
-}
-
-impl JobRun {
-    /// The first stage not yet submitted (barrier cells submit in
-    /// pipeline order), or `None` once every stage was.
-    fn next_stage(&self) -> Option<usize> {
-        self.runs.iter().position(|r| r.handle.is_none())
-    }
 }
 
 /// A submitted stage that has not drained yet.
@@ -399,8 +369,6 @@ impl JobRun {
 struct InFlight {
     job: usize,
     stage: usize,
-    handle: JobHandle,
-    slot: ExecSlot,
 }
 
 struct CellState<'a> {
@@ -444,17 +412,17 @@ impl CellState<'_> {
                         .remove(&token)
                         .expect("every external timer is an arrival");
                     self.arrive(&a);
-                    self.progress_stages();
+                    self.progress_stages()?;
                 }
                 EnvEvent::Progress => {
                     if self.env.finished_jobs() != self.scanned_finishes {
                         self.scan_completions()?;
                     }
-                    self.progress_stages();
+                    self.progress_stages()?;
                 }
                 EnvEvent::Drained => {
                     self.scan_completions()?;
-                    let progressed = self.progress_stages();
+                    let progressed = self.progress_stages()?;
                     if self.done() {
                         break;
                     }
@@ -482,24 +450,13 @@ impl CellState<'_> {
     /// pipelined job's always-FaaS stages.
     fn arrive(&mut self, a: &Arrival) {
         let template = &self.templates[a.tenant];
+        let stages = template.stages.len();
         let idx = self.jobs.len();
         self.jobs.push(JobRun {
             tenant: a.tenant,
             name: a.job_name(self.sc),
-            runs: template
-                .stages
-                .iter()
-                .map(|_| StageRun {
-                    handle: None,
-                    gated: false,
-                    complete: false,
-                    seen: 0,
-                    throttle_noted: false,
-                })
-                .collect(),
-            stages: template.stages.clone(),
-            edges: template.edges.clone(),
-            ready: template.ready.clone(),
+            dag: template.dag.clone(),
+            throttle_noted: vec![false; stages],
             arrived: self.env.now(),
             finished: None,
             own: None,
@@ -513,7 +470,7 @@ impl CellState<'_> {
         // setup overlaps upstream work, tasks launch one by one as their
         // upstream partitions (and the Lambda quota) allow. Pool/own
         // stages launch from `pipe_pass` once their dependencies drain.
-        for s in 0..self.jobs[idx].stages.len() {
+        for s in 0..stages {
             if self.faas_always(s) {
                 self.submit_stage(idx, s, ExecSlot::Faas, true);
             }
@@ -529,26 +486,10 @@ impl CellState<'_> {
         }
     }
 
-    /// The executor job `idx`'s stage slot names, borrowed alongside the
-    /// environment.
-    fn executor(&mut self, idx: usize, slot: ExecSlot) -> (&mut FunctionExecutor, &mut CloudEnv) {
-        let exec = match slot {
-            ExecSlot::Faas => &mut self.faas,
-            ExecSlot::Own => self.jobs[idx].own.as_mut().expect("own slot has an executor"),
-            ExecSlot::Pool(lease) => self
-                .pool
-                .as_mut()
-                .expect("pool slot has a pool")
-                .exec_mut(lease),
-        };
-        (exec, &mut self.env)
-    }
-
-    /// Polls every in-flight stage (jobs in arrival order, stages in
-    /// pipeline order) through the driver's one `try_result` call, then
-    /// advances, in job order, each job with a stage that drained: a
-    /// barrier job moves to its next stage, and a job with every stage
-    /// drained finishes.
+    /// Observes every in-flight stage (jobs in arrival order, stages in
+    /// pipeline order), then advances, in job order, each job with a
+    /// stage that drained: a barrier job moves to its next stage, and a
+    /// job with every stage drained finishes.
     fn scan_completions(&mut self) -> Result<(), ExecError> {
         // Taken before the poll: a job finishing during this scan's own
         // submissions and shutdowns triggers the next one.
@@ -557,27 +498,23 @@ impl CellState<'_> {
         let mut k = 0;
         while k < self.in_flight.len() {
             let f = self.in_flight[k];
-            let (exec, env) = self.executor(f.job, f.slot);
-            let Some(result) = exec.try_result(env, f.handle) else {
+            let dag = &mut self.jobs[f.job].dag;
+            dag.observe(&mut self.env, f.stage, |_| {})?;
+            if !dag.is_complete(f.stage) {
                 k += 1;
                 continue;
-            };
-            result?;
-            self.in_flight.remove(k);
-            self.jobs[f.job].runs[f.stage].complete = true;
-            if self.pipelined {
-                self.jobs[f.job].ready.complete_node(f.stage);
             }
+            self.in_flight.remove(k);
             if drained.last() != Some(&f.job) {
                 drained.push(f.job);
             }
         }
         for idx in drained {
-            let job = &self.jobs[idx];
-            if job.runs.iter().all(|r| r.complete) {
+            let dag = &self.jobs[idx].dag;
+            if dag.is_done() {
                 self.finish_job(idx);
             } else if !self.pipelined {
-                let s = job.next_stage().expect("a barrier job with work left");
+                let s = dag.next_unlaunched().expect("a barrier job with work left");
                 self.advance_or_wait(idx, s);
             }
         }
@@ -586,11 +523,11 @@ impl CellState<'_> {
 
     /// Makes queued or gated stages progress after any event, whichever
     /// scheduling discipline the cell runs.
-    fn progress_stages(&mut self) -> bool {
+    fn progress_stages(&mut self) -> Result<bool, ExecError> {
         if self.pipelined {
             self.pipe_pass()
         } else {
-            self.drain_waiting()
+            Ok(self.drain_waiting())
         }
     }
 
@@ -619,7 +556,10 @@ impl CellState<'_> {
     fn drain_waiting(&mut self) -> bool {
         let mut progressed = false;
         while let Some(&idx) = self.waiting.front() {
-            let s = self.jobs[idx].next_stage().expect("a queued job has a stage left");
+            let s = self.jobs[idx]
+                .dag
+                .next_unlaunched()
+                .expect("a queued job has a stage left");
             if !self.try_advance(idx, s) {
                 break;
             }
@@ -635,96 +575,72 @@ impl CellState<'_> {
     /// individually admitted against the Lambda quota. Deterministic:
     /// jobs in arrival order, stages in pipeline order, tasks in index
     /// order. Returns whether anything launched or released.
-    fn pipe_pass(&mut self) -> bool {
+    fn pipe_pass(&mut self) -> Result<bool, ExecError> {
         let mut progressed = false;
         let mut released_now = 0usize;
         for idx in 0..self.jobs.len() {
             if self.jobs[idx].finished.is_some() {
                 continue;
             }
-            self.observe_tasks(idx);
-            for s in 0..self.jobs[idx].stages.len() {
-                if self.jobs[idx].runs[s].complete {
+            let stages = self.templates[self.jobs[idx].tenant].stages.len();
+            for s in 0..stages {
+                self.jobs[idx].dag.observe(&mut self.env, s, |_| {})?;
+            }
+            for s in 0..stages {
+                let dag = &self.jobs[idx].dag;
+                if dag.is_complete(s) {
                     continue;
                 }
-                if self.jobs[idx].runs[s].handle.is_none() {
+                if dag.is_launched(s) {
+                    progressed |= self.release_stage(idx, s, &mut released_now);
+                } else if dag.upstream_drained(s) {
                     // Pool/own-placed stage: the in-memory exchange
                     // reads whole inputs, so it waits for every
                     // upstream stage to drain — then launches at once.
-                    let ready = self.jobs[idx].edges[s]
-                        .iter()
-                        .all(|e| self.jobs[idx].runs[e.from].complete);
-                    if !ready {
-                        continue;
-                    }
                     if self.try_advance(idx, s) {
                         progressed = true;
                     } else {
                         self.note_stage_throttle(idx, s);
                     }
-                } else if self.jobs[idx].runs[s].gated
-                    && self.release_ready_tasks(idx, s, &mut released_now)
-                {
-                    progressed = true;
                 }
             }
         }
-        progressed
+        Ok(progressed)
     }
 
-    /// Feeds the tasks job `idx`'s submitted stages completed since the
-    /// last pass to the job's readiness tracker.
-    fn observe_tasks(&mut self, idx: usize) {
-        let job = &mut self.jobs[idx];
-        for (s, run) in job.runs.iter_mut().enumerate() {
-            let Some(handle) = run.handle else {
-                continue;
-            };
-            let log = handle.completed_tasks(&self.env);
-            for &t in &log[run.seen..] {
-                job.ready.complete(s, t);
-            }
-            run.seen = log.len();
-        }
-    }
-
-    /// Releases the ready tasks of gated stage `s` in task order,
-    /// stopping at the first that the Lambda quota cannot admit; it
-    /// stays ready for the next pass. Returns whether any task was
-    /// released.
-    fn release_ready_tasks(&mut self, idx: usize, s: usize, released_now: &mut usize) -> bool {
-        let handle = self.jobs[idx].runs[s].handle.expect("caller checked submission");
-        let mut any = false;
-        while let Some(t) = self.jobs[idx].ready.next_ready(s) {
+    /// Releases stage `s`'s ready gated tasks in task order, stopping at
+    /// the first that the Lambda quota cannot admit; it stays ready for
+    /// the next pass. Returns whether any task was released.
+    fn release_stage(&mut self, idx: usize, s: usize, released_now: &mut usize) -> bool {
+        let adm = &self.adm;
+        let mut refused = false;
+        let released = self.jobs[idx].dag.release(&mut self.env, s, |env, _| {
             // Count this pass's not-yet-visible releases on top of the
             // world's active sandboxes: admission at task granularity.
-            if !self.adm.admits_faas(self.env.world(), *released_now + 1) {
-                self.note_stage_throttle(idx, s);
-                break;
-            }
-            self.jobs[idx].ready.take_ready(s);
-            handle.release_task(&mut self.env, t);
-            *released_now += 1;
-            any = true;
+            refused = !adm.admits_faas(env.world(), *released_now + 1);
+            *released_now += usize::from(!refused);
+            !refused
+        });
+        if refused {
+            self.note_stage_throttle(idx, s);
         }
-        any
+        released > 0
     }
 
     /// Counts at most one quota throttle per stage (pipelined cells
     /// rescan stages every pass; the barrier path counts per queueing).
     fn note_stage_throttle(&mut self, idx: usize, s: usize) {
-        if !self.jobs[idx].runs[s].throttle_noted {
+        if !std::mem::replace(&mut self.jobs[idx].throttle_noted[s], true) {
             self.adm.note_throttle();
-            self.jobs[idx].runs[s].throttle_noted = true;
         }
     }
 
     /// Tries to submit the job's given stage. Returns `false` when the
     /// admission controller has no headroom for it yet.
     fn try_advance(&mut self, idx: usize, stage_idx: usize) -> bool {
-        debug_assert!(self.jobs[idx].runs[stage_idx].handle.is_none());
-        let stateful = self.jobs[idx].stages[stage_idx].is_stateful();
-        let tasks = self.jobs[idx].stages[stage_idx].tasks;
+        debug_assert!(!self.jobs[idx].dag.is_launched(stage_idx));
+        let stage = &self.templates[self.jobs[idx].tenant].stages[stage_idx];
+        let (stateful, tasks) = (stage.is_stateful(), stage.tasks);
         let wants_pool = match self.placement {
             Placement::Policy(Policy::Serverless) => false,
             Placement::Policy(Policy::PerJobFleet) => {
@@ -799,7 +715,7 @@ impl CellState<'_> {
     /// prefix (the paper's hindrance), while on a VM the exchange stays
     /// in the master's memory and only the CPU time is simulated.
     fn submit_stage(&mut self, idx: usize, stage_idx: usize, slot: ExecSlot, gated: bool) {
-        let stage = self.jobs[idx].stages[stage_idx].clone();
+        let stage = self.templates[self.jobs[idx].tenant].stages[stage_idx].clone();
         let job_name = self.jobs[idx].name.clone();
         let on_faas = matches!(slot, ExecSlot::Faas);
         let (read_bytes, write_bytes, read_spread, write_spread) = match stage.kind {
@@ -854,12 +770,19 @@ impl CellState<'_> {
         if gated {
             opts = opts.gated();
         }
-        let (exec, env) = self.executor(idx, slot);
-        let handle = exec.map_with(env, factory, inputs, opts);
-        self.jobs[idx].runs[stage_idx].handle = Some(handle);
-        self.jobs[idx].runs[stage_idx].gated = gated;
+        let exec = match slot {
+            ExecSlot::Faas => &mut self.faas,
+            ExecSlot::Own => self.jobs[idx].own.as_mut().expect("own slot has an executor"),
+            ExecSlot::Pool(lease) => self
+                .pool
+                .as_mut()
+                .expect("pool slot has a pool")
+                .exec_mut(lease),
+        };
+        let handle = exec.map_with(&mut self.env, factory, inputs, opts);
+        self.jobs[idx].dag.launch(stage_idx, handle, gated);
         let at = self.in_flight.partition_point(|f| (f.job, f.stage) < (idx, stage_idx));
-        self.in_flight.insert(at, InFlight { job: idx, stage: stage_idx, handle, slot });
+        self.in_flight.insert(at, InFlight { job: idx, stage: stage_idx });
     }
 
     /// Extracts the cell's measurements.

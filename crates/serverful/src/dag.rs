@@ -10,29 +10,29 @@
 //!
 //! [`run_dag`] executes a graph in one of two [`ExecutionMode`]s:
 //!
-//! * [`ExecutionMode::Barrier`] — the classic BSP chain. Nodes run one
-//!   at a time in submission order; each blocks until fully drained.
-//!   A barrier is the *degenerate DAG* (all-to-all edges between
-//!   consecutive stages collapsed into whole-job waits), and this mode
-//!   reproduces the pre-dataflow executor byte-for-byte: identical
-//!   world-call sequence, identical goldens.
-//! * [`ExecutionMode::Pipelined`] — every node is submitted up front
-//!   with its tasks *gated* ([`crate::executor::MapOptions::gated`]);
-//!   the scheduler pumps the environment and releases each task the
-//!   moment its [`FanIn`]-shaped upstream dependencies are satisfied.
-//!   FaaS tasks launch immediately; serverful tasks enqueue on the
-//!   already-warm worker pool.
+//! * [`ExecutionMode::Barrier`] — the classic BSP chain. Node *v* is
+//!   launched ungated once node *v*−1 has drained. A barrier is the
+//!   *degenerate DAG* (all-to-all edges between consecutive stages
+//!   collapsed into whole-job waits), and this mode reproduces the
+//!   pre-dataflow executor byte-for-byte: identical world-call sequence,
+//!   identical goldens.
+//! * [`ExecutionMode::Pipelined`] — every node is launched up front with
+//!   its tasks *gated* ([`crate::executor::MapOptions::gated`]), and each
+//!   task is released the moment its [`FanIn`]-shaped upstream
+//!   dependencies are satisfied. FaaS tasks launch immediately;
+//!   serverful tasks enqueue on the already-warm worker pool.
 //!
-//! Both modes are plain loops over [`CloudEnv::pump`]. Pipelined mode
-//! follows every pumped event with an *observe* pass over the nodes in
-//! submission order, which reads only the new entries of each job's
-//! completion log ([`JobHandle::completed_tasks`]) and collects finished
-//! jobs, and then a *release* pass that hands out the tasks a
-//! [`Readiness`] tracker found ready, in node then task order. Each
-//! completion costs the downstream tasks that name it, and nothing costs
-//! the whole graph per event. The fixed pass order is what makes the env
-//! call sequence, span-id allocation, tables, traces and billing
-//! byte-identical across repeat runs.
+//! Both modes step one [`DagRun`], the per-job state machine the fleet's
+//! traffic driver also holds one of per arriving job. [`run_dag`] is one
+//! plain loop over [`CloudEnv::pump`]: launch what the mode allows,
+//! release ready gated tasks in node then task order, pump one event,
+//! then observe every live node in node order. Observing reads only the
+//! new entries of a job's completion log ([`JobHandle::completed_tasks`])
+//! and collects the job once it finished, so each completion costs the
+//! downstream tasks that name it, and nothing costs the whole graph per
+//! event. The fixed pass order is what makes the env call sequence,
+//! span-id allocation, tables, traces and billing byte-identical across
+//! repeat runs.
 //!
 //! The launch closures own backend choice and input seeding; the DAG
 //! only sequences them. See `metaspace::runner` for the full pipeline
@@ -114,9 +114,9 @@ pub fn fan_in_range(
 }
 
 /// Which tasks of a task-level dependency graph may run, fed one
-/// completion at a time. Both pipelined drivers, [`run_dag`] and the
-/// fleet's, decide readiness through it, and nothing else releases a
-/// gated task, whatever its backend or recovery mode.
+/// completion at a time. [`DagRun`] holds one per job, so both drivers,
+/// [`run_dag`] and the fleet's, decide readiness through it, and nothing
+/// else releases a gated task, whatever its backend or recovery mode.
 ///
 /// A task's *dependency units* are, per edge into its node, each
 /// upstream task of its [`fan_in_range`] block (one-to-one) or the
@@ -283,6 +283,151 @@ fn meet(unmet: &mut [usize], ready: &mut BinaryHeap<Reverse<usize>>, t: usize) {
     }
 }
 
+/// One job's task-level DAG while the job is in flight: per node, the
+/// launched job, whether it launched gated, how much of its completion
+/// log was read and whether it drained, plus the job's [`Readiness`].
+/// [`run_dag`] steps one; the fleet's traffic driver clones one from its
+/// tenant's template per arrival. When to launch a node, and whether a
+/// ready task is admitted, stay the caller's decisions.
+#[derive(Debug, Clone)]
+pub struct DagRun {
+    ready: Readiness,
+    /// Per node: the nodes its edges come from.
+    upstream: Vec<Vec<usize>>,
+    nodes: Vec<NodeRun>,
+}
+
+/// One node's state inside a [`DagRun`].
+#[derive(Debug, Clone, Default)]
+struct NodeRun {
+    /// The node's job, once launched.
+    handle: Option<JobHandle>,
+    /// Whether the job launched with its tasks gated.
+    gated: bool,
+    /// Entries of the job's completion log fed to the tracker.
+    seen: usize,
+    /// The job finished and its result was taken.
+    drained: bool,
+}
+
+impl DagRun {
+    /// A job with nothing launched, over nodes given as `(width, edges
+    /// into the node)` in topological order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge points at its own node or a later one.
+    pub fn new<E>(nodes: impl IntoIterator<Item = (usize, E)>) -> DagRun
+    where
+        E: IntoIterator<Item = Edge>,
+    {
+        let nodes: Vec<(usize, Vec<Edge>)> = nodes
+            .into_iter()
+            .map(|(width, deps)| (width, deps.into_iter().collect()))
+            .collect();
+        DagRun {
+            ready: Readiness::new(nodes.iter().map(|(width, deps)| (*width, deps.iter().copied()))),
+            upstream: nodes
+                .iter()
+                .map(|(_, deps)| deps.iter().map(|e| e.from).collect())
+                .collect(),
+            nodes: vec![NodeRun::default(); nodes.len()],
+        }
+    }
+
+    /// Records node `v`'s launched job. A gated job's tasks wait for
+    /// [`release`](Self::release); an ungated job dispatched every task
+    /// at launch, so none of its tasks is ever released or admitted.
+    pub fn launch(&mut self, v: usize, handle: JobHandle, gated: bool) {
+        debug_assert!(self.nodes[v].handle.is_none(), "node {v} launched twice");
+        self.nodes[v] = NodeRun {
+            handle: Some(handle),
+            gated,
+            ..NodeRun::default()
+        };
+    }
+
+    /// Feeds the tasks node `v`'s job completed since the last look to
+    /// the tracker, passing each to `done`. Once the job has finished,
+    /// takes its result, marks the node drained and returns the job's
+    /// error, if any. A node not launched or already drained is left
+    /// alone.
+    pub fn observe(
+        &mut self,
+        env: &mut CloudEnv,
+        v: usize,
+        mut done: impl FnMut(usize),
+    ) -> Result<(), ExecError> {
+        let node = &mut self.nodes[v];
+        let Some(handle) = node.handle.filter(|_| !node.drained) else {
+            return Ok(());
+        };
+        let log = handle.completed_tasks(env);
+        for &t in &log[node.seen..] {
+            self.ready.complete(v, t);
+            done(t);
+        }
+        node.seen = log.len();
+        let Some(result) = env.try_job_result(handle.id) else {
+            return Ok(());
+        };
+        node.drained = true;
+        self.ready.complete_node(v);
+        result.map(|_| ())
+    }
+
+    /// Releases gated node `v`'s ready tasks in task order for as long
+    /// as `admit` allows each one; a refused task stays ready for the
+    /// next call. Returns how many were released (none for a node that
+    /// is not launched gated, or drained).
+    pub fn release(
+        &mut self,
+        env: &mut CloudEnv,
+        v: usize,
+        mut admit: impl FnMut(&CloudEnv, usize) -> bool,
+    ) -> usize {
+        let node = &self.nodes[v];
+        let Some(handle) = node.handle.filter(|_| node.gated && !node.drained) else {
+            return 0;
+        };
+        let mut released = 0;
+        while let Some(t) = self.ready.next_ready(v) {
+            if !admit(env, t) {
+                break;
+            }
+            self.ready.take_ready(v);
+            handle.release_task(env, t);
+            released += 1;
+        }
+        released
+    }
+
+    /// The first node not launched yet, if any.
+    pub fn next_unlaunched(&self) -> Option<usize> {
+        self.nodes.iter().position(|n| n.handle.is_none())
+    }
+
+    /// Whether node `v`'s job was launched.
+    pub fn is_launched(&self, v: usize) -> bool {
+        self.nodes[v].handle.is_some()
+    }
+
+    /// Whether every node that node `v` has an edge from has drained.
+    pub fn upstream_drained(&self, v: usize) -> bool {
+        self.upstream[v].iter().all(|&u| self.nodes[u].drained)
+    }
+
+    /// Whether node `v`'s job finished and its result was taken.
+    pub fn is_complete(&self, v: usize) -> bool {
+        self.nodes[v].drained
+    }
+
+    /// Whether every node has drained.
+    pub fn is_done(&self) -> bool {
+        self.nodes.iter().all(|n| n.drained)
+    }
+}
+
 /// How a DAG's nodes are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecutionMode {
@@ -423,9 +568,10 @@ pub struct DagStats {
 /// In [`ExecutionMode::Barrier`] nodes run strictly one after another —
 /// the degenerate DAG — reproducing the classic stage-chained executor
 /// byte-for-byte (identical storage/compute call sequence, so golden
-/// traces are unchanged). In [`ExecutionMode::Pipelined`] all nodes
-/// submit up front gated and tasks are released as their dependencies
-/// complete.
+/// traces are unchanged); every task of a node counts as released at
+/// its launch and done when it drains. In [`ExecutionMode::Pipelined`]
+/// all nodes submit up front gated and tasks are released as their
+/// dependencies complete.
 ///
 /// When tracing is enabled, each group opens a `stage` span covering
 /// its nodes; in pipelined mode each job span additionally carries a
@@ -438,71 +584,86 @@ pub struct DagStats {
 pub fn run_dag<C>(
     env: &mut CloudEnv,
     ctx: &mut C,
-    dag: Dag<C>,
+    mut dag: Dag<C>,
     mode: ExecutionMode,
 ) -> Result<DagStats, ExecError> {
-    match mode {
-        ExecutionMode::Barrier => run_barrier(env, ctx, dag),
-        ExecutionMode::Pipelined => run_pipelined(env, ctx, dag),
-    }
-}
-
-fn run_barrier<C>(env: &mut CloudEnv, ctx: &mut C, mut dag: Dag<C>) -> Result<DagStats, ExecError> {
+    let gated = mode == ExecutionMode::Pipelined;
+    let mut run = DagRun::new(dag.nodes.iter().map(|n| (n.tasks, n.deps.iter().copied())));
     let mut open = vec![SpanId::NONE; dag.groups.len()];
-    let mut nodes = Vec::with_capacity(dag.len());
-    for v in 0..dag.len() {
-        maybe_begin_group_span(env, &dag, v, &mut open);
-        if let Some(g) = dag.nodes[v].group {
-            env.set_job_parent(open[g]);
+    // One entry per launched node: nodes launch in index order.
+    let mut stats: Vec<NodeStats> = Vec::with_capacity(dag.len());
+    loop {
+        while stats.len() < dag.len() {
+            let v = stats.len();
+            if !gated && v > 0 && !run.is_complete(v - 1) {
+                break;
+            }
+            stats.push(launch(env, ctx, &mut dag, &mut run, v, gated, &mut open)?);
         }
-        let launched_at = env.now();
-        let handle = (dag.nodes[v].launch)(ctx, env, false)?;
-        let tasks = handle.total_tasks(env);
-        // The barrier: pump until the node drains completely.
-        let result = env.run_job(handle.id);
-        env.set_job_parent(SpanId::NONE);
-        maybe_end_group_span(env, &dag, v, &mut open);
-        result?;
-        let finished_at = env.now();
-        nodes.push(NodeStats {
-            label: dag.nodes[v].label.clone(),
-            group: dag.nodes[v].group,
-            tasks,
-            launched_at,
-            finished_at,
-            released_at: vec![launched_at; tasks],
-            done_at: vec![finished_at; tasks],
-        });
+        let now = env.now();
+        for (v, node) in stats.iter_mut().enumerate() {
+            run.release(env, v, |_, t| {
+                node.released_at[t] = now;
+                true
+            });
+        }
+        if run.is_done() {
+            return Ok(DagStats { nodes: stats });
+        }
+        if matches!(env.pump(), EnvEvent::Drained) {
+            let stuck: Vec<&str> = stats
+                .iter()
+                .enumerate()
+                .filter(|&(v, _)| !run.is_complete(v))
+                .map(|(_, node)| node.label.as_str())
+                .collect();
+            return Err(ExecError::Stalled(format!(
+                "simulation drained with DAG nodes unfinished: {}",
+                stuck.join(", ")
+            )));
+        }
+        // Observe every node before releasing any; the first failure
+        // ends the pass and the run.
+        let now = env.now();
+        for (v, node) in stats.iter_mut().enumerate() {
+            if run.is_complete(v) {
+                continue;
+            }
+            let result = run.observe(env, v, |t| node.done_at[t] = now);
+            if run.is_complete(v) {
+                node.finished_at = now;
+                if !gated {
+                    node.done_at.fill(now);
+                }
+                maybe_end_group_span(env, &dag, v, &mut open);
+            }
+            result?;
+        }
     }
-    Ok(DagStats { nodes })
 }
 
-/// Scheduling state of one submitted node in pipelined mode.
-struct Live {
-    handle: JobHandle,
-    stats: NodeStats,
-    /// Entries of the job's completion log observed so far.
-    seen: usize,
-    complete: bool,
-}
-
-fn run_pipelined<C>(
+/// Launches node `v` under its group's span and records it in `run`: a
+/// gated job span names its upstream nodes. Returns the node's stats,
+/// stamped at launch.
+fn launch<C>(
     env: &mut CloudEnv,
     ctx: &mut C,
-    mut dag: Dag<C>,
-) -> Result<DagStats, ExecError> {
-    let mut open = vec![SpanId::NONE; dag.groups.len()];
-    let mut live: Vec<Live> = Vec::with_capacity(dag.len());
-    for v in 0..dag.len() {
-        maybe_begin_group_span(env, &dag, v, &mut open);
-        if let Some(g) = dag.nodes[v].group {
-            env.set_job_parent(open[g]);
-        }
-        let launched_at = env.now();
-        let handle = (dag.nodes[v].launch)(ctx, env, true)?;
-        env.set_job_parent(SpanId::NONE);
-        let node = &dag.nodes[v];
-        let tasks = handle.total_tasks(env);
+    dag: &mut Dag<C>,
+    run: &mut DagRun,
+    v: usize,
+    gated: bool,
+    open: &mut [SpanId],
+) -> Result<NodeStats, ExecError> {
+    maybe_begin_group_span(env, dag, v, open);
+    if let Some(g) = dag.nodes[v].group {
+        env.set_job_parent(open[g]);
+    }
+    let launched_at = env.now();
+    let handle = (dag.nodes[v].launch)(ctx, env, gated)?;
+    env.set_job_parent(SpanId::NONE);
+    let node = &dag.nodes[v];
+    let tasks = handle.total_tasks(env);
+    if gated {
         debug_assert_eq!(
             tasks, node.tasks,
             "node {} declared {} tasks but launched {}",
@@ -516,95 +677,18 @@ fn run_pipelined<C>(
                 .collect();
             env.annotate_job_span(handle.id, "deps", &deps.join(","));
         }
-        live.push(Live {
-            handle,
-            stats: NodeStats {
-                label: node.label.clone(),
-                group: node.group,
-                tasks,
-                launched_at,
-                finished_at: launched_at,
-                released_at: vec![SimTime::ZERO; tasks],
-                done_at: vec![SimTime::ZERO; tasks],
-            },
-            seen: 0,
-            complete: false,
-        });
     }
-
-    let mut ready = Readiness::new(dag.nodes.iter().map(|n| (n.tasks, n.deps.iter().copied())));
-    release_ready(env, &mut ready, &mut live);
-    loop {
-        if live.iter().all(|l| l.complete) {
-            return Ok(DagStats {
-                nodes: live.into_iter().map(|l| l.stats).collect(),
-            });
-        }
-        if matches!(env.pump(), EnvEvent::Drained) {
-            let stuck: Vec<&str> = live
-                .iter()
-                .filter(|l| !l.complete)
-                .map(|l| l.stats.label.as_str())
-                .collect();
-            return Err(ExecError::Stalled(format!(
-                "simulation drained with DAG nodes unfinished: {}",
-                stuck.join(", ")
-            )));
-        }
-        // Observe every node before releasing any; the first failure
-        // ends the pass and the run.
-        for (v, l) in live.iter_mut().enumerate() {
-            if !l.complete {
-                observe(env, &dag, v, l, &mut ready, &mut open)?;
-            }
-        }
-        release_ready(env, &mut ready, &mut live);
-    }
-}
-
-/// Stamps node `v`'s newly completed tasks and feeds them to the
-/// tracker; collects its job when it finishes (ending the group span on
-/// the group's last member).
-fn observe<C>(
-    env: &mut CloudEnv,
-    dag: &Dag<C>,
-    v: usize,
-    l: &mut Live,
-    ready: &mut Readiness,
-    open: &mut [SpanId],
-) -> Result<(), ExecError> {
-    let now = env.now();
-    let log = l.handle.completed_tasks(env);
-    for &t in &log[l.seen..] {
-        l.stats.done_at[t] = now;
-        ready.complete(v, t);
-    }
-    l.seen = log.len();
-    if !l.handle.is_finished(env) {
-        return Ok(());
-    }
-    let result = env
-        .try_job_result(l.handle.id)
-        .expect("finished job yields a result");
-    l.complete = true;
-    l.stats.finished_at = now;
-    maybe_end_group_span(env, dag, v, open);
-    result.map(|_| ())
-}
-
-/// Releases, in node then task order, every gated task whose upstream
-/// partitions are done.
-fn release_ready(env: &mut CloudEnv, ready: &mut Readiness, live: &mut [Live]) {
-    let now = env.now();
-    for (v, l) in live.iter_mut().enumerate() {
-        if l.complete {
-            continue;
-        }
-        while let Some(t) = ready.take_ready(v) {
-            l.stats.released_at[t] = now;
-            l.handle.release_task(env, t);
-        }
-    }
+    run.launch(v, handle, gated);
+    let released_at = if gated { SimTime::ZERO } else { launched_at };
+    Ok(NodeStats {
+        label: node.label.clone(),
+        group: node.group,
+        tasks,
+        launched_at,
+        finished_at: launched_at,
+        released_at: vec![released_at; tasks],
+        done_at: vec![SimTime::ZERO; tasks],
+    })
 }
 
 /// Begins the trace span of a group when `node` is its first member.

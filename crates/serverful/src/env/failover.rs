@@ -1,8 +1,8 @@
 //! Master fault tolerance: armed master kills, checkpointing and
 //! checkpointed re-adoption. A decentralized pool needs none of it: its
 //! task queue is in object storage (see `pools`). Nothing here releases a
-//! gated task: the pipelined drivers' `Readiness` does that, whatever
-//! the pool's recovery mode.
+//! gated task: the job's `DagRun`, which both DAG drivers step, does
+//! that, whatever the pool's recovery mode.
 
 use super::*;
 

@@ -46,7 +46,8 @@
 //! staleness key their handlers check, so the world's event queue is
 //! the only clock. See `env/`'s submodule docs for the per-concern
 //! breakdown. The DAG driver ([`run_dag`]) is a plain loop over
-//! [`CloudEnv::pump`] that scans its nodes in submission order.
+//! [`CloudEnv::pump`] that steps one [`DagRun`], scanning its nodes in
+//! submission order.
 
 #![warn(missing_docs)]
 
@@ -67,7 +68,8 @@ pub mod task;
 pub use cloudobject::CloudObjectRef;
 pub use config::{ExecMode, ExecutorConfig, StandaloneConfig};
 pub use dag::{
-    fan_in_range, run_dag, Dag, DagNode, DagStats, Edge, ExecutionMode, FanIn, NodeStats, Readiness,
+    fan_in_range, run_dag, Dag, DagNode, DagRun, DagStats, Edge, ExecutionMode, FanIn, NodeStats,
+    Readiness,
 };
 pub use env::{CloudEnv, EnvEvent};
 pub use error::ExecError;

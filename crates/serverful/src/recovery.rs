@@ -20,8 +20,8 @@
 //!   GET, and each finished task writes a completion counter. The
 //!   master never enters the data path, so losing it after submission
 //!   is a non-event. The counters are the mode's per-task cost; a DAG's
-//!   gated successors are released by the driver's
-//!   [`Readiness`](crate::dag::Readiness), as in every mode.
+//!   gated successors are released by the job's
+//!   [`DagRun`](crate::dag::DagRun), as in every mode.
 //!
 //! The pool puts and claims tasks through one queue API in either
 //! medium; the mode picks the medium once, when the pool is created.
@@ -47,8 +47,8 @@ pub enum RecoveryMode {
     Checkpointed,
     /// No master in the data path: the task queue lives in object
     /// storage, and each task writes a completion counter. DAG
-    /// successors are released by the driver's
-    /// [`Readiness`](crate::dag::Readiness), as in every mode.
+    /// successors are released by the job's
+    /// [`DagRun`](crate::dag::DagRun), as in every mode.
     Decentralized,
 }
 
