@@ -56,30 +56,3 @@ impl Admission {
         self.degraded += 1;
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cloudsim::{CloudConfig, World};
-
-    #[test]
-    fn idle_region_always_admits() {
-        let world = World::new(CloudConfig::default(), 1);
-        let adm = Admission::new(RegionQuotas {
-            lambda_concurrency: 4,
-            ec2_vcpus: 2.0,
-        });
-        // Wider than the whole quota, but nothing is running.
-        assert!(adm.admits_faas(&world, 1000));
-        assert!(adm.admits_vm(&world, 64.0));
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut adm = Admission::new(RegionQuotas::default());
-        adm.note_throttle();
-        adm.note_throttle();
-        adm.note_degrade();
-        assert_eq!((adm.throttled, adm.degraded), (2, 1));
-    }
-}

@@ -73,83 +73,3 @@ pub fn schedule(sc: &Scenario, seed: u64) -> Vec<Arrival> {
     }
     out
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scenario::Scenario;
-
-    #[test]
-    fn schedule_is_deterministic_and_ordered() {
-        let sc = Scenario::smoke();
-        let a = schedule(&sc, 42);
-        let b = schedule(&sc, 42);
-        assert_eq!(a, b);
-        assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
-        assert!(!a.is_empty(), "smoke scenario generates traffic");
-    }
-
-    #[test]
-    fn different_seeds_differ() {
-        let sc = Scenario::smoke();
-        assert_ne!(schedule(&sc, 1), schedule(&sc, 2));
-    }
-
-    #[test]
-    fn weights_bias_the_mix() {
-        let mut sc = Scenario::smoke();
-        sc.duration_secs = 10_000.0;
-        sc.max_jobs = 2_000;
-        let arrivals = schedule(&sc, 7);
-        let heavy = arrivals.iter().filter(|a| a.tenant == 0).count();
-        let light = arrivals.iter().filter(|a| a.tenant == 1).count();
-        // Tenant 0 has 3x the weight of tenant 1.
-        assert!(heavy > 2 * light, "heavy {heavy} light {light}");
-    }
-
-    #[test]
-    #[should_panic(expected = "arrival_rate_per_min must be finite and positive")]
-    fn an_infinite_rate_is_rejected() {
-        let mut sc = Scenario::smoke();
-        sc.arrival_rate_per_min = f64::INFINITY;
-        schedule(&sc, 42);
-    }
-
-    #[test]
-    #[should_panic(expected = "duration_secs must be finite and at most 1e9")]
-    fn a_window_past_the_bound_is_rejected() {
-        let mut sc = Scenario::smoke();
-        sc.duration_secs = 1e300;
-        schedule(&sc, 42);
-    }
-
-    #[test]
-    fn the_window_bound_leaves_virtual_time_for_late_jobs() {
-        // A job arriving at the very end of the longest window can still
-        // run for 10,000 times the window without overflowing the clock.
-        let end = SimTime::from_secs_f64(MAX_DURATION_SECS * 1e4);
-        assert!(end > SimTime::from_secs_f64(MAX_DURATION_SECS));
-    }
-
-    #[test]
-    fn max_jobs_caps_the_schedule() {
-        let mut sc = Scenario::smoke();
-        sc.max_jobs = 3;
-        sc.duration_secs = 10_000.0;
-        assert_eq!(schedule(&sc, 42).len(), 3);
-    }
-
-    #[test]
-    fn sequence_numbers_are_per_tenant() {
-        let sc = Scenario::smoke();
-        let arrivals = schedule(&sc, 42);
-        for tenant in 0..sc.tenants.len() {
-            let seqs: Vec<usize> = arrivals
-                .iter()
-                .filter(|a| a.tenant == tenant)
-                .map(|a| a.seq)
-                .collect();
-            assert_eq!(seqs, (0..seqs.len()).collect::<Vec<_>>());
-        }
-    }
-}

@@ -108,26 +108,3 @@ impl SharedPool {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cold_pool_leases_are_misses() {
-        let mut env = CloudEnv::new_default(3);
-        let mut pool = SharedPool::new(&mut env, &PoolConfig::default(), None);
-        let lease = pool.lease(&env);
-        assert!(lease < PoolConfig::default().size);
-        assert_eq!(pool.leases, 1);
-        assert_eq!(pool.hits, 0, "nothing is provisioned yet");
-        assert_eq!(pool.hit_pct(), Some(0.0));
-    }
-
-    #[test]
-    fn empty_lease_history_has_no_hit_rate() {
-        let mut env = CloudEnv::new_default(3);
-        let pool = SharedPool::new(&mut env, &PoolConfig::default(), None);
-        assert_eq!(pool.hit_pct(), None);
-    }
-}

@@ -337,89 +337,3 @@ impl Scenario {
         &["smoke", "mixed", "spot-storm", "spillover"]
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn named_scenarios_resolve() {
-        for name in Scenario::all_names() {
-            let sc = Scenario::named(name).expect("listed scenario resolves");
-            assert!(!sc.tenants.is_empty());
-            assert!(sc.arrival_rate_per_min > 0.0);
-        }
-        assert!(Scenario::named("nope").is_none());
-    }
-
-    #[test]
-    fn regioned_presets_name_registered_regions_and_catalog_instances() {
-        for sc in [Scenario::spot_storm(), Scenario::spillover()] {
-            let key = sc.region.as_deref().expect("regioned preset");
-            let profile = cloudsim::region(key).expect("region is registered");
-            assert!(
-                profile.instance_type(&sc.pool.instance).is_some(),
-                "{}: pool instance `{}` missing from {key}'s catalog",
-                sc.name,
-                sc.pool.instance
-            );
-            if let Some(o) = &sc.outage {
-                cloudsim::region(&o.spill_to).expect("spill region is registered");
-            }
-        }
-    }
-
-    #[test]
-    fn spot_storm_pool_is_spot_eligible() {
-        let sc = Scenario::spot_storm();
-        assert!(sc.pool.bid.is_spot());
-        assert!(
-            sc.pool.workers > 0,
-            "spot bids only bite on dedicated worker slots; consolidated VMs are masters"
-        );
-        let m = sc.spot_market.expect("storm overrides the market");
-        assert!(m.preemption_prob > 0.5, "a storm should reclaim most spot VMs");
-    }
-
-    #[test]
-    fn outage_window_is_half_open() {
-        let o = RegionOutage {
-            start_secs: 30.0,
-            duration_secs: 40.0,
-            spill_to: "aws-eu-west-1".into(),
-        };
-        assert!(!o.covers(29.9));
-        assert!(o.covers(30.0));
-        assert!(o.covers(69.9));
-        assert!(!o.covers(70.0));
-    }
-
-    #[test]
-    fn tenant_stage_graphs_build() {
-        for t in Scenario::mixed().tenants {
-            let stages = t.stages();
-            assert_eq!(stages.len(), 9);
-            assert!(stages.iter().all(|s| s.tasks >= 2));
-        }
-    }
-
-    #[test]
-    fn dsl_family_tenants_resolve_with_their_declared_edges() {
-        let t = TenantSpec {
-            name: "sorters".to_owned(),
-            job: "terasort-small".to_owned(),
-            weight: 1.0,
-            scale: 0.1,
-        };
-        let w = t.workload();
-        w.validate().expect("scaled family stays valid");
-        assert_eq!(w.stages.len(), 3);
-        assert!(w.stages.iter().all(|s| s.tasks >= 2));
-        // validate -> sort is one-to-one: the declared edges must
-        // survive into the fleet.
-        assert!(w
-            .edges
-            .iter()
-            .any(|deps| deps.iter().any(|e| e.fan_in == serverful::FanIn::OneToOne)));
-    }
-}

@@ -45,30 +45,3 @@ pub fn plan_under_load(
     }
     run_cell(sc, Placement::Plan(&f.backends, f.execution), plan.name.clone(), seed)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use metaspace::plan::ClusterPlan;
-
-    #[test]
-    fn cluster_plans_are_rejected() {
-        let plan = DeploymentPlan {
-            name: "spark".into(),
-            kind: PlanKind::Cluster(ClusterPlan {
-                instance: "c5.4xlarge".into(),
-                nodes: 4,
-            }),
-        };
-        let err = plan_under_load(&Scenario::smoke(), &plan, 42).unwrap_err();
-        assert!(matches!(err, ExecError::Unsupported(_)));
-    }
-
-    #[test]
-    fn mismatched_stage_counts_are_rejected() {
-        use metaspace::plan::FunctionsPlan;
-        let plan = DeploymentPlan::functions("short", FunctionsPlan::serverless(3));
-        let err = plan_under_load(&Scenario::smoke(), &plan, 42).unwrap_err();
-        assert!(matches!(err, ExecError::Unsupported(_)));
-    }
-}

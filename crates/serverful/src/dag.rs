@@ -728,66 +728,3 @@ fn maybe_end_group_span<C>(env: &mut CloudEnv, dag: &Dag<C>, node: usize, open: 
     env.world_mut().tracer_mut().end(open[g], now);
     open[g] = SpanId::NONE;
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn edge_constructors() {
-        assert_eq!(Edge::one_to_one(3), Edge { from: 3, fan_in: FanIn::OneToOne });
-        assert_eq!(Edge::all_to_all(0), Edge { from: 0, fan_in: FanIn::AllToAll });
-    }
-
-    #[test]
-    fn execution_mode_defaults_to_barrier() {
-        assert_eq!(ExecutionMode::default(), ExecutionMode::Barrier);
-        assert_eq!(ExecutionMode::Barrier.to_string(), "barrier");
-        assert_eq!(ExecutionMode::Pipelined.to_string(), "pipelined");
-    }
-
-    fn leaf(label: &str, tasks: usize, deps: Vec<Edge>) -> DagNode<()> {
-        DagNode {
-            label: label.into(),
-            group: None,
-            tasks,
-            deps,
-            launch: Box::new(|_, _, _| unreachable!("never launched in this test")),
-        }
-    }
-
-    #[test]
-    fn one_to_one_block_mapping_covers_all_upstream_tasks() {
-        // Upstream 8 tasks, downstream 3: blocks [0,2) [2,5) [5,8).
-        let ranges: Vec<_> = (0..3)
-            .map(|t| fan_in_range(FanIn::OneToOne, 8, 3, t))
-            .collect();
-        assert_eq!(ranges, vec![0..2, 2..5, 5..8]);
-        // Every upstream task is covered.
-        let covered: Vec<usize> = ranges.into_iter().flatten().collect();
-        assert_eq!(covered, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn one_to_one_widening_maps_each_downstream_to_one_upstream() {
-        // Upstream 2 tasks, downstream 6: each downstream task waits on
-        // exactly one upstream partition.
-        let owners: Vec<_> = (0..6)
-            .map(|t| fan_in_range(FanIn::OneToOne, 2, 6, t))
-            .collect();
-        assert_eq!(owners, vec![0..1, 0..1, 0..1, 1..2, 1..2, 1..2]);
-    }
-
-    #[test]
-    fn all_to_all_spans_the_whole_upstream() {
-        assert_eq!(fan_in_range(FanIn::AllToAll, 5, 2, 0), 0..5);
-        assert_eq!(fan_in_range(FanIn::AllToAll, 5, 2, 1), 0..5);
-    }
-
-    #[test]
-    #[should_panic(expected = "not topological")]
-    fn forward_edges_are_rejected() {
-        let mut dag: Dag<()> = Dag::new();
-        dag.add_node(leaf("a", 1, vec![Edge::one_to_one(0)]));
-    }
-}

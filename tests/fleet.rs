@@ -1,7 +1,19 @@
 //! Fleet-level integration tests: determinism of the multi-tenant
-//! traffic simulator and the issue's headline economics claim.
+//! traffic simulator and its headline economics claim, then the fleet
+//! crate's own invariants: arrival schedules, scenario presets, region
+//! admission, shared-pool leases and what-if plan checks.
 
-use serverful_repro::fleet::{report, run_policy, run_scenario, Policy, Scenario, TenantSpec};
+use serverful_repro::cloudsim::{CloudConfig, RegionQuotas, World};
+use serverful_repro::fleet::arrivals::MAX_DURATION_SECS;
+use serverful_repro::fleet::whatif::plan_under_load;
+use serverful_repro::fleet::{
+    report, run_policy, run_scenario, schedule, Admission, Policy, PoolConfig, RegionOutage,
+    Scenario, SharedPool, TenantSpec,
+};
+use serverful_repro::metaspace::plan::{ClusterPlan, DeploymentPlan, PlanKind};
+use serverful_repro::serverful::{CloudEnv, ExecError};
+use serverful_repro::simkernel::SimTime;
+use serverful_repro::{cloudsim, metaspace, serverful};
 
 /// Same seed, same scenario, any thread count, run twice: the rendered
 /// report must be byte-identical. This is the library-level twin of the
@@ -126,4 +138,229 @@ fn shared_pool_dominates_under_load() {
     // Every cell finished the whole arrival schedule.
     assert_eq!(sl.jobs.len(), pj.jobs.len());
     assert_eq!(sl.jobs.len(), sp.jobs.len());
+}
+
+// --- arrival schedules -------------------------------------------------
+
+#[test]
+fn schedule_is_deterministic_and_ordered() {
+    let sc = Scenario::smoke();
+    let a = schedule(&sc, 42);
+    let b = schedule(&sc, 42);
+    assert_eq!(a, b);
+    assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
+    assert!(!a.is_empty(), "smoke scenario generates traffic");
+}
+
+#[test]
+fn different_seeds_differ() {
+    let sc = Scenario::smoke();
+    assert_ne!(schedule(&sc, 1), schedule(&sc, 2));
+}
+
+#[test]
+fn weights_bias_the_mix() {
+    let mut sc = Scenario::smoke();
+    sc.duration_secs = 10_000.0;
+    sc.max_jobs = 2_000;
+    let arrivals = schedule(&sc, 7);
+    let heavy = arrivals.iter().filter(|a| a.tenant == 0).count();
+    let light = arrivals.iter().filter(|a| a.tenant == 1).count();
+    // Tenant 0 has 3x the weight of tenant 1.
+    assert!(heavy > 2 * light, "heavy {heavy} light {light}");
+}
+
+#[test]
+#[should_panic(expected = "arrival_rate_per_min must be finite and positive")]
+fn an_infinite_rate_is_rejected() {
+    let mut sc = Scenario::smoke();
+    sc.arrival_rate_per_min = f64::INFINITY;
+    schedule(&sc, 42);
+}
+
+#[test]
+#[should_panic(expected = "duration_secs must be finite and at most 1e9")]
+fn a_window_past_the_bound_is_rejected() {
+    let mut sc = Scenario::smoke();
+    sc.duration_secs = 1e300;
+    schedule(&sc, 42);
+}
+
+#[test]
+fn the_window_bound_leaves_virtual_time_for_late_jobs() {
+    // A job arriving at the very end of the longest window can still
+    // run for 10,000 times the window without overflowing the clock.
+    let end = SimTime::from_secs_f64(MAX_DURATION_SECS * 1e4);
+    assert!(end > SimTime::from_secs_f64(MAX_DURATION_SECS));
+}
+
+#[test]
+fn max_jobs_caps_the_schedule() {
+    let mut sc = Scenario::smoke();
+    sc.max_jobs = 3;
+    sc.duration_secs = 10_000.0;
+    assert_eq!(schedule(&sc, 42).len(), 3);
+}
+
+#[test]
+fn sequence_numbers_are_per_tenant() {
+    let sc = Scenario::smoke();
+    let arrivals = schedule(&sc, 42);
+    for tenant in 0..sc.tenants.len() {
+        let seqs: Vec<usize> = arrivals
+            .iter()
+            .filter(|a| a.tenant == tenant)
+            .map(|a| a.seq)
+            .collect();
+        assert_eq!(seqs, (0..seqs.len()).collect::<Vec<_>>());
+    }
+}
+
+// --- scenario presets and tenant graphs --------------------------------
+
+#[test]
+fn named_scenarios_resolve() {
+    for name in Scenario::all_names() {
+        let sc = Scenario::named(name).expect("listed scenario resolves");
+        assert!(!sc.tenants.is_empty());
+        assert!(sc.arrival_rate_per_min > 0.0);
+    }
+    assert!(Scenario::named("nope").is_none());
+}
+
+#[test]
+fn regioned_presets_name_registered_regions_and_catalog_instances() {
+    for sc in [Scenario::spot_storm(), Scenario::spillover()] {
+        let key = sc.region.as_deref().expect("regioned preset");
+        let profile = cloudsim::region(key).expect("region is registered");
+        assert!(
+            profile.instance_type(&sc.pool.instance).is_some(),
+            "{}: pool instance `{}` missing from {key}'s catalog",
+            sc.name,
+            sc.pool.instance
+        );
+        if let Some(o) = &sc.outage {
+            cloudsim::region(&o.spill_to).expect("spill region is registered");
+        }
+    }
+}
+
+#[test]
+fn spot_storm_pool_is_spot_eligible() {
+    let sc = Scenario::spot_storm();
+    assert!(sc.pool.bid.is_spot());
+    assert!(
+        sc.pool.workers > 0,
+        "spot bids only bite on dedicated worker slots; consolidated VMs are masters"
+    );
+    let m = sc.spot_market.expect("storm overrides the market");
+    assert!(m.preemption_prob > 0.5, "a storm should reclaim most spot VMs");
+}
+
+#[test]
+fn outage_window_is_half_open() {
+    let o = RegionOutage {
+        start_secs: 30.0,
+        duration_secs: 40.0,
+        spill_to: "aws-eu-west-1".into(),
+    };
+    assert!(!o.covers(29.9));
+    assert!(o.covers(30.0));
+    assert!(o.covers(69.9));
+    assert!(!o.covers(70.0));
+}
+
+#[test]
+fn tenant_stage_graphs_build() {
+    for t in Scenario::mixed().tenants {
+        let stages = t.stages();
+        assert_eq!(stages.len(), 9);
+        assert!(stages.iter().all(|s| s.tasks >= 2));
+    }
+}
+
+#[test]
+fn dsl_family_tenants_resolve_with_their_declared_edges() {
+    let t = TenantSpec {
+        name: "sorters".to_owned(),
+        job: "terasort-small".to_owned(),
+        weight: 1.0,
+        scale: 0.1,
+    };
+    let w = t.workload();
+    w.validate().expect("scaled family stays valid");
+    assert_eq!(w.stages.len(), 3);
+    assert!(w.stages.iter().all(|s| s.tasks >= 2));
+    // validate -> sort is one-to-one: the declared edges must
+    // survive into the fleet.
+    assert!(w
+        .edges
+        .iter()
+        .any(|deps| deps.iter().any(|e| e.fan_in == serverful::FanIn::OneToOne)));
+}
+
+// --- region admission --------------------------------------------------
+
+#[test]
+fn idle_region_always_admits() {
+    let world = World::new(CloudConfig::default(), 1);
+    let adm = Admission::new(RegionQuotas {
+        lambda_concurrency: 4,
+        ec2_vcpus: 2.0,
+    });
+    // Wider than the whole quota, but nothing is running.
+    assert!(adm.admits_faas(&world, 1000));
+    assert!(adm.admits_vm(&world, 64.0));
+}
+
+#[test]
+fn counters_accumulate() {
+    let mut adm = Admission::new(RegionQuotas::default());
+    adm.note_throttle();
+    adm.note_throttle();
+    adm.note_degrade();
+    assert_eq!((adm.throttled, adm.degraded), (2, 1));
+}
+
+// --- shared pool leases ------------------------------------------------
+
+#[test]
+fn cold_pool_leases_are_misses() {
+    let mut env = CloudEnv::new_default(3);
+    let mut pool = SharedPool::new(&mut env, &PoolConfig::default(), None);
+    let lease = pool.lease(&env);
+    assert!(lease < PoolConfig::default().size);
+    assert_eq!(pool.leases, 1);
+    assert_eq!(pool.hits, 0, "nothing is provisioned yet");
+    assert_eq!(pool.hit_pct(), Some(0.0));
+}
+
+#[test]
+fn empty_lease_history_has_no_hit_rate() {
+    let mut env = CloudEnv::new_default(3);
+    let pool = SharedPool::new(&mut env, &PoolConfig::default(), None);
+    assert_eq!(pool.hit_pct(), None);
+}
+
+// --- what-if plan evaluation -------------------------------------------
+
+#[test]
+fn cluster_plans_are_rejected() {
+    let plan = DeploymentPlan {
+        name: "spark".into(),
+        kind: PlanKind::Cluster(ClusterPlan {
+            instance: "c5.4xlarge".into(),
+            nodes: 4,
+        }),
+    };
+    let err = plan_under_load(&Scenario::smoke(), &plan, 42).unwrap_err();
+    assert!(matches!(err, ExecError::Unsupported(_)));
+}
+
+#[test]
+fn mismatched_stage_counts_are_rejected() {
+    use metaspace::plan::FunctionsPlan;
+    let plan = DeploymentPlan::functions("short", FunctionsPlan::serverless(3));
+    let err = plan_under_load(&Scenario::smoke(), &plan, 42).unwrap_err();
+    assert!(matches!(err, ExecError::Unsupported(_)));
 }
