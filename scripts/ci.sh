@@ -73,12 +73,26 @@ if grep -rnE "$queue_twins" crates/serverful/src; then
     echo "a second serverful task queue is back beside TaskQueue" >&2
     exit 1
 fi
-# A gated DAG task is released by one rule, the pipelined drivers'
-# Readiness. The environment's per-edge continuation scan released a
+# A gated DAG task is released by one rule, the Readiness inside each
+# job's DagRun. The environment's per-edge continuation scan released a
 # join's tasks once any one in-edge's counters landed, so it must not
 # come back.
 if grep -rnE "register_continuation|continuations_fired|struct Continuation" crates/*/src; then
     echo "an env-side continuation release is back beside the drivers' Readiness" >&2
+    exit 1
+fi
+# Both DAG drivers step one per-job state machine, serverful::DagRun:
+# run_dag loops over one, and a fleet cell holds one per arrival. Each
+# driver's own copy of the launch, observe and release passes must not
+# come back, and the fleet reaches task readiness only through DagRun.
+dag_twins='fn (run_barrier|run_pipelined|observe_tasks|release_ready_tasks)\b'
+dag_twins+='|struct (StageRun|Live)\b'
+if grep -rnE "$dag_twins" crates/serverful/src crates/fleet/src; then
+    echo "a driver's own copy of the DAG scheduling passes is back beside DagRun" >&2
+    exit 1
+fi
+if grep -rn "Readiness" crates/fleet/src; then
+    echo "the fleet names Readiness; it must reach readiness only through DagRun" >&2
     exit 1
 fi
 # A storage request has one owner at a time: the world hands a faulted
