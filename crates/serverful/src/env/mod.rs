@@ -367,13 +367,13 @@ impl CloudEnv {
     /// Advances the world by one notification and routes it. This is the
     /// non-blocking counterpart of the blocking drive loop behind
     /// [`FunctionExecutor::get_result`]: a driver juggling many
-    /// concurrent jobs (the `fleet` crate) calls this in a loop, polling
-    /// its jobs with [`FunctionExecutor::try_result`] between events and
+    /// concurrent jobs (the `fleet` crate) calls this in a loop,
+    /// observing its jobs through [`DagRun`]s between events and
     /// receiving its own [`external_timer`]s (arrivals, deadlines) as
     /// [`EnvEvent::Timer`].
     ///
     /// [`FunctionExecutor::get_result`]: crate::FunctionExecutor::get_result
-    /// [`FunctionExecutor::try_result`]: crate::FunctionExecutor::try_result
+    /// [`DagRun`]: crate::dag::DagRun
     ///
     /// [`external_timer`]: Self::external_timer
     pub fn pump(&mut self) -> EnvEvent {
@@ -425,9 +425,9 @@ impl CloudEnv {
 
     /// Jobs finished so far, successfully or not. The count only grows,
     /// and a job's result becomes available exactly when it moves, so a
-    /// driver polling many jobs with
-    /// [`FunctionExecutor::try_result`](crate::FunctionExecutor::try_result)
-    /// can skip the poll while it stands still.
+    /// driver observing many jobs through
+    /// [`DagRun`](crate::dag::DagRun)s can skip the poll while it stands
+    /// still.
     pub fn finished_jobs(&self) -> usize {
         self.finished_jobs
     }

@@ -93,7 +93,8 @@ impl JobHandle {
     }
 
     /// Whether the whole job has finished (all results collected, or
-    /// failed). Redeem with [`FunctionExecutor::try_result`].
+    /// failed). A [`DagRun`](crate::dag::DagRun) observing the job takes
+    /// its result then.
     #[must_use = "a completion check only informs scheduling; it has no side effect"]
     pub fn is_finished(&self, env: &CloudEnv) -> bool {
         env.job_finished(self.id)
@@ -280,19 +281,6 @@ impl FunctionExecutor {
         job: JobHandle,
     ) -> Result<Vec<Payload>, ExecError> {
         env.run_job(job.id)
-    }
-
-    /// Non-blocking completion check: the job's results if it has
-    /// finished, `None` while it is still running. The counterpart of
-    /// [`get_result`](Self::get_result) for drivers pumping the
-    /// environment themselves via [`CloudEnv::pump`]. A finished job's
-    /// results can be taken only once.
-    pub fn try_result(
-        &mut self,
-        env: &mut CloudEnv,
-        job: JobHandle,
-    ) -> Option<Result<Vec<Payload>, ExecError>> {
-        env.try_job_result(job.id)
     }
 
     /// True when this executor's VM pool is fully provisioned and
