@@ -592,6 +592,8 @@ pub fn run_dag<C>(
     let mut open = vec![SpanId::NONE; dag.groups.len()];
     // One entry per launched node: nodes launch in index order.
     let mut stats: Vec<NodeStats> = Vec::with_capacity(dag.len());
+    // Every node below `live` has drained, so the passes skip them.
+    let mut live = 0;
     loop {
         while stats.len() < dag.len() {
             let v = stats.len();
@@ -601,13 +603,13 @@ pub fn run_dag<C>(
             stats.push(launch(env, ctx, &mut dag, &mut run, v, gated, &mut open)?);
         }
         let now = env.now();
-        for (v, node) in stats.iter_mut().enumerate() {
+        for (v, node) in stats.iter_mut().enumerate().skip(live) {
             run.release(env, v, |_, t| {
                 node.released_at[t] = now;
                 true
             });
         }
-        if run.is_done() {
+        if live == dag.len() {
             return Ok(DagStats { nodes: stats });
         }
         if matches!(env.pump(), EnvEvent::Drained) {
@@ -625,7 +627,7 @@ pub fn run_dag<C>(
         // Observe every node before releasing any; the first failure
         // ends the pass and the run.
         let now = env.now();
-        for (v, node) in stats.iter_mut().enumerate() {
+        for (v, node) in stats.iter_mut().enumerate().skip(live) {
             if run.is_complete(v) {
                 continue;
             }
@@ -638,6 +640,9 @@ pub fn run_dag<C>(
                 maybe_end_group_span(env, &dag, v, &mut open);
             }
             result?;
+        }
+        while live < stats.len() && run.is_complete(live) {
+            live += 1;
         }
     }
 }
