@@ -594,6 +594,9 @@ pub fn run_dag<C>(
     let mut stats: Vec<NodeStats> = Vec::with_capacity(dag.len());
     // Every node below `live` has drained, so the passes skip them.
     let mut live = 0;
+    // A Barrier run waits only on whole jobs, and a job's result appears
+    // exactly when the env's finished-job count moves.
+    let mut finished = env.finished_jobs();
     loop {
         while stats.len() < dag.len() {
             let v = stats.len();
@@ -624,6 +627,10 @@ pub fn run_dag<C>(
                 stuck.join(", ")
             )));
         }
+        if !gated && env.finished_jobs() == finished {
+            continue;
+        }
+        finished = env.finished_jobs();
         // Observe every node before releasing any; the first failure
         // ends the pass and the run.
         let now = env.now();
