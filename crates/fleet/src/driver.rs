@@ -583,6 +583,9 @@ impl CellState<'_> {
                 continue;
             }
             let stages = self.templates[self.jobs[idx].tenant].stages.len();
+            // A job finishes only inside a pumped event, and the scan
+            // after it took the result, so this only feeds the stages'
+            // new completions to the job's tracker.
             for s in 0..stages {
                 self.jobs[idx].dag.observe(&mut self.env, s, |_| {})?;
             }
