@@ -19,6 +19,7 @@ use serverful_repro::serverful::{
     FanIn, FunctionExecutor, MapOptions, Payload, RecoveryMode, ScriptTask,
 };
 use serverful_repro::simkernel::SimRng;
+use serverful_repro::workload::MAX_TASKS_PER_STAGE;
 
 struct Ctx {
     faas: FunctionExecutor,
@@ -240,6 +241,50 @@ fn one_to_one_block_mapping_covers_all_upstream_tasks() {
     // Every upstream task is covered.
     let covered: Vec<usize> = ranges.into_iter().flatten().collect();
     assert_eq!(covered, (0..8).collect::<Vec<_>>());
+}
+
+/// The bound `Workload::validate` relies on without checking it per
+/// partition: for any non-empty stages on either side of an edge, every
+/// downstream task waits on a non-empty range that ends inside the
+/// upstream stage, and the ranges sweep the upstream in order, from its
+/// first task to its last, without a gap. Checked for both fan-in shapes
+/// on every width pair up to 64 and at the corners of
+/// `MAX_TASKS_PER_STAGE`.
+#[test]
+fn fan_in_ranges_stay_in_bounds_and_sweep_the_upstream_in_order() {
+    let max = MAX_TASKS_PER_STAGE;
+    let corners = [
+        (1, max),
+        (max, 1),
+        (7, max),
+        (max, 7),
+        (max - 1, max),
+        (max, max - 1),
+        (max, max),
+    ];
+    let grid = (1..=64).flat_map(|up| (1..=64).map(move |down| (up, down)));
+    for (up, down) in grid.chain(corners) {
+        for fan_in in [FanIn::OneToOne, FanIn::AllToAll] {
+            let ctx = format!("{fan_in:?} up={up} down={down}");
+            let mut prev: Option<std::ops::Range<usize>> = None;
+            for t in 0..down {
+                let r = fan_in_range(fan_in, up, down, t);
+                assert!(r.start < r.end && r.end <= up, "{ctx} t={t}: range {r:?}");
+                match &prev {
+                    None => assert_eq!(r.start, 0, "{ctx}: the first range starts past 0"),
+                    Some(p) => {
+                        assert!(
+                            p.start <= r.start && p.end <= r.end,
+                            "{ctx} t={t}: range {r:?} steps back from {p:?}"
+                        );
+                        assert!(r.start <= p.end, "{ctx} t={t}: gap between {p:?} and {r:?}");
+                    }
+                }
+                prev = Some(r);
+            }
+            assert_eq!(prev.map(|r| r.end), Some(up), "{ctx}: the last range stops short");
+        }
+    }
 }
 
 #[test]
