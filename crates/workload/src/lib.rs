@@ -9,10 +9,11 @@
 //!   CPU-seconds, bytes in/out and data-movement kind, plus one edge
 //!   list per stage ([`serverful::FanIn::OneToOne`] map chains,
 //!   [`serverful::FanIn::AllToAll`] shuffles, multiple roots, joins).
-//! - Validation ([`Workload::validate`]): acyclicity (edges must point
-//!   at earlier stages), fan-in arity (every released partition's
-//!   upstream range stays in bounds), and resource sanity (no zero-task
-//!   stages, finite non-negative volumes, positive exchanges).
+//! - Validation ([`Workload::validate`]), in O(stages + edges):
+//!   acyclicity (edges must point at earlier stages) and resource
+//!   sanity (no zero-task stages, finite non-negative volumes, positive
+//!   exchanges). Fan-in ranges need no check of their own: they stay in
+//!   bounds for any two non-empty stages.
 //! - Deterministic scaling ([`Workload::scaled`]): task counts and
 //!   exchange volumes multiplied down with fixed floors (two tasks,
 //!   0.005 GB), so smoke tests and fleet tenants run the same *shape*
