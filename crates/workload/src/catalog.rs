@@ -31,24 +31,3 @@ pub fn named(name: &str) -> Option<Workload> {
         _ => None,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_name_resolves_to_a_valid_workload_of_that_name() {
-        for n in names() {
-            let w = named(n).unwrap_or_else(|| panic!("{n} missing"));
-            assert_eq!(&w.name, n);
-            w.validate().unwrap_or_else(|e| panic!("{n}: {e}"));
-        }
-    }
-
-    #[test]
-    fn lookup_is_case_insensitive_and_total() {
-        assert!(named("Montage").is_some());
-        assert!(named("TERASORT-SMALL").is_some());
-        assert!(named("nope").is_none());
-    }
-}

@@ -265,78 +265,3 @@ pub fn parse(text: &str) -> Result<Workload, DslError> {
     w.validate()?;
     Ok(w)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const CANONICAL: &str = "\
-workload terasort-toy
-stage gen tasks=4 cpu_secs=1.5 read_mb=0 write_mb=512 stateless read_spread=16 write_spread=16
-stage sort tasks=4 cpu_secs=10.24 read_mb=0 write_mb=0 stateful exchange_gb=5
-stage validate tasks=4 cpu_secs=1 read_mb=512 write_mb=1 stateless read_spread=16 write_spread=16
-edge sort <- gen all-to-all
-edge validate <- sort one-to-one
-";
-
-    #[test]
-    fn canonical_text_round_trips_exactly() {
-        let w = parse(CANONICAL).unwrap();
-        assert_eq!(emit(&w), CANONICAL);
-        assert_eq!(parse(&emit(&w)).unwrap(), w);
-    }
-
-    #[test]
-    fn comments_and_blank_lines_are_ignored() {
-        let noisy = format!("# a comment\n\n{CANONICAL}\n# trailing note\n");
-        assert_eq!(parse(&noisy).unwrap(), parse(CANONICAL).unwrap());
-        let inline = CANONICAL.replace("workload terasort-toy", "workload terasort-toy # the name");
-        assert_eq!(parse(&inline).unwrap(), parse(CANONICAL).unwrap());
-    }
-
-    #[test]
-    fn float_precision_survives_the_round_trip() {
-        // A value with no short decimal representation must re-parse to
-        // the identical bits (Rust Display is shortest-round-trip).
-        let mut w = parse(CANONICAL).unwrap();
-        w.stages[0].cpu_secs_per_task = 0.1 + 0.2; // 0.30000000000000004
-        let back = parse(&emit(&w)).unwrap();
-        assert_eq!(
-            back.stages[0].cpu_secs_per_task.to_bits(),
-            w.stages[0].cpu_secs_per_task.to_bits()
-        );
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        let bad = CANONICAL.replace("edge sort <- gen all-to-all", "edge sort <- gen sideways");
-        match parse(&bad).unwrap_err() {
-            DslError::Parse { line, message } => {
-                assert_eq!(line, 5);
-                assert!(message.contains("sideways"), "{message}");
-            }
-            e => panic!("expected parse error, got {e}"),
-        }
-    }
-
-    #[test]
-    fn unknown_stage_reference_is_an_error() {
-        let bad = CANONICAL.replace("edge sort <- gen", "edge sort <- ghost");
-        assert!(matches!(parse(&bad).unwrap_err(), DslError::Parse { .. }));
-    }
-
-    #[test]
-    fn missing_header_is_an_error() {
-        let e = parse("stage a tasks=1 cpu_secs=1 read_mb=0 write_mb=0 stateful exchange_gb=1\n")
-            .unwrap_err();
-        assert!(matches!(e, DslError::Parse { .. }), "{e}");
-    }
-
-    #[test]
-    fn forward_edge_fails_validation() {
-        // `validate` is declared after `sort`, so an edge sort <- validate
-        // parses but is rejected as non-topological.
-        let bad = CANONICAL.replace("edge validate <- sort", "edge sort <- validate");
-        assert!(matches!(parse(&bad).unwrap_err(), DslError::Invalid(_)));
-    }
-}

@@ -302,92 +302,3 @@ pub fn terasort(name: &str, sort_gb: f64) -> Workload {
         .build()
         .expect("the terasort family is valid by construction")
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::spec::StageEdge;
-
-    fn brain_params() -> MetaspaceParams {
-        // The Table 2 Brain row as metaspace::jobs computes it.
-        MetaspaceParams {
-            name: "Brain".into(),
-            dataset_gb: 0.05,
-            db_formulas_k: 12.0,
-            max_volume_gb: 37.45,
-            annotate_cpu_secs: 3.5,
-            dataset_sort_gb: 0.7,
-            db_sort_gb: 12.0 * 0.045,
-        }
-    }
-
-    #[test]
-    fn metaspace_family_has_the_canonical_shape() {
-        let w = metaspace(&brain_params());
-        w.validate().unwrap();
-        assert_eq!(w.stages.len(), 9);
-        assert_eq!(w.stages[3].name, "db-segment");
-        assert_eq!(w.stages[3].tasks, 32);
-        // Two roots (dataset + database branches), annotate joins both.
-        let roots: Vec<usize> = w
-            .edges
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_empty())
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(roots, vec![0, 2]);
-        assert_eq!(w.edges[5].len(), 2);
-        // Shuffles are all-to-all; map chains are one-to-one.
-        assert_eq!(w.edges[4], vec![StageEdge::all_to_all(1)], "ds-segment");
-        assert_eq!(w.edges[6], vec![StageEdge::one_to_one(5)], "metrics");
-    }
-
-    #[test]
-    fn every_family_validates_and_round_trips() {
-        let brain = brain_params();
-        for w in [
-            metaspace(&brain),
-            ml_pipeline(),
-            montage(),
-            terasort("terasort-small", 5.0),
-            terasort("terasort-large", 50.0),
-        ] {
-            w.validate().unwrap_or_else(|e| panic!("{}: {e}", w.name));
-            let back = crate::dsl::parse(&crate::dsl::emit(&w))
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-            assert_eq!(back, w, "{} drifts through the DSL", w.name);
-        }
-    }
-
-    #[test]
-    fn ml_pipeline_is_training_dominated() {
-        let w = ml_pipeline();
-        let train = w.stages.iter().find(|s| s.name == "train").unwrap();
-        assert!(train.total_cpu_secs() > 0.5 * w.total_cpu_secs());
-    }
-
-    #[test]
-    fn montage_fans_wide_then_narrow() {
-        let w = montage();
-        let tasks: Vec<usize> = w.stages.iter().map(|s| s.tasks).collect();
-        let max = *tasks.iter().max().unwrap();
-        let min = *tasks.iter().min().unwrap();
-        assert!(max / min >= 30, "fan ratio {max}/{min}");
-        // The diamond: background depends on both project and bg-model.
-        assert_eq!(w.edges[3].len(), 2);
-    }
-
-    #[test]
-    fn terasort_scales_keep_the_exchange_dominant() {
-        for gb in [5.0, 20.0, 50.0] {
-            let w = terasort("t", gb);
-            let sort = &w.stages[1];
-            match sort.kind {
-                StageKind::Stateful { exchange_gb } => assert_eq!(exchange_gb, gb),
-                _ => panic!("sort must be stateful"),
-            }
-            assert!(sort.total_cpu_secs() > 0.5 * w.total_cpu_secs(), "{gb}");
-        }
-    }
-}

@@ -415,117 +415,3 @@ impl WorkloadBuilder {
         Ok(w)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn stateless(name: &str, tasks: usize) -> Stage {
-        Stage {
-            name: name.into(),
-            tasks,
-            cpu_secs_per_task: 1.0,
-            read_mb_per_task: 1.0,
-            write_mb_per_task: 1.0,
-            kind: StageKind::Stateless { read_spread: 2, write_spread: 2 },
-        }
-    }
-
-    fn chain(n: usize) -> Workload {
-        let w = Workload {
-            name: "chain".into(),
-            stages: (0..n).map(|i| stateless(&format!("s{i}"), 4)).collect(),
-            edges: (0..n)
-                .map(|i| {
-                    if i == 0 {
-                        vec![]
-                    } else {
-                        vec![StageEdge::one_to_one(i - 1)]
-                    }
-                })
-                .collect(),
-        };
-        w.validate().expect("chain is valid");
-        w
-    }
-
-    #[test]
-    fn builder_resolves_names_and_validates() {
-        let w = Workload::builder("toy")
-            .stage(stateless("a", 4), &[])
-            .stage(stateless("b", 4), &[("a", FanIn::OneToOne)])
-            .stage(stateless("c", 2), &[("b", FanIn::AllToAll)])
-            .build()
-            .unwrap();
-        assert_eq!(w.edges[1], vec![StageEdge::one_to_one(0)]);
-        assert_eq!(w.edge_pairs(), vec![(0, 1), (1, 2)]);
-    }
-
-    #[test]
-    fn unknown_dependency_is_an_error() {
-        let e = Workload::builder("w")
-            .stage(stateless("a", 1), &[("ghost", FanIn::AllToAll)])
-            .build()
-            .unwrap_err();
-        assert!(e.0.contains("ghost"), "{e}");
-    }
-
-    #[test]
-    fn forward_edges_are_rejected() {
-        let mut w = chain(2);
-        w.edges[0] = vec![StageEdge::all_to_all(1)];
-        w.edges[1] = vec![];
-        assert!(w.validate().unwrap_err().0.contains("not topological"));
-    }
-
-    #[test]
-    fn zero_task_stages_are_rejected() {
-        let mut w = chain(2);
-        w.stages[1].tasks = 0;
-        assert!(w.validate().unwrap_err().0.contains("zero tasks"));
-    }
-
-    #[test]
-    fn non_positive_exchange_is_rejected() {
-        let mut w = chain(2);
-        w.stages[1].kind = StageKind::Stateful { exchange_gb: 0.0 };
-        assert!(w.validate().unwrap_err().0.contains("exchange_gb"));
-    }
-
-    #[test]
-    fn duplicate_stage_names_are_rejected() {
-        let mut w = chain(2);
-        w.stages[1].name = "s0".into();
-        assert!(w.validate().unwrap_err().0.contains("duplicate stage name"));
-    }
-
-    #[test]
-    fn duplicate_edges_are_rejected() {
-        let mut w = chain(2);
-        w.edges[1] = vec![StageEdge::one_to_one(0), StageEdge::all_to_all(0)];
-        assert!(w.validate().unwrap_err().0.contains("duplicate edges"));
-    }
-
-    #[test]
-    fn tiny_scales_never_drop_to_zero_tasks() {
-        // A small stage at a tiny scale rounds to zero tasks; the scaler
-        // keeps two so the stage still runs in parallel (and a zero-task
-        // stage could never be released).
-        let mut w = chain(3);
-        w.stages[0].tasks = 1;
-        w.stages[1].kind = StageKind::Stateful { exchange_gb: 1.0 };
-        let s = w.scaled(0.001);
-        assert!(s.stages.iter().all(|s| s.tasks == 2), "{s:?}");
-        s.validate().expect("scaled workload stays valid");
-        match s.stages[1].kind {
-            StageKind::Stateful { exchange_gb } => assert_eq!(exchange_gb, 0.005),
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "scale must be in (0, 1]")]
-    fn zero_scale_panics() {
-        chain(2).scaled(0.0);
-    }
-}

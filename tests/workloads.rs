@@ -298,3 +298,309 @@ fn verdict_terasort_hybrid_wins_at_every_scale() {
         );
     }
 }
+
+// The workload crate's own invariants, one module per source module.
+
+/// The workload builder, `Workload::validate`'s rejections and the
+/// scaling floors.
+mod spec {
+    use serverful_repro::serverful::FanIn;
+    use serverful_repro::workload::{Stage, StageEdge, StageKind, Workload};
+
+    fn stateless(name: &str, tasks: usize) -> Stage {
+        Stage {
+            name: name.into(),
+            tasks,
+            cpu_secs_per_task: 1.0,
+            read_mb_per_task: 1.0,
+            write_mb_per_task: 1.0,
+            kind: StageKind::Stateless { read_spread: 2, write_spread: 2 },
+        }
+    }
+
+    fn chain(n: usize) -> Workload {
+        let w = Workload {
+            name: "chain".into(),
+            stages: (0..n).map(|i| stateless(&format!("s{i}"), 4)).collect(),
+            edges: (0..n)
+                .map(|i| {
+                    if i == 0 {
+                        vec![]
+                    } else {
+                        vec![StageEdge::one_to_one(i - 1)]
+                    }
+                })
+                .collect(),
+        };
+        w.validate().expect("chain is valid");
+        w
+    }
+
+    #[test]
+    fn builder_resolves_names_and_validates() {
+        let w = Workload::builder("toy")
+            .stage(stateless("a", 4), &[])
+            .stage(stateless("b", 4), &[("a", FanIn::OneToOne)])
+            .stage(stateless("c", 2), &[("b", FanIn::AllToAll)])
+            .build()
+            .unwrap();
+        assert_eq!(w.edges[1], vec![StageEdge::one_to_one(0)]);
+        assert_eq!(w.edge_pairs(), vec![(0, 1), (1, 2)]);
+    }
+
+    #[test]
+    fn unknown_dependency_is_an_error() {
+        let e = Workload::builder("w")
+            .stage(stateless("a", 1), &[("ghost", FanIn::AllToAll)])
+            .build()
+            .unwrap_err();
+        assert!(e.0.contains("ghost"), "{e}");
+    }
+
+    #[test]
+    fn forward_edges_are_rejected() {
+        let mut w = chain(2);
+        w.edges[0] = vec![StageEdge::all_to_all(1)];
+        w.edges[1] = vec![];
+        assert!(w.validate().unwrap_err().0.contains("not topological"));
+    }
+
+    #[test]
+    fn zero_task_stages_are_rejected() {
+        let mut w = chain(2);
+        w.stages[1].tasks = 0;
+        assert!(w.validate().unwrap_err().0.contains("zero tasks"));
+    }
+
+    #[test]
+    fn non_positive_exchange_is_rejected() {
+        let mut w = chain(2);
+        w.stages[1].kind = StageKind::Stateful { exchange_gb: 0.0 };
+        assert!(w.validate().unwrap_err().0.contains("exchange_gb"));
+    }
+
+    #[test]
+    fn duplicate_stage_names_are_rejected() {
+        let mut w = chain(2);
+        w.stages[1].name = "s0".into();
+        assert!(w.validate().unwrap_err().0.contains("duplicate stage name"));
+    }
+
+    #[test]
+    fn duplicate_edges_are_rejected() {
+        let mut w = chain(2);
+        w.edges[1] = vec![StageEdge::one_to_one(0), StageEdge::all_to_all(0)];
+        assert!(w.validate().unwrap_err().0.contains("duplicate edges"));
+    }
+
+    #[test]
+    fn tiny_scales_never_drop_to_zero_tasks() {
+        // A small stage at a tiny scale rounds to zero tasks; the scaler
+        // keeps two so the stage still runs in parallel (and a zero-task
+        // stage could never be released).
+        let mut w = chain(3);
+        w.stages[0].tasks = 1;
+        w.stages[1].kind = StageKind::Stateful { exchange_gb: 1.0 };
+        let s = w.scaled(0.001);
+        assert!(s.stages.iter().all(|s| s.tasks == 2), "{s:?}");
+        s.validate().expect("scaled workload stays valid");
+        match s.stages[1].kind {
+            StageKind::Stateful { exchange_gb } => assert_eq!(exchange_gb, 0.005),
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scale must be in (0, 1]")]
+    fn zero_scale_panics() {
+        chain(2).scaled(0.0);
+    }
+}
+
+/// The workload DSL: canonical round trips, comments, float bits and
+/// parse errors.
+mod dsl {
+    use serverful_repro::workload::{emit, parse, DslError};
+
+    const CANONICAL: &str = "\
+workload terasort-toy
+stage gen tasks=4 cpu_secs=1.5 read_mb=0 write_mb=512 stateless read_spread=16 write_spread=16
+stage sort tasks=4 cpu_secs=10.24 read_mb=0 write_mb=0 stateful exchange_gb=5
+stage validate tasks=4 cpu_secs=1 read_mb=512 write_mb=1 stateless read_spread=16 write_spread=16
+edge sort <- gen all-to-all
+edge validate <- sort one-to-one
+";
+
+    #[test]
+    fn canonical_text_round_trips_exactly() {
+        let w = parse(CANONICAL).unwrap();
+        assert_eq!(emit(&w), CANONICAL);
+        assert_eq!(parse(&emit(&w)).unwrap(), w);
+    }
+
+    #[test]
+    fn comments_and_blank_lines_are_ignored() {
+        let noisy = format!("# a comment\n\n{CANONICAL}\n# trailing note\n");
+        assert_eq!(parse(&noisy).unwrap(), parse(CANONICAL).unwrap());
+        let inline = CANONICAL.replace("workload terasort-toy", "workload terasort-toy # the name");
+        assert_eq!(parse(&inline).unwrap(), parse(CANONICAL).unwrap());
+    }
+
+    #[test]
+    fn float_precision_survives_the_round_trip() {
+        // A value with no short decimal representation must re-parse to
+        // the identical bits (Rust Display is shortest-round-trip).
+        let mut w = parse(CANONICAL).unwrap();
+        w.stages[0].cpu_secs_per_task = 0.1 + 0.2; // 0.30000000000000004
+        let back = parse(&emit(&w)).unwrap();
+        assert_eq!(
+            back.stages[0].cpu_secs_per_task.to_bits(),
+            w.stages[0].cpu_secs_per_task.to_bits()
+        );
+    }
+
+    #[test]
+    fn parse_errors_carry_line_numbers() {
+        let bad = CANONICAL.replace("edge sort <- gen all-to-all", "edge sort <- gen sideways");
+        match parse(&bad).unwrap_err() {
+            DslError::Parse { line, message } => {
+                assert_eq!(line, 5);
+                assert!(message.contains("sideways"), "{message}");
+            }
+            e => panic!("expected parse error, got {e}"),
+        }
+    }
+
+    #[test]
+    fn unknown_stage_reference_is_an_error() {
+        let bad = CANONICAL.replace("edge sort <- gen", "edge sort <- ghost");
+        assert!(matches!(parse(&bad).unwrap_err(), DslError::Parse { .. }));
+    }
+
+    #[test]
+    fn missing_header_is_an_error() {
+        let e = parse("stage a tasks=1 cpu_secs=1 read_mb=0 write_mb=0 stateful exchange_gb=1\n")
+            .unwrap_err();
+        assert!(matches!(e, DslError::Parse { .. }), "{e}");
+    }
+
+    #[test]
+    fn forward_edge_fails_validation() {
+        // `validate` is declared after `sort`, so an edge sort <- validate
+        // parses but is rejected as non-topological.
+        let bad = CANONICAL.replace("edge validate <- sort", "edge sort <- validate");
+        assert!(matches!(parse(&bad).unwrap_err(), DslError::Invalid(_)));
+    }
+}
+
+/// The bundled workload families' shapes.
+mod families {
+    use serverful_repro::workload::families::{
+        metaspace, ml_pipeline, montage, terasort, MetaspaceParams,
+    };
+    use serverful_repro::workload::{emit, parse, StageEdge, StageKind};
+
+    fn brain_params() -> MetaspaceParams {
+        // The Table 2 Brain row as metaspace::jobs computes it.
+        MetaspaceParams {
+            name: "Brain".into(),
+            dataset_gb: 0.05,
+            db_formulas_k: 12.0,
+            max_volume_gb: 37.45,
+            annotate_cpu_secs: 3.5,
+            dataset_sort_gb: 0.7,
+            db_sort_gb: 12.0 * 0.045,
+        }
+    }
+
+    #[test]
+    fn metaspace_family_has_the_canonical_shape() {
+        let w = metaspace(&brain_params());
+        w.validate().unwrap();
+        assert_eq!(w.stages.len(), 9);
+        assert_eq!(w.stages[3].name, "db-segment");
+        assert_eq!(w.stages[3].tasks, 32);
+        // Two roots (dataset + database branches), annotate joins both.
+        let roots: Vec<usize> = w
+            .edges
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| d.is_empty())
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(roots, vec![0, 2]);
+        assert_eq!(w.edges[5].len(), 2);
+        // Shuffles are all-to-all; map chains are one-to-one.
+        assert_eq!(w.edges[4], vec![StageEdge::all_to_all(1)], "ds-segment");
+        assert_eq!(w.edges[6], vec![StageEdge::one_to_one(5)], "metrics");
+    }
+
+    #[test]
+    fn every_family_validates_and_round_trips() {
+        let brain = brain_params();
+        for w in [
+            metaspace(&brain),
+            ml_pipeline(),
+            montage(),
+            terasort("terasort-small", 5.0),
+            terasort("terasort-large", 50.0),
+        ] {
+            w.validate().unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            let back = parse(&emit(&w))
+                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            assert_eq!(back, w, "{} drifts through the DSL", w.name);
+        }
+    }
+
+    #[test]
+    fn ml_pipeline_is_training_dominated() {
+        let w = ml_pipeline();
+        let train = w.stages.iter().find(|s| s.name == "train").unwrap();
+        assert!(train.total_cpu_secs() > 0.5 * w.total_cpu_secs());
+    }
+
+    #[test]
+    fn montage_fans_wide_then_narrow() {
+        let w = montage();
+        let tasks: Vec<usize> = w.stages.iter().map(|s| s.tasks).collect();
+        let max = *tasks.iter().max().unwrap();
+        let min = *tasks.iter().min().unwrap();
+        assert!(max / min >= 30, "fan ratio {max}/{min}");
+        // The diamond: background depends on both project and bg-model.
+        assert_eq!(w.edges[3].len(), 2);
+    }
+
+    #[test]
+    fn terasort_scales_keep_the_exchange_dominant() {
+        for gb in [5.0, 20.0, 50.0] {
+            let w = terasort("t", gb);
+            let sort = &w.stages[1];
+            match sort.kind {
+                StageKind::Stateful { exchange_gb } => assert_eq!(exchange_gb, gb),
+                _ => panic!("sort must be stateful"),
+            }
+            assert!(sort.total_cpu_secs() > 0.5 * w.total_cpu_secs(), "{gb}");
+        }
+    }
+}
+
+/// The catalog of bundled family instances, by name.
+mod catalog {
+    use serverful_repro::workload::catalog::{named, names};
+
+    #[test]
+    fn every_name_resolves_to_a_valid_workload_of_that_name() {
+        for n in names() {
+            let w = named(n).unwrap_or_else(|| panic!("{n} missing"));
+            assert_eq!(&w.name, n);
+            w.validate().unwrap_or_else(|e| panic!("{n}: {e}"));
+        }
+    }
+
+    #[test]
+    fn lookup_is_case_insensitive_and_total() {
+        assert!(named("Montage").is_some());
+        assert!(named("TERASORT-SMALL").is_some());
+        assert!(named("nope").is_none());
+    }
+}
