@@ -884,7 +884,7 @@ impl CloudEnv {
         t.attempts += 1;
         t.started_at = Some(now);
         t.span = span;
-        self.start_task(job, task, host, kv, &input);
+        self.start_task(job, task, TaskRun::new(host, kv), &input);
     }
 
     /// A task finished on a pool whose queue is in storage: its worker

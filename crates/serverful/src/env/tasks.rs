@@ -76,29 +76,23 @@ impl CloudEnv {
             1,
             Route::Task { job, task },
         );
-        // Remember the host for when the input arrives; track the GET so
-        // an attempt teardown cleans its route up.
-        let mut run = TaskRun::new(
-            // Placeholder logic; replaced at start. Using the factory here
-            // would double-construct.
-            crate::task::ScriptTask::new().boxed(),
-            host,
-            None,
-        );
+        // The attempt's run holds the host for when the input arrives,
+        // and tracks the GET so an attempt teardown cleans its route up.
+        let mut run = TaskRun::new(host, None);
         run.pending.insert(op, 0);
         self.jobs[job].tasks[task].run = Some(run);
     }
 
+    /// Starts a task on `run`: the job's factory builds its logic from
+    /// the input.
     pub(super) fn start_task(
         &mut self,
         job: usize,
         task: usize,
-        host: HostId,
-        kv: Option<KvId>,
+        mut run: TaskRun,
         input: &Payload,
     ) {
-        let logic = (self.jobs[job].factory)(input);
-        let mut run = TaskRun::new(logic, host, kv);
+        run.logic = (self.jobs[job].factory)(input);
         self.jobs[job].tasks[task].phase = TaskPhase::Running;
         let step = run.logic.on_start(input);
         self.apply_step(job, task, run, step);
@@ -240,10 +234,12 @@ impl CloudEnv {
         }
         match &self.jobs[job].tasks[task].phase {
             TaskPhase::FetchingInput => {
-                let run = self.jobs[job].tasks[task]
+                let mut run = self.jobs[job].tasks[task]
                     .run
                     .take()
-                    .expect("an input fetch is tracked by its placeholder run");
+                    .expect("an input fetch is tracked by its attempt's run");
+                // The GET has landed; the task's own ops reuse the map.
+                run.pending.clear();
                 let body = match outcome {
                     OpOutcome::GetOk { body } => body,
                     OpOutcome::GetMissing => {
@@ -260,7 +256,7 @@ impl CloudEnv {
                         return;
                     }
                 };
-                self.start_task(job, task, run.host, None, &input);
+                self.start_task(job, task, run, &input);
             }
             TaskPhase::Running => {
                 let mut run = self.jobs[job].tasks[task].run.take().unwrap();

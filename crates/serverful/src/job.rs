@@ -14,7 +14,7 @@ use telemetry::trace::SpanId;
 use crate::error::ExecError;
 use crate::payload::Payload;
 use crate::retry::RetryPolicy;
-use crate::task::{ActionOutcome, TaskLogic};
+use crate::task::{ActionOutcome, TaskLogic, TaskStep};
 
 /// Creates a fresh [`TaskLogic`] for an input. Shared by all tasks of a
 /// job (the "function" being mapped).
@@ -58,10 +58,27 @@ impl std::fmt::Debug for TaskRun {
     }
 }
 
+/// The logic of a run whose task has not started: a FaaS attempt's run
+/// exists from its input fetch on. Zero-sized, so boxing it allocates
+/// nothing; the environment swaps in the job factory's logic when the
+/// task starts.
+struct Unstarted;
+
+impl TaskLogic for Unstarted {
+    fn on_start(&mut self, _: &Payload) -> TaskStep {
+        unreachable!("a task starts on its factory's logic")
+    }
+
+    fn on_action(&mut self, _: ActionOutcome) -> TaskStep {
+        unreachable!("a task acts through its factory's logic")
+    }
+}
+
 impl TaskRun {
-    pub(crate) fn new(logic: Box<dyn TaskLogic>, host: HostId, kv: Option<KvId>) -> Self {
+    /// A run on `host` whose logic the job's factory has yet to build.
+    pub(crate) fn new(host: HostId, kv: Option<KvId>) -> Self {
         TaskRun {
-            logic,
+            logic: Box::new(Unstarted),
             host,
             kv,
             pending: IdMap::default(),
@@ -292,7 +309,7 @@ mod tests {
 
     #[test]
     fn single_op_completion_forwards_body() {
-        let mut run = TaskRun::new(ScriptTask::new().boxed(), HostId::from_index(0), None);
+        let mut run = TaskRun::new(HostId::from_index(0), None);
         let op = OpId::from_index(1);
         run.pending.insert(op, 0);
         match run.complete_op(op, Some(ObjectBody::opaque(5))) {
@@ -303,7 +320,7 @@ mod tests {
 
     #[test]
     fn multi_op_waits_for_all_and_orders_results() {
-        let mut run = TaskRun::new(ScriptTask::new().boxed(), HostId::from_index(0), None);
+        let mut run = TaskRun::new(HostId::from_index(0), None);
         run.shape = PendingShape::Multi {
             results: vec![None, None],
             puts: false,
@@ -325,7 +342,7 @@ mod tests {
 
     #[test]
     fn multi_put_completion_is_done() {
-        let mut run = TaskRun::new(ScriptTask::new().boxed(), HostId::from_index(0), None);
+        let mut run = TaskRun::new(HostId::from_index(0), None);
         run.shape = PendingShape::Multi {
             results: vec![None],
             puts: true,
