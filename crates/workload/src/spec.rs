@@ -189,9 +189,9 @@ impl Workload {
     /// comparing each stage's name with the names before it and each
     /// edge with its stage's earlier edges. Fan-in needs no check per
     /// downstream partition: once every stage has a task and every edge
-    /// comes from an earlier stage, [`serverful::fan_in_range`] gives
-    /// each downstream task a non-empty range inside the upstream stage,
-    /// for either shape and any two widths.
+    /// comes from an earlier stage, each downstream task's [`FanIn`]
+    /// range is non-empty and ends inside the upstream stage, for either
+    /// shape and any two widths.
     pub fn validate(&self) -> Result<(), ValidateError> {
         let err = |m: String| Err(ValidateError(m));
         if !token_ok(&self.name) {

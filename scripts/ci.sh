@@ -95,6 +95,21 @@ if grep -rn "Readiness" crates/fleet/src; then
     echo "the fleet names Readiness; it must reach readiness only through DagRun" >&2
     exit 1
 fi
+# Validation never walks a stage's tasks, so it stays O(stages + edges):
+# for non-empty stages and topological edges every fan-in range ends
+# inside the upstream stage, which tests/dag.rs pins over a grid of
+# widths, so a per-partition fan_in_range check could never fail.
+if grep -n "fan_in_range" crates/workload/src/spec.rs; then
+    echo "Workload::validate walks fan-in ranges per partition again" >&2
+    exit 1
+fi
+# The environment builds no task logic of its own: a FaaS attempt's run
+# holds a zero-sized stand-in from its input fetch on, and the job's
+# factory supplies the task's logic once the input lands.
+if grep -rn "ScriptTask" crates/serverful/src/env/; then
+    echo "serverful::env builds task logic of its own again" >&2
+    exit 1
+fi
 # A storage request has one owner at a time: the world hands a faulted
 # request back (OpOutcome::Faulted), so the env keeps no second copy of
 # every op in flight, and the monitor strips the result prefix once per
