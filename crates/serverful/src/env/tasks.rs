@@ -83,8 +83,7 @@ impl CloudEnv {
         self.jobs[job].tasks[task].run = Some(run);
     }
 
-    /// Starts a task on `run`: the job's factory builds its logic from
-    /// the input.
+    /// Starts a task on `run` with the logic the job's factory builds.
     pub(super) fn start_task(
         &mut self,
         job: usize,

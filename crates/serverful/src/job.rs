@@ -58,10 +58,8 @@ impl std::fmt::Debug for TaskRun {
     }
 }
 
-/// The logic of a run whose task has not started: a FaaS attempt's run
-/// exists from its input fetch on. Zero-sized, so boxing it allocates
-/// nothing; the environment swaps in the job factory's logic when the
-/// task starts.
+/// Stand-in logic of a run whose task has not started, such as a FaaS
+/// attempt fetching its input. Zero-sized, so boxing it allocates nothing.
 struct Unstarted;
 
 impl TaskLogic for Unstarted {
@@ -75,7 +73,6 @@ impl TaskLogic for Unstarted {
 }
 
 impl TaskRun {
-    /// A run on `host` whose logic the job's factory has yet to build.
     pub(crate) fn new(host: HostId, kv: Option<KvId>) -> Self {
         TaskRun {
             logic: Box::new(Unstarted),

@@ -12,8 +12,7 @@
 //! - Validation ([`Workload::validate`]), in O(stages + edges):
 //!   acyclicity (edges must point at earlier stages) and resource
 //!   sanity (no zero-task stages, finite non-negative volumes, positive
-//!   exchanges). Fan-in ranges need no check of their own: they stay in
-//!   bounds for any two non-empty stages.
+//!   exchanges); fan-in ranges then stay in bounds by construction.
 //! - Deterministic scaling ([`Workload::scaled`]): task counts and
 //!   exchange volumes multiplied down with fixed floors (two tasks,
 //!   0.005 GB), so smoke tests and fleet tenants run the same *shape*

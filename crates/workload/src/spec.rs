@@ -185,13 +185,11 @@ impl Workload {
     /// [`MIN_EXCHANGE_GB_PER_STAGE`] to [`MAX_EXCHANGE_GB_PER_STAGE`] GB
     /// exchanged per stage).
     ///
-    /// No check visits a task, so the cost is O(stages + edges), plus
-    /// comparing each stage's name with the names before it and each
-    /// edge with its stage's earlier edges. Fan-in needs no check per
-    /// downstream partition: once every stage has a task and every edge
-    /// comes from an earlier stage, each downstream task's [`FanIn`]
-    /// range is non-empty and ends inside the upstream stage, for either
-    /// shape and any two widths.
+    /// No check visits a task, so the cost is O(stages + edges) beside
+    /// the pairwise name and sibling-edge comparisons. Fan-in needs no
+    /// per-partition check: with a task in every stage and every edge
+    /// from an earlier stage, each [`FanIn`] range is non-empty and ends
+    /// inside the upstream stage, for any two widths.
     pub fn validate(&self) -> Result<(), ValidateError> {
         let err = |m: String| Err(ValidateError(m));
         if !token_ok(&self.name) {

@@ -4,7 +4,8 @@
 //! must survive parse → validate → compile unchanged; and — the reason
 //! the families exist at all — each new family carries a release-gated
 //! verdict on whether the paper's hybrid/pipelined wins hold or reverse
-//! on *its* graph shape, not just METASPACE's.
+//! on *its* graph shape, not just METASPACE's. The crate's own
+//! invariants follow at the end, one module per source module.
 //!
 //! Like `tests/properties.rs`, random cases come from seeded [`SimRng`]
 //! draws (no crates.io access for `proptest`); failures print the case
@@ -298,8 +299,6 @@ fn verdict_terasort_hybrid_wins_at_every_scale() {
         );
     }
 }
-
-// The workload crate's own invariants, one module per source module.
 
 /// The workload builder, `Workload::validate`'s rejections and the
 /// scaling floors.
