@@ -247,21 +247,14 @@ impl CloudEnv {
         // running on a surviving worker, not already backed off for a
         // retry. The old KV queue died with the old master, so queued
         // bundles are re-pushed from the replayed release frontier.
-        let retry_pending: IdSet<usize> = self
-            .pending_task_retries
-            .keys()
-            .filter(|(j, _)| *j == job)
-            .map(|(_, task)| *task)
-            .collect();
         let redispatch: Vec<usize> = self.jobs[job]
             .tasks
             .iter()
             .enumerate()
-            .filter(|(i, t)| {
+            .filter(|(_, t)| {
                 !t.held
                     && t.worker.is_none()
-                    && !retry_pending.contains(i)
-                    && !matches!(t.phase, TaskPhase::Done | TaskPhase::Failed)
+                    && !matches!(t.phase, TaskPhase::Done | TaskPhase::Failed | TaskPhase::Backoff)
             })
             .map(|(i, _)| i)
             .collect();

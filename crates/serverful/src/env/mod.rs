@@ -34,7 +34,7 @@ use cloudsim::{
     CloudConfig, FaultKind, HostId, KvId, Notify, ObjectBody, OpId, OpOutcome, SandboxId,
     StorageRequest, Tenancy, VmId, World,
 };
-use simkernel::{IdMap, IdSet, SimDuration, SimTime};
+use simkernel::{IdMap, SimDuration, SimTime};
 use telemetry::trace::SpanId;
 use telemetry::{FleetTag, StageSpan, Timeline};
 
@@ -82,10 +82,10 @@ pub struct CloudEnv {
     timeline: Timeline,
     jobs: Vec<JobState>,
     pools: Vec<StandalonePool>,
-    op_routes: IdMap<OpId, Route>,
-    /// Attempts made by re-issued storage ops still in flight; an op
-    /// missing here is on its first attempt.
-    op_attempts: IdMap<OpId, u32>,
+    /// Where each in-flight op's completion goes, and how many times
+    /// its request has been issued (1 unless a storage retry re-issued
+    /// it).
+    op_routes: IdMap<OpId, (Route, u32)>,
     sandbox_routes: IdMap<SandboxId, Route>,
     vm_routes: IdMap<VmId, Route>,
     timer_routes: IdMap<u64, Route>,
@@ -99,10 +99,6 @@ pub struct CloudEnv {
     job_parent: SpanId,
     /// Live completion-monitor handles, one per monitored job.
     monitors: IdMap<usize, MonitorHandle>,
-    /// Task retries waiting out their backoff: `(job, task) -> attempt`.
-    /// The re-adoption replay consults this so a backed-off task is not
-    /// double-dispatched.
-    pending_task_retries: IdMap<(usize, usize), u32>,
     /// High-water mark of concurrent same-generation monitor LISTs (the
     /// invariant says it never passes 1).
     max_list_overlap: u32,
@@ -143,7 +139,6 @@ impl CloudEnv {
             jobs: Vec::new(),
             pools: Vec::new(),
             op_routes: IdMap::default(),
-            op_attempts: IdMap::default(),
             sandbox_routes: IdMap::default(),
             vm_routes: IdMap::default(),
             timer_routes: IdMap::default(),
@@ -153,7 +148,6 @@ impl CloudEnv {
             finished_jobs: 0,
             job_parent: SpanId::NONE,
             monitors: IdMap::default(),
-            pending_task_retries: IdMap::default(),
             max_list_overlap: 0,
             recovery_stats: RecoveryStats::new(),
             armed_kills: Vec::new(),
@@ -262,7 +256,7 @@ impl CloudEnv {
         self.jobs.push(job);
         let client = self.world.client_host();
         let op = self.world.compute(client, setup);
-        self.op_routes.insert(op, Route::JobSetup { job: id });
+        self.op_routes.insert(op, (Route::JobSetup { job: id }, 1));
         id
     }
 
@@ -477,15 +471,22 @@ impl CloudEnv {
     fn dispatch(&mut self, _t: SimTime, n: Notify) {
         match n {
             Notify::Op { op, outcome } => {
-                let attempts = self.op_attempts.remove(&op).unwrap_or(1);
-                let Some(route) = self.op_routes.remove(&op) else {
-                    return; // op of an already-failed job or torn-down attempt
+                let Some((route, attempts)) = self.op_routes.remove(&op) else {
+                    return; // an op the env did not issue
                 };
+                // An op of a finished job or a torn-down attempt is
+                // dropped whatever its outcome: a stale fault books no
+                // retry.
+                if let Route::Task { job, task, attempt, .. } = route {
+                    if !self.attempt_live(job, task, attempt) {
+                        return;
+                    }
+                }
                 match outcome {
                     OpOutcome::Faulted { from, request, .. } => {
                         self.on_storage_faulted(op, route, from, request, attempts)
                     }
-                    outcome => self.on_op(route, op, outcome),
+                    outcome => self.on_op(route, outcome),
                 }
             }
             Notify::SandboxUp { sandbox } => {
@@ -496,7 +497,7 @@ impl CloudEnv {
                 }
             }
             Notify::SandboxFailed { sandbox, .. } => {
-                if let Some(Route::Task { job, task }) = self.sandbox_routes.remove(&sandbox) {
+                if let Some(Route::Task { job, task, .. }) = self.sandbox_routes.remove(&sandbox) {
                     self.jobs[job].tasks[task].sandbox = None;
                     self.task_attempt_failed(job, task, AttemptFailure::SandboxDead);
                 }
@@ -536,7 +537,7 @@ impl CloudEnv {
     /// The trace span ops issued for `route` parent under.
     fn route_span(&self, route: &Route) -> SpanId {
         match route {
-            Route::Task { job, task } | Route::InputPut { job, task } => {
+            Route::Task { job, task, .. } | Route::InputPut { job, task } => {
                 self.task_span(*job, *task)
             }
             other => match Self::route_job(other) {

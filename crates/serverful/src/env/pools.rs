@@ -600,7 +600,7 @@ impl CloudEnv {
                 self.world.set_trace_parent(self.jobs[job].span);
                 let op = self.world.kv_push(master, kv, format!("job-{job}"), body);
                 self.world.set_trace_parent(SpanId::NONE);
-                self.op_routes.insert(op, route);
+                self.op_routes.insert(op, (route, 1));
             }
             TaskQueue::Storage { ready, uploaded } => {
                 if std::mem::replace(&mut uploaded[task], true) {
@@ -784,7 +784,7 @@ impl CloudEnv {
                 self.world.set_trace_parent(self.jobs[job].span);
                 let op = self.world.kv_pop(host, kv, format!("job-{job}"));
                 self.world.set_trace_parent(SpanId::NONE);
-                self.op_routes.insert(op, Route::QueueClaim(claim));
+                self.op_routes.insert(op, (Route::QueueClaim(claim), 1));
             }
             TaskQueue::Storage { ready, .. } => {
                 // Entries whose task got owned or finished meanwhile are

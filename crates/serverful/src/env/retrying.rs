@@ -17,17 +17,11 @@ pub(super) struct StorageRetry {
     pub(super) request: StorageRequest,
     /// Attempts made so far (the faulted one included).
     pub(super) attempts: u32,
-    /// Where the re-issued op's completion goes.
+    /// Where the re-issued op's completion goes. A task op's route
+    /// names its attempt and its slot in a multi-op action, so the
+    /// re-issued op fills the slot the faulted one left open, and a
+    /// sibling cannot complete the action around the hole.
     pub(super) route: Route,
-    /// `(faulted op, its slot)` in the task action's pending map, if
-    /// any. The faulted op stays in the map as a placeholder while the
-    /// backoff runs — so a sibling op of a multi-op action cannot drain
-    /// the map and assemble a result with a hole — and is swapped for
-    /// the re-issued op at fire time.
-    pub(super) pending_slot: Option<(OpId, usize)>,
-    /// Task attempt the op belonged to; a mismatch at fire time means
-    /// the whole attempt was torn down meanwhile.
-    pub(super) task_attempt: u32,
 }
 
 /// Why a task attempt ended prematurely (selects the retry counter).
@@ -44,7 +38,7 @@ pub(super) enum AttemptFailure {
 
 impl CloudEnv {
     /// Moves a storage request from `host` into the world; `attempts`
-    /// counts this one, and a re-issued op's count is kept until it
+    /// counts this one, and the route table keeps the count until the op
     /// lands. All env storage traffic flows through here.
     pub(super) fn issue_storage(
         &mut self,
@@ -52,7 +46,7 @@ impl CloudEnv {
         request: StorageRequest,
         attempts: u32,
         route: Route,
-    ) -> OpId {
+    ) {
         // Track the in-flight LIST window of the current monitor
         // generation (see [`Self::monitor_list_overlap`]).
         if let Route::List { job, generation } = &route {
@@ -82,11 +76,7 @@ impl CloudEnv {
         self.world.set_trace_parent(parent);
         let op = self.world.storage(host, request);
         self.world.set_trace_parent(SpanId::NONE);
-        if attempts > 1 {
-            self.op_attempts.insert(op, attempts);
-        }
-        self.op_routes.insert(op, route);
-        op
+        self.op_routes.insert(op, (route, attempts));
     }
 
     /// A storage op came back with an injected fault (transient 5xx or
@@ -135,7 +125,7 @@ impl CloudEnv {
         if !monitor && !policy.allows_retry(attempts) {
             self.world.fault_ledger_mut().attempts_exhausted += 1;
             match route {
-                Route::Task { job, task } | Route::InputPut { job, task } => {
+                Route::Task { job, task, .. } | Route::InputPut { job, task } => {
                     self.task_attempt_failed(job, task, AttemptFailure::StorageExhausted);
                 }
                 other => unreachable!("storage budget exhausted on {other:?}"),
@@ -147,18 +137,6 @@ impl CloudEnv {
         self.world
             .tracer_mut()
             .instant(retry_now, "storage-retry", "retry", "retries");
-        // For task-logic ops, the faulted op STAYS in the attempt's
-        // pending map as a placeholder (siblings of a multi-op action
-        // must not see the map drain and assemble a holey result); the
-        // retry swaps in its replacement.
-        let (pending_slot, task_attempt) = match &route {
-            Route::Task { job, task } => {
-                let t = &mut self.jobs[*job].tasks[*task];
-                let index = t.run.as_ref().and_then(|r| r.pending.get(&op).copied());
-                (index.map(|i| (op, i)), t.attempts)
-            }
-            _ => (None, 0),
-        };
         let backoff = policy
             .jittered_backoff_secs(attempts.min(policy.max_attempts.max(1)), op.index());
         let retry = StorageRetry {
@@ -166,8 +144,6 @@ impl CloudEnv {
             request,
             attempts,
             route,
-            pending_slot,
-            task_attempt,
         };
         self.set_timer(
             SimDuration::from_secs_f64(backoff),
@@ -212,7 +188,7 @@ impl CloudEnv {
             attempts.max(1),
             ((job as u64) << 32) | task as u64,
         );
-        self.pending_task_retries.insert((job, task), attempts);
+        self.jobs[job].tasks[task].phase = TaskPhase::Backoff;
         self.set_timer(
             SimDuration::from_secs_f64(backoff),
             Route::RetryTask {
@@ -223,15 +199,12 @@ impl CloudEnv {
         );
     }
 
-    /// Drops every trace of a task's current attempt: pending op routes,
-    /// the run, the sandbox (abandoned unless already dead) and the
-    /// worker slot (its process goes back to popping).
+    /// Drops every trace of a task's current attempt: the run, the
+    /// sandbox (abandoned unless already dead) and the worker slot (its
+    /// process goes back to popping). The attempt's ops still in flight
+    /// are dropped where they land, by `attempt_live`.
     pub(super) fn clear_task_attempt(&mut self, job: usize, task: usize, why: AttemptFailure) {
         if let Some(mut run) = self.jobs[job].tasks[task].run.take() {
-            for op in run.pending.keys() {
-                self.op_routes.remove(op);
-                self.op_attempts.remove(op);
-            }
             self.end_io_busy(&mut run);
         }
         if let Some(sandbox) = self.jobs[job].tasks[task].sandbox.take() {
@@ -265,15 +238,13 @@ impl CloudEnv {
 
     /// Backoff elapsed: re-dispatch a failed task attempt.
     pub(super) fn on_retry_task(&mut self, job: usize, task: usize, attempt: u32) {
-        if self.pending_task_retries.get(&(job, task)) == Some(&attempt) {
-            self.pending_task_retries.remove(&(job, task));
-        }
         if self.jobs[job].is_finished() {
             return;
         }
         if self.jobs[job].tasks[task].attempts != attempt {
             return; // a newer attempt superseded this timer
         }
+        self.jobs[job].tasks[task].phase = TaskPhase::Queued;
         match self.jobs[job].backend {
             JobBackend::Faas { .. } => self.dispatch_faas_task(job, task),
             JobBackend::Standalone { pool } => self.queue_put(pool, job, task, false),
@@ -288,8 +259,6 @@ impl CloudEnv {
             request,
             attempts,
             route,
-            pending_slot,
-            task_attempt,
         } = retry;
         let Some(job) = Self::route_job(&route) else {
             unreachable!("storage retry routed to {route:?}")
@@ -297,9 +266,9 @@ impl CloudEnv {
         if self.jobs[job].is_finished() {
             return;
         }
-        if let Route::Task { job: j, task } = route {
-            if self.jobs[j].tasks[task].attempts != task_attempt {
-                return; // the whole attempt was retried; drop the op
+        if let Route::Task { job, task, attempt, .. } = route {
+            if !self.attempt_live(job, task, attempt) {
+                return; // the attempt was torn down; drop the op
             }
         }
         if !self.world.host_alive(host) {
@@ -311,14 +280,6 @@ impl CloudEnv {
             }
             return;
         }
-        let op = self.issue_storage(host, request, attempts + 1, route.clone());
-        if let Route::Task { job: j, task } = route {
-            if let (Some((stale, idx)), Some(run)) =
-                (pending_slot, self.jobs[j].tasks[task].run.as_mut())
-            {
-                run.pending.remove(&stale);
-                run.pending.insert(op, idx);
-            }
-        }
+        self.issue_storage(host, request, attempts + 1, route);
     }
 }

@@ -10,8 +10,12 @@ use super::*;
 /// Where a notification should be delivered.
 #[derive(Debug, Clone)]
 pub(super) enum Route {
-    /// An op issued by a task's logic (or its result write).
-    Task { job: usize, task: usize },
+    /// An op of one task attempt: its input fetch, its logic's ops or
+    /// its result write, and the attempt's sandbox. `attempt` is the
+    /// task's attempt count when the op was issued, and `slot` the op's
+    /// index in a multi-op action (0 otherwise). Only an op whose attempt
+    /// is still live lands (see `CloudEnv::attempt_live`).
+    Task { job: usize, task: usize, attempt: u32, slot: u32 },
     /// The client PUT of a task's input bundle.
     InputPut { job: usize, task: usize },
     /// Client-side function/deps serialisation before dispatch.
@@ -87,13 +91,13 @@ impl CloudEnv {
         }
     }
 
-    pub(super) fn on_op(&mut self, route: Route, op: OpId, outcome: OpOutcome) {
+    pub(super) fn on_op(&mut self, route: Route, outcome: OpOutcome) {
         if matches!(outcome, OpOutcome::KvUnreachable) {
             self.on_kv_unreachable(route);
             return;
         }
         match route {
-            Route::Task { job, task } => self.on_task_op(job, task, op, outcome),
+            Route::Task { job, task, slot, .. } => self.on_task_op(job, task, slot, outcome),
             Route::InputPut { job, task } => {
                 if !self.jobs[job].is_finished() {
                     self.invoke_task(job, task);
@@ -134,7 +138,7 @@ impl CloudEnv {
             // Keep the first wave's gate moving so the job reaches its
             // (stalled or recovered) steady state.
             Route::QueuePut { pool, job, initial: true, .. } => self.on_push_done(pool, job),
-            Route::Task { job, task } => {
+            Route::Task { job, task, .. } => {
                 // A task's KV action (shuffle exchange) lost the server
                 // mid-transfer: the attempt is torn down and retried
                 // through the normal task budget.

@@ -52,12 +52,12 @@ impl CloudEnv {
         t.attempts += 1;
         t.started_at = Some(now);
         t.span = span;
-        self.sandbox_routes
-            .insert(sandbox, Route::Task { job, task });
+        let route = self.task_route(job, task, 0);
+        self.sandbox_routes.insert(sandbox, route);
     }
 
     pub(super) fn on_sandbox_up(&mut self, route: Route, sandbox: SandboxId) {
-        let Route::Task { job, task } = route else {
+        let Route::Task { job, task, .. } = route else {
             unreachable!("sandbox route is always a task")
         };
         if self.jobs[job].is_finished() {
@@ -70,17 +70,11 @@ impl CloudEnv {
         self.jobs[job].tasks[task].phase = TaskPhase::FetchingInput;
         let bucket = self.jobs[job].bucket.clone();
         let key = self.jobs[job].input_key(task);
-        let op = self.issue_storage(
-            host,
-            StorageRequest::Get { bucket, key },
-            1,
-            Route::Task { job, task },
-        );
-        // The attempt's run holds the host for when the input arrives,
-        // and tracks the GET so an attempt teardown cleans its route up.
-        let mut run = TaskRun::new(host, None);
-        run.pending.insert(op, 0);
-        self.jobs[job].tasks[task].run = Some(run);
+        // The fetch is the attempt's first op: it goes out under the
+        // sandbox's route, and the attempt's run holds the host for when
+        // the input arrives.
+        self.issue_storage(host, StorageRequest::Get { bucket, key }, 1, route);
+        self.jobs[job].tasks[task].run = Some(TaskRun::new(host, None));
     }
 
     /// Starts a task on `run` with the logic the job's factory builds.
@@ -123,7 +117,7 @@ impl CloudEnv {
     ) -> Result<(), ExecError> {
         let host = run.host;
         run.shape = PendingShape::Single;
-        let route = Route::Task { job, task };
+        let route = self.task_route(job, task, 0);
         // Data-path actions burn partial CPU for (de)serialisation while
         // the transfer is in flight (accounting only).
         let overlapped = !matches!(action, Action::Compute { .. } | Action::Sleep { .. });
@@ -134,62 +128,58 @@ impl CloudEnv {
         match action {
             Action::Compute { cpu_secs } => {
                 let op = self.world.compute(host, cpu_secs);
-                run.pending.insert(op, 0);
-                self.op_routes.insert(op, route);
+                self.op_routes.insert(op, (route, 1));
             }
             Action::Sleep { secs } => {
                 let op = self.world.sleep(SimDuration::from_secs_f64(secs));
-                run.pending.insert(op, 0);
-                self.op_routes.insert(op, route);
+                self.op_routes.insert(op, (route, 1));
             }
             Action::Get { bucket, key } => {
-                let op = self.issue_storage(host, StorageRequest::Get { bucket, key }, 1, route);
-                run.pending.insert(op, 0);
+                self.issue_storage(host, StorageRequest::Get { bucket, key }, 1, route);
             }
             Action::Put { bucket, key, body } => {
                 let request = StorageRequest::Put { bucket, key, body };
-                let op = self.issue_storage(host, request, 1, route);
-                run.pending.insert(op, 0);
+                self.issue_storage(host, request, 1, route);
             }
             Action::Delete { bucket, key } => {
                 let request = StorageRequest::Delete { bucket, key };
-                let op = self.issue_storage(host, request, 1, route);
-                run.pending.insert(op, 0);
+                self.issue_storage(host, request, 1, route);
             }
             Action::List { bucket, prefix } => {
                 let request = StorageRequest::List { bucket, prefix };
-                let op = self.issue_storage(host, request, 1, route);
-                run.pending.insert(op, 0);
+                self.issue_storage(host, request, 1, route);
             }
             Action::GetMany { bucket, keys } => {
                 assert!(!keys.is_empty(), "GetMany with no keys");
                 run.shape = PendingShape::Multi {
                     results: vec![None; keys.len()],
+                    remaining: keys.len(),
                     puts: false,
                 };
-                for (i, key) in keys.into_iter().enumerate() {
+                for (slot, key) in (0..).zip(keys) {
                     let request = StorageRequest::Get {
                         bucket: bucket.clone(),
                         key,
                     };
-                    let op = self.issue_storage(host, request, 1, route.clone());
-                    run.pending.insert(op, i);
+                    let route = self.task_route(job, task, slot);
+                    self.issue_storage(host, request, 1, route);
                 }
             }
             Action::PutMany { bucket, entries } => {
                 assert!(!entries.is_empty(), "PutMany with no entries");
                 run.shape = PendingShape::Multi {
-                    results: vec![None; entries.len()],
+                    results: Vec::new(),
+                    remaining: entries.len(),
                     puts: true,
                 };
-                for (i, (key, body)) in entries.into_iter().enumerate() {
+                for (slot, (key, body)) in (0..).zip(entries) {
                     let request = StorageRequest::Put {
                         bucket: bucket.clone(),
                         key,
                         body,
                     };
-                    let op = self.issue_storage(host, request, 1, route.clone());
-                    run.pending.insert(op, i);
+                    let route = self.task_route(job, task, slot);
+                    self.issue_storage(host, request, 1, route);
                 }
             }
             Action::KvGet { key } => {
@@ -199,8 +189,7 @@ impl CloudEnv {
                 self.world.set_trace_parent(self.task_span(job, task));
                 let op = self.world.kv_get(host, kv, key);
                 self.world.set_trace_parent(SpanId::NONE);
-                run.pending.insert(op, 0);
-                self.op_routes.insert(op, route);
+                self.op_routes.insert(op, (route, 1));
             }
             Action::KvPut { key, body } => {
                 let kv = run.kv.ok_or_else(|| {
@@ -209,36 +198,45 @@ impl CloudEnv {
                 self.world.set_trace_parent(self.task_span(job, task));
                 let op = self.world.kv_put(host, kv, key, body);
                 self.world.set_trace_parent(SpanId::NONE);
-                run.pending.insert(op, 0);
-                self.op_routes.insert(op, route);
+                self.op_routes.insert(op, (route, 1));
             }
         }
         Ok(())
     }
 
-    /// An op belonging to a task (either its logic or its result write)
-    /// completed.
-    pub(super) fn on_task_op(&mut self, job: usize, task: usize, op: OpId, outcome: OpOutcome) {
-        if self.jobs[job].is_finished() {
-            return;
-        }
+    /// The route of an op the current attempt of `task` issues; `slot`
+    /// is the op's index in a multi-op action, 0 for any other op.
+    pub(super) fn task_route(&self, job: usize, task: usize, slot: u32) -> Route {
+        let attempt = self.jobs[job].tasks[task].attempts;
+        Route::Task { job, task, attempt, slot }
+    }
+
+    /// The one staleness rule for a task's ops ([`Route::Task`]), the
+    /// task-attempt twin of `vm_live`: an op, or a storage retry of one,
+    /// is live only while its job is unfinished and the attempt that
+    /// issued it is the task's current one and still holds its run.
+    /// Tearing an attempt down takes the run, and the next attempt counts
+    /// up, so the ops of a torn-down attempt are dropped where they land.
+    pub(super) fn attempt_live(&self, job: usize, task: usize, attempt: u32) -> bool {
+        let t = &self.jobs[job].tasks[task];
+        !self.jobs[job].is_finished() && t.attempts == attempt && t.run.is_some()
+    }
+
+    /// An op of a live task attempt completed: its input fetch, an op of
+    /// its logic's action (`slot` in a multi-op one) or its result write.
+    pub(super) fn on_task_op(&mut self, job: usize, task: usize, slot: u32, outcome: OpOutcome) {
         // The task's host may have died at this very timestamp with its
         // failure notification still queued behind this op: issuing the
         // next action would hit a dead host. Drop the completion — the
         // pending SandboxFailed/VmFailed tears the attempt down.
-        if let Some(run) = &self.jobs[job].tasks[task].run {
-            if !self.world.host_alive(run.host) {
-                return;
-            }
+        let t = &mut self.jobs[job].tasks[task];
+        let mut run = t.run.take().expect("a live attempt holds its run");
+        if !self.world.host_alive(run.host) {
+            t.run = Some(run);
+            return;
         }
-        match &self.jobs[job].tasks[task].phase {
+        match t.phase {
             TaskPhase::FetchingInput => {
-                let mut run = self.jobs[job].tasks[task]
-                    .run
-                    .take()
-                    .expect("an input fetch is tracked by its attempt's run");
-                // The GET has landed; the task's own ops reuse the map.
-                run.pending.clear();
                 let body = match outcome {
                     OpOutcome::GetOk { body } => body,
                     OpOutcome::GetMissing => {
@@ -258,51 +256,30 @@ impl CloudEnv {
                 self.start_task(job, task, run, &input);
             }
             TaskPhase::Running => {
-                let mut run = self.jobs[job].tasks[task].run.take().unwrap();
-                // The action is completing (or progressing); once the
-                // last op lands, the overlapped-I/O accounting ends.
-                let body = match outcome {
-                    OpOutcome::GetOk { body } => Some(body),
-                    OpOutcome::GetMissing => {
-                        run.pending.remove(&op);
-                        self.end_io_busy(&mut run);
-                        let step = run.logic.on_action(ActionOutcome::MissingObject);
-                        self.apply_step(job, task, run, step);
-                        return;
-                    }
-                    OpOutcome::ListOk { keys } => {
-                        run.pending.remove(&op);
-                        self.end_io_busy(&mut run);
-                        let step = run.logic.on_action(ActionOutcome::Keys(keys));
-                        self.apply_step(job, task, run, step);
-                        return;
-                    }
-                    OpOutcome::KvValue { body } => {
-                        run.pending.remove(&op);
-                        self.end_io_busy(&mut run);
-                        let step = run.logic.on_action(ActionOutcome::KvValue(body));
-                        self.apply_step(job, task, run, step);
-                        return;
-                    }
-                    _ => None,
+                // A listing or a KV value is its single-op action's whole
+                // outcome; any other op reports to its slot.
+                let done = match outcome {
+                    OpOutcome::ListOk { keys } => Some(ActionOutcome::Keys(keys)),
+                    OpOutcome::KvValue { body } => Some(ActionOutcome::KvValue(body)),
+                    outcome => run.complete_op(slot, outcome),
                 };
-                match run.complete_op(op, body) {
-                    Some(assembled) => {
+                match done {
+                    Some(outcome) => {
+                        // The overlapped-I/O accounting ends with the
+                        // action.
                         self.end_io_busy(&mut run);
-                        let step = run.logic.on_action(assembled);
+                        let step = run.logic.on_action(outcome);
                         self.apply_step(job, task, run, step);
                     }
-                    None => {
-                        // More ops of a multi-action outstanding.
-                        self.jobs[job].tasks[task].run = Some(run);
-                    }
+                    None => self.jobs[job].tasks[task].run = Some(run),
                 }
             }
             TaskPhase::WritingResult => {
                 debug_assert!(matches!(outcome, OpOutcome::PutOk));
+                t.run = Some(run);
                 self.task_done(job, task);
             }
-            other => unreachable!("op completed in phase {other:?}"),
+            ref other => unreachable!("op completed in phase {other:?}"),
         }
     }
 
@@ -313,17 +290,8 @@ impl CloudEnv {
         let bucket = self.jobs[job].bucket.clone();
         let key = self.jobs[job].result_key(task);
         let body = ObjectBody::real(payload.encode());
-        let op = self.issue_storage(
-            host,
-            StorageRequest::Put { bucket, key, body },
-            1,
-            Route::Task { job, task },
-        );
-        // Track the write in the pending map so an attempt teardown
-        // (worker loss, straggler) cleans its route up too.
-        if let Some(run) = self.jobs[job].tasks[task].run.as_mut() {
-            run.pending.insert(op, 0);
-        }
+        let route = self.task_route(job, task, 0);
+        self.issue_storage(host, StorageRequest::Put { bucket, key, body }, 1, route);
     }
 
     /// Result written: retire the task's host slot.

@@ -7,8 +7,8 @@
 
 use std::sync::Arc;
 
-use cloudsim::{HostId, KvId, ObjectBody, OpId, SandboxId};
-use simkernel::{IdMap, SimTime};
+use cloudsim::{HostId, KvId, ObjectBody, OpOutcome, SandboxId};
+use simkernel::SimTime;
 use telemetry::trace::SpanId;
 
 use crate::error::ExecError;
@@ -32,8 +32,9 @@ pub(crate) enum JobBackend {
 pub(crate) enum PendingShape {
     /// A single op; outcome forwarded directly.
     Single,
-    /// A multi-op (GetMany/PutMany); results gathered in request order.
-    Multi { results: Vec<Option<ObjectBody>>, puts: bool },
+    /// A multi-op (GetMany/PutMany) with `remaining` ops in flight; each
+    /// GET's body fills its slot of `results` (empty for a PutMany).
+    Multi { results: Vec<Option<ObjectBody>>, remaining: usize, puts: bool },
 }
 
 /// A logical function executing on a host.
@@ -42,8 +43,6 @@ pub(crate) struct TaskRun {
     pub host: HostId,
     /// The master's KV store, when running on the serverful backend.
     pub kv: Option<KvId>,
-    /// Outstanding ops of the current action, mapped to their index.
-    pub pending: IdMap<OpId, usize>,
     pub shape: PendingShape,
     /// The overlapped-I/O busy fraction currently applied (0 = none).
     pub io_busy: f64,
@@ -53,8 +52,7 @@ impl std::fmt::Debug for TaskRun {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskRun")
             .field("host", &self.host)
-            .field("pending", &self.pending.len())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -78,46 +76,39 @@ impl TaskRun {
             logic: Box::new(Unstarted),
             host,
             kv,
-            pending: IdMap::default(),
             shape: PendingShape::Single,
             io_busy: 0.0,
         }
     }
 
-    /// Records a completed op; returns the assembled outcome when the
-    /// action is fully done.
-    pub(crate) fn complete_op(
-        &mut self,
-        op: OpId,
-        body: Option<ObjectBody>,
-    ) -> Option<ActionOutcome> {
-        let index = self
-            .pending
-            .remove(&op)
-            .expect("op completed for a task that did not issue it");
+    /// Records the outcome of the action's op in `slot` (0 unless the
+    /// action is a multi-op); returns the action's outcome once its last
+    /// op has landed. A multi-op action never ends early, so none of its
+    /// ops outlives it: a GET that found no object leaves its slot empty,
+    /// and the whole action then reads as a missing object.
+    pub(crate) fn complete_op(&mut self, slot: u32, outcome: OpOutcome) -> Option<ActionOutcome> {
         match &mut self.shape {
-            PendingShape::Single => {
-                debug_assert!(self.pending.is_empty());
-                Some(match body {
-                    Some(b) => ActionOutcome::Object(b),
-                    None => ActionOutcome::Done,
-                })
-            }
-            PendingShape::Multi { results, puts } => {
-                results[index] = Some(body.unwrap_or_else(|| ObjectBody::opaque(0)));
-                if self.pending.is_empty() {
-                    let collected: Vec<ObjectBody> = results
-                        .iter_mut()
-                        .map(|r| r.take().expect("hole in multi-op results"))
-                        .collect();
-                    Some(if *puts {
-                        ActionOutcome::Done
-                    } else {
-                        ActionOutcome::Objects(collected)
-                    })
-                } else {
-                    None
+            PendingShape::Single => Some(match outcome {
+                OpOutcome::GetOk { body } => ActionOutcome::Object(body),
+                OpOutcome::GetMissing => ActionOutcome::MissingObject,
+                _ => ActionOutcome::Done,
+            }),
+            PendingShape::Multi { results, remaining, puts } => {
+                if let OpOutcome::GetOk { body } = outcome {
+                    results[slot as usize] = Some(body);
                 }
+                *remaining -= 1;
+                if *remaining > 0 {
+                    return None;
+                }
+                if *puts {
+                    return Some(ActionOutcome::Done);
+                }
+                if results.iter().any(Option::is_none) {
+                    return Some(ActionOutcome::MissingObject);
+                }
+                let bodies = results.iter_mut().map(|r| r.take().expect("every slot is filled"));
+                Some(ActionOutcome::Objects(bodies.collect()))
             }
         }
     }
@@ -128,6 +119,9 @@ impl TaskRun {
 pub(crate) enum TaskPhase {
     /// Waiting to be dispatched (queued behind infra or a worker slot).
     Queued,
+    /// A failed attempt's retry is waiting out its backoff; the retry
+    /// timer puts the task back to `Queued` and re-dispatches it.
+    Backoff,
     /// Sandbox invoked, cold start in progress (FaaS).
     Starting,
     /// Fetching the input bundle from object storage (FaaS).
@@ -151,8 +145,9 @@ pub(crate) struct TaskState {
     pub sandbox: Option<SandboxId>,
     /// Worker slot (vm index, proc index) on the serverful backend.
     pub worker: Option<(usize, usize)>,
-    /// Dispatch attempts made so far (also versions the task's in-flight
-    /// work: stale retry timers from a previous attempt are dropped).
+    /// Dispatch attempts made so far. It also versions the task's
+    /// in-flight work: every op and retry timer carries the count it was
+    /// issued under, and one from an earlier attempt is dropped.
     pub attempts: u32,
     /// When the current attempt was dispatched (straggler detection).
     pub started_at: Option<SimTime>,
@@ -307,9 +302,7 @@ mod tests {
     #[test]
     fn single_op_completion_forwards_body() {
         let mut run = TaskRun::new(HostId::from_index(0), None);
-        let op = OpId::from_index(1);
-        run.pending.insert(op, 0);
-        match run.complete_op(op, Some(ObjectBody::opaque(5))) {
+        match run.complete_op(0, OpOutcome::GetOk { body: ObjectBody::opaque(5) }) {
             Some(ActionOutcome::Object(body)) => assert_eq!(body.len(), 5),
             other => panic!("unexpected {other:?}"),
         }
@@ -320,15 +313,12 @@ mod tests {
         let mut run = TaskRun::new(HostId::from_index(0), None);
         run.shape = PendingShape::Multi {
             results: vec![None, None],
+            remaining: 2,
             puts: false,
         };
-        let a = OpId::from_index(1);
-        let b = OpId::from_index(2);
-        run.pending.insert(a, 0);
-        run.pending.insert(b, 1);
         // Complete out of order.
-        assert!(run.complete_op(b, Some(ObjectBody::opaque(2))).is_none());
-        match run.complete_op(a, Some(ObjectBody::opaque(1))) {
+        assert!(run.complete_op(1, OpOutcome::GetOk { body: ObjectBody::opaque(2) }).is_none());
+        match run.complete_op(0, OpOutcome::GetOk { body: ObjectBody::opaque(1) }) {
             Some(ActionOutcome::Objects(objs)) => {
                 assert_eq!(objs[0].len(), 1);
                 assert_eq!(objs[1].len(), 2);
@@ -341,13 +331,12 @@ mod tests {
     fn multi_put_completion_is_done() {
         let mut run = TaskRun::new(HostId::from_index(0), None);
         run.shape = PendingShape::Multi {
-            results: vec![None],
+            results: Vec::new(),
+            remaining: 1,
             puts: true,
         };
-        let a = OpId::from_index(1);
-        run.pending.insert(a, 0);
         assert!(matches!(
-            run.complete_op(a, None),
+            run.complete_op(0, OpOutcome::PutOk),
             Some(ActionOutcome::Done)
         ));
     }
