@@ -13,8 +13,8 @@ use serverful_repro::cloudsim::{
 use serverful_repro::metaspace::{jobs, pipeline, run_workload, Architecture, DeploymentPlan};
 use serverful_repro::serverful::executor::MapOptions;
 use serverful_repro::serverful::{
-    Backend, CloudEnv, ExecMode, ExecutorConfig, FunctionExecutor, Payload, RetryPolicy,
-    ScriptTask,
+    Backend, CloudEnv, ExecError, ExecMode, ExecutorConfig, FunctionExecutor, Payload,
+    RetryPolicy, ScriptTask,
 };
 use serverful_repro::telemetry::FaultKind;
 
@@ -191,6 +191,68 @@ fn reused_vm_pool_survives_worker_loss_across_jobs() {
         }
     }
     assert!(replacements > 0, "the fault profile should replace worker VMs");
+}
+
+/// Pool workers run a multi-GET under heavy storage faults. When one GET
+/// of the action runs out of its budget, the attempt is torn down and
+/// its worker freed while the host stays up, so its siblings' backoff
+/// timers still fire. Those retries belong to a dead attempt: they must
+/// be dropped, not land on the queued task or on its next attempt. Every
+/// seed must return exactly the fault-free results or exhaust a task's
+/// budget, and both outcomes must occur.
+#[test]
+fn stale_retries_of_a_torn_down_multi_op_attempt_are_dropped() {
+    let run = |seed: u64| {
+        let cloud = CloudConfig {
+            faults: FaultConfig {
+                storage_error_prob: 0.4,
+                ..FaultConfig::disabled()
+            },
+            ..CloudConfig::default()
+        };
+        let mut env = CloudEnv::new(cloud, seed);
+        for k in 0..8 {
+            env.seed_object("data", &format!("in/{k}"), ObjectBody::opaque(1 << 20));
+        }
+        let mut cfg = ExecutorConfig::default();
+        cfg.retry.max_attempts = 3;
+        cfg.standalone.exec_mode = ExecMode::Fleet {
+            instance_type: "c5.large".into(),
+            count: 2,
+        };
+        let mut exec = FunctionExecutor::new(&mut env, Backend::vm(), cfg);
+        let factory: serverful_repro::serverful::job::TaskFactory = Arc::new(|input: &Payload| {
+            let i = input.as_u64().expect("u64 input");
+            ScriptTask::new()
+                .get_many("data", (0..8).map(|k| format!("in/{k}")).collect())
+                .compute(0.5)
+                .finish_value(Payload::U64(i * i))
+                .boxed()
+        });
+        let job = exec.map_with(
+            &mut env,
+            factory,
+            (0..12).map(Payload::U64).collect(),
+            MapOptions::named("stale-retries"),
+        );
+        exec.get_result(&mut env, job)
+    };
+    let clean: Vec<Payload> = (0..12u64).map(|i| Payload::U64(i * i)).collect();
+    let (mut completed, mut exhausted) = (0, 0);
+    for seed in 1..=12 {
+        match run(seed) {
+            Ok(results) => {
+                assert_eq!(results, clean, "seed {seed}: results diverged");
+                completed += 1;
+            }
+            Err(ExecError::AttemptsExhausted { .. }) => exhausted += 1,
+            Err(other) => panic!("seed {seed}: {other}"),
+        }
+    }
+    assert!(
+        completed > 0 && exhausted > 0,
+        "both outcomes should occur: {completed} completed, {exhausted} exhausted"
+    );
 }
 
 #[test]
