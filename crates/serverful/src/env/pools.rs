@@ -806,12 +806,15 @@ impl CloudEnv {
         }
     }
 
-    /// A claim came back. A KV pop yields its task's bundle, or nothing
-    /// once the list is drained (the process idles until a put wakes
-    /// it). A storage claim picked its task before the GET: if another
-    /// process took the task meanwhile, or the bundle is missing (an
-    /// injected fault), the process claims again. Either way, a claimer
-    /// that died in flight puts its task back for the others.
+    /// A claim came back. A KV pop yields a task's bundle, or nothing
+    /// once the list is drained (the process idles until a put wakes it).
+    /// A storage claim picked its task before the GET, and a missing
+    /// bundle (an injected fault) sends the process to claim again. On
+    /// both media one rule decides whether the bundle's task is still the
+    /// process's to run, `claimable`: a bundle whose task another process
+    /// owns, that has finished, or that waits out a retry backoff is
+    /// dropped, and the process claims again. A claimer that died in
+    /// flight puts its task back for the others.
     pub(super) fn on_queue_claim(&mut self, claim: Claim, outcome: OpOutcome) {
         let Claim {
             pool,
@@ -824,47 +827,46 @@ impl CloudEnv {
         if self.pools[pool].active != Some(job) {
             return; // the job finished; its processes restart for the next
         }
-        let picked = task.map(|t| t as usize);
         let bundle = match outcome {
             OpOutcome::KvValue { body } => body,
             OpOutcome::GetOk { body } => Some(body),
             _ => None,
         };
+        let bundle = bundle.as_ref().map(decode_bundle);
         if !self.vm_live(pool, PoolSlot::Worker(vm_idx), vm) {
             // Claim issued by a since-lost worker VM (or one whose crash
             // notification is still queued): its task must not vanish
             // with it.
-            if let Some(task) = picked.or_else(|| bundle.as_ref().map(|b| decode_bundle(b).0)) {
+            let picked = task.map(|t| t as usize);
+            if let Some(task) = picked.or_else(|| bundle.as_ref().map(|(t, _)| *t)) {
                 self.queue_put(pool, job, task, false);
             }
             return;
         }
-        if let Some(task) = picked {
-            if !claimable(&self.jobs[job].tasks[task]) || bundle.is_none() {
-                self.worker_claim(pool, vm_idx, proc);
-                return;
+        match bundle {
+            Some((task, input)) if claimable(&self.jobs[job].tasks[task]) => {
+                self.start_bundle(pool, job, vm_idx, proc, task, &input);
             }
+            // A drained KV list.
+            None if task.is_none() => self.pools[pool].idle_procs.push((job, vm_idx, proc, vm)),
+            // A stale bundle, or a storage claim's missing one.
+            _ => self.worker_claim(pool, vm_idx, proc),
         }
-        let Some(body) = bundle else {
-            self.pools[pool].idle_procs.push((job, vm_idx, proc, vm));
-            return;
-        };
-        self.start_bundle(pool, job, vm_idx, proc, &body);
     }
 
-    /// Runs the task a claimed bundle carries on worker process
-    /// `(vm_idx, proc)`. A storage-held queue runs no KV server, so its
-    /// tasks get no handle: they have no master to exchange through
-    /// (stage tasks only touch object storage).
+    /// Runs `task` of a claimed bundle on worker process `(vm_idx,
+    /// proc)`. A storage-held queue runs no KV server, so its tasks get
+    /// no handle: they have no master to exchange through (stage tasks
+    /// only touch object storage).
     pub(super) fn start_bundle(
         &mut self,
         pool: usize,
         job: usize,
         vm_idx: usize,
         proc: usize,
-        body: &ObjectBody,
+        task: usize,
+        input: &Payload,
     ) {
-        let (task, input) = decode_bundle(body);
         debug_assert!(
             !self.jobs[job].tasks.iter().enumerate().any(|(i, t)| i != task
                 && t.worker == Some((vm_idx, proc))
@@ -884,7 +886,7 @@ impl CloudEnv {
         t.attempts += 1;
         t.started_at = Some(now);
         t.span = span;
-        self.start_task(job, task, TaskRun::new(host, kv), &input);
+        self.start_task(job, task, TaskRun::new(host, kv), input);
     }
 
     /// A task finished on a pool whose queue is in storage: its worker
