@@ -129,64 +129,3 @@ fn wait_op(env: &mut CloudEnv, op: OpId) -> Result<OpOutcome, ExecError> {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cloudobject_roundtrip_through_storage() {
-        let mut env = CloudEnv::new_default(5);
-        let storage = Storage::new("data");
-        let payload = Payload::Str("hello".into());
-        let cobj = storage.put_cloudobject(&mut env, &payload).unwrap();
-        assert!(cobj.size > 0);
-        let back = storage.get_cloudobject(&mut env, &cobj).unwrap();
-        assert_eq!(back, payload);
-    }
-
-    #[test]
-    fn opaque_payloads_stay_opaque() {
-        let mut env = CloudEnv::new_default(5);
-        let storage = Storage::new("data");
-        let payload = Payload::Opaque { size: 1 << 20 };
-        let cobj = storage.put_cloudobject(&mut env, &payload).unwrap();
-        assert_eq!(cobj.size, 1 << 20);
-        let back = storage.get_cloudobject(&mut env, &cobj).unwrap();
-        assert_eq!(back, payload);
-    }
-
-    #[test]
-    fn dangling_ref_reports_missing() {
-        let mut env = CloudEnv::new_default(5);
-        let storage = Storage::new("data");
-        let cobj = CloudObjectRef::new("data", "nope", 1);
-        match storage.get_cloudobject(&mut env, &cobj) {
-            Err(ExecError::MissingObject { key, .. }) => assert_eq!(key, "nope"),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn delete_removes_object() {
-        let mut env = CloudEnv::new_default(5);
-        let storage = Storage::new("data");
-        let cobj = storage
-            .put_cloudobject(&mut env, &Payload::U64(1))
-            .unwrap();
-        storage.delete_cloudobject(&mut env, &cobj).unwrap();
-        assert!(matches!(
-            storage.get_cloudobject(&mut env, &cobj),
-            Err(ExecError::MissingObject { .. })
-        ));
-    }
-
-    #[test]
-    fn refs_get_distinct_keys() {
-        let mut env = CloudEnv::new_default(5);
-        let storage = Storage::new("data");
-        let a = storage.put_cloudobject(&mut env, &Payload::U64(1)).unwrap();
-        let b = storage.put_cloudobject(&mut env, &Payload::U64(2)).unwrap();
-        assert_ne!(a.key, b.key);
-    }
-}

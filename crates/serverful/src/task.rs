@@ -297,96 +297,3 @@ impl TaskLogic for ScriptTask {
         self.next_step()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn drive(mut logic: Box<dyn TaskLogic>, input: Payload) -> (Vec<String>, TaskStep) {
-        let mut trace = Vec::new();
-        let mut step = logic.on_start(&input);
-        loop {
-            match step {
-                TaskStep::Act(action) => {
-                    trace.push(format!("{action:?}"));
-                    let outcome = match &action {
-                        Action::Get { .. } => ActionOutcome::Object(ObjectBody::opaque(4)),
-                        Action::GetMany { keys, .. } => ActionOutcome::Objects(
-                            keys.iter().map(|_| ObjectBody::opaque(1)).collect(),
-                        ),
-                        Action::List { .. } => ActionOutcome::Keys(vec![]),
-                        Action::KvGet { .. } => ActionOutcome::KvValue(None),
-                        _ => ActionOutcome::Done,
-                    };
-                    step = logic.on_action(outcome);
-                }
-                terminal => return (trace, terminal),
-            }
-        }
-    }
-
-    #[test]
-    fn script_runs_actions_in_order() {
-        let task = ScriptTask::new()
-            .compute(1.0)
-            .get("b", "k")
-            .put("b", "out", ObjectBody::opaque(8))
-            .finish_value(Payload::U64(7));
-        let (trace, end) = drive(task.boxed(), Payload::Unit);
-        assert_eq!(trace.len(), 3);
-        assert!(trace[0].contains("Compute"));
-        assert!(trace[1].contains("Get"));
-        assert!(trace[2].contains("Put"));
-        match end {
-            TaskStep::Finish(Payload::U64(7)) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn finish_with_sees_input_and_outcomes() {
-        let task = ScriptTask::new()
-            .get("b", "k")
-            .finish_with(|input, outcomes| {
-                let x = input.as_u64().unwrap();
-                let got = match &outcomes[0] {
-                    ActionOutcome::Object(body) => body.len(),
-                    other => panic!("unexpected {other:?}"),
-                };
-                TaskStep::Finish(Payload::U64(x + got))
-            });
-        let (_, end) = drive(task.boxed(), Payload::U64(10));
-        match end {
-            TaskStep::Finish(Payload::U64(14)) => {} // 10 + 4-byte object
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn empty_script_finishes_unit() {
-        let (trace, end) = drive(ScriptTask::new().boxed(), Payload::Unit);
-        assert!(trace.is_empty());
-        assert!(matches!(end, TaskStep::Finish(Payload::Unit)));
-    }
-
-    #[test]
-    fn missing_object_fails_script() {
-        let mut logic = ScriptTask::new().get("b", "k").finish_value(Payload::Unit);
-        let step = logic.on_start(&Payload::Unit);
-        assert!(matches!(step, TaskStep::Act(Action::Get { .. })));
-        let step = logic.on_action(ActionOutcome::MissingObject);
-        assert!(matches!(step, TaskStep::Fail(_)));
-    }
-
-    #[test]
-    fn get_many_preserves_key_order_contract() {
-        let task = ScriptTask::new()
-            .get_many("b", vec!["k1".into(), "k2".into(), "k3".into()])
-            .finish_with(|_, outcomes| match &outcomes[0] {
-                ActionOutcome::Objects(objs) => TaskStep::Finish(Payload::U64(objs.len() as u64)),
-                other => panic!("unexpected {other:?}"),
-            });
-        let (_, end) = drive(task.boxed(), Payload::Unit);
-        assert!(matches!(end, TaskStep::Finish(Payload::U64(3))));
-    }
-}

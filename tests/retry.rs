@@ -128,3 +128,46 @@ fn attempts_never_exceed_the_budget() {
         );
     });
 }
+
+// The default schedule at fixed points, and the no-retry and
+// zero-jitter corners.
+
+#[test]
+fn backoff_grows_geometrically_until_the_cap() {
+    let p = RetryPolicy::default();
+    assert!((p.backoff_secs(1) - 0.5).abs() < 1e-12);
+    assert!((p.backoff_secs(2) - 1.0).abs() < 1e-12);
+    assert!((p.backoff_secs(3) - 2.0).abs() < 1e-12);
+    assert!((p.backoff_secs(30) - 20.0).abs() < 1e-12);
+}
+
+#[test]
+fn jitter_is_deterministic_and_bounded() {
+    let p = RetryPolicy::default();
+    for attempt in 1..10 {
+        for salt in 0..50u64 {
+            let a = p.jittered_backoff_secs(attempt, salt);
+            let b = p.jittered_backoff_secs(attempt, salt);
+            assert_eq!(a, b);
+            let base = p.backoff_secs(attempt);
+            assert!(a >= base);
+            assert!(a <= base * (1.0 + p.jitter_frac) + 1e-12);
+        }
+    }
+}
+
+#[test]
+fn no_retries_policy_allows_exactly_one_attempt() {
+    let p = RetryPolicy::no_retries();
+    assert!(p.allows_retry(0));
+    assert!(!p.allows_retry(1));
+}
+
+#[test]
+fn zero_jitter_returns_the_base_backoff() {
+    let p = RetryPolicy {
+        jitter_frac: 0.0,
+        ..RetryPolicy::default()
+    };
+    assert_eq!(p.jittered_backoff_secs(2, 99), p.backoff_secs(2));
+}
