@@ -13,11 +13,13 @@
 //! copies neither its key nor its job's name. Before that change the
 //! seed-42 runs made 96,960 (serverless) and 48,489 (hybrid)
 //! allocations, after it 47,478 and 25,377. A cloud-function attempt's
-//! run, made when its input fetch starts, now carries on into the task
-//! with the fetch's op map and a zero-sized stand-in logic, instead of
-//! a boxed empty script and a second map: that took the runs from
-//! 46,577 and 24,666 to 45,035 and 23,444 allocations. Each bound below
-//! is the current count plus about 10%.
+//! run, made when its input fetch starts, carries on into the task with
+//! a zero-sized stand-in logic, instead of a boxed empty script and a
+//! second run: that took the runs from 46,577 and 24,666 to 45,035 and
+//! 23,444 allocations. A task's ops now carry their attempt and their
+//! slot in a multi-op action, so a run keeps no map of its ops and a
+//! multi-PUT no result slots: 43,496 and 22,785. Each bound below is the
+//! current count plus about 10%.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -78,8 +80,8 @@ fn serverless_brain_run_stays_within_its_allocation_budget() {
     let n = brain_run_allocations(DeploymentPlan::serverless);
     eprintln!("serverless Brain run: {n} allocations");
     assert!(
-        n <= 49_500,
-        "serverless Brain run made {n} allocations (budget 49,500)"
+        n <= 48_000,
+        "serverless Brain run made {n} allocations (budget 48,000)"
     );
 }
 
@@ -88,7 +90,7 @@ fn hybrid_brain_run_stays_within_its_allocation_budget() {
     let n = brain_run_allocations(DeploymentPlan::hybrid);
     eprintln!("hybrid Brain run: {n} allocations");
     assert!(
-        n <= 25_800,
-        "hybrid Brain run made {n} allocations (budget 25,800)"
+        n <= 25_100,
+        "hybrid Brain run made {n} allocations (budget 25,100)"
     );
 }
