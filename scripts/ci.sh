@@ -57,6 +57,17 @@ if grep -rnE "epoch_counter|recovery_episode|SshSetup|worker_epochs" crates/serv
     echo "hand-rolled pool VM versioning is back in serverful" >&2
     exit 1
 fi
+# Its twin for task attempts: a task's ops carry the attempt that issued
+# them and their slot in a multi-op action, and one rule (attempt_live)
+# drops an op or storage retry of a torn-down attempt where it lands.
+# The side maps that approximated that rule (a run's map of its pending
+# ops, the env's re-issue counts and backed-off retries, a storage
+# retry's placeholder slot) drifted into a reachable panic.
+if grep -rnE 'op_attempts|pending_slot|\btask_attempt\b|\.pending\b|pending_task_retries' \
+        crates/serverful/src; then
+    echo "a side map of task-attempt ops is back beside attempt_live" >&2
+    exit 1
+fi
 if grep -rnE "async fn|async move|\.await|AsyncExecutor|Rc<RefCell|Rc<Cell|Rc::new\(Cell" \
         crates/*/src tests examples src; then
     echo "a second scheduler (futures or shared Rc<RefCell> / Rc<Cell> state) is back" >&2
