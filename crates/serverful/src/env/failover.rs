@@ -254,7 +254,10 @@ impl CloudEnv {
             .filter(|(_, t)| {
                 !t.held
                     && t.worker.is_none()
-                    && !matches!(t.phase, TaskPhase::Done | TaskPhase::Failed | TaskPhase::Backoff)
+                    && !matches!(
+                        t.phase,
+                        TaskPhase::Done | TaskPhase::Failed | TaskPhase::Backoff
+                    )
             })
             .map(|(i, _)| i)
             .collect();

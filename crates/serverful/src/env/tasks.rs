@@ -208,7 +208,12 @@ impl CloudEnv {
     /// is the op's index in a multi-op action, 0 for any other op.
     pub(super) fn task_route(&self, job: usize, task: usize, slot: u32) -> Route {
         let attempt = self.jobs[job].tasks[task].attempts;
-        Route::Task { job, task, attempt, slot }
+        Route::Task {
+            job,
+            task,
+            attempt,
+            slot,
+        }
     }
 
     /// The one staleness rule for a task's ops ([`Route::Task`]), the

@@ -34,7 +34,11 @@ pub(crate) enum PendingShape {
     Single,
     /// A multi-op (GetMany/PutMany) with `remaining` ops in flight; each
     /// GET's body fills its slot of `results` (empty for a PutMany).
-    Multi { results: Vec<Option<ObjectBody>>, remaining: usize, puts: bool },
+    Multi {
+        results: Vec<Option<ObjectBody>>,
+        remaining: usize,
+        puts: bool,
+    },
 }
 
 /// A logical function executing on a host.
@@ -93,7 +97,11 @@ impl TaskRun {
                 OpOutcome::GetMissing => ActionOutcome::MissingObject,
                 _ => ActionOutcome::Done,
             }),
-            PendingShape::Multi { results, remaining, puts } => {
+            PendingShape::Multi {
+                results,
+                remaining,
+                puts,
+            } => {
                 if let OpOutcome::GetOk { body } = outcome {
                     results[slot as usize] = Some(body);
                 }
@@ -107,7 +115,9 @@ impl TaskRun {
                 if results.iter().any(Option::is_none) {
                     return Some(ActionOutcome::MissingObject);
                 }
-                let bodies = results.iter_mut().map(|r| r.take().expect("every slot is filled"));
+                let bodies = results
+                    .iter_mut()
+                    .map(|r| r.take().expect("every slot is filled"));
                 Some(ActionOutcome::Objects(bodies.collect()))
             }
         }
@@ -299,10 +309,17 @@ mod tests {
         assert_eq!(job.input_data_size(), 108);
     }
 
+    /// A GET's outcome, with an opaque body of `len` bytes.
+    fn got(len: u64) -> OpOutcome {
+        OpOutcome::GetOk {
+            body: ObjectBody::opaque(len),
+        }
+    }
+
     #[test]
     fn single_op_completion_forwards_body() {
         let mut run = TaskRun::new(HostId::from_index(0), None);
-        match run.complete_op(0, OpOutcome::GetOk { body: ObjectBody::opaque(5) }) {
+        match run.complete_op(0, got(5)) {
             Some(ActionOutcome::Object(body)) => assert_eq!(body.len(), 5),
             other => panic!("unexpected {other:?}"),
         }
@@ -317,8 +334,8 @@ mod tests {
             puts: false,
         };
         // Complete out of order.
-        assert!(run.complete_op(1, OpOutcome::GetOk { body: ObjectBody::opaque(2) }).is_none());
-        match run.complete_op(0, OpOutcome::GetOk { body: ObjectBody::opaque(1) }) {
+        assert!(run.complete_op(1, got(2)).is_none());
+        match run.complete_op(0, got(1)) {
             Some(ActionOutcome::Objects(objs)) => {
                 assert_eq!(objs[0].len(), 1);
                 assert_eq!(objs[1].len(), 2);

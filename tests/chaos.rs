@@ -13,8 +13,8 @@ use serverful_repro::cloudsim::{
 use serverful_repro::metaspace::{jobs, pipeline, run_workload, Architecture, DeploymentPlan};
 use serverful_repro::serverful::executor::MapOptions;
 use serverful_repro::serverful::{
-    Backend, CloudEnv, ExecError, ExecMode, ExecutorConfig, FunctionExecutor, Payload,
-    RetryPolicy, ScriptTask,
+    Backend, CloudEnv, ExecError, ExecMode, ExecutorConfig, FunctionExecutor, Payload, RetryPolicy,
+    ScriptTask,
 };
 use serverful_repro::telemetry::FaultKind;
 

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use cloudsim::ObjectBody;
 use serverful::executor::MapOptions;
 use serverful::{
-    Backend, CloudEnv, ExecMode, ExecutorConfig, FunctionExecutor, Payload, ScriptTask, Storage,
-    TaskStep,
+    Action, ActionOutcome, Backend, CloudEnv, ExecMode, ExecutorConfig, FunctionExecutor, Payload,
+    ScriptTask, Storage, TaskLogic, TaskStep,
 };
 use telemetry::CostCategory;
 
@@ -215,6 +215,42 @@ fn failed_task_surfaces_as_error() {
     let job = exec.map(&mut env, failing, vec![Payload::Unit]);
     let err = exec.get_result(&mut env, job).expect_err("must fail");
     assert!(err.to_string().contains("task failed"), "{err}");
+}
+
+/// A multi-GET that misses a key ends once its last GET has landed, as
+/// a missing object. A logic that carries on after the miss must not
+/// see the action's other GETs land on its next action.
+#[test]
+fn multi_get_with_a_missing_key_ends_when_its_last_get_lands() {
+    struct ToleratesMiss;
+    impl TaskLogic for ToleratesMiss {
+        fn on_start(&mut self, _: &Payload) -> TaskStep {
+            let keys = vec!["big-0".into(), "nope".into(), "big-1".into()];
+            TaskStep::Act(Action::GetMany {
+                bucket: "data".into(),
+                keys,
+            })
+        }
+
+        fn on_action(&mut self, outcome: ActionOutcome) -> TaskStep {
+            match outcome {
+                ActionOutcome::MissingObject => TaskStep::Act(Action::Compute { cpu_secs: 0.1 }),
+                ActionOutcome::Done => TaskStep::Finish(Payload::U64(42)),
+                other => TaskStep::Fail(format!("unexpected {other:?}")),
+            }
+        }
+    }
+    let mut env = CloudEnv::new_default(37);
+    for key in ["big-0", "big-1"] {
+        env.seed_object("data", key, ObjectBody::opaque(16 << 20));
+    }
+    let mut exec = FunctionExecutor::new(&mut env, Backend::faas(), ExecutorConfig::default());
+    let factory: serverful::job::TaskFactory = Arc::new(|_| Box::new(ToleratesMiss));
+    let job = exec.map(&mut env, factory, vec![Payload::Unit]);
+    let results = exec
+        .get_result(&mut env, job)
+        .expect("the logic tolerates the miss");
+    assert_eq!(results, vec![Payload::U64(42)]);
 }
 
 #[test]
